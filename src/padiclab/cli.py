@@ -37,7 +37,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="suite to run (repeatable; default: all)",
     )
-    ap.add_argument("--deep", action="store_true", help="enable the generation index check")
     ap.add_argument(
         "--functionals", type=int, default=20, help="seeded functionals per level (default 20)"
     )
@@ -66,7 +65,6 @@ def main(argv=None) -> int:
         kappa_gamma=args.kappa_gamma,
         seed=args.seed,
         suites=suites,
-        deep=args.deep,
         n_functionals=args.functionals,
         lratio=args.lratio,
         timings=args.timings,

@@ -4,14 +4,18 @@ epsilon with ell(epsilon) = p.
 
 ell(X) = log(1+X) + sum_{k>=0} sum_{delta in mu_{p-1}} ((X+1)^(p^k delta) - 1)/p^k
 
-The k-tail converges because averaging over mu_{p-1} kills the low
-powers of the exponent; each coefficient is accumulated until its
-k-contribution is provably and measurably below the target precision.
+With L = log(1+X), (X+1)^a = exp(aL), the Teichmuller sum
+sum_delta delta^j = (p-1)[(p-1) | j] and the geometric series in k give
+
+ell = L + (p-1) sum_{(p-1) | j} L^j / (j! (1 - p^(j-1))),
+
+so ell_m = (1/m!) sum_j s(m, j) w_j with s the signed Stirling numbers
+of the first kind, w_1 = 1 and w_j = (p-1)/(1 - p^(j-1)) for (p-1) | j.
+This identity holds coefficient by coefficient only: it is never a way
+to evaluate ell, since log(zeta) = 0 while ell(zeta - 1) != 0.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .core import (
     ConvergenceError,
@@ -19,8 +23,10 @@ from .core import (
     PadicScalar,
     PrimeContext,
     PropertyFailure,
+    factorial_valuation,
     hensel_root,
     mpz,
+    split_p,
     vp,
 )
 from .series import TruncatedSeries, frobenius_substitute
@@ -39,106 +45,33 @@ def default_truncation(ctx: PrimeContext, n_max: int) -> int:
     return d * (ctx.prec + logterm + 4) + 8
 
 
-def build_ell(ctx: PrimeContext, order: int, coeff_prec: int | None = None) -> TruncatedSeries:
-    """The degree-m coefficient is the p-adic limit over k of the averaged
-    binomial contributions plus the log coefficient; every coefficient is
-    required to stabilise (two consecutive negligible terms and the proven
-    geometric tail bound) before it is accepted.
+def build_ell(ctx: PrimeContext, order: int) -> TruncatedSeries:
+    """ell to degree ``order`` by the Stirling closed form of the module
+    docstring, every coefficient known mod p^(wprec + v_p(order!)).
+
+    Only one Stirling row s(m, .) is held at a time. It is kept to
+    v_p(order!) more digits than the coefficients, the most that the
+    division by m! can consume.
     """
     p = ctx.p
-    vfact = [0] * (order + 1)
-    for m in range(1, order + 1):
-        vfact[m] = vfact[m - 1] + (vp(m, p) if m % p == 0 else 0)
-    target = ctx.wprec + vfact[order] if coeff_prec is None else coeff_prec
-    vf_top = vfact[order]
-    # proven tail bound: the k-term at degree m has valuation
-    # >= k(p-2) - v_p(m!), so k past (target + v_p(m!))/(p-2) cannot matter
-    k_need = [(target + vfact[m]) // (p - 2) + 1 for m in range(order + 1)]
-    k_cap = k_need[order] + 8
-    w_int = target + vf_top + k_cap + 2
-    big_modulus = ctx.pk(w_int)
-
-    # inverse unit parts of m!, so the inner loop divides by a single multiply
-    inv_fact_unit = [1] * (order + 1)
-    unit_fact = 1
-    for m in range(1, order + 1):
-        unit_fact = unit_fact * (m // p ** vp(m, p)) % big_modulus
-        inv_fact_unit[m] = unit_fact
-    inv_fact_unit = [pow(u, -1, big_modulus) for u in inv_fact_unit]
-
-    d_acc = vf_top // p + 4  # worst denominator of an individual k-term
-    e_acc = target + d_acc
-    m_acc = ctx.pk(e_acc)
-    acc = [0] * (order + 1)
-
-    teich_full = [ctx.teichmuller_int(r, w_int) for r in range(1, p)]
-    small_streak = [0] * (order + 1)
-    done = [True] + [False] * order
-    open_count = order
-    max_active = order
-
-    k = 0
-    pk_int = mpz(1)
-    zero_int = mpz(0)
-    teich_full = [mpz(t) for t in teich_full]
-    inv_fact_unit = [mpz(u) for u in inv_fact_unit]
-    while open_count:
-        if k > k_cap:
-            raise ConvergenceError(
-                f"k-sum failed to stabilise within budget {k_cap}"
-            )
-        # iteration k only needs the term mod p^target after shedding
-        # v_p(m!) + k digits, so the working modulus grows with k
-        w_k = min(w_int, target + vf_top + k + 2)
-        modulus = mpz(ctx.pk(w_k))
-        sums = [zero_int] * (max_active + 1)
-        for t in teich_full:
-            a = t * pk_int % modulus
-            num = mpz(1)
-            for m in range(1, max_active + 1):
-                num = num * (a - m + 1) % modulus
-                if not done[m]:
-                    sums[m] += num
-        for m in range(1, max_active + 1):
-            if done[m]:
-                continue
-            tshift = vfact[m] + k
-            raw = sums[m] * inv_fact_unit[m] % modulus
-            # value of this k-term is raw / p^tshift; record at scale d_acc
-            shift = d_acc - tshift
-            if shift >= 0:
-                contrib = raw * ctx.pk(shift) % m_acc
-            else:
-                qd = ctx.pk(-shift)
-                if raw % qd:
-                    raise ConvergenceError(
-                        f"term at degree {m}, k={k} is not p-integral as expected"
-                    )
-                contrib = raw // qd % m_acc
-            acc[m] = (acc[m] + contrib) % m_acc
-            # measure stabilisation only near the proven cutoff
-            if k >= k_need[m] - 1:
-                if contrib == 0:
-                    term_val = e_acc - d_acc
-                else:
-                    term_val = vp(contrib, p) - d_acc
-                if term_val >= target:
-                    small_streak[m] += 1
-                else:
-                    small_streak[m] = 0
-                if small_streak[m] >= 2 and k >= k_need[m]:
-                    done[m] = True
-                    open_count -= 1
-        while max_active and done[max_active]:
-            max_active -= 1
-        k += 1
-        pk_int = pk_int * p % big_modulus
-
+    vf_top = factorial_valuation(order, p)
+    target = ctx.wprec + vf_top
+    modulus = ctx.pk(target + vf_top)
+    weight = [0] * (order + 1)
+    weight[1] = 1
+    for j in range(p - 1, order + 1, p - 1):
+        weight[j] = (p - 1) * pow(1 - pow(p, j - 1, modulus), -1, modulus)
+    row = [1]  # s(0, 0)
+    vfact, unit_fact = 0, 1
     coeffs = [ctx.zero(target)]
     for m in range(1, order + 1):
-        tail = PadicScalar._make(ctx, -d_acc, int(acc[m]), target)
-        logc = ctx.scalar(Fraction((-1) ** (m - 1), m), target)
-        coeffs.append(tail + logc)
+        # s(m, j) = s(m-1, j-1) - (m-1) s(m-1, j)
+        row = [(a - (m - 1) * b) % modulus for a, b in zip([0] + row, row + [0])]
+        v, u = split_p(m, p)
+        vfact += v
+        unit_fact = unit_fact * u % modulus
+        raw = sum(s * w for s, w in zip(row, weight)) * pow(unit_fact, -1, modulus)
+        coeffs.append(PadicScalar._make(ctx, -vfact, raw, target))
     return TruncatedSeries(ctx, coeffs)
 
 
@@ -263,11 +196,13 @@ def solve_epsilon(ell: TruncatedSeries, ctx: PrimeContext) -> PadicScalar:
 
 
 class HondaData:
-    """ell, iota, iota^{<-1>} and epsilon at a fixed truncation order."""
+    """ell, iota, iota^{<-1>} and epsilon at a fixed truncation order, with
+    the ``check_honda`` report that certified ell."""
 
-    def __init__(self, ctx, ell, iota, iota_inv, epsilon):
+    def __init__(self, ctx, ell, report, iota, iota_inv, epsilon):
         self.ctx = ctx
         self.ell = ell
+        self.report = report
         self.ell_prime = ell.derivative()
         self.iota = iota
         self.iota_prime = iota.derivative()
@@ -277,10 +212,10 @@ class HondaData:
     @classmethod
     def build(cls, ctx: PrimeContext, order: int, inverse_order: int = 160) -> "HondaData":
         ell = build_ell(ctx, order)
-        check_honda(ell)
+        report = check_honda(ell)
         iota, iota_inv = build_iota(ell, inverse_order)
         epsilon = solve_epsilon(ell, ctx)
-        return cls(ctx, ell, iota, iota_inv, epsilon)
+        return cls(ctx, ell, report, iota, iota_inv, epsilon)
 
     @property
     def order(self) -> int:

@@ -13,9 +13,9 @@ import time
 from dataclasses import dataclass, field, asdict
 from fractions import Fraction
 
-from .core import PadicError, PadicScalar, PrimeContext, is_prime
+from .core import InvalidInputError, PadicError, PadicScalar, PrimeContext
 from .cyclotomic import CycloTower
-from .honda import HondaData, check_honda, default_truncation
+from .honda import HondaData, default_truncation
 from . import coleman as cm
 from . import points as pts
 from . import tate as tt
@@ -45,40 +45,44 @@ class SuiteConfig:
     kappa_gamma: int | None = None
     seed: int = 0
     suites: tuple = ALL_SUITES
-    deep: bool = False
     n_functionals: int = 20
     lratio: int = 1
     timings: bool = False
 
     def resolved(self) -> dict:
-        if not is_prime(self.p) or self.p == 2:
-            raise ConfigError(f"p = {self.p} must be an odd prime")
-        if self.n_max < 0 or self.prec < 4:
-            raise ConfigError("need n_max >= 0 and prec >= 4")
+        """The configuration as reported; raises ConfigError on bad input.
+
+        p, prec and kappa(gamma) are validated by building the objects that
+        use them; the Tate parameter is checked here because building it
+        costs a Teichmuller lift and a logarithm at full precision.
+        """
+        if self.n_max < 0:
+            raise ConfigError("need n_max >= 0")
         if self.q_ord < 1:
             raise ConfigError("q must have positive valuation (split multiplicative)")
-        q_unit = (1 + self.p) if self.q_unit is None else self.q_unit
-        if q_unit % self.p == 0:
-            raise ConfigError("q unit part must be prime to p")
-        kappa = (1 + self.p) if self.kappa_gamma is None else self.kappa_gamma
-        if kappa % self.p != 1 or kappa == 1:
-            raise ConfigError("kappa(gamma) must lie in 1 + pZ_p, nontrivial")
+        if self.n_functionals < 1:
+            raise ConfigError("need at least one functional per level")
         unknown = [s for s in self.suites if s not in ALL_SUITES]
         if unknown:
             raise ConfigError(f"unknown suites: {unknown}")
-        from .honda import default_truncation as _trunc
-
+        try:
+            ctx = PrimeContext(self.p, self.prec)
+            tower = CycloTower(ctx, self.n_max, self.kappa_gamma)
+        except InvalidInputError as exc:
+            raise ConfigError(str(exc)) from None
+        q_unit = (1 + self.p) if self.q_unit is None else self.q_unit
+        if q_unit % self.p == 0:
+            raise ConfigError("q unit part must be prime to p")
         return {
             "p": self.p,
             "n_max": self.n_max,
             "prec": self.prec,
-            "truncation_order": _trunc(PrimeContext(self.p, self.prec), self.n_max),
+            "truncation_order": default_truncation(ctx, self.n_max),
             "q_ord": self.q_ord,
             "q_unit": q_unit,
-            "kappa_gamma": kappa,
+            "kappa_gamma": tower.kappa_gamma,
             "seed": self.seed,
             "suites": list(self.suites),
-            "deep": self.deep,
             "n_functionals": self.n_functionals,
             "lratio": self.lratio,
             "timings": self.timings,
@@ -164,7 +168,6 @@ class _Session:
         self.tower = CycloTower(self.ctx, cfg["n_max"], cfg["kappa_gamma"])
         self.q = cm.TateParameter.make(self.ctx, cfg["q_ord"], cfg["q_unit"])
         self._honda = None
-        self._honda_report = None
         self._fam = None
         self._h90 = {}
         self._lattices = {}
@@ -177,12 +180,6 @@ class _Session:
                 self.ctx, default_truncation(self.ctx, self.cfg["n_max"])
             )
         return self._honda
-
-    @property
-    def honda_report(self) -> dict:
-        if self._honda_report is None:
-            self._honda_report = check_honda(self.honda.ell)
-        return self._honda_report
 
     @property
     def fam(self) -> pts.PointFamily:
@@ -273,13 +270,13 @@ def _run_honda(s: _Session, report: Report):
         report,
         "honda.frobenius-property",
         "honda:frobenius",
-        lambda: s.honda_report["frobenius_min_valuation"],
+        lambda: s.honda.report["frobenius_min_valuation"],
     )
     _check(
         report,
         "honda.log-constant-and-derivative",
         "honda:logarithm",
-        lambda: s.honda_report["deriv_min_valuation"],
+        lambda: s.honda.report["deriv_min_valuation"],
     )
     _check(
         report,
@@ -374,24 +371,13 @@ def _run_points(s: _Session, report: Report):
     _check(report, "points.conjugate-norms", "prop:norm-one", conj_norms)
 
     for n in range(s.cfg["n_max"] + 1):
-        gated = not (s.cfg["deep"] and s.cfg["p"] == 3 and n == 1) and n != 0
-        if gated:
-            report.checks.append(
-                CheckResult(
-                    name=f"points.generation[n={n}]",
-                    anchor="prop:generation",
-                    status="skipped",
-                    detail="deep gate; lattice taken as verified input downstream",
-                )
-            )
-        else:
-            _check(
-                report,
-                f"points.generation[n={n}]",
-                "prop:generation",
-                lambda n=n: pts.verify_generation(s.fam, n)["index_valuation"]
-                or s.ctx.prec,
-            )
+        _check(
+            report,
+            f"points.generation[n={n}]",
+            "prop:generation",
+            lambda n=n: pts.verify_generation(s.fam, n)["index_valuation"]
+            or s.ctx.prec,
+        )
 
 
 def _run_prop2(s: _Session, report: Report):

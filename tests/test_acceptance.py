@@ -32,7 +32,7 @@ GRID = ((3, 2), (5, 1))
 
 
 def _cfg(p, n_max, prec):
-    return SuiteConfig(p=p, n_max=n_max, prec=prec, deep=True)
+    return SuiteConfig(p=p, n_max=n_max, prec=prec)
 
 
 @pytest.fixture(scope="module")
@@ -102,11 +102,9 @@ def test_criterion_04_closed_form_logarithm(reports):
 
 
 def test_criterion_05_generation_deep_gate(reports):
-    rep = reports[(3, 2)]
-    _require(rep, ["points.generation[n=1]"], "criterion-5 generation p=3 n=1")
-    # the gate elsewhere is explicit, never silent
-    status = _statuses(reports[(5, 1)])
-    assert status["points.generation[n=1]"] == "skipped"
+    for (p, n), rep in reports.items():
+        names = [f"points.generation[n={m}]" for m in range(1, n + 1)]
+        _require(rep, names, f"criterion-5 generation p={p}")
 
 
 def test_criterion_06_exponent_congruence(reports):

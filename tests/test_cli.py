@@ -96,13 +96,11 @@ def test_empty_suite_list():
     assert rep.exit_code == 0
 
 
-def test_deep_gate_enables_generation_check():
-    rep = run_suite(SuiteConfig(**{**SMALL, "deep": True, "suites": ("honda", "points")}))
+def test_generation_check_runs_at_every_level():
+    rep = run_suite(SuiteConfig(**{**SMALL, "suites": ("honda", "points")}))
     checks = {c.name: c.status for c in rep.checks}
+    assert checks["points.generation[n=0]"] == "pass"
     assert checks["points.generation[n=1]"] == "pass"
-    rep2 = run_suite(SuiteConfig(**{**SMALL, "suites": ("honda", "points")}))
-    checks2 = {c.name: c.status for c in rep2.checks}
-    assert checks2["points.generation[n=1]"] == "skipped"
 
 
 def test_alternate_generator_full_suite():
@@ -130,6 +128,10 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         SuiteConfig(kappa_gamma=5, p=3).resolved()
     with pytest.raises(ConfigError):
+        SuiteConfig(kappa_gamma=10, p=3).resolved()
+    with pytest.raises(ConfigError):
+        SuiteConfig(n_functionals=0).resolved()
+    with pytest.raises(ConfigError):
         SuiteConfig(suites=("nope",)).resolved()
 
 
@@ -156,6 +158,8 @@ def test_cli_exit_codes_and_output(tmp_path):
 def test_cli_config_error_exit_two():
     assert main(["--p", "4"]) == 2
     assert main(["--q-ord", "0"]) == 2
+    assert main(["--p", "3", "--kappa-gamma", "10"]) == 2
+    assert main(["--functionals", "0"]) == 2
 
 
 def test_cli_env_var_output_dir(tmp_path, monkeypatch):
