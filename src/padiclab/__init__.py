@@ -16,7 +16,6 @@ from .core import (
 )
 from .series import (
     TruncatedSeries,
-    analytic_log_exp,
     binomial_power,
     frobenius_substitute,
     geometric_inverse,

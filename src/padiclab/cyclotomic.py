@@ -794,14 +794,6 @@ def _vbound(k: int, p: int) -> int:
     return b
 
 
-def _int_vp(s: int, p: int) -> int:
-    v = 0
-    while s % p == 0:
-        s //= p
-        v += 1
-    return v
-
-
 def solve_columns(ctx, cols, rhs, consistency_threshold=None):
     """Solve sum_c x_c * cols[c] = rhs by exact Gauss-Jordan elimination.
 

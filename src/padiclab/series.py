@@ -325,11 +325,3 @@ def frobenius_substitute(f: TruncatedSeries) -> TruncatedSeries:
     g = TruncatedSeries.from_rationals(ctx, inner, absprec)
     return f.compose(g)
 
-
-def analytic_log_exp(f: TruncatedSeries, mode: str) -> TruncatedSeries:
-    """Series log (f = 1 + higher order) or exp (f(0) = 0)."""
-    if mode == "log":
-        return f.log()
-    if mode == "exp":
-        return f.exp()
-    raise InvalidInputError(f"unknown mode {mode!r}")

@@ -11,6 +11,7 @@ from fractions import Fraction
 from .core import (
     InvalidInputError,
     PadicScalar,
+    PrecisionError,
     PrimeContext,
     PropertyFailure,
     factorial_valuation,
@@ -200,24 +201,63 @@ def multiplicative_parameter_series(ctx, omega: TruncatedSeries, order: int) -> 
     """The series t(X) with lambda(t(X)) = log(1+X), solved from the
     differential form (1+X) omega(t(X)) t'(X) = 1.
 
-    omega = lambda' is integral with unit constant term, so every
-    intermediate stays integral and only the final division by the
+    Degree m needs F = omega(t) through X^(m-1).  F is extended by one
+    coefficient per degree from a power table of integer rows
+    (t^j)_k = sum_{a=1}^{k-j+1} t_a (t^(j-1))_(k-a), so that
+    F_k = sum_{j<=k} omega_j (t^j)_k: O(order^3) products in all, where
+    recomposing omega(t) at every degree would cost O(order^4).
+
+    omega = lambda' must be integral with constant term 1, and every t_m
+    must stay in Z_p; both are checked.  Then F_0..F_(m-1) are integers
+    known to the uniform precision E_m, the least absprec among
+    omega_0..omega_(m-1) and t_0..t_(m-1), which is the precision a packed
+    composition of the truncations returns.  Only the division by the
     degree sheds precision.  Integrality of the result is a verified
     output, not an assumption.
     """
+    c0 = omega.coeff(0)
+    if c0.is_zero or not (c0 - 1).is_zero:
+        raise InvalidInputError("omega needs constant term 1")
+    worst = min(c.min_valuation() for c in omega.coeffs)
+    if worst < 0:
+        raise InvalidInputError(f"omega has a non-integral coefficient (valuation {worst})")
     absprec = min(c.absprec for c in omega.coeffs)
+    w = [c.lift() for c in omega.coeffs]
     zero = ctx.zero(absprec)
     t = [zero, ctx.one(absprec)]
+    ti = [0, 1]
+    prec = absprec
+    # pw[j][k] = (t^j)_k mod p^prec for j >= 1, zero below k = j since
+    # t_0 = 0; the row t^0 = 1 only enters F_0 = omega_0
+    pw = [None, [0]]
+    F = [w[0]]
     for m in range(2, order + 1):
-        part = TruncatedSeries(ctx, t + [zero] * (m - 1 - len(t) + 1))
-        F = omega.truncate(m - 1).compose(part.truncate(m - 1))
+        k = m - 1
+        prec = min(prec, t[k].absprec)
+        if prec <= 0:
+            raise PrecisionError("uniformizing series has no remaining precision", achieved=prec)
+        mod = ctx.pk(prec)
+        pw[1].append(ti[k])
+        if k > 1:
+            pw.append([0] * k)
+        for j in range(2, k + 1):
+            row = pw[j - 1]
+            pw[j].append(sum(ti[a] * row[k - a] for a in range(1, k - j + 2)) % mod)
+        F.append(sum(w[j] * pw[j][k] for j in range(1, min(k, len(w) - 1) + 1)) % mod)
+        Fm = [PadicScalar._make(ctx, 0, f, prec) for f in F]
         # G = (1+X) omega(t); identity [G t']_(m-1) = 0 for m >= 2
         s = zero
         for i in range(1, m):
-            g_i = F.coeff(i) + (F.coeff(i - 1) if i >= 1 else zero)
+            g_i = Fm[i] + Fm[i - 1]
             if not g_i.is_zero:
                 s = s + g_i * (m - i) * t[m - i]
-        t.append(-s / m)
+        tm = -s / m
+        if tm.min_valuation() < 0:
+            raise PropertyFailure(
+                f"uniformizing series leaves Z_p at degree {m} (valuation {tm.min_valuation()})"
+            )
+        t.append(tm)
+        ti.append(tm.lift())
     return TruncatedSeries(ctx, t)
 
 
@@ -233,6 +273,8 @@ def verify_formal_iso(ctx: PrimeContext, q, order: int = 64) -> dict:
     The reversion divides by factorials, so the parameter is re-embedded
     with enough headroom for the checks to land at precision N.
     """
+    if order < 1:
+        raise InvalidInputError(f"formal iso needs order >= 1, got {order}")
     if isinstance(q, TateParameter):
         q_int = q.unit * ctx.p**q.ord
     else:

@@ -5,6 +5,7 @@ import pytest
 from padiclab import (
     InvalidInputError,
     PrimeContext,
+    PropertyFailure,
     TateParameter,
     a_invariants,
     a_series_coefficients,
@@ -17,7 +18,36 @@ from padiclab import (
     weierstrass_residual,
 )
 from padiclab.series import TruncatedSeries
-from padiclab.tate import formal_log_weierstrass, multiplicative_parameter_series
+from padiclab.core import factorial_valuation
+from padiclab.tate import default_grid, formal_log_weierstrass, multiplicative_parameter_series
+
+
+def compose_oracle_parameter_series(ctx, omega, order):
+    """Test-only oracle: the uniformizing series with omega(t) recomposed
+    from scratch at every degree (O(order^4))."""
+    absprec = min(c.absprec for c in omega.coeffs)
+    zero = ctx.zero(absprec)
+    t = [zero, ctx.one(absprec)]
+    for m in range(2, order + 1):
+        F = omega.truncate(m - 1).compose(TruncatedSeries(ctx, t))
+        s = zero
+        for i in range(1, m):
+            g_i = F.coeff(i) + F.coeff(i - 1)
+            if not g_i.is_zero:
+                s = s + g_i * (m - i) * t[m - i]
+        t.append(-s / m)
+    return TruncatedSeries(ctx, t)
+
+
+def _grid_omega(ctx, q, order):
+    """omega of the Tate curve at q, embedded as verify_formal_iso does."""
+    headroom = ctx.wprec + factorial_valuation(order, ctx.p) + 8
+    a4, a6 = a_invariants(ctx.scalar(q.unit * ctx.p**q.ord, headroom))
+    return formal_log_weierstrass(ctx, a4, a6, order)[1]
+
+
+def _digits(series):
+    return [(c.v, c.unit, c.absprec) for c in series.coeffs]
 
 
 def test_divisor_sum_series():
@@ -145,6 +175,58 @@ def test_degenerate_parameter_series_frozen():
         (a - b).min_valuation() for a, b in zip(t.coeffs, x_over_one_plus_x.coeffs)
     )
     assert resid_t >= ctx.prec
+
+
+def test_parameter_series_matches_compose_oracle(ctx3, ctx5):
+    # every coefficient identical in (v, unit, absprec), so reports built
+    # from the power table are the reports the recomposing solver gave
+    order = 24
+    omegas = [_grid_omega(ctx, q, order) for ctx in (ctx3, ctx5) for q in default_grid(ctx)[0]]
+    zero = ctx3.scalar(0, 80)
+    omegas.append(formal_log_weierstrass(ctx3, zero, zero, order)[1])
+    for omega in omegas:
+        ctx = omega.ctx
+        fast = multiplicative_parameter_series(ctx, omega, order)
+        assert _digits(fast) == _digits(compose_oracle_parameter_series(ctx, omega, order))
+
+
+def test_parameter_series_never_composes(ctx3, monkeypatch):
+    omega = _grid_omega(ctx3, default_grid(ctx3)[0][0], 64)
+    calls = []
+    original = TruncatedSeries.compose
+
+    def counting(self, g):
+        calls.append(g.order)
+        return original(self, g)
+
+    monkeypatch.setattr(TruncatedSeries, "compose", counting)
+    t = multiplicative_parameter_series(ctx3, omega, 64)
+    assert t.order == 64
+    assert calls == []
+
+
+def test_parameter_series_rejects_bad_omega(ctx3):
+    for constant in (0, 3, 2):
+        omega = TruncatedSeries.from_rationals(ctx3, [constant, 1, 0, 0])
+        with pytest.raises(InvalidInputError, match="constant term 1"):
+            multiplicative_parameter_series(ctx3, omega, 3)
+    omega = TruncatedSeries.from_rationals(ctx3, [1, Fraction(1, 3), 0, 0])
+    with pytest.raises(InvalidInputError, match="non-integral"):
+        multiplicative_parameter_series(ctx3, omega, 3)
+
+
+def test_parameter_series_leaving_zp_names_the_degree(ctx3):
+    # omega = 1 + X: lambda = X + X^2/2, so t = X - X^2 + (4/3) X^3 + ...
+    omega = TruncatedSeries.from_rationals(ctx3, [1, 1] + [0] * 6)
+    with pytest.raises(PropertyFailure, match="degree 3"):
+        multiplicative_parameter_series(ctx3, omega, 8)
+
+
+def test_formal_iso_rejects_order_below_one(ctx3):
+    q = default_grid(ctx3)[0][0]
+    for order in (0, -1):
+        with pytest.raises(InvalidInputError, match="order"):
+            verify_formal_iso(ctx3, q, order=order)
 
 
 def test_mtt_canonical_cancellation(ctx3):
