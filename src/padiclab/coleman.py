@@ -143,7 +143,7 @@ def pair(x: CycloElement, w: UnitFunctional, m: int) -> PadicScalar:
     """w_m(x) = Tr_{k_m/Q_p}(log_p(x) E_m) + alpha v(x), v(p) = 1."""
     tower = w.tower
     ctx = tower.ctx
-    v = tower.exact_valuation(x)
+    v = x.valuation()
     if v is None:
         raise InvalidInputError("pairing against zero")
     logx = tower.log_element(x)
@@ -198,13 +198,6 @@ class GroupRingElement:
 
     def scale(self, s):
         return GroupRingElement(self.tower, self.n, [c * s for c in self.coeffs])
-
-    def gamma_shift(self, t: int):
-        """Multiplication by gamma^t."""
-        pn = len(self.coeffs)
-        return GroupRingElement(
-            self.tower, self.n, [self.coeffs[(i - t) % pn] for i in range(pn)]
-        )
 
     def augmentation(self) -> PadicScalar:
         acc = self.tower.ctx.zero()
@@ -444,7 +437,7 @@ def derivative_rep(w: UnitFunctional, sol: H90Solution, fam: PointFamily, n: int
     ctx = tower.ctx
     pn = ctx.p**n
     logx = tower.log_element(sol.x_n)
-    vx = tower.exact_valuation(sol.x_n)
+    vx = sol.x_n.valuation()
     dens = w.density(n)
     alpha_v = w.alpha * ctx.scalar(vx)
     S = []

@@ -17,9 +17,12 @@ from .core import (
     PadicScalar,
     PrecisionError,
     PrimeContext,
+    _log_p_floor,
+    iwasawa_log,
     mpz,
+    vp,
 )
-from .series import TruncatedSeries, _pack
+from .series import TruncatedSeries, _convolve, _pack, _unpack
 
 
 class CycloField:
@@ -79,11 +82,6 @@ class CycloField:
             raise InvalidInputError("coordinate vector has wrong length")
         return CycloElement(self, tuple(coords))
 
-    def from_int_coords(self, ints, absprec=None) -> "CycloElement":
-        return CycloElement(
-            self, tuple(self.ctx.scalar(c, absprec) for c in ints)
-        )
-
     def zeta(self, absprec=None) -> "CycloElement":
         z = self.ctx.zero(absprec)
         o = self.ctx.one(absprec)
@@ -110,37 +108,15 @@ class CycloField:
     # -- packed kernels -------------------------------------------------------
 
     def mul_packed(self, A, B):
-        ctx = self.ctx
-        da, ea, ia = A
-        db, eb, ib = B
-        value_prec = min(ea - da - db, eb - db - da)
-        d = da + db
-        e = value_prec + d
-        if e <= 0:
-            raise PrecisionError("product below zero precision", achieved=value_prec)
-        m = ctx.pk(e)
-        n = len(ia) + len(ib) - 1
-        zero = mpz(0)
-        conv = [zero] * n
-        for i, ci in enumerate(ia):
-            if ci == 0:
-                continue
-            for j, cj in enumerate(ib):
-                if cj:
-                    conv[i + j] += ci * cj
-        out = [zero] * self.degree
-        red = self._reduction
-        mo = self.modulus_order
-        for k, c in enumerate(conv):
-            if c == 0:
-                continue
-            for idx, sign in red[k % mo]:
-                out[idx] += c if sign > 0 else -c
-        return d, e, [c % m for c in out]
+        d, e, conv = _convolve(self.ctx, A, B, 2 * self.degree - 2)
+        return d, e, self._fold(conv, 1, e)
 
     def galois_packed(self, A, a: int):
         d, e, ints = A
-        m = self.ctx.pk(e)
+        return d, e, self._fold(ints, a, e)
+
+    def _fold(self, ints, a: int, e: int):
+        """sum_j ints[j] zeta^(a j) in the power basis, mod p^e."""
         out = [mpz(0)] * self.degree
         red = self._reduction
         mo = self.modulus_order
@@ -149,7 +125,8 @@ class CycloField:
                 continue
             for idx, sign in red[a * j % mo]:
                 out[idx] += c if sign > 0 else -c
-        return d, e, [c % m for c in out]
+        m = self.ctx.pk(e)
+        return [c % m for c in out]
 
 
 class CycloElement:
@@ -197,7 +174,7 @@ class CycloElement:
     def __mul__(self, other):
         other = self._coerce(other)
         packed = self.field.mul_packed(_pack(self.coords), _pack(other.coords))
-        return self.field.from_coords(_unpack_coords(self.ctx, packed))
+        return self.field.from_coords(_unpack(self.ctx, *packed))
 
     def __pow__(self, k: int):
         if k < 0:
@@ -240,7 +217,7 @@ class CycloElement:
         if a % self.ctx.p == 0:
             raise InvalidInputError("Galois exponent must be prime to p")
         packed = self.field.galois_packed(_pack(self.coords), a)
-        return self.field.from_coords(_unpack_coords(self.ctx, packed))
+        return self.field.from_coords(_unpack(self.ctx, *packed))
 
     # -- invariants ------------------------------------------------------------------
 
@@ -269,18 +246,29 @@ class CycloElement:
         )
 
     def valuation(self):
-        """Exact valuation as a Fraction, or None for zero at precision."""
-        norm = self
-        for a in _unit_exponents(self.field):
-            if a != 1:
-                norm = norm * self.galois(a)
-        c0 = norm.coords[0]
-        if c0.is_zero:
-            return None
-        return Fraction(c0.v, self.field.degree)
+        """Exact valuation as a Fraction (v(p) = 1), or None for zero at
+        precision.
 
-    def is_zero_at(self, threshold) -> bool:
-        return self.min_valuation() >= threshold
+        The (zeta-1)^i, i < d, are a Z_p-basis of the integers of K_n and
+        v(zeta - 1) = 1/d, so x = sum c_i (zeta-1)^i has valuation
+        min_i (v(c_i) + i/d): the i/d differ mod 1, so no two terms cancel.
+        The packed coordinates p^D x_j mod p^E go to p^D c_i by an integer
+        Taylor shift (zeta = 1 + t, unitriangular), so every c_i is known
+        to the one precision E - D. A nonzero c_i has v(c_i) < E - D, below
+        every vanishing coordinate's bound E - D + j/d, so the minimum is
+        exact; the result is None exactly when every c_i vanishes.
+        """
+        d = self.field.degree
+        p = self.ctx.p
+        denom, e, a = _pack(self.coords)
+        for i in range(d):
+            for j in range(d - 1, i, -1):
+                a[j - 1] += a[j]
+        m = self.ctx.pk(e)
+        keys = [d * vp(c, p) + i for i, c in enumerate(a) if c % m]
+        if not keys:
+            return None
+        return Fraction(min(keys) - d * denom, d)
 
     def residual_valuation(self, other=None):
         d = self if other is None else self - other
@@ -302,12 +290,6 @@ class CycloElement:
         body = " + ".join(f"({c!r})*z^{i}" for i, c in nz[:3])
         more = " + ..." if len(nz) > 3 else ""
         return f"CycloElement(level={self.field.level}; {body or '0'}{more})"
-
-
-def _unpack_coords(ctx, packed):
-    d, e, ints = packed
-    absprec = e - d
-    return tuple(PadicScalar._make(ctx, -d, c % ctx.pk(e), absprec) for c in ints)
 
 
 def _unit_exponents(field: CycloField):
@@ -332,25 +314,16 @@ class GaloisElement:
         self.gamma_part = a * pow(self.omega_part, -1, mo) % mo
         self.gamma_index = _discrete_gamma_log(ctx, self.gamma_part, gamma_exponent, field.n)
 
-    def apply(self, x: CycloElement) -> CycloElement:
-        return x.galois(self.a)
-
 
 def _discrete_gamma_log(ctx, b: int, g: int, n: int) -> int:
     """i with g^i = b in (1 + pZ)/(1 + p^(n+1)Z), via the scalar logarithm."""
     if n == 0:
         return 0
     absprec = n + 4
-    lb = iwasawa_log_int(ctx, b, absprec)
-    lg = iwasawa_log_int(ctx, g, absprec)
+    lb = iwasawa_log(ctx.scalar(b, absprec + 2))
+    lg = iwasawa_log(ctx.scalar(g, absprec + 2))
     ratio = lb / lg
     return ratio.lift() % ctx.p**n
-
-
-def iwasawa_log_int(ctx, u: int, absprec: int) -> PadicScalar:
-    from .core import iwasawa_log
-
-    return iwasawa_log(ctx.scalar(u, absprec + 2))
 
 
 class CycloTower:
@@ -364,7 +337,7 @@ class CycloTower:
             raise InvalidInputError(
                 "kappa(gamma) must lie in 1 + pZ_p and generate topologically"
             )
-        if iwasawa_log_int(ctx, kg, 6).valuation != 1:
+        if iwasawa_log(ctx.scalar(kg, 8)).valuation != 1:
             raise InvalidInputError("kappa(gamma) must be a topological generator")
         self.kappa_gamma = kg
         self._fields = {}
@@ -534,35 +507,6 @@ class CycloTower:
 
     # -- logarithm and exponential -----------------------------------------------------
 
-    def exact_valuation(self, x: CycloElement):
-        """Exact valuation, robust against norm underflow.
-
-        The norm route resolves v whenever the conjugate product is
-        nonzero at precision; otherwise the pi-adic expansion is used
-        for members of k_n, where the candidate valuations i/p^n + v_p(c_i)
-        are pairwise distinct so their minimum is exact.
-        """
-        v = x.valuation()
-        if v is not None:
-            return v
-        try:
-            coords = self.to_pi_coords(x)
-        except PrecisionError:
-            return None
-        pn = self.ctx.p ** x.field.n
-        best = None
-        unresolved = None
-        for i, c in enumerate(coords):
-            if c.is_zero:
-                bound = Fraction(i, pn) + c.absprec
-                unresolved = bound if unresolved is None else min(unresolved, bound)
-            else:
-                cand = Fraction(i, pn) + c.v
-                best = cand if best is None else min(best, cand)
-        if best is None or (unresolved is not None and unresolved <= best):
-            return None
-        return best
-
     def log_zeta_minus_one(self, n: int) -> CycloElement:
         """log(zeta - 1) = log((zeta-1)^d / p) / d: the peeled-off part of
         every logarithm on K_n^x (log p = 0 on the Iwasawa branch)."""
@@ -581,15 +525,13 @@ class CycloTower:
         precision never pays for large valuations; the unit part is
         handled by Teichmuller stripping and the contracted log series.
         """
-        v = self.exact_valuation(x)
+        v = x.valuation()
         if v is None:
             raise InvalidInputError("log of zero at working precision")
         f = x.field
         if v == 0:
             return self._log_unit(x)
-        k = v * f.degree
-        assert k.denominator == 1, "valuation denominator must divide the degree"
-        k = int(k)
+        k = int(v * f.degree)
         z1 = f.zeta() - f.one()
         if k > 0:
             unit_part = x * (z1.inverse() ** k)
@@ -628,7 +570,7 @@ class CycloTower:
             power = power * h
         # the skipped tail is below target only up to the 1/k denominators
         return acc.scale(Fraction(1, s)).reduce_absprec(
-            target - _vbound(kmax, self.ctx.p) - j
+            target - _log_p_floor(kmax, self.ctx.p) - j
         )
 
     def principal_power(self, x: CycloElement, exponent) -> CycloElement:
@@ -676,7 +618,7 @@ class CycloTower:
         of the coordinates with factorial headroom and the result is
         truncated back to the input precision.
         """
-        v = self.exact_valuation(x)
+        v = x.valuation()
         if v is None:
             return x.field.one()
         margin = v - Fraction(1, self.ctx.p - 1)
@@ -724,35 +666,17 @@ class CycloTower:
             )
         field = x.field
         xp = _pack(x.coords)
-        dx = xp[0]
-        if dx != 0:
+        if xp[0] != 0:
             raise InvalidInputError("series evaluation needs an integral point")
-        denom = 0
-        for c in f.coeffs:
-            if c.unit != 0 and c.v < -denom:
-                denom = -c.v
-        coeff_prec = min(c.absprec for c in f.coeffs)
-        e = coeff_prec + denom
-        m = self.ctx.pk(e)
-
-        def coeff_int(c):
-            if c.unit == 0:
-                return mpz(0)
-            return mpz(c.unit) * self.ctx.pk(c.v + denom) % m
-
-        acc = (denom, e, [coeff_int(f.coeffs[-1])] + [mpz(0)] * (field.degree - 1))
+        # x is integral, so the accumulator keeps f's denominator exponent
+        # and each packed f_i is added at the same scale
+        denom, e, fi = _pack(f.coeffs)
+        acc = (denom, e, [fi[-1]] + [mpz(0)] * (field.degree - 1))
         for i in range(f.order - 1, -1, -1):
-            acc = field.mul_packed(acc, xp)
-            da, ea, ints = acc
-            ma = self.ctx.pk(ea)
-            c = f.coeffs[i]
-            if c.unit != 0:
-                shift = c.v + da
-                if shift < 0:
-                    raise PrecisionError("coefficient scale underflow")
-                ints[0] = (ints[0] + c.unit * self.ctx.pk(shift)) % ma
+            da, ea, ints = field.mul_packed(acc, xp)
+            ints[0] = (ints[0] + fi[i]) % self.ctx.pk(ea)
             acc = (da, ea, ints)
-        return field.from_coords(_unpack_coords(self.ctx, acc))
+        return field.from_coords(_unpack(self.ctx, *acc))
 
     # -- Gamma-equivariant linear solving ---------------------------------------------------
 
@@ -783,15 +707,6 @@ class CycloTower:
                 achieved=resid,
             )
         return y
-
-
-def _vbound(k: int, p: int) -> int:
-    b = 0
-    q = p
-    while q <= k + 1:
-        b += 1
-        q *= p
-    return b
 
 
 def solve_columns(ctx, cols, rhs, consistency_threshold=None):

@@ -120,9 +120,6 @@ class TruncatedSeries:
     def constant_term(self) -> PadicScalar:
         return self.coeffs[0]
 
-    def min_coeff_valuation(self):
-        return min(c.min_valuation() for c in self.coeffs)
-
     def is_integral(self):
         """(all coefficients in Z_p at their precision, worst valuation)."""
         worst = min(c.min_valuation() for c in self.coeffs)

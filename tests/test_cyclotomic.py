@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from padiclab import InvalidInputError, PrecisionError
+from padiclab import CycloTower, InvalidInputError, PrecisionError, PrimeContext
 from padiclab.series import TruncatedSeries, log_one_plus_x
 
 
@@ -193,3 +194,69 @@ def test_restrict_detects_non_members(tower3):
     z = tower3.field(1).zeta()
     with pytest.raises(PrecisionError):
         tower3.restrict(z, 0)
+
+
+def _norm_valuation(x):
+    """Test-only oracle: v(x) = v(N_{K_n/Q_p}(x)) / d, None if the norm
+    underflows the working precision."""
+    f = x.field
+    norm = x
+    for a in range(2, f.modulus_order):
+        if a % f.ctx.p:
+            norm = norm * x.galois(a)
+    c0 = norm.coords[0]
+    return None if c0.is_zero else Fraction(c0.v, f.degree)
+
+
+@pytest.mark.parametrize("p, n", [(3, 0), (3, 1), (3, 2), (5, 1), (7, 1)])
+def test_valuation_matches_norm_oracle(p, n):
+    ctx = PrimeContext(p, 12)
+    f = CycloTower(ctx, n).field(n)
+    z1 = f.zeta() - f.one()
+    rng = random.Random(1000 * p + n)
+    resolved = 0
+    for _ in range(8):
+        coords = [
+            ctx.scalar(rng.randrange(-p**3, p**3) * p ** rng.randrange(3))
+            for _ in range(f.degree)
+        ]
+        x = f.from_coords(coords) * z1 ** rng.randrange(f.degree + 1)
+        expected = _norm_valuation(x)
+        if expected is not None:
+            assert x.valuation() == expected
+            # the packed coordinates of x / p carry a denominator exponent
+            assert x.scale(Fraction(1, p)).valuation() == expected - 1
+            resolved += 1
+    assert resolved >= 4
+    assert f.zero().valuation() is None
+    assert f.zeta().scale(p**5).reduce_absprec(5).valuation() is None
+
+
+@pytest.fixture(scope="module")
+def tower3n2_16():
+    return CycloTower(PrimeContext(3, 16), 2)
+
+
+def test_principal_power_of_deep_principal_unit(tower3n2_16):
+    # the norm of 27 zeta (valuation 54) underflows wprec = 40
+    f = tower3n2_16.field(2)
+    x = f.one() + f.zeta().scale(27)
+    r = tower3n2_16.principal_power(x, 2)
+    assert (r - x * x).min_valuation() >= tower3n2_16.ctx.prec - 2
+
+
+def test_eval_series_at_deep_point(tower3n2_16):
+    f = tower3n2_16.field(2)
+    x = f.zeta().scale(27)
+    ident = TruncatedSeries.x(tower3n2_16.ctx, 8)
+    assert (tower3n2_16.eval_series(ident, x) - x).min_valuation() >= tower3n2_16.ctx.prec - 2
+
+
+def test_log_of_zeta_minus_one_power_outside_kn(tower3n2_16):
+    # (zeta-1)^45 does not lie in k_2 and its norm (valuation 45) underflows
+    f = tower3n2_16.field(2)
+    x = (f.zeta() - f.one()) ** 45
+    assert x.valuation() == Fraction(5, 2)
+    lg = tower3n2_16.log_element(x)
+    expected = tower3n2_16.log_zeta_minus_one(2).scale(45)
+    assert (lg - expected).min_valuation() >= tower3n2_16.ctx.prec - 2
