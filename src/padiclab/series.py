@@ -2,10 +2,13 @@
 
 Coefficients are PadicScalar at the API level.  Multiplication and
 composition run on packed integer vectors with a uniform denominator
-exponent, which keeps the hot loops in plain bigint arithmetic.
+exponent, and reversion on integer power rows, which keeps the hot
+loops in plain bigint arithmetic.
 """
 
 from __future__ import annotations
+
+from operator import mul
 
 from .core import (
     InvalidInputError,
@@ -69,6 +72,21 @@ def _convolve(ctx, a, b, order):
             if cj:
                 out[i + j] += ci * cj
     return d, e, [c % m for c in out]
+
+
+def _extend_power_rows(rows, k, mod):
+    """Append column k of the power table of t = rows[1], mod ``mod``.
+
+    rows[j] holds the integers (t^j)_i for i < k, and row 1 is t itself,
+    known through t_(k-1) (t_0 = 0).  This appends
+    (t^j)_k = sum_{a=1}^{k-j+1} t_a (t^(j-1))_(k-a) for j = 2..k, opening
+    row k; it never reads t_k.
+    """
+    t = rows[1]
+    rows.append([0] * k)
+    for j in range(2, k + 1):
+        prev = rows[j - 1]
+        rows[j].append(sum(map(mul, t[1 : k - j + 2], prev[k - 1 : j - 2 : -1])) % mod)
 
 
 class TruncatedSeries:
@@ -193,47 +211,83 @@ class TruncatedSeries:
     # -- composition -------------------------------------------------------------
 
     def compose(self, g: "TruncatedSeries") -> "TruncatedSeries":
-        """f(g(X)) truncated at max(order); requires g(0) = 0."""
+        """f(g(X)) = sum_j f_j g^j truncated at max(order), by power rows.
+
+        g must satisfy g(0) = 0 and be integral, so it packs at
+        denominator 0; a non-integral g is refused, naming its worst
+        valuation.  The rows g^j are built one at a time by the packed
+        convolution, which skips the zero prefix below X^j, and only one
+        row is held at once: O(order^3/6) products.
+
+        Precision: with E the least absprec of a series and D_j the
+        denominator exponent of f_j alone, the uncertainty p^E_g of g
+        costs the term f_j g^j its D_j digits, so the result is packed at
+        scale D_f, the denominator of f, with value precision
+        min(E_f, E_g - max_{j>=1} D_j); a constant f does not see E_g.
+        """
         if not g.coeffs[0].is_zero:
             raise InvalidInputError("composition needs inner constant term 0")
+        ok, worst = g.is_integral()
+        if not ok:
+            raise InvalidInputError(
+                f"composition needs an integral inner series (valuation {worst})"
+            )
         order = max(self.order, g.order)
         ctx = self.ctx
         gp = _pack(g.truncate(order).coeffs)
-        # Horner from the top coefficient down
-        acc = _pack((self.coeffs[-1],))
-        for i in range(self.order - 1, -1, -1):
-            acc = _convolve(ctx, acc, gp, order)
-            ci = _pack((self.coeffs[i],))
-            d = max(acc[0], ci[0])
-            e = min(acc[1] - acc[0], ci[1] - ci[0]) + d
-            m = ctx.pk(e)
-            ints = [c * ctx.pk(d - acc[0]) % m for c in acc[2]]
-            ints[0] = (ints[0] + ci[2][0] * ctx.pk(d - ci[0])) % m
-            acc = (d, e, ints)
-        d, e, ints = acc
-        ints += [0] * (order + 1 - len(ints))
-        return TruncatedSeries(ctx, _unpack(ctx, d, e, ints[: order + 1]))
+        d, ef, fints = _pack(self.coeffs)
+        value_prec = ef - d
+        if self.order >= 1:
+            d_tail = max([-c.v for c in self.coeffs[1:] if c.unit] + [0])
+            value_prec = min(value_prec, gp[1] - d_tail)
+        e = value_prec + d
+        if e <= 0:
+            raise PrecisionError("composition below zero precision", achieved=value_prec)
+        out = [fints[0]] + [0] * order
+        row = gp
+        for j in range(1, self.order + 1):
+            if j > 1:
+                row = _convolve(ctx, row, gp, order)
+            fj = fints[j]
+            if fj:
+                for i, r in enumerate(row[2]):
+                    if r:
+                        out[i] += fj * r
+        m = ctx.pk(e)
+        return TruncatedSeries(ctx, _unpack(ctx, d, e, [c % m for c in out]))
 
     def reversion(self) -> "TruncatedSeries":
-        """Compositional inverse of f = c1 X + ..., c1 a unit (Newton)."""
+        """Compositional inverse g of an integral f = f_1 X + ..., f_1 a unit.
+
+        Solved degree by degree from f(g) = X:
+        g_m = -g_1 sum_{j>=2} f_j (g^j)_m, where the power rows (g^j)_m
+        only need g_1..g_(m-1) and grow by one column per degree
+        (O(order^3/6) products, no composition).  A non-integral f is
+        refused, naming its worst valuation.  Every coefficient of g is
+        known modulo p^E with E = min(wprec, absprec of f_0..f_M): the
+        target X is taken at wprec.
+        """
         if not self.coeffs[0].is_zero:
             raise InvalidInputError("reversion needs f(0) = 0")
         c1 = self.coeff(1)
         if c1.is_zero or c1.v != 0:
             raise InvalidInputError("reversion needs a unit linear coefficient")
+        ok, worst = self.is_integral()
+        if not ok:
+            raise InvalidInputError(
+                f"reversion needs an integral series (valuation {worst})"
+            )
         ctx = self.ctx
-        order = self.order
-        df = self.derivative()
-        g = TruncatedSeries(ctx, [ctx.zero(c1.absprec), c1.inverse()])
-        reached = 1
-        while reached < order:
-            reached = min(2 * reached, order)
-            ft = self.truncate(reached)
-            gt = g.truncate(reached)
-            err = ft.compose(gt) - TruncatedSeries.x(ctx, reached)
-            corr = err * df.truncate(reached).compose(gt).reciprocal()
-            g = gt - corr
-        return g.truncate(order)
+        prec = min([ctx.wprec] + [c.absprec for c in self.coeffs])
+        mod = ctx.pk(prec)
+        f = [c.lift() for c in self.coeffs]
+        g1 = pow(f[1], -1, mod)
+        rows = [None, [0, g1]]
+        for m in range(2, self.order + 1):
+            _extend_power_rows(rows, m, mod)
+            s = sum(f[j] * rows[j][m] for j in range(2, m + 1))
+            rows[1].append(-g1 * s % mod)
+        return TruncatedSeries(ctx, [PadicScalar._make(ctx, 0, c, prec) for c in rows[1]])
 
     # -- analytic log/exp ----------------------------------------------------------
 

@@ -18,7 +18,7 @@ from .core import (
     iwasawa_log,
     teichmuller,
 )
-from .series import TruncatedSeries, geometric_inverse, log_one_plus_x
+from .series import TruncatedSeries, _extend_power_rows, geometric_inverse, log_one_plus_x
 from .coleman import TateParameter
 
 
@@ -228,8 +228,9 @@ def multiplicative_parameter_series(ctx, omega: TruncatedSeries, order: int) -> 
     ti = [0, 1]
     prec = absprec
     # pw[j][k] = (t^j)_k mod p^prec for j >= 1, zero below k = j since
-    # t_0 = 0; the row t^0 = 1 only enters F_0 = omega_0
-    pw = [None, [0]]
+    # t_0 = 0; row 1 is ti itself, and the row t^0 = 1 only enters
+    # F_0 = omega_0
+    pw = [None, ti]
     F = [w[0]]
     for m in range(2, order + 1):
         k = m - 1
@@ -237,12 +238,8 @@ def multiplicative_parameter_series(ctx, omega: TruncatedSeries, order: int) -> 
         if prec <= 0:
             raise PrecisionError("uniformizing series has no remaining precision", achieved=prec)
         mod = ctx.pk(prec)
-        pw[1].append(ti[k])
         if k > 1:
-            pw.append([0] * k)
-        for j in range(2, k + 1):
-            row = pw[j - 1]
-            pw[j].append(sum(ti[a] * row[k - a] for a in range(1, k - j + 2)) % mod)
+            _extend_power_rows(pw, k, mod)
         F.append(sum(w[j] * pw[j][k] for j in range(1, min(k, len(w) - 1) + 1)) % mod)
         Fm = [PadicScalar._make(ctx, 0, f, prec) for f in F]
         # G = (1+X) omega(t); identity [G t']_(m-1) = 0 for m >= 2
@@ -270,8 +267,10 @@ def verify_formal_iso(ctx: PrimeContext, q, order: int = 64) -> dict:
     coefficients, inverse composition back to log(1+X), and the
     differential pullback identity d/dX [lambda(t(X))] = 1/(1+X).
 
-    The reversion divides by factorials, so the parameter is re-embedded
-    with enough headroom for the checks to land at precision N.
+    The solve for t divides by each degree m, and the curve log by each
+    index, shedding up to v_p(order!) digits in all, so the parameter is
+    re-embedded with that much headroom for the checks to land at
+    precision N.
     """
     if order < 1:
         raise InvalidInputError(f"formal iso needs order >= 1, got {order}")

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import comb
 
@@ -13,10 +14,77 @@ from padiclab import (
     log_one_plus_x,
     teichmuller,
 )
+from padiclab.core import factorial_valuation
+from padiclab.honda import build_ell, build_iota
+from padiclab.series import _convolve, _extend_power_rows, _pack, _unpack
+from padiclab.tate import (
+    a_invariants,
+    default_grid,
+    formal_log_weierstrass,
+    multiplicative_parameter_series,
+)
 
 
 def series_residual(a, b):
     return min((x - y).min_valuation() for x, y in zip(a.coeffs, b.coeffs))
+
+
+def _digits(series):
+    return [(c.v, c.unit, c.absprec) for c in series.coeffs]
+
+
+def horner_compose(f, g):
+    """Test-only oracle: f(g) by packed Horner steps from the top
+    coefficient down, paying f's running denominator at every step."""
+    order = max(f.order, g.order)
+    ctx = f.ctx
+    gp = _pack(g.truncate(order).coeffs)
+    acc = _pack((f.coeffs[-1],))
+    for i in range(f.order - 1, -1, -1):
+        acc = _convolve(ctx, acc, gp, order)
+        ci = _pack((f.coeffs[i],))
+        d = max(acc[0], ci[0])
+        e = min(acc[1] - acc[0], ci[1] - ci[0]) + d
+        m = ctx.pk(e)
+        ints = [c * ctx.pk(d - acc[0]) % m for c in acc[2]]
+        ints[0] = (ints[0] + ci[2][0] * ctx.pk(d - ci[0])) % m
+        acc = (d, e, ints)
+    d, e, ints = acc
+    ints += [0] * (order + 1 - len(ints))
+    return TruncatedSeries(ctx, _unpack(ctx, d, e, ints[: order + 1]))
+
+
+def newton_reversion(f):
+    """Test-only oracle: the compositional inverse by Newton doubling,
+    g <- g - (f(g) - X) / f'(g), through the Horner oracle."""
+    ctx = f.ctx
+    c1 = f.coeff(1)
+    df = f.derivative()
+    g = TruncatedSeries(ctx, [ctx.zero(c1.absprec), c1.inverse()])
+    reached = 1
+    while reached < f.order:
+        reached = min(2 * reached, f.order)
+        ft = f.truncate(reached)
+        gt = g.truncate(reached)
+        err = horner_compose(ft, gt) - TruncatedSeries.x(ctx, reached)
+        corr = err * horner_compose(df.truncate(reached), gt).reciprocal()
+        g = gt - corr
+    return g.truncate(f.order)
+
+
+def _seeded_series(ctx, rng, order, inner=False, denominators=()):
+    """Random coefficients at absprecs within 8 of wprec, integral except
+    where ``denominators`` maps a degree to the power of p dividing it;
+    an inner series has constant term 0."""
+    coeffs = []
+    for i in range(order + 1):
+        absprec = ctx.wprec - rng.randint(0, 8)
+        if inner and i == 0:
+            coeffs.append(ctx.zero(absprec))
+            continue
+        x = Fraction(rng.randrange(ctx.p**12), ctx.p ** dict(denominators).get(i, 0))
+        coeffs.append(ctx.scalar(x, absprec))
+    return TruncatedSeries(ctx, coeffs)
 
 
 def test_binomial_power_one():
@@ -147,3 +215,109 @@ def test_eval_scalar_needs_positive_valuation():
     f = log_one_plus_x(ctx, 12)
     with pytest.raises(InvalidInputError):
         f.eval_scalar(ctx.one())
+
+
+def test_compose_refuses_non_integral_inner():
+    ctx = PrimeContext(3, 16)
+    f = log_one_plus_x(ctx, 6)
+    g = TruncatedSeries.from_rationals(ctx, [0, 1, Fraction(1, 9), 0])
+    with pytest.raises(InvalidInputError, match=r"integral inner series \(valuation -2\)"):
+        f.compose(g)
+
+
+def test_reversion_refuses_non_integral_series():
+    # the Tate curve's formal log has the denominators 1/m; it is refused
+    # up front instead of running out of precision inside the solve
+    ctx = PrimeContext(3, 16)
+    zero = ctx.scalar(0)
+    lam = formal_log_weierstrass(ctx, zero, zero, 12)[0]
+    with pytest.raises(InvalidInputError, match=r"integral series \(valuation -2\)"):
+        lam.reversion()
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_power_rows_match_oracles_on_iota(p):
+    # iota^{<-1>} and ell(iota^{<-1>}) at the order the Honda suite uses,
+    # and the Frobenius substitution of ell
+    ctx = PrimeContext(p, 16)
+    ell = build_ell(ctx, 200)
+    iota, inv = build_iota(ell, 160)
+    assert _digits(inv) == _digits(newton_reversion(iota.truncate(160)))
+    truncated = ell.truncate(160)
+    assert _digits(truncated.compose(inv)) == _digits(horner_compose(truncated, inv))
+    frob = TruncatedSeries.from_rationals(
+        ctx, [comb(p, j) if j else 0 for j in range(p + 1)], max(c.absprec for c in ell.coeffs)
+    )
+    assert _digits(frobenius_substitute(ell)) == _digits(horner_compose(ell, frob))
+
+
+def test_power_rows_match_horner_on_tate_grid(ctx3, ctx5):
+    # lambda carries the denominators 1/m, so the scale D_f of the result
+    # and the rule min(E_f, E_g - max_{j>=1} D_j) are both exercised
+    order = 48
+    for ctx in (ctx3, ctx5):
+        headroom = ctx.wprec + factorial_valuation(order, ctx.p) + 8
+        for q in default_grid(ctx)[0]:
+            a4, a6 = a_invariants(ctx.scalar(q.unit * ctx.p**q.ord, headroom))
+            lam, omega = formal_log_weierstrass(ctx, a4, a6, order)
+            t = multiplicative_parameter_series(ctx, omega, order)
+            assert _digits(lam.compose(t)) == _digits(horner_compose(lam, t))
+            assert _digits(omega.compose(t)) == _digits(horner_compose(omega, t))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_power_rows_match_oracles_on_seeded_series(p):
+    ctx = PrimeContext(p, 12)
+    rng = random.Random(p)
+    cases = [
+        (_seeded_series(ctx, rng, 14), _seeded_series(ctx, rng, 5, inner=True)),
+        (_seeded_series(ctx, rng, 5), _seeded_series(ctx, rng, 14, inner=True)),
+        # the constant term's denominator sets the scale but costs g nothing
+        (_seeded_series(ctx, rng, 10, denominators={0: 3}), _seeded_series(ctx, rng, 10, inner=True)),
+        (_seeded_series(ctx, rng, 9, denominators={2: 2, 9: 1}), _seeded_series(ctx, rng, 7, inner=True)),
+        (TruncatedSeries.from_rationals(ctx, [Fraction(1, p)]), _seeded_series(ctx, rng, 6, inner=True)),
+    ]
+    for f, g in cases:
+        assert _digits(f.compose(g)) == _digits(horner_compose(f, g))
+    for order in (2, 7, 15):
+        f = _seeded_series(ctx, rng, order, inner=True)
+        f = TruncatedSeries(ctx, (f.coeffs[0], ctx.scalar(1 + p * rng.randrange(p**4))) + f.coeffs[2:])
+        assert _digits(f.reversion()) == _digits(newton_reversion(f))
+
+
+def test_reversion_matches_newton_oracle():
+    ctx = PrimeContext(5, 16)
+    f = TruncatedSeries.from_rationals(ctx, [0, 1, 3, 1, 0, 2, 0, 0, 1, 0, 0, 4, 1])
+    assert _digits(f.reversion()) == _digits(newton_reversion(f))
+
+
+def test_build_iota_never_composes_or_divides(monkeypatch):
+    ctx = PrimeContext(3, 16)
+    ell = build_ell(ctx, 60)
+    calls = []
+    for name in ("compose", "reciprocal"):
+        original = getattr(TruncatedSeries, name)
+
+        def counting(self, *args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(self, *args)
+
+        monkeypatch.setattr(TruncatedSeries, name, counting)
+    iota, inv = build_iota(ell, 60)
+    assert inv.order == 60
+    assert calls == []
+
+
+def test_power_rows_are_reduced_powers():
+    # the shared row extension against plain polynomial powers: every
+    # entry is the reduced residue of (t^j)_k, so rows never grow
+    p, mod = 5, 5**10
+    rng = random.Random(11)
+    t = [0] + [rng.randrange(mod) for _ in range(9)]
+    rows = [None, t]
+    for k in range(2, 10):
+        _extend_power_rows(rows, k, mod)
+    power = t
+    for j in range(2, 10):
+        power = [sum(power[i] * t[k - i] for i in range(k + 1)) for k in range(10)]
+        assert rows[j] == [c % mod for c in power[:10]]
