@@ -244,12 +244,10 @@ class GroupRingElement:
 def coleman_level(w: UnitFunctional, fam: PointFamily, n: int) -> GroupRingElement:
     """sum_sigma (d_n^sigma, w) sigma over Gamma_n."""
     tower = w.tower
-    logd = fam.log_d(n)
     dens = w.density(n)
-    coeffs = []
-    for a in tower.gamma_orbit_exponents(n):
-        conj = logd.galois(a) if a != 1 else logd
-        coeffs.append(tower.trace_kn_to_qp(conj * dens))
+    coeffs = [
+        tower.trace_kn_to_qp(conj * dens) for conj in fam.log_d_conjugates(n)
+    ]
     return GroupRingElement(tower, n, coeffs)
 
 
@@ -282,11 +280,8 @@ def verify_convolution(w: UnitFunctional, fam: PointFamily, n: int) -> Fraction:
     tower = w.tower
     ctx = tower.ctx
     pn = ctx.p**n
-    logd = fam.log_d(n)
-    dens = w.density(n)
-    exps = tower.gamma_orbit_exponents(n)
-    A = [logd.galois(a) if a != 1 else logd for a in exps]
-    B = [dens.galois(a) if a != 1 else dens for a in exps]
+    A = fam.log_d_conjugates(n)
+    B = tower.gamma_conjugates(w.density(n))
     col = coleman_level(w, fam, n)
     worst = None
     f = tower.field(n)
@@ -355,20 +350,25 @@ class CharacterData:
 
 def gauss_sum(chi: CharacterData) -> CycloElement:
     """tau(chi) = sum over the full level group of chi(sigma) zeta^sigma;
-    the character must have exact conductor p^(n+1)."""
+    the character must have exact conductor p^(n+1).  Each sum is built
+    once per tower, keyed by (n, j, a)."""
     if chi.j != chi.n:
         raise InvalidInputError(
             f"conductor p^{chi.conductor_exponent} does not match level {chi.n}"
         )
     tower = chi.tower
-    f = tower.field(chi.n)
-    acc = f.zero()
-    p = tower.ctx.p
-    for b in range(1, f.modulus_order):
-        if b % p == 0:
-            continue
-        acc = acc + chi.value_on_exponent(b) * f.zeta_power(b)
-    return acc
+    memo = tower.gauss_sums
+    key = (chi.n, chi.j, chi.a)
+    if key not in memo:
+        f = tower.field(chi.n)
+        acc = f.zero()
+        p = tower.ctx.p
+        for b in range(1, f.modulus_order):
+            if b % p == 0:
+                continue
+            acc = acc + chi.value_on_exponent(b) * f.zeta_power(b)
+        memo[key] = acc
+    return memo[key]
 
 
 def verify_gauss_product(chi: CharacterData) -> Fraction:
@@ -391,11 +391,9 @@ def verify_char_sum(fam: PointFamily, chi: CharacterData) -> Fraction:
     tower = fam.tower
     ctx = tower.ctx
     n = chi.n
-    logd = fam.log_d(n)
     f = tower.field(n)
     acc = f.zero()
-    for i, a in enumerate(tower.gamma_orbit_exponents(n)):
-        conj = logd.galois(a) if a != 1 else logd
+    for i, conj in enumerate(fam.log_d_conjugates(n)):
         acc = acc + conj * chi.value_on_gamma_power(i)
     if chi.is_trivial():
         resid = acc.min_valuation()
@@ -436,14 +434,12 @@ def derivative_rep(w: UnitFunctional, sol: H90Solution, fam: PointFamily, n: int
     tower = w.tower
     ctx = tower.ctx
     pn = ctx.p**n
-    logx = tower.log_element(sol.x_n)
-    vx = sol.x_n.valuation()
     dens = w.density(n)
-    alpha_v = w.alpha * ctx.scalar(vx)
-    S = []
-    for a in tower.gamma_orbit_exponents(n):
-        conj = logx.galois(a) if a != 1 else logx
-        S.append(tower.trace_kn_to_qp(conj * dens) + alpha_v)
+    alpha_v = w.alpha * ctx.scalar(sol.valuation_x)
+    S = [
+        tower.trace_kn_to_qp(conj * dens) + alpha_v
+        for conj in sol.log_x_conjugates
+    ]
     rhs = GroupRingElement(
         tower, n, [S[(i + 1) % pn] - S[i] for i in range(pn)]
     )
@@ -454,8 +450,7 @@ def derivative_rep(w: UnitFunctional, sol: H90Solution, fam: PointFamily, n: int
         raise PropertyFailure(
             f"Abel summation identity fails at level {n} (valuation {resid})"
         )
-    norm_x = tower.norm_kn_to_qp(sol.x_n)
-    d_n = -pair_qp(norm_x, w)
+    d_n = -pair_qp(sol.norm_x, w)
     closed = -(w.alpha * sol.e)
     closed_resid = (d_n - closed).min_valuation()
     report = {

@@ -20,6 +20,7 @@ from .core import (
     _log_p_floor,
     iwasawa_log,
     mpz,
+    split_p,
     vp,
 )
 from .series import TruncatedSeries, _convolve, _pack, _unpack
@@ -110,6 +111,17 @@ class CycloField:
     def mul_packed(self, A, B):
         d, e, conv = _convolve(self.ctx, A, B, 2 * self.degree - 2)
         return d, e, self._fold(conv, 1, e)
+
+    def pow_packed(self, A, k: int):
+        """A^k, k >= 1, by square-and-multiply on the packed vector."""
+        result = None
+        while k:
+            if k & 1:
+                result = A if result is None else self.mul_packed(result, A)
+            k >>= 1
+            if k:
+                A = self.mul_packed(A, A)
+        return result
 
     def galois_packed(self, A, a: int):
         d, e, ints = A
@@ -302,28 +314,16 @@ class GaloisElement:
 
     __slots__ = ("field", "a", "omega_part", "gamma_part", "gamma_index")
 
-    def __init__(self, field: CycloField, a: int, gamma_exponent: int):
+    def __init__(self, field: CycloField, a: int, gamma_log: dict):
         a %= field.modulus_order
         if a % field.ctx.p == 0:
             raise InvalidInputError("exponent must be a unit mod p^(n+1)")
         self.field = field
         self.a = a
-        ctx = field.ctx
         mo = field.modulus_order
-        self.omega_part = ctx.teichmuller_int(a, field.level) % mo
+        self.omega_part = field.ctx.teichmuller_int(a, field.level) % mo
         self.gamma_part = a * pow(self.omega_part, -1, mo) % mo
-        self.gamma_index = _discrete_gamma_log(ctx, self.gamma_part, gamma_exponent, field.n)
-
-
-def _discrete_gamma_log(ctx, b: int, g: int, n: int) -> int:
-    """i with g^i = b in (1 + pZ)/(1 + p^(n+1)Z), via the scalar logarithm."""
-    if n == 0:
-        return 0
-    absprec = n + 4
-    lb = iwasawa_log(ctx.scalar(b, absprec + 2))
-    lg = iwasawa_log(ctx.scalar(g, absprec + 2))
-    ratio = lb / lg
-    return ratio.lift() % ctx.p**n
+        self.gamma_index = gamma_log[self.gamma_part]
 
 
 class CycloTower:
@@ -344,6 +344,9 @@ class CycloTower:
         self._pi = {}
         self._pi_basis = {}
         self._log_cache = {}
+        self._gamma_log = {}
+        # coleman.gauss_sum's memo: (n, j, a) -> tau(chi)
+        self.gauss_sums = {}
 
     def field(self, n: int) -> CycloField:
         if n not in self._fields:
@@ -369,8 +372,23 @@ class CycloTower:
             a = a * self.kappa_gamma % mo
         return out
 
+    def gamma_log_table(self, n: int) -> dict:
+        """The discrete log on Gamma_n: kappa(gamma)^i mod p^(n+1) -> i."""
+        if n not in self._gamma_log:
+            self._gamma_log[n] = {
+                b: i for i, b in enumerate(self.gamma_orbit_exponents(n))
+            }
+        return self._gamma_log[n]
+
     def galois_element(self, n: int, a: int) -> GaloisElement:
-        return GaloisElement(self.field(n), a, self.kappa_gamma)
+        return GaloisElement(self.field(n), a, self.gamma_log_table(n))
+
+    def gamma_conjugates(self, x: CycloElement):
+        """x^(gamma^i) for i = 0..p^n - 1, in gamma_orbit_exponents order."""
+        return [
+            x.galois(a) if a != 1 else x
+            for a in self.gamma_orbit_exponents(x.field.n)
+        ]
 
     def delta_project(self, x: CycloElement) -> CycloElement:
         f = x.field
@@ -460,8 +478,7 @@ class CycloTower:
     def norm_kn_to_qp(self, x: CycloElement) -> PadicScalar:
         """N_{k_n/Q_p}: product over the Gamma_n coset representatives."""
         acc = None
-        for a in self.gamma_orbit_exponents(x.field.n):
-            t = x.galois(a) if a != 1 else x
+        for t in self.gamma_conjugates(x):
             acc = t if acc is None else acc * t
         return acc.scalar_part()
 
@@ -522,8 +539,11 @@ class CycloTower:
         """Iwasawa logarithm on K_n^x: kills torsion, log(p) = 0.
 
         The (zeta-1)-power carrying the valuation is peeled off first, so
-        precision never pays for large valuations; the unit part is
-        handled by Teichmuller stripping and the contracted log series.
+        precision never pays for large valuations.  The unit part goes to
+        ``_log_unit``, which runs on one packed integer vector: Teichmuller
+        strip, contraction by p-powers, then the log series with term k
+        at absprec E - v_p(k), E the strip's precision, and the sum at
+        the least of those.
         """
         v = x.valuation()
         if v is None:
@@ -540,37 +560,66 @@ class CycloTower:
         return self._log_unit(unit_part) + self.log_zeta_minus_one(f.n).scale(k)
 
     def _log_unit(self, y: CycloElement) -> CycloElement:
-        """log on units: strip the Teichmuller part, contract into 1 + pO
-        by p-powerings, run the series, divide the powers back out."""
+        """log on units, on one packed vector (0, E, ints).
+
+        The Teichmuller strip is an integer multiply by omega^(-1) mod p^E,
+        where E is the least absprec the coordinatewise strip would leave,
+        min(absprec, v + wprec).  p-powerings (``CycloField.pow_packed``)
+        contract y into 1 + pO.  The series log(1 + h) = sum (-1)^(k-1) h^k/k
+        then runs with every power h^k at E: term k is h^k times the
+        inverse of k's unit part, at denominator exponent v_p(k), since
+        scaling by an exact rational shifts absprec uniformly by its
+        valuation.  The accumulator keeps the running minimum of the term
+        precisions (its denominator is the largest v_p(k) so far).  Last,
+        1/p^j is a denominator shift and the result is cut to absprec
+        E - log_p(kmax) - j, the bound on the skipped tail's 1/k.
+        """
+        ctx = self.ctx
+        p = ctx.p
+        field = y.field
         r = y.residue()
         if r == 0:
             raise PrecisionError("unit part collapsed; raise working precision")
-        omega = self.ctx.teichmuller_int(r, min(c.absprec for c in y.coords))
-        y = y.scale(self.ctx.scalar(1) / self.ctx.scalar(omega))
+        omega = ctx.teichmuller_int(r, min(c.absprec for c in y.coords))
+        # residue() has checked v >= 0, so the packed scale is 0
+        target = min(
+            c.absprec if c.unit == 0 else min(c.absprec, c.v + ctx.wprec)
+            for c in y.coords
+        )
+        m = ctx.pk(target)
+        winv = pow(omega, -1, m)
+        ints = [c * winv % m for c in _pack(y.coords)[2]]
         j = 0
-        max_j = 3 * (y.field.n + 4)
-        one = y.field.one()
-        while (y - one).min_valuation() < 1:
-            y = y**self.ctx.p
+        max_j = 3 * (field.n + 4)
+        while (ints[0] - 1) % p or any(c % p for c in ints[1:]):
+            ints = field.pow_packed((0, target, ints), p)[2]
             j += 1
             if j > max_j:
                 raise ConvergenceError("principal part failed to contract")
-        s = self.ctx.p**j
-        h = y - one
+        h = list(ints)
+        h[0] = (h[0] - 1) % m
         # log(1+h) with v(h) >= 1: term k has valuation >= k v(h) - v_p(k)
-        target = min(c.absprec for c in h.coords)
-        vh = h.min_valuation()
-        kmax = int(Fraction(target + 8) / vh) + 4
-        acc = y.field.zero(target)
+        vh = min((vp(c, p) for c in h if c), default=target)
+        kmax = (target + 8) // vh + 4
+        acc_d, acc = 0, [0] * field.degree
         power = h
         for k in range(1, kmax + 1):
-            acc = acc + power.scale(Fraction((-1) ** (k - 1), k))
-            if power.min_valuation() >= target:
+            vk, uk = split_p(k, p)
+            if vk > acc_d:
+                shift = ctx.pk(vk - acc_d)
+                acc = [a * shift for a in acc]
+                acc_d = vk
+            c = pow(uk, -1, m) * ctx.pk(acc_d - vk)
+            if k % 2 == 0:
+                c = -c
+            acc = [(a + c * t) % m for a, t in zip(acc, power)]
+            if not any(power):
                 break
-            power = power * h
+            power = field.mul_packed((0, target, power), (0, target, h))[2]
         # the skipped tail is below target only up to the 1/k denominators
-        return acc.scale(Fraction(1, s)).reduce_absprec(
-            target - _log_p_floor(kmax, self.ctx.p) - j
+        floor = _log_p_floor(kmax, p)
+        return field.from_coords(
+            _unpack(ctx, acc_d + j, target - floor + acc_d, acc)
         )
 
     def principal_power(self, x: CycloElement, exponent) -> CycloElement:

@@ -7,9 +7,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .core import (
     InvalidInputError,
+    PadicScalar,
     PrecisionError,
     PropertyFailure,
     iwasawa_log,
@@ -39,6 +41,7 @@ class PointFamily:
         self.d = []
         self.raw_d = []
         self._log_d = {}
+        self._log_d_conj = {}
         iota_eps = honda.iota.eval_scalar(honda.epsilon)
         self.one_plus_iota_eps = 1 + iota_eps
         for n in range(n_max + 1):
@@ -59,6 +62,12 @@ class PointFamily:
         if n not in self._log_d:
             self._log_d[n] = self.tower.log_element(self.d[n])
         return self._log_d[n]
+
+    def log_d_conjugates(self, n: int):
+        """log(d_n)^(gamma^i), i = 0..p^n - 1, in gamma_orbit_exponents order."""
+        if n not in self._log_d_conj:
+            self._log_d_conj[n] = self.tower.gamma_conjugates(self.log_d(n))
+        return self._log_d_conj[n]
 
     def raw_delta_defect(self, n: int) -> CycloElement:
         """delta(raw)/raw for a generator of Delta: a p-power root of unity."""
@@ -349,11 +358,7 @@ def verify_generation(fam: PointFamily, n: int, u: int | None = None) -> dict:
     ctx = tower.ctx
     u_val = (1 + ctx.p) if u is None else u
     lattice = UnitLogLattice(tower, n)
-    vectors = []
-    logd = fam.log_d(n)
-    for a in tower.gamma_orbit_exponents(n):
-        conj = logd.galois(a) if a != 1 else logd
-        vectors.append(tower.to_pi_coords(conj))
+    vectors = [tower.to_pi_coords(conj) for conj in fam.log_d_conjugates(n)]
     log_u = iwasawa_log(ctx.scalar(u_val))
     vectors.append([log_u] + [ctx.zero()] * (lattice.dim - 1))
     coords = lattice.coords_matrix(vectors)
@@ -388,6 +393,10 @@ def verify_generation(fam: PointFamily, n: int, u: int | None = None) -> dict:
 
 @dataclass
 class H90Solution:
+    """x_n = pi_n^e u_n with its certificates.  The Gamma_n conjugates of
+    log x_n, v(x_n) and N(x_n) are computed on first use and kept."""
+
+    tower: CycloTower = field(repr=False)
     n: int
     e: int
     u_n: CycloElement
@@ -399,6 +408,20 @@ class H90Solution:
 
     def e_class(self, modulus: int) -> int:
         return self.e % modulus
+
+    @cached_property
+    def log_x_conjugates(self):
+        """log(x_n)^(gamma^i), i = 0..p^n - 1, in gamma_orbit_exponents order."""
+        return self.tower.gamma_conjugates(self.tower.log_element(self.x_n))
+
+    @cached_property
+    def valuation_x(self) -> Fraction:
+        return self.x_n.valuation()
+
+    @cached_property
+    def norm_x(self) -> PadicScalar:
+        """N_{k_n/Q_p}(x_n)."""
+        return self.tower.norm_kn_to_qp(self.x_n)
 
 
 def solve_h90(fam: PointFamily, n: int, lattice: UnitLogLattice | None = None) -> H90Solution:
@@ -416,7 +439,7 @@ def solve_h90(fam: PointFamily, n: int, lattice: UnitLogLattice | None = None) -
     if n == 0:
         f = tower.field(0)
         return H90Solution(
-            0, 0, f.one(), f.one(), f.zero(),
+            tower, 0, 0, f.one(), f.one(), f.zero(),
             Fraction(ctx.wprec), Fraction(ctx.wprec),
         )
     lattice = UnitLogLattice(tower, n) if lattice is None else lattice
@@ -469,7 +492,7 @@ def solve_h90(fam: PointFamily, n: int, lattice: UnitLogLattice | None = None) -
         raise PropertyFailure(
             f"N(u_n) differs from 1 (valuation {norm_res})"
         )
-    return H90Solution(n, e, u_n, x_n, log_ratio, Fraction(cert), Fraction(norm_res), tuple(searched))
+    return H90Solution(tower, n, e, u_n, x_n, log_ratio, Fraction(cert), Fraction(norm_res), tuple(searched))
 
 
 def verify_prop2(sol: H90Solution, tower: CycloTower) -> dict:

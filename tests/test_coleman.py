@@ -308,3 +308,67 @@ def test_trace_type_family_is_compatible_but_not_global(fam3n2, tower3n2):
     col = coleman_level(w, fam3n2, 2)
     floor = min(c.min_valuation() for c in col.coeffs)
     assert floor >= tower3n2.ctx.prec - 4  # image is identically zero
+
+
+def test_level_inputs_are_computed_once(monkeypatch):
+    # the abel and dcol batteries read log x_n and N(x_n) from the solution;
+    # each runs once per level, and each Gauss sum is built once
+    from padiclab import points
+    from padiclab.coleman import CharacterData
+    from padiclab.cyclotomic import CycloTower
+    from padiclab.runner import SuiteConfig, run_suite
+
+    args = {"log_element": [], "norm_kn_to_qp": []}
+    for name, calls in args.items():
+        orig = getattr(CycloTower, name)
+
+        def counted(self, x, orig=orig, calls=calls):
+            calls.append(x)
+            return orig(self, x)
+
+        monkeypatch.setattr(CycloTower, name, counted)
+    sols = []
+    solve = points.solve_h90
+
+    def captured(*a, **k):
+        sols.append(solve(*a, **k))
+        return sols[-1]
+
+    monkeypatch.setattr(points, "solve_h90", captured)
+    builds = {}
+    value = CharacterData.value_on_exponent
+
+    def counted_value(chi, b):
+        key = (chi.n, chi.a)
+        builds[key] = builds.get(key, 0) + 1
+        return value(chi, b)
+
+    monkeypatch.setattr(CharacterData, "value_on_exponent", counted_value)
+    report = run_suite(
+        SuiteConfig(p=3, n_max=2, prec=12, n_functionals=4, suites=("coleman",))
+    )
+    assert report.summary()["fail"] == 0
+    assert [s.n for s in sols] == [1, 2]
+    for sol in sols:
+        for calls in args.values():
+            assert sum(x is sol.x_n for x in calls) == 1
+    primitive = {(n, a) for n in (1, 2) for a in range(1, 3**n) if a % 3}
+    assert builds == {(n, a): 2 * 3**n for n, a in primitive}
+
+
+def test_fresh_h90_solution_gives_same_derivative(tower3n2, fam3n2, sol3n2):
+    import dataclasses
+
+    def triple(s):
+        return (s.v, s.unit, s.absprec)
+
+    q = TateParameter.make(tower3n2.ctx, 1, 4)
+    for seed in (0, 1):
+        w = UnitFunctional.seeded(tower3n2, 2, q, seed)
+        fresh = dataclasses.replace(sol3n2)
+        assert not {"log_x_conjugates", "norm_x"} & set(vars(fresh))
+        d_a, rep_a = derivative_rep(w, sol3n2, fam3n2, 2)
+        d_b, rep_b = derivative_rep(w, fresh, fam3n2, 2)
+        assert triple(d_a) == triple(d_b)
+        assert rep_a["abel_residual"] == rep_b["abel_residual"]
+        assert rep_a["closed_form_residual"] == rep_b["closed_form_residual"]

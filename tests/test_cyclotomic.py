@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from padiclab import CycloTower, InvalidInputError, PrecisionError, PrimeContext
+from padiclab import CycloTower, InvalidInputError, PrecisionError, PrimeContext, iwasawa_log
+from padiclab.core import _log_p_floor
 from padiclab.series import TruncatedSeries, log_one_plus_x
 
 
@@ -260,3 +261,125 @@ def test_log_of_zeta_minus_one_power_outside_kn(tower3n2_16):
     lg = tower3n2_16.log_element(x)
     expected = tower3n2_16.log_zeta_minus_one(2).scale(45)
     assert (lg - expected).min_valuation() >= tower3n2_16.ctx.prec - 2
+
+
+# -- the packed unit logarithm against the per-coordinate series -------------
+
+
+def _series_log_unit(tower, y):
+    """Test-only oracle: the unit log as a per-coordinate series, each term
+    scaled by a Fraction.  Returns (log y, number of p-powerings)."""
+    ctx = tower.ctx
+    r = y.residue()
+    omega = ctx.teichmuller_int(r, min(c.absprec for c in y.coords))
+    y = y.scale(ctx.scalar(1) / ctx.scalar(omega))
+    one = y.field.one()
+    j = 0
+    while (y - one).min_valuation() < 1:
+        y = y**ctx.p
+        j += 1
+    h = y - one
+    target = min(c.absprec for c in h.coords)
+    vh = h.min_valuation()
+    kmax = int(Fraction(target + 8) / vh) + 4
+    acc = y.field.zero(target)
+    power = h
+    for k in range(1, kmax + 1):
+        acc = acc + power.scale(Fraction((-1) ** (k - 1), k))
+        if power.min_valuation() >= target:
+            break
+        power = power * h
+    out = acc.scale(Fraction(1, ctx.p**j)).reduce_absprec(
+        target - _log_p_floor(kmax, ctx.p) - j
+    )
+    return out, j
+
+
+def _triples(x):
+    return [(c.v, c.unit, c.absprec) for c in x.coords]
+
+
+def _log_inputs(tower, n, rng):
+    """Units of K_n: seeded, deep principal, and with ragged absprec."""
+    ctx = tower.ctx
+    p = ctx.p
+    f = tower.field(n)
+    span = ctx.pk(ctx.wprec)
+    units = []
+    for _ in range(4):
+        coords = [rng.randrange(span) for _ in range(f.degree)]
+        # the residue of y is the sum of its coordinates mod p
+        coords[0] += (rng.randrange(1, p) - sum(coords)) % p
+        units.append(f.from_coords([ctx.scalar(c) for c in coords]))
+    for k in (1, 2, 5):
+        y = f.from_coords([ctx.scalar(rng.randrange(span)) for _ in range(f.degree)])
+        units.append(f.one() + y.scale(p**k))
+    # coordinates known to different precisions; with all of them beyond
+    # wprec, the strip's bound v + wprec is the one that binds
+    for low in (-3, 1):
+        vals = [rng.randrange(span) for _ in range(f.degree)]
+        vals[0] = 2 + p * rng.randrange(span)
+        vals[1] += (1 - sum(vals)) % p
+        precs = [ctx.wprec + 7] + [ctx.wprec + rng.randrange(low, 6) for _ in vals[1:]]
+        units.append(f.from_coords([ctx.scalar(v, a) for v, a in zip(vals, precs)]))
+    z1 = f.zeta() - f.one()
+    units.append((z1**f.degree).scale(Fraction(1, p)))  # log_zeta_minus_one's unit
+    return units
+
+
+@pytest.mark.parametrize("p, n", [(3, 0), (3, 1), (3, 2), (5, 1), (7, 1)])
+def test_packed_log_unit_matches_series_oracle(p, n):
+    ctx = PrimeContext(p, 12)
+    tower = CycloTower(ctx, n)
+    contractions = set()
+    for y in _log_inputs(tower, n, random.Random(31 * p + n)):
+        expected, j = _series_log_unit(tower, y)
+        contractions.add(j > 0)
+        assert _triples(tower._log_unit(y)) == _triples(expected)
+    assert contractions == {False, True}
+    f = tower.field(n)
+    u0 = ((f.zeta() - f.one()) ** f.degree).scale(Fraction(1, p))
+    expected = _series_log_unit(tower, u0)[0].scale(Fraction(1, f.degree))
+    assert _triples(tower.log_zeta_minus_one(n)) == _triples(expected)
+
+
+@pytest.mark.parametrize("p, n", [(3, 1), (5, 1)])
+def test_log_element_matches_series_oracle(p, n):
+    # log_element on non-units, with the unit log swapped for the oracle
+    ctx = PrimeContext(p, 12)
+    tower = CycloTower(ctx, n)
+    oracle = CycloTower(ctx, n)
+    oracle._log_unit = lambda y: _series_log_unit(oracle, y)[0]
+    f = tower.field(n)
+    z1 = f.zeta() - f.one()
+    rng = random.Random(7 * p + n)
+    for y in _log_inputs(tower, n, rng)[:4]:
+        for x in (y * z1 ** rng.randrange(1, f.degree), y.scale(p), tower.uniformizer(n)):
+            assert _triples(tower.log_element(x)) == _triples(oracle.log_element(x))
+
+
+# -- the discrete log on Gamma_n against the scalar-logarithm route ----------
+
+
+def _discrete_gamma_log(ctx, b, g, n):
+    """Test-only oracle: i with g^i = b in (1 + pZ)/(1 + p^(n+1)Z), via the
+    scalar logarithm."""
+    if n == 0:
+        return 0
+    absprec = n + 4
+    lb = iwasawa_log(ctx.scalar(b, absprec + 2))
+    lg = iwasawa_log(ctx.scalar(g, absprec + 2))
+    return (lb / lg).lift() % ctx.p**n
+
+
+@pytest.mark.parametrize("p, n", [(3, 1), (3, 2), (5, 1), (7, 1)])
+def test_gamma_log_table_matches_scalar_log_oracle(p, n):
+    ctx = PrimeContext(p, 12)
+    tower = CycloTower(ctx, n)
+    mo = p ** (n + 1)
+    units = [b for b in range(1, mo) if b % p]
+    for b in units:
+        g = tower.galois_element(n, b)
+        assert g.gamma_index == _discrete_gamma_log(ctx, g.gamma_part, tower.kappa_gamma, n)
+        assert pow(tower.kappa_gamma, g.gamma_index, mo) == g.gamma_part
+    assert len(tower.gamma_log_table(n)) == p**n
