@@ -13,7 +13,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from .core import (
     InvalidInputError,
@@ -119,19 +118,10 @@ class UnitFunctional:
     def e0(self) -> PadicScalar:
         return self.densities[0].scalar_part()
 
-    def fingerprint(self):
-        """Bit-exact content, for determinism contracts."""
-        out = []
-        for d in self.densities:
-            out.append(tuple((c.v, c.unit, c.absprec) for c in d.coords))
-        a = self.alpha
-        return (tuple(out), (a.v, a.unit, a.absprec))
-
-    def check_tower_compatibility(self, threshold=None):
-        thr = self.tower.ctx.prec - 2 if threshold is None else threshold
+    def check_tower_compatibility(self):
         for m in range(1, self.n + 1):
             resid = (self.tower.trace(self.densities[m], m - 1) - self.densities[m - 1]).min_valuation()
-            if resid < thr:
+            if resid < self.tower.ctx.identity_floor:
                 raise InvalidInputError(
                     f"densities are not trace-compatible at level {m}"
                     f" (valuation {resid})"
@@ -215,18 +205,6 @@ class GroupRingElement:
             out[i % pm] = out[i % pm] + c
         return GroupRingElement(self.tower, m, out)
 
-    def to_polynomial(self):
-        """Coefficients of sum_i c_i (1+X)^i, the canonical lift of degree
-        < p^n under gamma -> 1 + X."""
-        pn = len(self.coeffs)
-        out = [self.tower.ctx.zero() for _ in range(pn)]
-        for i, c in enumerate(self.coeffs):
-            if c.is_zero:
-                continue
-            for j in range(i + 1):
-                out[j] = out[j] + c * comb(i, j)
-        return out
-
     def polynomial_derivative_at_zero(self) -> PadicScalar:
         """P'(0) for the canonical polynomial lift: sum_i i c_i."""
         acc = self.tower.ctx.zero()
@@ -251,26 +229,19 @@ def coleman_level(w: UnitFunctional, fam: PointFamily, n: int) -> GroupRingEleme
     return GroupRingElement(tower, n, coeffs)
 
 
-def verify_trivial_zero(col: GroupRingElement, threshold=None) -> Fraction:
-    thr = col.tower.ctx.prec - 2 if threshold is None else threshold
-    aug = col.augmentation()
-    v = aug.min_valuation()
-    if v < thr:
-        raise PropertyFailure(f"augmentation has valuation {v}, expected zero")
-    return v
+def verify_trivial_zero(col: GroupRingElement) -> Fraction:
+    return col.tower.ctx.require(
+        col.augmentation().min_valuation(), "augmentation does not vanish"
+    )
 
 
 def verify_level_compatibility(w: UnitFunctional, fam: PointFamily, n: int) -> Fraction:
     """Pushing the level-n map to Gamma_(n-1) recovers the level-(n-1) map."""
     upper = coleman_level(w, fam, n).project(n - 1)
     lower = coleman_level(w, fam, n - 1)
-    resid = upper.residual_against(lower)
-    thr = w.tower.ctx.prec - 2
-    if resid < thr:
-        raise PropertyFailure(
-            f"level compatibility fails at {n} -> {n - 1} (valuation {resid})"
-        )
-    return resid
+    return w.tower.ctx.require(
+        upper.residual_against(lower), f"level compatibility fails at {n} -> {n - 1}"
+    )
 
 
 def verify_convolution(w: UnitFunctional, fam: PointFamily, n: int) -> Fraction:
@@ -283,20 +254,17 @@ def verify_convolution(w: UnitFunctional, fam: PointFamily, n: int) -> Fraction:
     A = fam.log_d_conjugates(n)
     B = tower.gamma_conjugates(w.density(n))
     col = coleman_level(w, fam, n)
-    worst = None
     f = tower.field(n)
-    for i in range(pn):
+
+    def residual(i):
         acc = f.zero()
         for j in range(pn):
             acc = acc + A[j] * B[(j - i) % pn]
-        resid = (acc - f.from_scalar(col.coeffs[i])).min_valuation()
-        worst = resid if worst is None else min(worst, resid)
-    thr = ctx.prec - 2
-    if worst < thr:
-        raise PropertyFailure(
-            f"convolution identity fails at level {n} (valuation {worst})"
-        )
-    return worst
+        return (acc - f.from_scalar(col.coeffs[i])).min_valuation()
+
+    return ctx.require(
+        min(residual(i) for i in range(pn)), f"convolution identity fails at level {n}"
+    )
 
 
 # -- characters and Gauss sums ------------------------------------------------------
@@ -378,12 +346,7 @@ def verify_gauss_product(chi: CharacterData) -> Fraction:
     t1 = gauss_sum(chi)
     t2 = gauss_sum(chi.conjugate())
     expected = tower.field(chi.n).from_scalar(ctx.pk(chi.n + 1))
-    resid = (t1 * t2 - expected).min_valuation()
-    if resid < ctx.prec - 2:
-        raise PropertyFailure(
-            f"Gauss product fails (valuation {resid})"
-        )
-    return resid
+    return ctx.require((t1 * t2 - expected).min_valuation(), "Gauss product fails")
 
 
 def verify_char_sum(fam: PointFamily, chi: CharacterData) -> Fraction:
@@ -401,14 +364,7 @@ def verify_char_sum(fam: PointFamily, chi: CharacterData) -> Fraction:
     else:
         resid = (acc - gauss_sum(chi)).min_valuation()
         label = "Gauss-sum evaluation"
-    if resid < ctx.prec - 2:
-        raise PropertyFailure(f"{label} fails at level {n} (valuation {resid})")
-    return resid
-
-
-def measure_gauss_valuation(chi: CharacterData) -> Fraction:
-    """Measured (not asserted) valuation of tau(chi)."""
-    return gauss_sum(chi).valuation()
+    return ctx.require(resid, f"{label} fails at level {n}")
 
 
 def primitive_characters(tower: CycloTower, n: int):
@@ -444,12 +400,9 @@ def derivative_rep(w: UnitFunctional, sol: H90Solution, fam: PointFamily, n: int
         tower, n, [S[(i + 1) % pn] - S[i] for i in range(pn)]
     )
     col = coleman_level(w, fam, n)
-    resid = col.residual_against(rhs)
-    thr = ctx.prec - 2
-    if resid < thr:
-        raise PropertyFailure(
-            f"Abel summation identity fails at level {n} (valuation {resid})"
-        )
+    resid = ctx.require(
+        col.residual_against(rhs), f"Abel summation identity fails at level {n}"
+    )
     d_n = -pair_qp(sol.norm_x, w)
     closed = -(w.alpha * sol.e)
     closed_resid = (d_n - closed).min_valuation()
@@ -468,10 +421,7 @@ def verify_key2(w: UnitFunctional, q: TateParameter) -> Fraction:
     ctx = w.tower.ctx
     lhs = pair_qp(ctx.scalar(ctx.p), w)
     rhs = -(q.slope() * w.e0())
-    resid = (lhs - rhs).min_valuation()
-    if resid < ctx.prec - 2:
-        raise PropertyFailure(f"valuation-slope identity fails ({resid})")
-    return resid
+    return ctx.require((lhs - rhs).min_valuation(), "valuation-slope identity fails")
 
 
 def verify_dcol(
@@ -491,14 +441,12 @@ def verify_dcol(
     rhs = factor * q.slope() * w.e0()
     if w.alpha.is_zero:
         # zero slope: both sides must vanish at precision
-        lhs_v = d_n.min_valuation()
-        rhs_v = rhs.min_valuation()
-        thr = ctx.prec - 4
-        if lhs_v < thr or rhs_v < thr:
-            raise PropertyFailure(
-                f"degenerate case fails: valuations {lhs_v}, {rhs_v}"
-            )
-        return {"level": n, "modulus_exponent": None, "residual_valuation": min(lhs_v, rhs_v), **rep}
+        resid = ctx.require(
+            min(d_n.min_valuation(), rhs.min_valuation()),
+            "degenerate case fails: a side does not vanish",
+            ctx.solve_floor,
+        )
+        return {"level": n, "modulus_exponent": None, "residual_valuation": resid, **rep}
     modulus = n + w.alpha.v
     diff = d_n - rhs
     if not diff.congruent_to(0, modulus):
@@ -533,11 +481,11 @@ def negative_control(
     w = UnitFunctional.trace_type(tower, n, e0, q)
     w.check_tower_compatibility()
     col = coleman_level(w, fam, n)
-    col_floor = min(c.min_valuation() for c in col.coeffs)
-    if col_floor < ctx.prec - 4:
-        raise PropertyFailure(
-            f"trace-type image unexpectedly nonzero (valuation {col_floor})"
-        )
+    ctx.require(
+        min(c.min_valuation() for c in col.coeffs),
+        "trace-type image unexpectedly nonzero",
+        ctx.solve_floor,
+    )
     d_n, rep = derivative_rep(w, sol, fam, n)
     p_prime_zero = col.polynomial_derivative_at_zero()
     diff = p_prime_zero - d_n

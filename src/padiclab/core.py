@@ -90,6 +90,15 @@ class PrimeContext:
     scalars; the extra guard digits absorb the bounded losses of
     logarithms, eliminations and trace normalisations so that results
     can honestly be claimed modulo p^N.
+
+    The residual policy of every check lives here, derived from N:
+    ``identity_floor`` = N - 2 is the valuation a stated identity must
+    reach, and ``solve_floor`` = N - 4 the one a result read off a
+    solve must reach.  A solve (an elimination with valuation pivots, a
+    lattice membership, a unit rebuilt from its exponents, an inverse
+    through the norm) divides by its pivots and rebuilds through
+    logarithms, which can cost up to two digits more than computing the
+    two sides of an identity does.  ``require`` applies the policy.
     """
 
     def __init__(self, p: int, prec: int, guard: int = 24):
@@ -105,6 +114,8 @@ class PrimeContext:
         self.prec = prec
         self.guard = guard
         self.wprec = prec + guard
+        self.identity_floor = prec - 2
+        self.solve_floor = prec - 4
         self._powers = {}
 
     def pk(self, k: int) -> int:
@@ -115,6 +126,13 @@ class PrimeContext:
         if r is None:
             r = self.p**k
             self._powers[k] = r
+        return r
+
+    def require(self, r, what: str, floor=None):
+        """The residual valuation r, if it reaches floor (identity_floor
+        by default); otherwise PropertyFailure naming what failed."""
+        if r < (self.identity_floor if floor is None else floor):
+            raise PropertyFailure(f"{what} (valuation {r})")
         return r
 
     def __repr__(self):
@@ -347,10 +365,6 @@ class PadicScalar:
         if self.v < 0:
             raise InvalidInputError("negative valuation has no residue")
         return 0 if self.v > 0 else self.unit % self.ctx.p
-
-    def residual_valuation(self, other=0):
-        """Lower bound for v_p(self - other); the workhorse of all checks."""
-        return (self - self._coerce(other)).min_valuation()
 
     def congruent_to(self, other, modulus_exp: int) -> bool:
         """Exact congruence self = other mod p^modulus_exp.

@@ -212,7 +212,7 @@ class CycloElement:
         full = others * self
         norm = full.coords[0]
         floor = min(c.min_valuation() for c in full.coords[1:])
-        if not norm.is_zero and floor < norm.v + self.ctx.prec - 4:
+        if not norm.is_zero and floor < norm.v + self.ctx.solve_floor:
             raise PrecisionError(
                 "norm did not collapse to Q_p at working precision",
                 achieved=floor,
@@ -282,13 +282,9 @@ class CycloElement:
             return None
         return Fraction(min(keys) - d * denom, d)
 
-    def residual_valuation(self, other=None):
-        d = self if other is None else self - other
-        return d.min_valuation()
-
-    def scalar_part(self, threshold=None) -> PadicScalar:
+    def scalar_part(self) -> PadicScalar:
         """Extract the Q_p value of an element supported on zeta^0."""
-        thr = self.ctx.prec - 2 if threshold is None else threshold
+        thr = self.ctx.identity_floor
         for c in self.coords[1:]:
             if c.min_valuation() < thr:
                 raise PrecisionError(
@@ -390,47 +386,22 @@ class CycloTower:
             for a in self.gamma_orbit_exponents(x.field.n)
         ]
 
-    def delta_project(self, x: CycloElement) -> CycloElement:
-        f = x.field
-        acc = None
-        for a in f.delta_exponents():
-            t = x.galois(a)
-            acc = t if acc is None else acc + t
-        return acc.scale(Fraction(1, self.ctx.p - 1))
-
-    def is_delta_fixed(self, x: CycloElement, threshold=None) -> bool:
-        thr = self.ctx.prec - 2 if threshold is None else threshold
-        for a in x.field.delta_exponents():
-            if a == 1:
-                continue
-            if (x.galois(a) - x).min_valuation() < thr:
-                return False
-        return True
+    def is_delta_fixed(self, x: CycloElement) -> bool:
+        return all(
+            (x.galois(a) - x).min_valuation() >= self.ctx.identity_floor
+            for a in x.field.delta_exponents()
+            if a != 1
+        )
 
     # -- embeddings and relative maps --------------------------------------------------
 
-    def embed(self, x: CycloElement, n: int) -> CycloElement:
-        """Include K_m into K_n via zeta_{p^(m+1)} = zeta^(p^(n-m))."""
-        m = x.field.n
-        if m == n:
-            return x
-        if m > n:
-            raise InvalidInputError("cannot embed downwards")
-        f = self.field(n)
-        step = self.ctx.p ** (n - m)
-        z = self.ctx.zero(min(c.absprec for c in x.coords))
-        coords = [z] * f.degree
-        for j, c in enumerate(x.coords):
-            coords[j * step] = c
-        return CycloElement(f, tuple(coords))
-
-    def restrict(self, x: CycloElement, m: int, threshold=None) -> CycloElement:
+    def restrict(self, x: CycloElement, m: int) -> CycloElement:
         """Extract an element supported on the level-m subfield."""
         n = x.field.n
         if m == n:
             return x
         step = self.ctx.p ** (n - m)
-        thr = self.ctx.prec - 2 if threshold is None else threshold
+        thr = self.ctx.identity_floor
         fm = self.field(m)
         coords = []
         for j, c in enumerate(x.coords):
@@ -660,43 +631,6 @@ class CycloTower:
                 raise ConvergenceError("binomial power failed to converge")
         return acc
 
-    def exp_element(self, x: CycloElement) -> CycloElement:
-        """exp on the region v(x) > 1/(p-1).
-
-        exp is 1-Lipschitz there, so the series is run on an exact lift
-        of the coordinates with factorial headroom and the result is
-        truncated back to the input precision.
-        """
-        v = x.valuation()
-        if v is None:
-            return x.field.one()
-        margin = v - Fraction(1, self.ctx.p - 1)
-        if margin <= 0:
-            raise InvalidInputError(
-                f"exp needs v(x) > 1/(p-1); got v = {v}"
-            )
-        from .core import factorial_valuation
-
-        honest = min(c.absprec for c in x.coords)
-        bound = int(Fraction(honest + 8) / margin) + 8
-        elevated = honest + factorial_valuation(bound + 16, self.ctx.p) + 16
-        lifted = x.field.from_coords(
-            tuple(self.ctx.scalar(c.lift(), elevated) for c in x.coords)
-        )
-        target = honest + 4
-        acc = lifted.field.one(elevated)
-        term = lifted.field.one(elevated)
-        k = 1
-        while True:
-            term = (term * lifted).scale(Fraction(1, k))
-            if term.min_valuation() >= target:
-                break
-            acc = acc + term
-            k += 1
-            if k > bound + 16:
-                raise ConvergenceError("element exp failed to converge")
-        return acc.reduce_absprec(honest - 1)
-
     # -- series evaluation ----------------------------------------------------------------
 
     def eval_series(self, f: TruncatedSeries, x: CycloElement) -> CycloElement:
@@ -737,7 +671,7 @@ class CycloTower:
         """
         n = v.field.n
         tr = self.trace_kn_to_qp(v)
-        if not tr.is_zero and tr.v < self.ctx.prec - 2:
+        if not tr.is_zero and tr.v < self.ctx.identity_floor:
             raise InvalidInputError(
                 f"gamma_solve needs trace zero; got valuation {tr.min_valuation()}"
             )
@@ -750,7 +684,7 @@ class CycloTower:
         for c, b in zip(sol, basis):
             y = y + b.scale(c)
         resid = (self.gamma_apply(y) - y - v).min_valuation()
-        if resid < self.ctx.prec - 2:
+        if resid < self.ctx.identity_floor:
             raise PrecisionError(
                 f"gamma_solve residual only reaches valuation {resid}",
                 achieved=resid,
@@ -758,7 +692,7 @@ class CycloTower:
         return y
 
 
-def solve_columns(ctx, cols, rhs, consistency_threshold=None):
+def solve_columns(ctx, cols, rhs):
     """Solve sum_c x_c * cols[c] = rhs by exact Gauss-Jordan elimination.
 
     Pivots on minimal valuation; raises PrecisionError when the system
@@ -768,7 +702,6 @@ def solve_columns(ctx, cols, rhs, consistency_threshold=None):
     rows = len(rhs)
     ncols = len(cols)
     A = [[cols[c][r] for c in range(ncols)] + [rhs[r]] for r in range(rows)]
-    thr = ctx.prec - 2 if consistency_threshold is None else consistency_threshold
     pivot_of_col = {}
     used = set()
     for c in range(ncols):
@@ -801,7 +734,7 @@ def solve_columns(ctx, cols, rhs, consistency_threshold=None):
     for r in range(rows):
         if r in used:
             continue
-        if A[r][ncols].min_valuation() < thr:
+        if A[r][ncols].min_valuation() < ctx.identity_floor:
             raise PrecisionError(
                 "linear system inconsistent at precision"
                 f" (residual valuation {A[r][ncols].min_valuation()})",

@@ -203,7 +203,6 @@ class HondaData:
         self.ctx = ctx
         self.ell = ell
         self.report = report
-        self.ell_prime = ell.derivative()
         self.iota = iota
         self.iota_prime = iota.derivative()
         self.iota_inv = iota_inv
@@ -216,10 +215,6 @@ class HondaData:
         iota, iota_inv = build_iota(ell, inverse_order)
         epsilon = solve_epsilon(ell, ctx)
         return cls(ctx, ell, report, iota, iota_inv, epsilon)
-
-    @property
-    def order(self) -> int:
-        return self.ell.order
 
 
 def formal_add(x, y, honda: HondaData, tower):

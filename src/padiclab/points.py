@@ -78,10 +78,11 @@ class PointFamily:
 
 def build_points(honda: HondaData, tower: CycloTower, n_max: int) -> PointFamily:
     fam = PointFamily(honda, tower, n_max)
-    thr = tower.ctx.prec - 2
     for n in range(n_max + 1):
-        if not tower.is_delta_fixed(fam.c[n], thr):
-            raise PropertyFailure(f"c_{n} is not Delta-fixed at precision {thr}")
+        if not tower.is_delta_fixed(fam.c[n]):
+            raise PropertyFailure(
+                f"c_{n} is not Delta-fixed at precision {tower.ctx.identity_floor}"
+            )
     return fam
 
 
@@ -89,27 +90,22 @@ def verify_norm_tower(fam: PointFamily) -> dict:
     """N_{k_n/k_(n-1)}(d_n) = d_(n-1), and the trace compatibility of the
     logarithms; returns the residual valuations per level."""
     tower = fam.tower
-    thr = tower.ctx.prec - 2
+    ctx = tower.ctx
     report = {"norm_residuals": {}, "trace_residuals": {}}
     for n in range(1, fam.n_max + 1):
         norm = tower.norm(fam.d[n], n - 1)
-        resid = (norm - fam.d[n - 1]).min_valuation()
-        if resid < thr:
-            raise PropertyFailure(
-                f"norm compatibility fails at level {n} (residual valuation {resid})"
-            )
-        report["norm_residuals"][n] = resid
+        report["norm_residuals"][n] = ctx.require(
+            (norm - fam.d[n - 1]).min_valuation(),
+            f"norm compatibility fails at level {n}",
+        )
         tr = tower.trace(fam.log_d(n), n - 1)
-        tresid = (tr - fam.log_d(n - 1)).min_valuation()
-        if tresid < thr:
-            raise PropertyFailure(
-                f"log trace compatibility fails at level {n} (valuation {tresid})"
-            )
-        report["trace_residuals"][n] = tresid
-    d0_resid = (fam.d[0] - fam.tower.field(0).one()).min_valuation()
-    if d0_resid < thr:
-        raise PropertyFailure(f"d_0 differs from 1 (valuation {d0_resid})")
-    report["d0_residual"] = d0_resid
+        report["trace_residuals"][n] = ctx.require(
+            (tr - fam.log_d(n - 1)).min_valuation(),
+            f"log trace compatibility fails at level {n}",
+        )
+    report["d0_residual"] = ctx.require(
+        (fam.d[0] - tower.field(0).one()).min_valuation(), "d_0 differs from 1"
+    )
     return report
 
 
@@ -133,24 +129,20 @@ def verify_log_formula(fam: PointFamily, n: int) -> dict:
     """Field logarithm of d_n against the closed form, plus the split of
     the closed form into the two formal-group summands."""
     tower = fam.tower
-    thr = tower.ctx.prec - 2
+    ctx = tower.ctx
     closed = closed_form_log(tower, n)
-    direct = fam.log_d(n)
-    resid = (direct - closed).min_valuation()
-    if resid < thr:
-        raise PropertyFailure(
-            f"closed-form logarithm fails at level {n} (valuation {resid})"
-        )
+    resid = ctx.require(
+        (fam.log_d(n) - closed).min_valuation(),
+        f"closed-form logarithm fails at level {n}",
+    )
     # the epsilon summand evaluates to p, the zeta summand to the k-sum
     f = tower.field(n)
     z = f.zeta() - f.one()
     ell_at_z = tower.eval_series(fam.honda.ell, z)
-    ksum = closed - f.from_scalar(tower.ctx.p)
-    split_resid = (ell_at_z - ksum).min_valuation()
-    if split_resid < thr:
-        raise PropertyFailure(
-            f"ell(zeta - 1) differs from its closed form (valuation {split_resid})"
-        )
+    ksum = closed - f.from_scalar(ctx.p)
+    split_resid = ctx.require(
+        (ell_at_z - ksum).min_valuation(), "ell(zeta - 1) differs from its closed form"
+    )
     return {"level": n, "log_residual": resid, "summand_residual": split_resid}
 
 
@@ -159,11 +151,10 @@ def verify_two_routes(fam: PointFamily) -> dict:
     the epsilon-part of d_n."""
     ctx = fam.tower.ctx
     via_exp = padic_exp(ctx.scalar(ctx.p))
-    resid = (fam.one_plus_iota_eps - via_exp).min_valuation()
-    if resid < ctx.prec - 2:
-        raise PropertyFailure(
-            f"iota(epsilon) + 1 differs from exp(p) (valuation {resid})"
-        )
+    resid = ctx.require(
+        (fam.one_plus_iota_eps - via_exp).min_valuation(),
+        "iota(epsilon) + 1 differs from exp(p)",
+    )
     return {"exp_route_residual": resid}
 
 
@@ -217,7 +208,7 @@ class UnitLogLattice:
             coeffs.append(c)
             res = [res[j] - c * col[j] for j in range(self.dim)]
         floor = min(s.min_valuation() for s in res)
-        if floor < ctx.prec - 4:
+        if floor < ctx.solve_floor:
             raise PrecisionError(
                 f"membership residual only reaches valuation {floor}",
                 achieved=floor,
@@ -309,7 +300,7 @@ def _column_hnf(ctx, vectors, dim):
         basis_expr[r] = pe
     for idx in remaining:
         floor = min(s.min_valuation() for s in cols[idx][0])
-        if floor < ctx.prec - 4:
+        if floor < ctx.solve_floor:
             raise PrecisionError(
                 f"redundant lattice generator fails to reduce (valuation {floor})",
                 achieved=floor,
@@ -475,23 +466,21 @@ def solve_h90(fam: PointFamily, n: int, lattice: UnitLogLattice | None = None) -
     e, y0, (coeffs, exps) = hits[0]
     u_n = lattice.unit_from_exponents(exps)
     log_match = (tower.log_element(u_n) - y0).min_valuation()
-    if log_match < ctx.prec - 4:
+    if log_match < ctx.solve_floor:
         raise PrecisionError(
             f"reconstructed unit log matches only to valuation {log_match}",
             achieved=log_match,
         )
     x_n = pi**e * u_n
     # division-free form of x^gamma / x = d: gamma(x) - x d must vanish
-    cert = (tower.gamma_apply(x_n) - x_n * fam.d[n]).min_valuation()
-    if cert < ctx.prec - 4:
-        raise PropertyFailure(
-            f"x_n^gamma / x_n differs from d_n (valuation {cert})"
-        )
-    norm_res = (tower.norm_kn_to_qp(u_n) - 1).min_valuation()
-    if norm_res < ctx.prec - 4:
-        raise PropertyFailure(
-            f"N(u_n) differs from 1 (valuation {norm_res})"
-        )
+    cert = ctx.require(
+        (tower.gamma_apply(x_n) - x_n * fam.d[n]).min_valuation(),
+        "x_n^gamma / x_n differs from d_n",
+        ctx.solve_floor,
+    )
+    norm_res = ctx.require(
+        (tower.norm_kn_to_qp(u_n) - 1).min_valuation(), "N(u_n) differs from 1", ctx.solve_floor
+    )
     return H90Solution(tower, n, e, u_n, x_n, log_ratio, Fraction(cert), Fraction(norm_res), tuple(searched))
 
 

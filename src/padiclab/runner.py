@@ -16,6 +16,7 @@ from fractions import Fraction
 from .core import InvalidInputError, PadicError, PadicScalar, PrimeContext
 from .cyclotomic import CycloTower
 from .honda import HondaData, default_truncation
+from .series import log_one_plus_x
 from . import coleman as cm
 from . import points as pts
 from . import tate as tt
@@ -230,28 +231,16 @@ def run_suite(config: SuiteConfig) -> Report:
     return report
 
 
-def _check(report, name, anchor, fn, expected_fail=False):
+def _check(report, name, anchor, fn, status="pass", detail=""):
+    """Run fn and record its residual under status and detail; any
+    exception records a fail instead, with the error as its detail."""
     t0 = time.monotonic()
     try:
         residual = fn()
-        status = "pass"
-        detail = ""
-        if expected_fail:
-            status = "fail"
-            detail = "documented violation did not occur"
     except PadicError as exc:
-        if expected_fail:
-            status = "expected-fail"
-            detail = str(exc)
-            residual = None
-        else:
-            status = "fail"
-            detail = str(exc)
-            residual = None
+        status, detail, residual = "fail", str(exc), None
     except Exception as exc:  # noqa: BLE001 - recorded, process continues
-        status = "fail"
-        detail = f"{type(exc).__name__}: {exc}"
-        residual = None
+        status, detail, residual = "fail", f"{type(exc).__name__}: {exc}", None
     millis = int((time.monotonic() - t0) * 1000)
     report.checks.append(
         CheckResult(
@@ -266,6 +255,7 @@ def _check(report, name, anchor, fn, expected_fail=False):
 
 
 def _run_honda(s: _Session, report: Report):
+    ctx = s.ctx
     _check(
         report,
         "honda.frobenius-property",
@@ -292,47 +282,47 @@ def _run_honda(s: _Session, report: Report):
     )
 
     def log_roundtrip():
-        from .series import log_one_plus_x
-
         m = s.honda.iota_inv.order
         composed = s.honda.ell.truncate(m).compose(s.honda.iota_inv)
-        target = log_one_plus_x(s.ctx, m)
-        resid = min(
-            (a - b).min_valuation() for a, b in zip(composed.coeffs, target.coeffs)
+        target = log_one_plus_x(ctx, m)
+        return ctx.require(
+            min((a - b).min_valuation() for a, b in zip(composed.coeffs, target.coeffs)),
+            "log roundtrip fails",
         )
-        if resid < s.ctx.prec - 2:
-            raise cm.PropertyFailure(f"log roundtrip fails ({resid})")
-        return resid
 
     _check(report, "honda.log-of-inverse", "honda:integral-isomorphism", log_roundtrip)
-
-    def eps_residual():
-        r = (s.honda.ell.eval_scalar(s.honda.epsilon) - s.ctx.p).min_valuation()
-        if r < s.ctx.prec:
-            raise cm.PropertyFailure(f"ell(epsilon) - p has valuation {r}")
-        return r
-
-    _check(report, "honda.epsilon-residual", "honda:epsilon", eps_residual)
-
-    def eps_first_digit():
-        d = (s.honda.epsilon - s.ctx.p).min_valuation()
-        if d < 2:
-            raise cm.PropertyFailure("epsilon is not p mod p^2")
-        return d
-
-    _check(report, "honda.epsilon-first-digit", "honda:epsilon", eps_first_digit)
+    _check(
+        report,
+        "honda.epsilon-residual",
+        "honda:epsilon",
+        lambda: ctx.require(
+            (s.honda.ell.eval_scalar(s.honda.epsilon) - ctx.p).min_valuation(),
+            "ell(epsilon) - p does not vanish",
+            ctx.prec,
+        ),
+    )
+    _check(
+        report,
+        "honda.epsilon-first-digit",
+        "honda:epsilon",
+        lambda: ctx.require(
+            (s.honda.epsilon - ctx.p).min_valuation(), "epsilon is not p mod p^2", 2
+        ),
+    )
 
 
 def _run_points(s: _Session, report: Report):
+    ctx = s.ctx
+    levels = range(s.cfg["n_max"] + 1)
+
     def norm_tower():
         rep = pts.verify_norm_tower(s.fam)
-        vals = list(rep["norm_residuals"].values())
-        vals += list(rep["trace_residuals"].values())
-        vals.append(rep["d0_residual"])
-        return min(vals)
+        return min(
+            [*rep["norm_residuals"].values(), *rep["trace_residuals"].values(), rep["d0_residual"]]
+        )
 
     _check(report, "points.norm-tower", "prop:norm-compatible-system", norm_tower)
-    for n in range(s.cfg["n_max"] + 1):
+    for n in levels:
         _check(
             report,
             f"points.log-closed-form[n={n}]",
@@ -347,36 +337,42 @@ def _run_points(s: _Session, report: Report):
     )
 
     def delta_fixed():
-        for n in range(s.cfg["n_max"] + 1):
+        for n in levels:
             if not s.tower.is_delta_fixed(s.fam.c[n]):
                 raise cm.PropertyFailure(f"c_{n} not Delta-fixed")
-        return s.ctx.prec - 2
+        return ctx.identity_floor
 
     _check(report, "points.delta-fixed", "points:construction", delta_fixed)
 
-    def conj_norms():
-        worst = None
-        for n in range(1, s.cfg["n_max"] + 1):
-            d = s.fam.d[n]
-            for a in s.tower.gamma_orbit_exponents(n)[:3]:
-                nd = s.tower.norm_kn_to_qp(d.galois(a) if a != 1 else d)
-                r = (nd - 1).min_valuation()
-                worst = r if worst is None else min(worst, r)
-                if r < s.ctx.prec - 2:
-                    raise cm.PropertyFailure(
-                        f"N(d_{n}^sigma) - 1 has valuation {r}"
-                    )
-        return worst if worst is not None else s.ctx.prec
+    def conj_norm(n, a):
+        d = s.fam.d[n]
+        nd = s.tower.norm_kn_to_qp(d.galois(a) if a != 1 else d)
+        return ctx.require((nd - 1).min_valuation(), f"N(d_{n}^sigma) - 1 does not vanish")
 
-    _check(report, "points.conjugate-norms", "prop:norm-one", conj_norms)
+    if s.cfg["n_max"] >= 1:
+        _check(
+            report,
+            "points.conjugate-norms",
+            "prop:norm-one",
+            lambda: min(
+                conj_norm(n, a)
+                for n in levels[1:]
+                for a in s.tower.gamma_orbit_exponents(n)[:3]
+            ),
+        )
+    else:
+        _check(
+            report, "points.conjugate-norms", "prop:norm-one", lambda: None,
+            "skipped", "needs n_max >= 1",
+        )
 
-    for n in range(s.cfg["n_max"] + 1):
+    for n in levels:
         _check(
             report,
             f"points.generation[n={n}]",
             "prop:generation",
             lambda n=n: pts.verify_generation(s.fam, n)["index_valuation"]
-            or s.ctx.prec,
+            or ctx.prec,
         )
 
 
@@ -406,74 +402,49 @@ def _run_prop2(s: _Session, report: Report):
 
 
 def _run_coleman(s: _Session, report: Report):
-    levels = list(range(1, s.cfg["n_max"] + 1))
-    for n in levels:
+    # each battery is the least residual over its members; an empty
+    # battery has no minimum and so reports fail
+    for n in range(1, s.cfg["n_max"] + 1):
         ws = s.functionals(n)
-
-        def battery(n=n, ws=ws):
-            worst = None
-            for w in ws:
-                col = cm.coleman_level(w, s.fam, n)
-                r = cm.verify_trivial_zero(col)
-                worst = r if worst is None else min(worst, r)
-            return worst
-
         _check(
             report,
             f"coleman.trivial-zero[n={n}]",
             "coleman:trivial-zero",
-            battery,
+            lambda n=n, ws=ws: min(
+                cm.verify_trivial_zero(cm.coleman_level(w, s.fam, n)) for w in ws
+            ),
         )
-
-        def convolution(n=n, ws=ws):
-            worst = None
-            for w in ws[:5]:
-                r = cm.verify_convolution(w, s.fam, n)
-                worst = r if worst is None else min(worst, r)
-            return worst
-
         _check(
             report,
             f"coleman.convolution[n={n}]",
             "coleman:dual-exponential-convolution",
-            convolution,
+            lambda n=n, ws=ws: min(cm.verify_convolution(w, s.fam, n) for w in ws[:5]),
         )
 
         def abel(n=n, ws=ws):
             # the identity holds for every functional, so the battery
             # includes one with the admissibility constraint broken
             broken = cm.UnitFunctional(s.tower, ws[0].densities, ws[0].alpha + 1)
-            worst = None
-            for w in list(ws) + [broken]:
-                _, rep = cm.derivative_rep(w, s.h90(n), s.fam, n)
-                r = rep["abel_residual"]
-                worst = r if worst is None else min(worst, r)
-            return worst
+            return min(
+                cm.derivative_rep(w, s.h90(n), s.fam, n)[1]["abel_residual"]
+                for w in [*ws, broken]
+            )
 
         _check(report, f"coleman.abel-identity[n={n}]", "derivative:abel", abel)
-
-        def key2(n=n, ws=ws):
-            worst = None
-            for w in ws:
-                r = cm.verify_key2(w, s.q)
-                worst = r if worst is None else min(worst, r)
-            return worst
-
-        _check(report, f"coleman.valuation-slope[n={n}]", "eq:valuation-slope", key2)
-
-        def dcol(n=n, ws=ws):
-            worst = None
-            for w in ws:
-                rep = cm.verify_dcol(w, s.h90(n), s.q, s.fam, n)
-                r = rep["residual_valuation"]
-                worst = r if worst is None else min(worst, r)
-            return worst
-
+        _check(
+            report,
+            f"coleman.valuation-slope[n={n}]",
+            "eq:valuation-slope",
+            lambda ws=ws: min(cm.verify_key2(w, s.q) for w in ws),
+        )
         _check(
             report,
             f"coleman.derivative-congruence[n={n}]",
             "thm:derivative-leading-coefficient",
-            dcol,
+            lambda n=n, ws=ws: min(
+                cm.verify_dcol(w, s.h90(n), s.q, s.fam, n)["residual_valuation"]
+                for w in ws
+            ),
         )
 
         if n >= 2 or (n == 1 and s.cfg["n_max"] >= 2):
@@ -483,69 +454,42 @@ def _run_coleman(s: _Session, report: Report):
                 "coleman:projection-compatibility",
                 lambda n=n: cm.verify_level_compatibility(s.functionals(n)[0], s.fam, n),
             )
-
-        def char_sums(n=n):
-            worst = None
-            for chi in cm.primitive_characters(s.tower, n):
-                r = cm.verify_char_sum(s.fam, chi)
-                worst = r if worst is None else min(worst, r)
-            trivial = cm.CharacterData(s.tower, n, 0, 0)
-            r = cm.verify_char_sum(s.fam, trivial)
-            worst = r if worst is None else min(worst, r)
-            return worst
-
-        _check(report, f"coleman.character-sums[n={n}]", "eq:gauss-sum", char_sums)
-
-        def gauss_products(n=n):
-            worst = None
-            for chi in cm.primitive_characters(s.tower, n):
-                r = cm.verify_gauss_product(chi)
-                worst = r if worst is None else min(worst, r)
-            return worst
-
-        _check(report, f"coleman.gauss-product[n={n}]", "eq:gauss-sum", gauss_products)
+        _check(
+            report,
+            f"coleman.character-sums[n={n}]",
+            "eq:gauss-sum",
+            lambda n=n: min(
+                cm.verify_char_sum(s.fam, chi)
+                for chi in [
+                    *cm.primitive_characters(s.tower, n),
+                    cm.CharacterData(s.tower, n, 0, 0),
+                ]
+            ),
+        )
+        _check(
+            report,
+            f"coleman.gauss-product[n={n}]",
+            "eq:gauss-sum",
+            lambda n=n: min(
+                cm.verify_gauss_product(chi) for chi in cm.primitive_characters(s.tower, n)
+            ),
+        )
 
 
 def _run_negative_control(s: _Session, report: Report):
-    n = min(2, s.cfg["n_max"])
+    name, anchor = "coleman.negative-control", "coleman:levelwise-vs-compatible"
     if s.cfg["p"] != 3 or s.cfg["n_max"] < 2:
-        report.checks.append(
-            CheckResult(
-                name="coleman.negative-control",
-                anchor="coleman:levelwise-vs-compatible",
-                status="skipped",
-                detail="defined at p=3, n=2",
-            )
-        )
+        _check(report, name, anchor, lambda: None, "skipped", "defined at p=3, n=2")
         return
-
-    def control():
-        rep = cm.negative_control(s.fam, s.h90(n), s.q, n=n)
-        if not rep["violated"]:
-            raise cm.PropertyFailure("control unexpectedly consistent")
-        return rep["difference_valuation"]
-
-    # The check asserts that the documented violation occurs; it is
-    # reported as expected-fail in the schema, never silently skipped.
-    t0 = time.monotonic()
-    try:
-        residual = control()
-        status = "expected-fail"
-        detail = "mod-p^2 derivative comparison violated, as documented"
-    except PadicError as exc:
-        status = "fail"
-        residual = None
-        detail = f"negative control did not behave as documented: {exc}"
-    millis = int((time.monotonic() - t0) * 1000)
-    report.checks.append(
-        CheckResult(
-            name="coleman.negative-control",
-            anchor="coleman:levelwise-vs-compatible",
-            status=status,
-            residual_valuation=_residual_repr(residual),
-            millis=millis,
-            detail=detail,
-        )
+    # negative_control raises unless the documented violation occurs, so
+    # its residual is reported as expected-fail, never silently skipped
+    _check(
+        report,
+        name,
+        anchor,
+        lambda: cm.negative_control(s.fam, s.h90(2), s.q, n=2)["difference_valuation"],
+        "expected-fail",
+        "mod-p^2 derivative comparison violated, as documented",
     )
 
 
@@ -564,33 +508,32 @@ def _run_tate(s: _Session, report: Report):
 
     def integrality():
         qs, _ = tt.default_grid(ctx)
-        worst = None
-        for q in qs:
-            a4, a6 = tt.a_invariants(q.value())
-            w = min(a4.min_valuation(), a6.min_valuation())
-            worst = w if worst is None else min(worst, w)
-        if worst < 0:
-            raise cm.PropertyFailure("a-invariants not integral")
-        return worst
+        return ctx.require(
+            min(
+                min(a4.min_valuation(), a6.min_valuation())
+                for a4, a6 in (tt.a_invariants(q.value()) for q in qs)
+            ),
+            "a-invariants not integral",
+            0,
+        )
 
     _check(report, "tate.a-integrality", "tate:q-expansion", integrality)
 
     def residual_grid():
         qs, us = tt.default_grid(ctx)
-        worst = None
-        for q in qs:
-            a_inv = tt.a_invariants(q.value())
-            for u in us:
-                if (u - 1).is_zero:
-                    continue
-                _, _, resid = tt.uniformize_point(u, q, a_inv)
-                r = resid.min_valuation()
-                worst = r if worst is None else min(worst, r)
-                if r < ctx.prec - 2:
-                    raise cm.PropertyFailure(
-                        f"Weierstrass residual valuation {r} at q={q.ord},{q.unit}"
-                    )
-        return worst
+
+        def residuals():
+            for q in qs:
+                a_inv = tt.a_invariants(q.value())
+                for u in us:
+                    if not (u - 1).is_zero:
+                        _, _, resid = tt.uniformize_point(u, q, a_inv)
+                        yield ctx.require(
+                            resid.min_valuation(),
+                            f"Weierstrass residual at q={q.ord},{q.unit} does not vanish",
+                        )
+
+        return min(residuals())
 
     _check(report, "tate.weierstrass-residual-grid", "tate:uniformization", residual_grid)
 
@@ -601,21 +544,16 @@ def _run_tate(s: _Session, report: Report):
         a_inv = tt.a_invariants(q.value())
         x1, _, _ = tt.uniformize_point(u, q, a_inv)
         x2, _, _ = tt.uniformize_point(u.inverse(), q, a_inv)
-        r = (x1 - x2).min_valuation()
-        if r < ctx.prec - 2:
-            raise cm.PropertyFailure(f"u <-> 1/u symmetry fails ({r})")
-        return r
+        return ctx.require((x1 - x2).min_valuation(), "u <-> 1/u symmetry fails")
 
     _check(report, "tate.inversion-symmetry", "tate:uniformization", symmetry)
 
     def formal_iso():
         qs, _ = tt.default_grid(ctx)
-        worst = None
-        for q in qs:
-            rep = tt.verify_formal_iso(ctx, q)
-            r = min(rep["roundtrip_residual"], rep["pullback_residual"])
-            worst = r if worst is None else min(worst, r)
-        return worst
+        return min(
+            min(rep["roundtrip_residual"], rep["pullback_residual"])
+            for rep in (tt.verify_formal_iso(ctx, q) for q in qs)
+        )
 
     _check(report, "tate.formal-group-identification", "tate:formal-iso", formal_iso)
 
@@ -634,10 +572,10 @@ def _run_mtt(s: _Session, report: Report):
         r1 = tt.mtt_report(ctx, s.q, s.cfg["lratio"], s.cfg["kappa_gamma"])
         r2 = tt.mtt_report(ctx, q2, s.cfg["lratio"], s.cfg["kappa_gamma"])
         # q -> q^2 leaves log/ord invariant
-        resid = (r1["ds_prediction"] - r2["ds_prediction"]).min_valuation()
-        if resid < ctx.prec - 2:
-            raise cm.PropertyFailure(f"squaring covariance fails ({resid})")
-        return resid
+        return ctx.require(
+            (r1["ds_prediction"] - r2["ds_prediction"]).min_valuation(),
+            "squaring covariance fails",
+        )
 
     _check(report, "mtt.parameter-scaling", "mtt:derivative", scaling)
 

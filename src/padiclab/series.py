@@ -289,38 +289,6 @@ class TruncatedSeries:
             rows[1].append(-g1 * s % mod)
         return TruncatedSeries(ctx, [PadicScalar._make(ctx, 0, c, prec) for c in rows[1]])
 
-    # -- analytic log/exp ----------------------------------------------------------
-
-    def log(self) -> "TruncatedSeries":
-        """log f for f = 1 + (positive order); computed as integral of f'/f."""
-        c0 = self.coeffs[0]
-        if c0.is_zero or not (c0 - 1).is_zero:
-            raise InvalidInputError("series log needs constant term 1")
-        return (self.derivative() * self.reciprocal()).truncate(
-            self.order - 1
-        ).integrate().truncate(self.order)
-
-    def exp(self) -> "TruncatedSeries":
-        """exp f for f(0) = 0, by the ODE u' = f' u, u(0) = 1.
-
-        Each degree divides by its index once, so the precision of the
-        degree-m coefficient honestly decays by v_p(m!) in the worst
-        case; callers supply series built with enough headroom.
-        """
-        if not self.coeffs[0].is_zero:
-            raise InvalidInputError("series exp needs constant term 0")
-        ctx = self.ctx
-        out = [ctx.one(self.coeffs[0].absprec)]
-        dcoeffs = [self.coeff(i + 1) * (i + 1) for i in range(self.order)]
-        for m in range(self.order):
-            s = ctx.zero(out[0].absprec)
-            for j in range(m + 1):
-                c = dcoeffs[j]
-                if not c.is_zero:
-                    s = s + c * out[m - j]
-            out.append(s / (m + 1))
-        return TruncatedSeries(ctx, out)
-
     # -- evaluation ------------------------------------------------------------------
 
     def eval_scalar(self, x: PadicScalar) -> PadicScalar:

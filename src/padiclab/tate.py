@@ -288,17 +288,12 @@ def verify_formal_iso(ctx: PrimeContext, q, order: int = 64) -> dict:
         raise PropertyFailure(
             f"uniformizing series has a non-integral coefficient ({worst})"
         )
-    lead = (t_of_x.coeff(1) - 1).min_valuation()
-    thr = ctx.prec - 2
-    if lead < thr or not t_of_x.coeff(0).is_zero:
-        raise PropertyFailure("uniformizing series does not start at X")
+    if not t_of_x.coeff(0).is_zero:
+        raise PropertyFailure("uniformizing series has a constant term")
+    ctx.require((t_of_x.coeff(1) - 1).min_valuation(), "uniformizing series does not start at X")
     logx = log_one_plus_x(ctx, order, min(c.absprec for c in lam.coeffs))
     roundtrip = lam.compose(t_of_x)
-    rt_resid = _series_residual(roundtrip, logx)
-    if rt_resid < thr:
-        raise PropertyFailure(
-            f"log roundtrip fails (valuation {rt_resid})"
-        )
+    rt_resid = ctx.require(_series_residual(roundtrip, logx), "log roundtrip fails")
     # pullback of dx/(2y+x): both through the composed derivative and the
     # chain rule, against 1/(1+X)
     geo = geometric_inverse(ctx, order - 1)
@@ -306,15 +301,12 @@ def verify_formal_iso(ctx: PrimeContext, q, order: int = 64) -> dict:
     pull1 = _series_residual(d_composed, geo)
     chain = t_of_x.derivative() * omega.compose(t_of_x).truncate(order - 1)
     pull2 = _series_residual(chain.truncate(order - 1), geo)
-    if min(pull1, pull2) < thr:
-        raise PropertyFailure(
-            f"differential pullback fails (valuations {pull1}, {pull2})"
-        )
+    pull_resid = ctx.require(min(pull1, pull2), "differential pullback fails")
     return {
         "order": order,
         "t_integral_floor": worst,
         "roundtrip_residual": rt_resid,
-        "pullback_residual": min(pull1, pull2),
+        "pullback_residual": pull_resid,
     }
 
 
@@ -353,17 +345,8 @@ def mtt_report(ctx: PrimeContext, q: TateParameter, lratio, kappa_gamma: int | N
     log_kappa2 = iwasawa_log(ctx.scalar(kg2))
     dX2 = ctx.scalar(ctx.p) / (log_kappa2 * (ctx.p - 1)) * q.slope() * e0
     ds2 = log_kappa2 * dX2
-    invariance = (ds - ds2).min_valuation()
-    if invariance < ctx.prec - 2:
-        raise PropertyFailure(
-            f"s-derivative depends on the generator (valuation {invariance})"
-        )
-    slope_times_l = q.slope() * lratio
-    cancel = (ds - slope_times_l).min_valuation()
-    if cancel < ctx.prec - 2:
-        raise PropertyFailure(
-            f"Euler-factor cancellation fails (valuation {cancel})"
-        )
+    invariance = ctx.require((ds - ds2).min_valuation(), "s-derivative depends on the generator")
+    ctx.require((ds - q.slope() * lratio).min_valuation(), "Euler-factor cancellation fails")
     return {
         "euler_factor": euler,
         "interpolation_input": e0,

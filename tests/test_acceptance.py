@@ -3,7 +3,9 @@ default grid p in {3, 5}, n <= 2 for p = 3 and n <= 1 for p = 5, at
 precision N = 30, with one printed verdict line per criterion.
 
 Congruence tolerances are pinned here and nowhere else:
-  - exact identities must reach residual valuation >= N - 2,
+  - exact identities must reach residual valuation >= N - 2, and the
+    library's ``PrimeContext.identity_floor`` (its ``solve_floor``,
+    N - 4) is asserted to equal this,
   - epsilon's defining residual must reach >= N,
   - stated congruences hold at their exact stated moduli,
   - pass-statuses must be stable under N -> N + 5,
@@ -231,6 +233,18 @@ def test_criterion_12_determinism_and_stability(reports, reports_higher):
             f"{'PASS' if not diffs else f'FAIL {diffs}'}"
         )
         assert not diffs
+
+
+def test_library_floors_match_the_gate():
+    # the library's one residual policy must not drift from the tolerances
+    # pinned above: identities at N - 2, solved quantities at N - 4
+    contexts = [PrimeContext(p, prec) for p, _ in GRID for prec in (N, N + 5)]
+    ok = all(
+        (ctx.identity_floor, ctx.solve_floor) == (ctx.prec - 2, ctx.prec - 4)
+        for ctx in contexts
+    )
+    print(f"ACCEPTANCE policy floors: {'PASS' if ok else 'FAIL'}")
+    assert ok
 
 
 def test_grid_reports_fully_green(reports):

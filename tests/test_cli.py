@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -88,6 +89,38 @@ def test_negative_control_skipped_elsewhere():
     rep = run_suite(SuiteConfig(**{**SMALL, "suites": ("coleman-negative-control",)}))
     checks = {c.name: c for c in rep.checks}
     assert checks["coleman.negative-control"].status == "skipped"
+
+
+def test_conjugate_norms_skipped_at_level_zero():
+    # no level n >= 1 means no conjugate norm to measure: skipped, not passed
+    rep = run_suite(SuiteConfig(p=3, n_max=0, prec=10, suites=("points",)))
+    nc = {c.name: c for c in rep.checks}["points.conjugate-norms"]
+    assert (nc.status, nc.residual_valuation, nc.detail) == ("skipped", None, "needs n_max >= 1")
+    assert rep.exit_code == 0
+    assert main(["--nmax", "0", "--prec", "10", "--suite", "points", "--out", os.devnull]) == 0
+
+
+def test_negative_control_error_is_reported(monkeypatch):
+    import padiclab.coleman
+
+    def crash(*args, **kwargs):
+        raise ZeroDivisionError("injected")
+
+    monkeypatch.setattr(padiclab.coleman, "negative_control", crash)
+    cfg = SuiteConfig(p=3, n_max=2, prec=10, n_functionals=1, suites=("coleman-negative-control",))
+    nc = {c.name: c for c in run_suite(cfg).checks}["coleman.negative-control"]
+    assert (nc.status, nc.detail) == ("fail", "ZeroDivisionError: injected")
+
+
+def test_empty_battery_fails(monkeypatch):
+    import padiclab.coleman
+
+    monkeypatch.setattr(padiclab.coleman, "primitive_characters", lambda tower, n: [])
+    rep = run_suite(SuiteConfig(**{**SMALL, "suites": ("coleman",)}))
+    checks = {c.name: c.status for c in rep.checks}
+    assert checks["coleman.gauss-product[n=1]"] == "fail"
+    # the trivial character is still a member of the character-sum battery
+    assert checks["coleman.character-sums[n=1]"] == "pass"
 
 
 def test_empty_suite_list():

@@ -1,0 +1,70 @@
+"""The residual policy lives in PrimeContext: no module states its own
+tolerance, and ``require`` is the one place a residual passes or fails."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import padiclab
+from padiclab import PrimeContext, PropertyFailure
+
+SRC = Path(padiclab.__file__).parent
+
+
+def _prec_literals(tree):
+    """Line numbers of ``prec - <int>`` outside PrimeContext.__init__."""
+    allowed = set()
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and cls.name == "PrimeContext":
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name == "__init__":
+                    allowed = {id(node) for node in ast.walk(fn)}
+    found = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.Sub)
+            and isinstance(node.right, ast.Constant)
+            and isinstance(node.right.value, int)
+            and getattr(node.left, "attr", getattr(node.left, "id", None)) == "prec"
+            and id(node) not in allowed
+        ):
+            found.append(node.lineno)
+    return found
+
+
+def _threshold_parameters(tree):
+    return [
+        (getattr(node, "name", "<lambda>"), arg.arg)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for arg in [*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs]
+        if "threshold" in arg.arg
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_states_its_own_tolerance(path):
+    tree = ast.parse(path.read_text())
+    assert _prec_literals(tree) == [], f"{path.name}: prec - k literal outside PrimeContext"
+    assert _threshold_parameters(tree) == []
+
+
+def test_scan_finds_a_literal_tolerance():
+    tree = ast.parse(
+        "def f(ctx, r, threshold=None):\n    return r >= ctx.prec - 2\n"
+        "class PrimeContext:\n    def __init__(self, prec):\n        self.x = prec - 2\n"
+    )
+    assert _prec_literals(tree) == [2]
+    assert _threshold_parameters(tree) == [("f", "threshold")]
+
+
+def test_require_returns_or_names_the_failure():
+    ctx = PrimeContext(5, 12)
+    assert ctx.require(10, "identity") == 10
+    assert ctx.require(8, "solve", ctx.solve_floor) == 8
+    with pytest.raises(PropertyFailure, match=r"^identity fails \(valuation 9\)$"):
+        ctx.require(9, "identity fails")
+    with pytest.raises(PropertyFailure, match="valuation 7"):
+        ctx.require(7, "solve", ctx.solve_floor)
