@@ -462,23 +462,17 @@ def verify_dcol(
     }
 
 
-def negative_control(
-    fam: PointFamily,
-    sol: H90Solution,
-    q: TateParameter,
-    n: int = 2,
-    e0=1,
-) -> dict:
-    """The pure trace-type family is admissible levelwise yet fails the
-    mod-p^2 comparison between the polynomial lift's derivative and D_n;
-    the violation is asserted to occur.
+def negative_control(fam: PointFamily, sol: H90Solution, q: TateParameter, n: int = 2) -> dict:
+    """The pure trace-type family with E_0 = 1 is admissible levelwise yet
+    fails the mod-p^2 comparison between the polynomial lift's derivative
+    and D_n; the violation is asserted to occur.
 
     Levelwise admissibility is therefore strictly weaker than membership
     in the image of the compatible-family map.
     """
     tower = fam.tower
     ctx = tower.ctx
-    w = UnitFunctional.trace_type(tower, n, e0, q)
+    w = UnitFunctional.trace_type(tower, n, 1, q)
     w.check_tower_compatibility()
     col = coleman_level(w, fam, n)
     ctx.require(

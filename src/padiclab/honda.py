@@ -161,16 +161,16 @@ def _exp_minus_one_integral(ell: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(ctx, coeffs)
 
 
-def build_iota(ell: TruncatedSeries, inverse_order: int = 160) -> tuple:
+def build_iota(ell: TruncatedSeries) -> tuple:
     """iota = exp(ell) - 1, certified integral coefficientwise, with its
-    compositional inverse (checked integral to ``inverse_order``)."""
+    compositional inverse (checked integral to order 160)."""
     iota = _exp_minus_one_integral(ell)
     ok, worst = iota.is_integral()
     if not ok:
         raise PropertyFailure(
             f"iota has a non-integral coefficient (valuation {worst})"
         )
-    inv = iota.truncate(min(inverse_order, iota.order)).reversion()
+    inv = iota.truncate(min(160, iota.order)).reversion()
     ok, worst_inv = inv.is_integral()
     if not ok:
         raise PropertyFailure(
@@ -209,10 +209,10 @@ class HondaData:
         self.epsilon = epsilon
 
     @classmethod
-    def build(cls, ctx: PrimeContext, order: int, inverse_order: int = 160) -> "HondaData":
+    def build(cls, ctx: PrimeContext, order: int) -> "HondaData":
         ell = build_ell(ctx, order)
         report = check_honda(ell)
-        iota, iota_inv = build_iota(ell, inverse_order)
+        iota, iota_inv = build_iota(ell)
         epsilon = solve_epsilon(ell, ctx)
         return cls(ctx, ell, report, iota, iota_inv, epsilon)
 

@@ -42,6 +42,7 @@ class PointFamily:
         self.raw_d = []
         self._log_d = {}
         self._log_d_conj = {}
+        self._lattices = {}
         iota_eps = honda.iota.eval_scalar(honda.epsilon)
         self.one_plus_iota_eps = 1 + iota_eps
         for n in range(n_max + 1):
@@ -68,6 +69,12 @@ class PointFamily:
         if n not in self._log_d_conj:
             self._log_d_conj[n] = self.tower.gamma_conjugates(self.log_d(n))
         return self._log_d_conj[n]
+
+    def lattice(self, n: int) -> "UnitLogLattice":
+        """log U^1_n as a lattice, built once per level."""
+        if n not in self._lattices:
+            self._lattices[n] = UnitLogLattice(self.tower, n)
+        return self._lattices[n]
 
     def raw_delta_defect(self, n: int) -> CycloElement:
         """delta(raw)/raw for a generator of Delta: a p-power root of unity."""
@@ -193,18 +200,16 @@ class UnitLogLattice:
         self._pi_powers = pi_powers
         self.basis, self.basis_expr = _column_hnf(ctx, vectors, self.dim)
 
-    def membership(self, y_coords):
-        """Integral coordinates of y in the lattice, or None.
-
-        Returns (coords_in_basis, exponents_over_generators).
+    def coords(self, y_coords):
+        """Coordinates of y (in pi-power coordinates) over the lattice basis,
+        by one forward substitution; the leftover must vanish to solve_floor.
         """
         ctx = self.tower.ctx
         res = list(y_coords)
         coeffs = []
         for r in range(self.dim):
             col = self.basis[r]
-            piv = col[r]
-            c = res[r] / piv
+            c = res[r] / col[r]
             coeffs.append(c)
             res = [res[j] - c * col[j] for j in range(self.dim)]
         floor = min(s.min_valuation() for s in res)
@@ -213,9 +218,17 @@ class UnitLogLattice:
                 f"membership residual only reaches valuation {floor}",
                 achieved=floor,
             )
-        for c in coeffs:
-            if not c.is_zero and c.v < 0:
-                return None
+        return coeffs
+
+    def membership(self, y_coords):
+        """Integral coordinates of y in the lattice, or None.
+
+        Returns (coords_in_basis, exponents_over_generators).
+        """
+        ctx = self.tower.ctx
+        coeffs = self.coords(y_coords)
+        if not _integral(coeffs):
+            return None
         exps = [ctx.zero() for _ in self.generators]
         for c, expr in zip(coeffs, self.basis_expr):
             for g, e in enumerate(expr):
@@ -243,19 +256,9 @@ class UnitLogLattice:
             acc = acc * g ** (e.lift() % cap)
         return acc
 
-    def coords_matrix(self, vectors):
-        """Express vectors in the lattice basis (forward substitution)."""
-        out = []
-        for y in vectors:
-            res = list(y)
-            coeffs = []
-            for r in range(self.dim):
-                col = self.basis[r]
-                c = res[r] / col[r]
-                coeffs.append(c)
-                res = [res[j] - c * col[j] for j in range(self.dim)]
-            out.append(coeffs)
-        return out
+
+def _integral(coeffs) -> bool:
+    return all(c.is_zero or c.v >= 0 for c in coeffs)
 
 
 def _column_hnf(ctx, vectors, dim):
@@ -342,24 +345,21 @@ def smith_valuations(ctx, rows):
     return sorted(divisors)
 
 
-def verify_generation(fam: PointFamily, n: int, u: int | None = None) -> dict:
-    """The Z_p[Gamma_n]-span of d_n together with u must be all of U^1_n:
-    compare log-lattices by elementary divisors."""
+def verify_generation(fam: PointFamily, n: int) -> dict:
+    """The Z_p[Gamma_n]-span of d_n together with u = 1 + p must be all of
+    U^1_n: compare log-lattices by elementary divisors."""
     tower = fam.tower
     ctx = tower.ctx
-    u_val = (1 + ctx.p) if u is None else u
-    lattice = UnitLogLattice(tower, n)
+    lattice = fam.lattice(n)
     vectors = [tower.to_pi_coords(conj) for conj in fam.log_d_conjugates(n)]
-    log_u = iwasawa_log(ctx.scalar(u_val))
+    log_u = iwasawa_log(ctx.scalar(1 + ctx.p))
     vectors.append([log_u] + [ctx.zero()] * (lattice.dim - 1))
-    coords = lattice.coords_matrix(vectors)
-    for row in coords:
-        for c in row:
-            if not c.is_zero and c.v < 0:
-                raise PropertyFailure(
-                    "span of the points leaves the unit lattice; "
-                    f"coordinate valuation {c.v}"
-                )
+    coords = [lattice.coords(v) for v in vectors]
+    if not all(map(_integral, coords)):
+        worst = min(c.v for row in coords for c in row if not c.is_zero)
+        raise PropertyFailure(
+            f"span of the points leaves the unit lattice; coordinate valuation {worst}"
+        )
     divisors = smith_valuations(ctx, coords)
     rank = len(divisors)
     if rank != lattice.dim:
@@ -397,9 +397,6 @@ class H90Solution:
     norm_residual: Fraction
     searched: tuple = field(default=())
 
-    def e_class(self, modulus: int) -> int:
-        return self.e % modulus
-
     @cached_property
     def log_x_conjugates(self):
         """log(x_n)^(gamma^i), i = 0..p^n - 1, in gamma_orbit_exponents order."""
@@ -415,14 +412,18 @@ class H90Solution:
         return self.tower.norm_kn_to_qp(self.x_n)
 
 
-def solve_h90(fam: PointFamily, n: int, lattice: UnitLogLattice | None = None) -> H90Solution:
+def solve_h90(fam: PointFamily, n: int) -> H90Solution:
     """Find e in {0..p^n-1} and a norm-one principal unit u_n with
     d_n = (pi_n^e u_n)^(gamma-1).
 
-    Brute force over the p^n residue classes: for each candidate the
-    additive equation (gamma - 1) y = log(d_n pi^((1-gamma)e)) is solved
-    and y (trace-normalised) is tested for membership in log U^1_n.  The
-    candidate e is never taken from the congruence it later certifies.
+    The trace-normalised solution y(e) of (gamma - 1) y = log d_n +
+    e log pi^(1-gamma) is linear in e, and so are its lattice coordinates:
+    two solves give c(e) = c_0 + e (c_1 - c_0).  The class test is here:
+    e in range(p^n) qualifies when c(e) is integral (p^n * dim scalar
+    operations), and the one that does is rebuilt from y_0 + e (y_1 - y_0)
+    by the lattice membership.  e is never taken from the congruence it
+    later certifies; tests/test_points.py keeps the solve-per-class search
+    as an oracle.
     """
     tower = fam.tower
     ctx = tower.ctx
@@ -433,39 +434,40 @@ def solve_h90(fam: PointFamily, n: int, lattice: UnitLogLattice | None = None) -
             tower, 0, 0, f.one(), f.one(), f.zero(),
             Fraction(ctx.wprec), Fraction(ctx.wprec),
         )
-    lattice = UnitLogLattice(tower, n) if lattice is None else lattice
+    lattice = fam.lattice(n)
     f = tower.field(n)
     pi = tower.uniformizer(n)
     ratio = pi / tower.gamma_apply(pi)  # pi^(1 - gamma)
     if ratio.residue() != 1:
         raise PropertyFailure("pi^(1-gamma) is not a principal unit")
     log_ratio = tower.log_element(ratio)
-    log_d = fam.log_d(n)
     pn = p**n
-    hits = []
-    searched = []
-    for e in range(pn):
-        log_Ae = log_d + log_ratio.scale(e)
-        y = tower.gamma_solve(log_Ae)
-        tr = tower.trace_kn_to_qp(y)
-        y0 = y - f.from_scalar(tr / pn)
-        member = lattice.membership(tower.to_pi_coords(y0))
-        searched.append(e)
-        if member is not None:
-            hits.append((e, y0, member))
+
+    def normalised_solve(e):
+        y = tower.gamma_solve(fam.log_d(n) + log_ratio.scale(e))
+        return y - f.from_scalar(tower.trace_kn_to_qp(y) / pn)
+
+    y0, y1 = normalised_solve(0), normalised_solve(1)
+    c0, c1 = (lattice.coords(tower.to_pi_coords(y)) for y in (y0, y1))
+    dc = [b - a for a, b in zip(c0, c1)]
+    hits = [e for e in range(pn) if _integral([a + b * e for a, b in zip(c0, dc)])]
     if not hits:
         raise PropertyFailure(
             "no residue class admits a norm-one Hilbert-90 solution"
         )
     if len(hits) > 1:
         raise PrecisionError(
-            f"multiple candidate classes {[h[0] for h in hits]};"
-            " raise the working precision",
+            f"multiple candidate classes {hits}; raise the working precision",
             achieved=ctx.prec,
         )
-    e, y0, (coeffs, exps) = hits[0]
+    e = hits[0]
+    y = y0 + (y1 - y0).scale(e)
+    member = lattice.membership(tower.to_pi_coords(y))
+    if member is None:
+        raise PrecisionError(f"class {e} fails the lattice membership", achieved=ctx.prec)
+    _, exps = member
     u_n = lattice.unit_from_exponents(exps)
-    log_match = (tower.log_element(u_n) - y0).min_valuation()
+    log_match = (tower.log_element(u_n) - y).min_valuation()
     if log_match < ctx.solve_floor:
         raise PrecisionError(
             f"reconstructed unit log matches only to valuation {log_match}",
@@ -481,7 +483,9 @@ def solve_h90(fam: PointFamily, n: int, lattice: UnitLogLattice | None = None) -
     norm_res = ctx.require(
         (tower.norm_kn_to_qp(u_n) - 1).min_valuation(), "N(u_n) differs from 1", ctx.solve_floor
     )
-    return H90Solution(tower, n, e, u_n, x_n, log_ratio, Fraction(cert), Fraction(norm_res), tuple(searched))
+    return H90Solution(
+        tower, n, e, u_n, x_n, log_ratio, Fraction(cert), Fraction(norm_res), tuple(range(pn))
+    )
 
 
 def verify_prop2(sol: H90Solution, tower: CycloTower) -> dict:

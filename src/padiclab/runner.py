@@ -8,6 +8,7 @@ emission.
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from dataclasses import dataclass, field, asdict
@@ -171,7 +172,6 @@ class _Session:
         self._honda = None
         self._fam = None
         self._h90 = {}
-        self._lattices = {}
         self._functionals = {}
 
     @property
@@ -188,15 +188,9 @@ class _Session:
             self._fam = pts.build_points(self.honda, self.tower, self.cfg["n_max"])
         return self._fam
 
-    def lattice(self, n: int) -> pts.UnitLogLattice:
-        if n not in self._lattices:
-            self._lattices[n] = pts.UnitLogLattice(self.tower, n)
-        return self._lattices[n]
-
     def h90(self, n: int) -> pts.H90Solution:
         if n not in self._h90:
-            lat = self.lattice(n) if n >= 1 else None
-            self._h90[n] = pts.solve_h90(self.fam, n, lat)
+            self._h90[n] = pts.solve_h90(self.fam, n)
         return self._h90[n]
 
     def functionals(self, n: int):
@@ -496,6 +490,16 @@ def _run_negative_control(s: _Session, report: Report):
 def _run_tate(s: _Session, report: Report):
     ctx = s.ctx
 
+    # the sampling grid and the a-invariants of each q are built once, on
+    # first use inside a check, so that an error records that check's fail
+    @functools.cache
+    def grid():
+        return tt.default_grid(ctx)
+
+    @functools.cache
+    def a_inv(q):
+        return tt.a_invariants(q.value())
+
     def leading():
         a4s, a6s = tt.a_series_coefficients(24)
         if a4s[1] != -5 or a6s[1] != -1:
@@ -507,11 +511,10 @@ def _run_tate(s: _Session, report: Report):
     _check(report, "tate.a-leading-coefficients", "tate:q-expansion", leading)
 
     def integrality():
-        qs, _ = tt.default_grid(ctx)
         return ctx.require(
             min(
                 min(a4.min_valuation(), a6.min_valuation())
-                for a4, a6 in (tt.a_invariants(q.value()) for q in qs)
+                for a4, a6 in map(a_inv, grid()[0])
             ),
             "a-invariants not integral",
             0,
@@ -520,14 +523,13 @@ def _run_tate(s: _Session, report: Report):
     _check(report, "tate.a-integrality", "tate:q-expansion", integrality)
 
     def residual_grid():
-        qs, us = tt.default_grid(ctx)
+        qs, us = grid()
 
         def residuals():
             for q in qs:
-                a_inv = tt.a_invariants(q.value())
                 for u in us:
                     if not (u - 1).is_zero:
-                        _, _, resid = tt.uniformize_point(u, q, a_inv)
+                        _, _, resid = tt.uniformize_point(u, q, a_inv(q))
                         yield ctx.require(
                             resid.min_valuation(),
                             f"Weierstrass residual at q={q.ord},{q.unit} does not vanish",
@@ -538,21 +540,18 @@ def _run_tate(s: _Session, report: Report):
     _check(report, "tate.weierstrass-residual-grid", "tate:uniformization", residual_grid)
 
     def symmetry():
-        qs, us = tt.default_grid(ctx)
-        q = qs[1]
-        u = us[0]
-        a_inv = tt.a_invariants(q.value())
-        x1, _, _ = tt.uniformize_point(u, q, a_inv)
-        x2, _, _ = tt.uniformize_point(u.inverse(), q, a_inv)
+        qs, us = grid()
+        q, u = qs[1], us[0]
+        x1, _, _ = tt.uniformize_point(u, q, a_inv(q))
+        x2, _, _ = tt.uniformize_point(u.inverse(), q, a_inv(q))
         return ctx.require((x1 - x2).min_valuation(), "u <-> 1/u symmetry fails")
 
     _check(report, "tate.inversion-symmetry", "tate:uniformization", symmetry)
 
     def formal_iso():
-        qs, _ = tt.default_grid(ctx)
         return min(
             min(rep["roundtrip_residual"], rep["pullback_residual"])
-            for rep in (tt.verify_formal_iso(ctx, q) for q in qs)
+            for rep in (tt.verify_formal_iso(ctx, q) for q in grid()[0])
         )
 
     _check(report, "tate.formal-group-identification", "tate:formal-iso", formal_iso)

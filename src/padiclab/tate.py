@@ -22,10 +22,6 @@ from .series import TruncatedSeries, _extend_power_rows, geometric_inverse, log_
 from .coleman import TateParameter
 
 
-def sigma_k(n: int, k: int) -> int:
-    return sum(d**k for d in range(1, n + 1) if n % d == 0)
-
-
 def sk_coefficients(k: int, order: int):
     """Integer q-expansion of s_k: coefficient of q^n is sigma_k(n)."""
     if k not in (1, 3, 5):

@@ -1,6 +1,10 @@
 from fractions import Fraction
 
+import pytest
+
 from padiclab import (
+    PrecisionError,
+    PropertyFailure,
     closed_form_log,
     solve_h90,
     verify_generation,
@@ -8,7 +12,27 @@ from padiclab import (
     verify_norm_tower,
     verify_prop2,
 )
+from padiclab.cyclotomic import CycloTower
 from padiclab.points import UnitLogLattice, verify_two_routes
+from padiclab.runner import SuiteConfig, run_suite
+
+
+def brute_force_h90_classes(fam, n):
+    """The classes e in range(p^n) whose own trace-normalised solve of
+    (gamma - 1) y = log d_n + e log pi^(1-gamma) lies in log U^1_n: one
+    solve per class, an oracle for the linear class test of solve_h90."""
+    tower = fam.tower
+    pn = tower.ctx.p**n
+    f = tower.field(n)
+    pi = tower.uniformizer(n)
+    log_ratio = tower.log_element(pi / tower.gamma_apply(pi))
+    hits = []
+    for e in range(pn):
+        y = tower.gamma_solve(fam.log_d(n) + log_ratio.scale(e))
+        y0 = y - f.from_scalar(tower.trace_kn_to_qp(y) / pn)
+        if fam.lattice(n).membership(tower.to_pi_coords(y0)) is not None:
+            hits.append(e)
+    return hits
 
 
 def test_d0_is_one(fam3, tower3):
@@ -177,3 +201,55 @@ def test_prop2_level2(sol3n2, tower3n2):
     rep = verify_prop2(sol3n2, tower3n2)
     assert rep["residual_valuation"] >= 3
     assert sol3n2.e == 2  # matches p/((p-1) log_3 4) = 2 mod 9
+
+
+@pytest.mark.parametrize(
+    "fam, sol, n", [("fam3", "sol3", 1), ("fam5", "sol5", 1), ("fam3n2", "sol3n2", 2)]
+)
+def test_linear_class_test_matches_brute_force(fam, sol, n, request):
+    fam, sol = request.getfixturevalue(fam), request.getfixturevalue(sol)
+    assert brute_force_h90_classes(fam, n) == [sol.e]
+
+
+def test_h90_solves_twice_per_level(fam3n2, monkeypatch):
+    calls = []
+    solve = CycloTower.gamma_solve
+
+    def counted(self, v):
+        calls.append(v)
+        return solve(self, v)
+
+    monkeypatch.setattr(CycloTower, "gamma_solve", counted)
+    sol = solve_h90(fam3n2, 2)
+    assert sol.searched == tuple(range(9))
+    assert len(calls) == 2
+
+
+def test_one_unit_lattice_per_level(monkeypatch):
+    # points.generation and prop2.h90-certificate share each level's lattice
+    levels = []
+    init = UnitLogLattice.__init__
+
+    def counted(self, tower, n):
+        levels.append(n)
+        init(self, tower, n)
+
+    monkeypatch.setattr(UnitLogLattice, "__init__", counted)
+    report = run_suite(SuiteConfig(p=3, n_max=2, prec=12, suites=("points", "prop2")))
+    assert report.summary()["fail"] == 0
+    assert sorted(levels) == [0, 1, 2]
+
+
+@pytest.mark.parametrize(
+    "c, error, match",
+    [
+        (0, PrecisionError, r"multiple candidate classes \[0, 1, 2\]"),
+        (Fraction(1, 3), PropertyFailure, "no residue class"),
+    ],
+)
+def test_h90_class_test_contract(fam3, monkeypatch, c, error, match):
+    # c(e) constant in e: integral for every class, or for none
+    ctx = fam3.tower.ctx
+    monkeypatch.setattr(UnitLogLattice, "coords", lambda self, y: [ctx.scalar(c)] * self.dim)
+    with pytest.raises(error, match=match):
+        solve_h90(fam3, 1)

@@ -268,7 +268,7 @@ def test_power_rows_match_oracles_on_iota(p):
     # and the Frobenius substitution of ell
     ctx = PrimeContext(p, 16)
     ell = build_ell(ctx, 200)
-    iota, inv = build_iota(ell, 160)
+    iota, inv = build_iota(ell)
     assert _digits(inv) == _digits(newton_reversion(iota.truncate(160)))
     truncated = ell.truncate(160)
     assert _digits(truncated.compose(inv)) == _digits(horner_compose(truncated, inv))
@@ -330,7 +330,7 @@ def test_build_iota_never_composes_or_divides(monkeypatch):
             return _original(self, *args)
 
         monkeypatch.setattr(TruncatedSeries, name, counting)
-    iota, inv = build_iota(ell, 60)
+    iota, inv = build_iota(ell)
     assert inv.order == 60
     assert calls == []
 

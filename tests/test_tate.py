@@ -280,3 +280,42 @@ def test_mtt_slope_with_iwasawa_branch(ctx3):
     q = TateParameter.make(ctx3, 1, 1)
     rep = mtt_report(ctx3, q, 9)
     assert rep["ds_prediction"].is_zero or rep["ds_prediction"].min_valuation() >= 10
+
+
+def test_tate_suite_builds_its_grid_once(monkeypatch):
+    # three a-invariants on the grid, three at verify_formal_iso's headroom
+    from padiclab import tate
+    from padiclab.runner import SuiteConfig, run_suite
+
+    calls = {"default_grid": 0, "a_invariants": 0}
+    for name in calls:
+        orig = getattr(tate, name)
+
+        def counted(*a, orig=orig, name=name):
+            calls[name] += 1
+            return orig(*a)
+
+        monkeypatch.setattr(tate, name, counted)
+    report = run_suite(SuiteConfig(p=3, n_max=0, prec=12, suites=("tate",)))
+    assert report.summary() == {
+        "pass": 5, "fail": 0, "expected-fail": 0, "skipped": 0, "total": 5
+    }
+    assert calls == {"default_grid": 1, "a_invariants": 6}
+
+
+def test_tate_grid_error_is_reported(monkeypatch):
+    from padiclab import tate
+    from padiclab.runner import SuiteConfig, run_suite
+
+    def broken(ctx):
+        raise ZeroDivisionError("grid")
+
+    monkeypatch.setattr(tate, "default_grid", broken)
+    report = run_suite(SuiteConfig(p=3, n_max=0, prec=12, suites=("tate",)))
+    failed = sorted(c.name for c in report.checks if c.status == "fail")
+    assert failed == [
+        "tate.a-integrality",
+        "tate.formal-group-identification",
+        "tate.inversion-symmetry",
+        "tate.weierstrass-residual-grid",
+    ]
