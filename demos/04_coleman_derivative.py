@@ -44,7 +44,7 @@ print("E_0 =", w.e0().lift() % 27, "  alpha mod 27 =", w.alpha.lift() % 27,
 
 col = coleman_level(w, fam, 1)
 print("trivial zero (augmentation vanishes) to valuation:", verify_trivial_zero(col))
-print("convolution identity to valuation:", verify_convolution(w, fam, 1))
+print("convolution identity to valuation:", verify_convolution(w, fam, col))
 
 print()
 print("== Gauss sums ==")
@@ -55,18 +55,18 @@ for chi in primitive_characters(tower, 1):
 print()
 print("== the derivative chain ==")
 sol = solve_h90(fam, 1)
-d_1, rep = derivative_rep(w, sol, fam, 1)
+d_1, rep = derivative_rep(w, sol, col)
 print("Abel summation identity exact to valuation:", rep["abel_residual"])
 print("D_1 = -e_1 alpha:", d_1.lift() % 27, "mod 27  (e_1 =", sol.e, ")")
 print("valuation-slope identity to valuation:", verify_key2(w, q))
-dc = verify_dcol(w, sol, q, fam, 1)
+dc = verify_dcol(w, sol, q)
 print("assembled congruence holds mod p^", dc["modulus_exponent"],
       " residual valuation:", dc["residual_valuation"])
 
 print()
 print("== the negative control at level 2 ==")
 sol2 = solve_h90(fam, 2)
-nc = negative_control(fam, sol2, q, 2)
+nc = negative_control(fam, sol2, q)
 print("trace-type family: lift derivative", nc["lift_derivative"],
       " vs D_2", nc["derivative"])
 print("mod-p^2 comparison violated as documented:", nc["violated"],

@@ -113,6 +113,8 @@ class UnitFunctional:
     # -- views -------------------------------------------------------------------
 
     def density(self, m: int) -> CycloElement:
+        if not 0 <= m <= self.n:
+            raise InvalidInputError(f"the functional has no level {m} (top level {self.n})")
         return self.densities[m]
 
     def e0(self) -> PadicScalar:
@@ -164,31 +166,6 @@ class GroupRingElement:
         self.coeffs = list(coeffs)
         assert len(self.coeffs) == tower.ctx.p**n
 
-    def __add__(self, other):
-        return GroupRingElement(
-            self.tower, self.n, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def __sub__(self, other):
-        return GroupRingElement(
-            self.tower, self.n, [a - b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def __mul__(self, other):
-        pn = len(self.coeffs)
-        out = [self.tower.ctx.zero() for _ in range(pn)]
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not b.is_zero:
-                    k = (i + j) % pn
-                    out[k] = out[k] + a * b
-        return GroupRingElement(self.tower, self.n, out)
-
-    def scale(self, s):
-        return GroupRingElement(self.tower, self.n, [c * s for c in self.coeffs])
-
     def augmentation(self) -> PadicScalar:
         acc = self.tower.ctx.zero()
         for c in self.coeffs:
@@ -214,6 +191,10 @@ class GroupRingElement:
         return acc
 
     def residual_against(self, other) -> Fraction:
+        if other.n != self.n:
+            raise InvalidInputError(
+                f"cannot compare a level-{self.n} image with a level-{other.n} one"
+            )
         return min(
             (a - b).min_valuation() for a, b in zip(self.coeffs, other.coeffs)
         )
@@ -235,25 +216,29 @@ def verify_trivial_zero(col: GroupRingElement) -> Fraction:
     )
 
 
-def verify_level_compatibility(w: UnitFunctional, fam: PointFamily, n: int) -> Fraction:
-    """Pushing the level-n map to Gamma_(n-1) recovers the level-(n-1) map."""
-    upper = coleman_level(w, fam, n).project(n - 1)
+def verify_level_compatibility(
+    w: UnitFunctional, fam: PointFamily, upper: GroupRingElement
+) -> Fraction:
+    """Pushing the level-n image ``upper`` of w to Gamma_(n-1) recovers the
+    level-(n-1) map, which is the one image built here."""
+    n = upper.n
     lower = coleman_level(w, fam, n - 1)
     return w.tower.ctx.require(
-        upper.residual_against(lower), f"level compatibility fails at {n} -> {n - 1}"
+        upper.project(n - 1).residual_against(lower),
+        f"level compatibility fails at {n} -> {n - 1}",
     )
 
 
-def verify_convolution(w: UnitFunctional, fam: PointFamily, n: int) -> Fraction:
-    """The map equals the convolution of sum log(d^sigma) sigma with
-    sum sigma(E_n) sigma^(-1): each product coefficient collapses to the
-    corresponding trace value."""
+def verify_convolution(w: UnitFunctional, fam: PointFamily, col: GroupRingElement) -> Fraction:
+    """The level-n image col of w equals the convolution of
+    sum log(d^sigma) sigma with sum sigma(E_n) sigma^(-1): each product
+    coefficient collapses to the corresponding trace value."""
     tower = w.tower
     ctx = tower.ctx
+    n = col.n
     pn = ctx.p**n
     A = fam.log_d_conjugates(n)
     B = tower.gamma_conjugates(w.density(n))
-    col = coleman_level(w, fam, n)
     f = tower.field(n)
 
     def residual(i):
@@ -380,15 +365,18 @@ def primitive_characters(tower: CycloTower, n: int):
 # -- the derivative chain --------------------------------------------------------------
 
 
-def derivative_rep(w: UnitFunctional, sol: H90Solution, fam: PointFamily, n: int):
-    """(a) the exact group-ring identity
-            coleman_level(w) = (gamma^(-1) - 1) sum_sigma (x_n^sigma, w) sigma
-        which holds for every functional, admissible or not; and
-       (b) the derivative representative D_n = -w_0(N x_n) = -e_n alpha.
+def derivative_rep(w: UnitFunctional, sol: H90Solution, col: GroupRingElement):
+    """Certifies the Abel summation identity at level n = sol.n,
+            col = (gamma^(-1) - 1) sum_sigma (x_n^sigma, w) sigma,
+    for the level-n image col = coleman_level(w, fam, n); it holds for
+    every functional, admissible or not.  An image from another level is
+    refused.  Also reads the derivative representative
+    D_n = -w_0(N x_n) and its closed form -e_n alpha.
 
     Returns (D_n, report)."""
     tower = w.tower
     ctx = tower.ctx
+    n = sol.n
     pn = ctx.p**n
     dens = w.density(n)
     alpha_v = w.alpha * ctx.scalar(sol.valuation_x)
@@ -399,7 +387,6 @@ def derivative_rep(w: UnitFunctional, sol: H90Solution, fam: PointFamily, n: int
     rhs = GroupRingElement(
         tower, n, [S[(i + 1) % pn] - S[i] for i in range(pn)]
     )
-    col = coleman_level(w, fam, n)
     resid = ctx.require(
         col.residual_against(rhs), f"Abel summation identity fails at level {n}"
     )
@@ -424,18 +411,16 @@ def verify_key2(w: UnitFunctional, q: TateParameter) -> Fraction:
     return ctx.require((lhs - rhs).min_valuation(), "valuation-slope identity fails")
 
 
-def verify_dcol(
-    w: UnitFunctional,
-    sol: H90Solution,
-    q: TateParameter,
-    fam: PointFamily,
-    n: int,
-) -> dict:
-    """D_n = [p/((p-1) log kappa(gamma))] (log q / ord q) E_0
-    mod p^(n + v(alpha)): the assembled derivative congruence."""
+def verify_dcol(w: UnitFunctional, sol: H90Solution, q: TateParameter) -> dict:
+    """Certifies the assembled derivative congruence at level n = sol.n,
+        D_n = [p/((p-1) log kappa(gamma))] (log q / ord q) E_0
+    mod p^(n + v(alpha)), with D_n = -w_0(N x_n) read off the norm.  It
+    does not rebuild the Coleman image: the Abel identity that ties the
+    image to x_n is derivative_rep's certificate."""
     tower = w.tower
     ctx = tower.ctx
-    d_n, rep = derivative_rep(w, sol, fam, n)
+    n = sol.n
+    d_n = -pair_qp(sol.norm_x, w)
     log_kappa = iwasawa_log(ctx.scalar(tower.kappa_gamma))
     factor = ctx.scalar(ctx.p) / (log_kappa * (ctx.p - 1))
     rhs = factor * q.slope() * w.e0()
@@ -446,7 +431,7 @@ def verify_dcol(
             "degenerate case fails: a side does not vanish",
             ctx.solve_floor,
         )
-        return {"level": n, "modulus_exponent": None, "residual_valuation": resid, **rep}
+        return {"level": n, "modulus_exponent": None, "residual_valuation": resid}
     modulus = n + w.alpha.v
     diff = d_n - rhs
     if not diff.congruent_to(0, modulus):
@@ -458,20 +443,20 @@ def verify_dcol(
         "level": n,
         "modulus_exponent": modulus,
         "residual_valuation": diff.min_valuation(),
-        **rep,
     }
 
 
-def negative_control(fam: PointFamily, sol: H90Solution, q: TateParameter, n: int = 2) -> dict:
+def negative_control(fam: PointFamily, sol: H90Solution, q: TateParameter) -> dict:
     """The pure trace-type family with E_0 = 1 is admissible levelwise yet
     fails the mod-p^2 comparison between the polynomial lift's derivative
     and D_n; the violation is asserted to occur.
 
     Levelwise admissibility is therefore strictly weaker than membership
-    in the image of the compatible-family map.
+    in the image of the compatible-family map.  The level n is sol.n.
     """
     tower = fam.tower
     ctx = tower.ctx
+    n = sol.n
     w = UnitFunctional.trace_type(tower, n, 1, q)
     w.check_tower_compatibility()
     col = coleman_level(w, fam, n)
@@ -480,7 +465,7 @@ def negative_control(fam: PointFamily, sol: H90Solution, q: TateParameter, n: in
         "trace-type image unexpectedly nonzero",
         ctx.solve_floor,
     )
-    d_n, rep = derivative_rep(w, sol, fam, n)
+    d_n, rep = derivative_rep(w, sol, col)
     p_prime_zero = col.polynomial_derivative_at_zero()
     diff = p_prime_zero - d_n
     if diff.congruent_to(0, 2):

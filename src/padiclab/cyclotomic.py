@@ -351,12 +351,11 @@ class CycloTower:
 
     # -- Galois --------------------------------------------------------------------
 
-    def gamma_exponent(self, n: int, power: int = 1) -> int:
-        mo = self.field(n).modulus_order
-        return pow(self.kappa_gamma, power, mo)
+    def gamma_exponent(self, n: int) -> int:
+        return self.kappa_gamma % self.field(n).modulus_order
 
-    def gamma_apply(self, x: CycloElement, power: int = 1) -> CycloElement:
-        return x.galois(self.gamma_exponent(x.field.n, power))
+    def gamma_apply(self, x: CycloElement) -> CycloElement:
+        return x.galois(self.gamma_exponent(x.field.n))
 
     def gamma_orbit_exponents(self, n: int):
         """kappa(gamma)^i mod p^(n+1) for i = 0..p^n - 1 (coset reps of Delta)."""

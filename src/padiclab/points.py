@@ -392,7 +392,6 @@ class H90Solution:
     e: int
     u_n: CycloElement
     x_n: CycloElement
-    pi_ratio_log: CycloElement
     residual_valuation: Fraction
     norm_residual: Fraction
     searched: tuple = field(default=())
@@ -430,10 +429,7 @@ def solve_h90(fam: PointFamily, n: int) -> H90Solution:
     p = ctx.p
     if n == 0:
         f = tower.field(0)
-        return H90Solution(
-            tower, 0, 0, f.one(), f.one(), f.zero(),
-            Fraction(ctx.wprec), Fraction(ctx.wprec),
-        )
+        return H90Solution(tower, 0, 0, f.one(), f.one(), Fraction(ctx.wprec), Fraction(ctx.wprec))
     lattice = fam.lattice(n)
     f = tower.field(n)
     pi = tower.uniformizer(n)
@@ -484,7 +480,7 @@ def solve_h90(fam: PointFamily, n: int) -> H90Solution:
         (tower.norm_kn_to_qp(u_n) - 1).min_valuation(), "N(u_n) differs from 1", ctx.solve_floor
     )
     return H90Solution(
-        tower, n, e, u_n, x_n, log_ratio, Fraction(cert), Fraction(norm_res), tuple(range(pn))
+        tower, n, e, u_n, x_n, Fraction(cert), Fraction(norm_res), tuple(range(pn))
     )
 
 

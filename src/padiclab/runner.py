@@ -396,6 +396,12 @@ def _run_prop2(s: _Session, report: Report):
 
 
 def _run_coleman(s: _Session, report: Report):
+    # the Coleman image of each functional is built once per level, on
+    # first use inside a check, so that an error records that check's fail
+    @functools.cache
+    def images(n):
+        return [cm.coleman_level(w, s.fam, n) for w in s.functionals(n)]
+
     # each battery is the least residual over its members; an empty
     # battery has no minimum and so reports fail
     for n in range(1, s.cfg["n_max"] + 1):
@@ -404,24 +410,25 @@ def _run_coleman(s: _Session, report: Report):
             report,
             f"coleman.trivial-zero[n={n}]",
             "coleman:trivial-zero",
-            lambda n=n, ws=ws: min(
-                cm.verify_trivial_zero(cm.coleman_level(w, s.fam, n)) for w in ws
-            ),
+            lambda n=n: min(map(cm.verify_trivial_zero, images(n))),
         )
         _check(
             report,
             f"coleman.convolution[n={n}]",
             "coleman:dual-exponential-convolution",
-            lambda n=n, ws=ws: min(cm.verify_convolution(w, s.fam, n) for w in ws[:5]),
+            lambda n=n, ws=ws: min(
+                cm.verify_convolution(w, s.fam, col) for w, col in zip(ws[:5], images(n))
+            ),
         )
 
         def abel(n=n, ws=ws):
             # the identity holds for every functional, so the battery
-            # includes one with the admissibility constraint broken
+            # includes one with the admissibility constraint broken; the
+            # image does not depend on alpha, so it shares ws[0]'s
             broken = cm.UnitFunctional(s.tower, ws[0].densities, ws[0].alpha + 1)
             return min(
-                cm.derivative_rep(w, s.h90(n), s.fam, n)[1]["abel_residual"]
-                for w in [*ws, broken]
+                cm.derivative_rep(w, s.h90(n), col)[1]["abel_residual"]
+                for w, col in [*zip(ws, images(n)), (broken, images(n)[0])]
             )
 
         _check(report, f"coleman.abel-identity[n={n}]", "derivative:abel", abel)
@@ -436,7 +443,7 @@ def _run_coleman(s: _Session, report: Report):
             f"coleman.derivative-congruence[n={n}]",
             "thm:derivative-leading-coefficient",
             lambda n=n, ws=ws: min(
-                cm.verify_dcol(w, s.h90(n), s.q, s.fam, n)["residual_valuation"]
+                cm.verify_dcol(w, s.h90(n), s.q)["residual_valuation"]
                 for w in ws
             ),
         )
@@ -446,7 +453,7 @@ def _run_coleman(s: _Session, report: Report):
                 report,
                 f"coleman.level-compatibility[{n}->{n-1}]",
                 "coleman:projection-compatibility",
-                lambda n=n: cm.verify_level_compatibility(s.functionals(n)[0], s.fam, n),
+                lambda n=n, ws=ws: cm.verify_level_compatibility(ws[0], s.fam, images(n)[0]),
             )
         _check(
             report,
@@ -481,7 +488,7 @@ def _run_negative_control(s: _Session, report: Report):
         report,
         name,
         anchor,
-        lambda: cm.negative_control(s.fam, s.h90(2), s.q, n=2)["difference_valuation"],
+        lambda: cm.negative_control(s.fam, s.h90(2), s.q)["difference_valuation"],
         "expected-fail",
         "mod-p^2 derivative comparison violated, as documented",
     )

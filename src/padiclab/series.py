@@ -182,18 +182,27 @@ class TruncatedSeries:
         return TruncatedSeries(self.ctx, _unpack(self.ctx, d, e, ints))
 
     def reciprocal(self) -> "TruncatedSeries":
-        """1/f for f with unit constant term, by coefficient recursion."""
+        """1/f for an integral f with unit constant term, by the recursion
+        r_m = -r_0 sum_{j=1}^m f_j r_(m-j) on integers mod p^E, with E the
+        least absprec of f.  A non-integral f is refused, naming its worst
+        valuation."""
         c0 = self.coeffs[0]
         if c0.is_zero or c0.v != 0:
             raise InvalidInputError("reciprocal needs a unit constant term")
-        inv0 = c0.inverse()
-        out = [inv0]
+        ok, worst = self.is_integral()
+        if not ok:
+            raise InvalidInputError(
+                f"reciprocal needs an integral series (valuation {worst})"
+            )
+        ctx = self.ctx
+        prec = min(c.absprec for c in self.coeffs)
+        mod = ctx.pk(prec)
+        f = [c.lift() for c in self.coeffs]
+        r0 = pow(f[0], -1, mod)
+        out = [r0]
         for m in range(1, self.order + 1):
-            s = self.ctx.zero(c0.absprec)
-            for j in range(1, m + 1):
-                s = s + self.coeff(j) * out[m - j]
-            out.append(-s * inv0)
-        return TruncatedSeries(self.ctx, out)
+            out.append(-r0 * sum(map(mul, f[1 : m + 1], out[::-1])) % mod)
+        return TruncatedSeries(ctx, [PadicScalar._make(ctx, 0, c, prec) for c in out])
 
     def derivative(self) -> "TruncatedSeries":
         if self.order == 0:

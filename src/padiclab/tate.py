@@ -7,6 +7,7 @@ prediction.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from .core import (
     InvalidInputError,
@@ -148,40 +149,30 @@ def formal_log_weierstrass(ctx: PrimeContext, a4, a6, order: int) -> TruncatedSe
     """Formal logarithm of y^2 + xy = x^3 + a4 x + a6 in t = -x/y.
 
     The standard expansion w = t^3 + t w + a4 t w^2 + a6 w^3 (w = -1/y) is
-    solved coefficient by coefficient, then the invariant differential
-    dx/(2y + x) = (2W + tW')/(W (2 - t)) dt with w = t^3 W is integrated.
+    solved coefficient by coefficient, on integers mod p^A with A the
+    least absprec of the integral a4 and a6, then the invariant
+    differential dx/(2y + x) = (2W + tW')/(W (2 - t)) dt with w = t^3 W
+    is integrated.
     """
     absprec = min(a4.absprec, a6.absprec)
+    mod = ctx.pk(absprec)
+    a4, a6 = a4.lift(), a6.lift()
     zero = ctx.zero(absprec)
     n = order + 3
-    w = [zero] * (n + 1)
-    sq = [zero] * (n + 4)
-    cube = [zero] * (n + 1)
-    w[3] = ctx.one(absprec)
-    if 6 <= n + 3:
-        sq[6] = ctx.one(absprec)
+    # w, w^2 and w^3 indexed by degree in t; w starts at t^3
+    w = [0, 0, 0, 1]
+    sq = [0] * (n + 4)
+    cube = [0] * (n + 1)
+    sq[6] = 1
     if 9 <= n:
-        cube[9] = ctx.one(absprec)
+        cube[9] = 1
     for m in range(4, n + 1):
-        val = w[m - 1] + a4 * sq[m - 1] + a6 * cube[m]
-        w[m] = val
-        s = m + 3
-        if s <= n + 3:
-            acc = zero
-            for i in range(3, m + 1):
-                j = s - i
-                if 3 <= j <= m:
-                    acc = acc + w[i] * w[j]
-            sq[s] = acc
-        s = m + 6
-        if s <= n:
-            acc = zero
-            for i in range(3, m + 1):
-                j = s - i
-                if 6 <= j <= m + 3:
-                    acc = acc + w[i] * sq[j]
-            cube[s] = acc
-    big_w = TruncatedSeries(ctx, w[3:]).truncate(order)  # w = t^3 W, W(0) = 1
+        w.append((w[m - 1] + a4 * sq[m - 1] + a6 * cube[m]) % mod)
+        sq[m + 3] = sum(map(mul, w[3:], w[:2:-1])) % mod
+        if m + 6 <= n:
+            cube[m + 6] = sum(map(mul, w[3:], sq[m + 3 : 5 : -1])) % mod
+    # w = t^3 W, W(0) = 1
+    big_w = TruncatedSeries(ctx, [PadicScalar._make(ctx, 0, c, absprec) for c in w[3:]])
     num = big_w.scale(2) + TruncatedSeries(
         ctx, (zero,) + big_w.derivative().coeffs
     )

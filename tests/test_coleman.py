@@ -142,12 +142,12 @@ def test_trivial_zero_battery(tower3, q3, fam3):
 def test_convolution_identity(tower3, q3, fam3):
     for seed in range(3):
         w = UnitFunctional.seeded(tower3, 1, q3, seed)
-        assert verify_convolution(w, fam3, 1) >= tower3.ctx.prec - 2
+        assert verify_convolution(w, fam3, coleman_level(w, fam3, 1)) >= tower3.ctx.prec - 2
 
 
 def test_convolution_zero_density(tower3, q3, fam3):
     w = UnitFunctional.zero(tower3, 1)
-    assert verify_convolution(w, fam3, 1) >= tower3.ctx.prec - 2
+    assert verify_convolution(w, fam3, coleman_level(w, fam3, 1)) >= tower3.ctx.prec - 2
 
 
 def test_twist_permutes_coefficients(tower3, q3, fam3):
@@ -168,7 +168,8 @@ def test_twist_permutes_coefficients(tower3, q3, fam3):
 def test_level_compatibility(fam3n2, tower3n2):
     q = TateParameter.make(tower3n2.ctx, 1, 4)
     w = UnitFunctional.seeded(tower3n2, 2, q, 0)
-    assert verify_level_compatibility(w, fam3n2, 2) >= tower3n2.ctx.prec - 2
+    upper = coleman_level(w, fam3n2, 2)
+    assert verify_level_compatibility(w, fam3n2, upper) >= tower3n2.ctx.prec - 2
 
 
 def test_gauss_sum_wrong_conductor_rejected(tower3):
@@ -241,7 +242,7 @@ def test_abel_identity_even_for_inadmissible_functionals(tower3, q3, fam3, sol3)
     # deliberately break admissibility: the identity must still hold
     w = UnitFunctional.seeded(tower3, 1, q3, 1)
     w_bad = UnitFunctional(tower3, w.densities, w.alpha + 1)
-    _, rep = derivative_rep(w_bad, sol3, fam3, 1)
+    _, rep = derivative_rep(w_bad, sol3, coleman_level(w_bad, fam3, 1))
     assert rep["abel_residual"] >= tower3.ctx.prec - 2
 
 
@@ -250,7 +251,7 @@ def test_derivative_closed_form(tower3, q3, fam3, sol3):
     w = UnitFunctional.from_top_density(
         tower3, tower3.field(1).from_scalar(Fraction(1, 3)), q3
     )
-    d1, rep = derivative_rep(w, sol3, fam3, 1)
+    d1, rep = derivative_rep(w, sol3, coleman_level(w, fam3, 1))
     assert rep["closed_form_residual"] >= tower3.ctx.prec - 2
     assert (d1 + w.alpha * 2).min_valuation() >= tower3.ctx.prec - 2
     assert d1.lift() % 27 == 15
@@ -258,7 +259,7 @@ def test_derivative_closed_form(tower3, q3, fam3, sol3):
 
 def test_zero_functional_derivative(tower3, q3, fam3, sol3):
     w = UnitFunctional.zero(tower3, 1)
-    d1, _ = derivative_rep(w, sol3, fam3, 1)
+    d1, _ = derivative_rep(w, sol3, coleman_level(w, fam3, 1))
     assert d1.is_zero or d1.min_valuation() >= 10
 
 
@@ -282,13 +283,13 @@ def test_key2_scaling_linearity(tower3, q3):
 def test_dcol_congruence(tower3, q3, fam3, sol3):
     for seed in range(6):
         w = UnitFunctional.seeded(tower3, 1, q3, seed)
-        rep = verify_dcol(w, sol3, q3, fam3, 1)
+        rep = verify_dcol(w, sol3, q3)
         assert rep["residual_valuation"] >= rep["modulus_exponent"]
 
 
 def test_dcol_zero_density(tower3, q3, fam3, sol3):
     w = UnitFunctional.zero(tower3, 1)
-    rep = verify_dcol(w, sol3, q3, fam3, 1)
+    rep = verify_dcol(w, sol3, q3)
     assert rep["modulus_exponent"] is None
 
 
@@ -302,19 +303,19 @@ def test_dcol_generator_change_covariance(ctx3, fam3, q3):
     fam2 = build_points(honda, tower2, 1)
     sol2 = solve_h90(fam2, 1)
     w = UnitFunctional.seeded(tower2, 1, q3, 0)
-    rep = verify_dcol(w, sol2, q3, fam2, 1)
+    rep = verify_dcol(w, sol2, q3)
     assert rep["residual_valuation"] >= rep["modulus_exponent"]
 
 
 def test_dcol_p5(tower5, q5, fam5, sol5):
     w = UnitFunctional.seeded(tower5, 1, q5, 0)
-    rep = verify_dcol(w, sol5, q5, fam5, 1)
+    rep = verify_dcol(w, sol5, q5)
     assert rep["residual_valuation"] >= rep["modulus_exponent"]
 
 
 def test_negative_control_detects_violation(fam3n2, sol3n2):
     q = TateParameter.make(fam3n2.tower.ctx, 1, 4)
-    rep = negative_control(fam3n2, sol3n2, q, 2)
+    rep = negative_control(fam3n2, sol3n2, q)
     assert rep["violated"]
     assert rep["difference_valuation"] < 2
     assert rep["abel_residual"] >= fam3n2.tower.ctx.prec - 2
@@ -386,8 +387,79 @@ def test_fresh_h90_solution_gives_same_derivative(tower3n2, fam3n2, sol3n2):
         w = UnitFunctional.seeded(tower3n2, 2, q, seed)
         fresh = dataclasses.replace(sol3n2)
         assert not {"log_x_conjugates", "norm_x"} & set(vars(fresh))
-        d_a, rep_a = derivative_rep(w, sol3n2, fam3n2, 2)
-        d_b, rep_b = derivative_rep(w, fresh, fam3n2, 2)
+        d_a, rep_a = derivative_rep(w, sol3n2, coleman_level(w, fam3n2, 2))
+        d_b, rep_b = derivative_rep(w, fresh, coleman_level(w, fam3n2, 2))
         assert triple(d_a) == triple(d_b)
         assert rep_a["abel_residual"] == rep_b["abel_residual"]
         assert rep_a["closed_form_residual"] == rep_b["closed_form_residual"]
+
+
+def _count_calls(monkeypatch, module, names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        orig = getattr(module, name)
+
+        def counted(*a, orig=orig, name=name):
+            calls[name] += 1
+            return orig(*a)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_each_image_is_built_once_per_suite_run(monkeypatch):
+    # 4 functionals at each of levels 1 and 2: one image per (functional,
+    # level), plus the lower image of each level-compatibility check; one
+    # Abel identity per image plus the inadmissible functional per level
+    from padiclab import coleman
+    from padiclab.runner import SuiteConfig, run_suite
+
+    calls = _count_calls(monkeypatch, coleman, ("coleman_level", "derivative_rep"))
+    report = run_suite(
+        SuiteConfig(p=3, n_max=2, prec=12, n_functionals=4, suites=("coleman",))
+    )
+    assert report.summary()["fail"] == 0
+    assert calls == {"coleman_level": 10, "derivative_rep": 10}
+
+
+def test_dcol_reads_the_derivative_without_the_image(monkeypatch, tower3, q3, sol3):
+    from padiclab import coleman
+
+    calls = _count_calls(monkeypatch, coleman, ("coleman_level", "derivative_rep"))
+    w = UnitFunctional.seeded(tower3, 1, q3, 3)
+    rep = verify_dcol(w, sol3, q3)
+    assert rep["residual_valuation"] >= rep["modulus_exponent"]
+    assert calls == {"coleman_level": 0, "derivative_rep": 0}
+
+
+def test_broken_abel_identity_fails_once(monkeypatch):
+    from padiclab import PropertyFailure, coleman
+    from padiclab.runner import SuiteConfig, run_suite
+
+    def broken(*a):
+        raise PropertyFailure("Abel summation identity fails")
+
+    monkeypatch.setattr(coleman, "derivative_rep", broken)
+    report = run_suite(
+        SuiteConfig(p=3, n_max=1, prec=12, n_functionals=2, suites=("coleman",))
+    )
+    status = {c.name: c.status for c in report.checks}
+    assert status["coleman.abel-identity[n=1]"] == "fail"
+    assert status["coleman.derivative-congruence[n=1]"] == "pass"
+    assert [c.name for c in report.checks if c.status == "fail"] == [
+        "coleman.abel-identity[n=1]"
+    ]
+    assert report.exit_code == 1
+
+
+def test_checks_refuse_an_image_from_another_level(tower3n2, fam3n2, sol3n2):
+    q = TateParameter.make(tower3n2.ctx, 1, 4)
+    w = UnitFunctional.seeded(tower3n2, 2, q, 0)
+    lower = coleman_level(w, fam3n2, 1)
+    with pytest.raises(InvalidInputError, match="level-1 image with a level-2"):
+        derivative_rep(w, sol3n2, lower)
+    w1 = UnitFunctional.seeded(tower3n2, 1, q, 0)
+    with pytest.raises(InvalidInputError, match="no level 2"):
+        verify_convolution(w1, fam3n2, coleman_level(w, fam3n2, 2))
+    with pytest.raises(InvalidInputError, match="no level -1"):
+        verify_level_compatibility(w, fam3n2, coleman_level(w, fam3n2, 0))

@@ -38,9 +38,9 @@ def test_pipeline_at_p7():
     q = TateParameter.make(ctx, 1, 8)
     w = UnitFunctional.seeded(tower, 1, q, 0)
     assert verify_trivial_zero(coleman_level(w, fam, 1)) >= ctx.prec - 2
-    _, rep = derivative_rep(w, sol, fam, 1)
+    _, rep = derivative_rep(w, sol, coleman_level(w, fam, 1))
     assert rep["abel_residual"] >= ctx.prec - 2
-    dc = verify_dcol(w, sol, q, fam, 1)
+    dc = verify_dcol(w, sol, q)
     assert dc["residual_valuation"] >= dc["modulus_exponent"]
     chi = primitive_characters(tower, 1)[0]
     assert verify_char_sum(fam, chi) >= ctx.prec - 2

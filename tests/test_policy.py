@@ -2,6 +2,9 @@
 tolerance, and ``require`` is the one place a residual passes or fails."""
 
 import ast
+import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -68,3 +71,35 @@ def test_require_returns_or_names_the_failure():
         ctx.require(9, "identity fails")
     with pytest.raises(PropertyFailure, match="valuation 7"):
         ctx.require(7, "solve", ctx.solve_floor)
+
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def _unresolved(targets):
+    """(module, attribute path) pairs of traced targets that padiclab no
+    longer has."""
+    missing = []
+    for _, module, path, *_ in targets:
+        try:
+            obj = importlib.import_module(module)
+            for attr in path.split("."):
+                obj = getattr(obj, attr)
+        except (ImportError, AttributeError):
+            missing.append((module, path))
+    return missing
+
+
+def test_benchmark_span_targets_resolve(monkeypatch):
+    # the benchmark wraps these functions from outside; a rename or a
+    # deletion would otherwise break only its traced run
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)  # dataclasses look it up
+    spec.loader.exec_module(spans)
+    assert len(spans.TARGETS) > 40
+    assert _unresolved(spans.TARGETS) == []
+    assert _unresolved([("x", "padiclab.coleman", "GroupRingElement.scale", "span", None)]) == [
+        ("padiclab.coleman", "GroupRingElement.scale")
+    ]

@@ -22,6 +22,7 @@ from padiclab.tate import (
     default_grid,
     formal_log_weierstrass,
     multiplicative_parameter_series,
+    verify_formal_iso,
 )
 
 
@@ -97,6 +98,52 @@ def newton_reversion(f):
         corr = err * horner_compose(df.truncate(reached), gt).reciprocal()
         g = gt - corr
     return g.truncate(f.order)
+
+
+def scalar_reciprocal(f):
+    """Test-only oracle: 1/f by the coefficient recursion in PadicScalar
+    arithmetic, each term carrying its own precision."""
+    c0 = f.coeffs[0]
+    inv0 = c0.inverse()
+    out = [inv0]
+    for m in range(1, f.order + 1):
+        s = f.ctx.zero(c0.absprec)
+        for j in range(1, m + 1):
+            s = s + f.coeff(j) * out[m - j]
+        out.append(-s * inv0)
+    return TruncatedSeries(f.ctx, out)
+
+
+def scalar_formal_log(ctx, a4, a6, order):
+    """Test-only oracle: formal_log_weierstrass with W (w = t^3 W) solved
+    from w = t^3 + t w + a4 t w^2 + a6 w^3 in PadicScalar arithmetic, w^2
+    and w^3 summed term by term, and the scalar reciprocal."""
+    absprec = min(a4.absprec, a6.absprec)
+    zero = ctx.zero(absprec)
+    n = order + 3
+    w = [zero] * (n + 1)
+    sq = [zero] * (n + 4)
+    cube = [zero] * (n + 1)
+    w[3] = sq[6] = ctx.one(absprec)
+    if 9 <= n:
+        cube[9] = ctx.one(absprec)
+    for m in range(4, n + 1):
+        w[m] = w[m - 1] + a4 * sq[m - 1] + a6 * cube[m]
+        acc = zero
+        for i in range(3, m + 1):
+            acc = acc + w[i] * w[m + 3 - i]
+        sq[m + 3] = acc
+        if m + 6 <= n:
+            acc = zero
+            for i in range(3, m + 1):
+                acc = acc + w[i] * sq[m + 6 - i]
+            cube[m + 6] = acc
+    big_w = TruncatedSeries(ctx, w[3:])
+    num = big_w.scale(2) + TruncatedSeries(ctx, (zero,) + big_w.derivative().coeffs)
+    two_minus_t = TruncatedSeries.from_rationals(ctx, [2, -1] + [0] * (order - 1), absprec)
+    omega = num * scalar_reciprocal(big_w) * scalar_reciprocal(two_minus_t)
+    omega = omega.truncate(order - 1)
+    return omega.integrate().truncate(order), omega
 
 
 def _seeded_series(ctx, rng, order, inner=False, denominators=()):
@@ -250,6 +297,41 @@ def test_compose_refuses_non_integral_inner():
     g = TruncatedSeries.from_rationals(ctx, [0, 1, Fraction(1, 9), 0])
     with pytest.raises(InvalidInputError, match=r"integral inner series \(valuation -2\)"):
         f.compose(g)
+
+
+def test_reciprocal_refuses_non_integral_series():
+    ctx = PrimeContext(3, 16)
+    f = TruncatedSeries.from_rationals(ctx, [1, 2, Fraction(1, 27)])
+    with pytest.raises(InvalidInputError, match=r"integral series \(valuation -3\)"):
+        f.reciprocal()
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_integer_rows_match_scalar_oracles_on_tate_grid(p, monkeypatch):
+    # the curve's formal log and every reciprocal it takes, against the
+    # PadicScalar recursions, digit for digit and precision for precision
+    ctx = PrimeContext(p, 16)
+    order = 40
+    reciprocal = TruncatedSeries.reciprocal
+    seen = []
+
+    def checked(f):
+        out = reciprocal(f)
+        assert _digits(out) == _digits(scalar_reciprocal(f))
+        seen.append(f.order)
+        return out
+
+    monkeypatch.setattr(TruncatedSeries, "reciprocal", checked)
+    headroom = ctx.wprec + factorial_valuation(order, p) + 8
+    for q in default_grid(ctx)[0]:
+        verify_formal_iso(ctx, q, order)
+        a4, a6 = a_invariants(ctx.scalar(q.unit * p**q.ord, headroom))
+        got = formal_log_weierstrass(ctx, a4, a6, order)
+        want = scalar_formal_log(ctx, a4, a6, order)
+        assert [_digits(s) for s in got] == [_digits(s) for s in want]
+    # 1/W and 1/(2 - t) in each formal log, once inside verify_formal_iso
+    # and once here, at each of the three q
+    assert seen == [order] * 12
 
 
 def test_reversion_refuses_non_integral_series():
