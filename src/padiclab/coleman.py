@@ -147,11 +147,15 @@ def pair(x: CycloElement, w: UnitFunctional, m: int) -> PadicScalar:
 
 def pair_qp(y: PadicScalar, w: UnitFunctional) -> PadicScalar:
     """The level-0 pairing on Q_p^x."""
-    ctx = w.tower.ctx
-    e0 = w.e0()
-    out = e0 * iwasawa_log(y)
-    if y.v != 0:
-        out = out + w.alpha * y.v
+    return _pair_log(iwasawa_log(y), y.v, w)
+
+
+def _pair_log(log_y: PadicScalar, v: int, w: UnitFunctional) -> PadicScalar:
+    """The level-0 pairing E_0 log_p(y) + alpha v(y), read from log_p(y)
+    and v(y), so a logarithm the caller keeps is not recomputed."""
+    out = w.e0() * log_y
+    if v != 0:
+        out = out + w.alpha * v
     return out
 
 
@@ -173,9 +177,9 @@ class GroupRingElement:
         return acc
 
     def project(self, m: int) -> "GroupRingElement":
-        """Push along Gamma_n -> Gamma_m."""
-        if m > self.n:
-            raise InvalidInputError("cannot project upwards")
+        """Push along Gamma_n -> Gamma_m, 0 <= m <= n."""
+        if not 0 <= m <= self.n:
+            raise InvalidInputError(f"cannot project level {self.n} to level {m}")
         pm = self.tower.ctx.p**m
         out = [self.tower.ctx.zero() for _ in range(pm)]
         for i, c in enumerate(self.coeffs):
@@ -390,7 +394,7 @@ def derivative_rep(w: UnitFunctional, sol: H90Solution, col: GroupRingElement):
     resid = ctx.require(
         col.residual_against(rhs), f"Abel summation identity fails at level {n}"
     )
-    d_n = -pair_qp(sol.norm_x, w)
+    d_n = -_pair_log(sol.log_norm_x, sol.norm_x.v, w)
     closed = -(w.alpha * sol.e)
     closed_resid = (d_n - closed).min_valuation()
     report = {
@@ -406,7 +410,7 @@ def verify_key2(w: UnitFunctional, q: TateParameter) -> Fraction:
     """(p, w)_0 = -(log q / ord q) E_0 exactly (the admissibility constraint
     composed with the decomposition of the Tate period)."""
     ctx = w.tower.ctx
-    lhs = pair_qp(ctx.scalar(ctx.p), w)
+    lhs = _pair_log(w.tower.log_int(ctx.p), 1, w)
     rhs = -(q.slope() * w.e0())
     return ctx.require((lhs - rhs).min_valuation(), "valuation-slope identity fails")
 
@@ -420,8 +424,8 @@ def verify_dcol(w: UnitFunctional, sol: H90Solution, q: TateParameter) -> dict:
     tower = w.tower
     ctx = tower.ctx
     n = sol.n
-    d_n = -pair_qp(sol.norm_x, w)
-    log_kappa = iwasawa_log(ctx.scalar(tower.kappa_gamma))
+    d_n = -_pair_log(sol.log_norm_x, sol.norm_x.v, w)
+    log_kappa = tower.log_int(tower.kappa_gamma)
     factor = ctx.scalar(ctx.p) / (log_kappa * (ctx.p - 1))
     rhs = factor * q.slope() * w.e0()
     if w.alpha.is_zero:

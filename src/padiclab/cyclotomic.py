@@ -343,6 +343,15 @@ class CycloTower:
         self._gamma_log = {}
         # coleman.gauss_sum's memo: (n, j, a) -> tau(chi)
         self.gauss_sums = {}
+        self._int_logs = {}
+
+    def log_int(self, a: int) -> PadicScalar:
+        """The Iwasawa log of the integer a at working precision, computed
+        once per tower: log kappa(gamma) and log p enter every functional's
+        checks."""
+        if a not in self._int_logs:
+            self._int_logs[a] = iwasawa_log(self.ctx.scalar(a))
+        return self._int_logs[a]
 
     def field(self, n: int) -> CycloField:
         if n not in self._fields:

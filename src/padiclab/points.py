@@ -352,7 +352,7 @@ def verify_generation(fam: PointFamily, n: int) -> dict:
     ctx = tower.ctx
     lattice = fam.lattice(n)
     vectors = [tower.to_pi_coords(conj) for conj in fam.log_d_conjugates(n)]
-    log_u = iwasawa_log(ctx.scalar(1 + ctx.p))
+    log_u = tower.log_int(1 + ctx.p)
     vectors.append([log_u] + [ctx.zero()] * (lattice.dim - 1))
     coords = [lattice.coords(v) for v in vectors]
     if not all(map(_integral, coords)):
@@ -409,6 +409,11 @@ class H90Solution:
     def norm_x(self) -> PadicScalar:
         """N_{k_n/Q_p}(x_n)."""
         return self.tower.norm_kn_to_qp(self.x_n)
+
+    @cached_property
+    def log_norm_x(self) -> PadicScalar:
+        """log_p N(x_n), Iwasawa branch."""
+        return iwasawa_log(self.norm_x)
 
 
 def solve_h90(fam: PointFamily, n: int) -> H90Solution:
@@ -488,7 +493,7 @@ def verify_prop2(sol: H90Solution, tower: CycloTower) -> dict:
     """p = e_n (p-1) log kappa(gamma) mod p^(n+1), with e_n from the solve."""
     ctx = tower.ctx
     n = sol.n
-    log_kappa = iwasawa_log(ctx.scalar(tower.kappa_gamma))
+    log_kappa = tower.log_int(tower.kappa_gamma)
     lhs = ctx.scalar(ctx.p)
     rhs = log_kappa * (ctx.p - 1) * sol.e
     diff = lhs - rhs

@@ -17,7 +17,9 @@ from .core import (
     PropertyFailure,
     factorial_valuation,
     iwasawa_log,
+    split_p,
     teichmuller,
+    vp,
 )
 from .series import TruncatedSeries, _extend_power_rows, geometric_inverse, log_one_plus_x
 from .coleman import TateParameter
@@ -54,21 +56,29 @@ def a_series_coefficients(order: int):
 
 
 def sk_value(k: int, q: PadicScalar) -> PadicScalar:
-    """s_k(q) = sum_{n>=1} n^k q^n/(1-q^n), summed to working precision."""
+    """s_k(q) = sum_{n>=1} n^k q^n/(1-q^n), summed to working precision.
+
+    The sum runs on integers mod p^E, one modular inverse of 1 - q^n per
+    term, with E = absprec(q): the n = 1 term is known to exactly that
+    precision and the n-th to n v(q) + k v_p(n) + rel(q), no less, so E is
+    the least precision among the terms.  Terms with n v(q) >= E vanish.
+    """
     ctx = q.ctx
     if q.is_zero:
         return ctx.zero(q.absprec)
     if q.v < 1:
         raise InvalidInputError("s_k needs v(q) >= 1")
     target = q.absprec
-    acc = ctx.zero(target)
-    qn = ctx.one(target)
+    mod = ctx.pk(target)
+    qi = q.lift()
+    acc = 0
+    qn = 1
     n = 1
     while (n * q.v) < target:
-        qn = qn * q
-        acc = acc + qn * (n**k) / (1 - qn)
+        qn = qn * qi % mod
+        acc = (acc + n**k * qn * pow(1 - qn, -1, mod)) % mod
         n += 1
-    return acc
+    return PadicScalar._make(ctx, 0, acc, target)
 
 
 def a_invariants(q: PadicScalar):
@@ -99,6 +109,14 @@ def uniformize_point(u: PadicScalar, q, a_inv=None):
     The two-sided sums are folded to positive powers of q via the
     u <-> 1/u symmetry, so every summand converges; the tail is cut when
     q^m drops below working precision.
+
+    The m = 0 terms u/(1-u)^2 and u^2/(1-u)^3 are scalars, since 1 - u
+    need not be a unit.  The m >= 1 terms w/(1-w)^2, w^2/(1-w)^3 (w = q^m u)
+    and -w/(1-w)^3 (w = q^m/u) are summed on integers mod p^E, one modular
+    inverse of 1 - w per w, with E = v(q) + min(target, rel(q)) and target
+    = min(absprec(u), absprec(q)): the m = 1 terms are known to exactly
+    that precision and every later term to more, so E is the least
+    precision among them.
     """
     if isinstance(q, TateParameter):
         q = q.value()
@@ -110,29 +128,28 @@ def uniformize_point(u: PadicScalar, q, a_inv=None):
     if (u - 1).is_zero:
         raise InvalidInputError("u lies in q^Z: the point at infinity")
     target = min(u.absprec, q.absprec)
-    uinv = u.inverse()
-    one = ctx.one(target)
-
-    def x_term(w):
-        return w / ((1 - w) ** 2)
-
-    def y_term_pos(w):
-        return w * w / ((1 - w) ** 3)
-
-    def y_term_neg(w):
-        return -(w / ((1 - w) ** 3))
-
-    X = x_term(u)
-    Y = y_term_pos(u)
-    qm = one
+    X = u / ((1 - u) ** 2)
+    Y = u * u / ((1 - u) ** 3)
+    E = q.v + min(target, q.rel_prec())
+    mod = ctx.pk(E)
+    ui = u.lift()
+    uinv = pow(ui, -1, mod)
+    qi = q.lift()
+    sx = sy = 0
+    qm = 1
     m = 1
     while m * q.v < target + 2:
-        qm = qm * q
-        wp = qm * u
-        wn = qm * uinv
-        X = X + x_term(wp) + x_term(wn)
-        Y = Y + y_term_pos(wp) + y_term_neg(wn)
+        qm = qm * qi % mod
+        wp = qm * ui % mod
+        wn = qm * uinv % mod
+        ip = pow(1 - wp, -1, mod)
+        ineg = pow(1 - wn, -1, mod)
+        sx = (sx + wp * ip * ip + wn * ineg * ineg) % mod
+        sy = (sy + wp * wp * ip**3 - wn * ineg**3) % mod
         m += 1
+    if m > 1:
+        X = X + PadicScalar._make(ctx, 0, sx, E)
+        Y = Y + PadicScalar._make(ctx, 0, sy, E)
     s1 = sk_value(1, q)
     X = X - s1 * 2
     Y = Y + s1
@@ -198,9 +215,15 @@ def multiplicative_parameter_series(ctx, omega: TruncatedSeries, order: int) -> 
     must stay in Z_p; both are checked.  Then F_0..F_(m-1) are integers
     known to the uniform precision E_m, the least absprec among
     omega_0..omega_(m-1) and t_0..t_(m-1), which is the precision a packed
-    composition of the truncations returns.  Only the division by the
-    degree sheds precision.  Integrality of the result is a verified
-    output, not an assumption.
+    composition of the truncations returns.  With g_i = F_i + F_(i-1),
+    the coefficients of (1+X) omega(t), the X^(m-1) coefficient of the
+    identity reads s = sum_{i<m} g_i (m-i) t_(m-i) = -m t_m.  s is summed
+    on integers mod p^E with E = E_m: the i = m-1 term g_(m-1) t_1 is known
+    to exactly E_m and no term to less.  When g_(m-1) vanishes mod p^(E_m),
+    E is the least precision among the terms that remain.  Only the
+    division by the degree sheds precision: t_m is known mod
+    p^(E - v_p(m)).  Integrality of the result is a verified output, not
+    an assumption.
     """
     c0 = omega.coeff(0)
     if c0.is_zero or not (c0 - 1).is_zero:
@@ -210,15 +233,17 @@ def multiplicative_parameter_series(ctx, omega: TruncatedSeries, order: int) -> 
         raise InvalidInputError(f"omega has a non-integral coefficient (valuation {worst})")
     absprec = min(c.absprec for c in omega.coeffs)
     w = [c.lift() for c in omega.coeffs]
-    zero = ctx.zero(absprec)
-    t = [zero, ctx.one(absprec)]
+    t = [ctx.zero(absprec), ctx.one(absprec)]
     ti = [0, 1]
+    # jt[j] = j t_j, the coefficients of X t'(X)
+    jt = [0, 1]
     prec = absprec
     # pw[j][k] = (t^j)_k mod p^prec for j >= 1, zero below k = j since
     # t_0 = 0; row 1 is ti itself, and the row t^0 = 1 only enters
     # F_0 = omega_0
     pw = [None, ti]
     F = [w[0]]
+    g = [None]
     for m in range(2, order + 1):
         k = m - 1
         prec = min(prec, t[k].absprec)
@@ -228,24 +253,48 @@ def multiplicative_parameter_series(ctx, omega: TruncatedSeries, order: int) -> 
         if k > 1:
             _extend_power_rows(pw, k, mod)
         F.append(sum(w[j] * pw[j][k] for j in range(1, min(k, len(w) - 1) + 1)) % mod)
-        Fm = [PadicScalar._make(ctx, 0, f, prec) for f in F]
-        # G = (1+X) omega(t); identity [G t']_(m-1) = 0 for m >= 2
-        s = zero
-        for i in range(1, m):
-            g_i = Fm[i] + Fm[i - 1]
-            if not g_i.is_zero:
-                s = s + g_i * (m - i) * t[m - i]
-        tm = -s / m
+        g.append(F[k] + F[k - 1])
+        if g[k] % mod:
+            E = prec
+            s = sum(map(mul, g[1:m], jt[k:0:-1]))
+        else:
+            E, s = _sparse_degree_sum(ctx, g, jt, t, m, prec, absprec)
+        vm, um = split_p(m, ctx.p)
+        tm = PadicScalar._make(ctx, -vm, -s * pow(um, -1, ctx.pk(E)), E - vm)
         if tm.min_valuation() < 0:
             raise PropertyFailure(
                 f"uniformizing series leaves Z_p at degree {m} (valuation {tm.min_valuation()})"
             )
         t.append(tm)
         ti.append(tm.lift())
+        jt.append(m * ti[m])
     return TruncatedSeries(ctx, t)
 
 
+def _sparse_degree_sum(ctx, g, jt, t, m, prec, absprec):
+    """(E, s) for degree m when g_(m-1) vanishes mod p^prec: s sums the
+    terms g_i (m-i) t_(m-i) with g_i nonzero mod p^prec, and E is the least
+    precision among them, v_p(m-i) + min(prec + v(t_(m-i)),
+    absprec(t_(m-i)) + v(g_i)), and at most absprec, omega's least
+    absprec."""
+    mod = ctx.pk(prec)
+    E, s = absprec, 0
+    for i in range(1, m):
+        gi = g[i] % mod
+        if gi:
+            tj = t[m - i]
+            E = min(E, vp(m - i, ctx.p) + min(prec + tj.min_valuation(), tj.absprec + vp(gi, ctx.p)))
+            s += gi * jt[m - i]
+    return E, s
+
+
 def _series_residual(a: TruncatedSeries, b: TruncatedSeries):
+    """Least valuation of a - b, coefficient by coefficient; series of
+    different lengths are refused, not truncated to the shorter."""
+    if len(a.coeffs) != len(b.coeffs):
+        raise InvalidInputError(
+            f"cannot compare a series of order {a.order} with one of order {b.order}"
+        )
     return min((x - y).min_valuation() for x, y in zip(a.coeffs, b.coeffs))
 
 

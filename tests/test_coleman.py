@@ -463,3 +463,35 @@ def test_checks_refuse_an_image_from_another_level(tower3n2, fam3n2, sol3n2):
         verify_convolution(w1, fam3n2, coleman_level(w, fam3n2, 2))
     with pytest.raises(InvalidInputError, match="no level -1"):
         verify_level_compatibility(w, fam3n2, coleman_level(w, fam3n2, 0))
+
+
+def test_project_refuses_a_level_outside_zero_to_n(tower3n2, fam3n2):
+    q = TateParameter.make(tower3n2.ctx, 1, 4)
+    col = coleman_level(UnitFunctional.seeded(tower3n2, 2, q, 0), fam3n2, 1)
+    assert col.project(0).n == 0
+    for m in (-1, -2, 2):
+        with pytest.raises(InvalidInputError, match=f"level 1 to level {m}"):
+            col.project(m)
+
+
+def test_suite_takes_each_logarithm_once(monkeypatch):
+    # log N(x_n) is read once per level from the solution, log kappa(gamma)
+    # and log p once per tower: 20 functionals at two levels take 4
+    # logarithms, and setting up the towers and q take 3 more
+    from padiclab import coleman, core, cyclotomic, points
+    from padiclab.runner import SuiteConfig, run_suite
+
+    args = []
+    log = core.iwasawa_log
+
+    def counted(x):
+        args.append((x.v, x.unit, x.absprec))
+        return log(x)
+
+    for module in (core, coleman, cyclotomic, points):
+        monkeypatch.setattr(module, "iwasawa_log", counted)
+    report = run_suite(
+        SuiteConfig(p=3, n_max=2, prec=12, n_functionals=20, suites=("coleman",))
+    )
+    assert report.summary()["fail"] == 0
+    assert len(args) <= 8

@@ -18,8 +18,13 @@ from padiclab import (
     weierstrass_residual,
 )
 from padiclab.series import TruncatedSeries
-from padiclab.core import factorial_valuation
-from padiclab.tate import default_grid, formal_log_weierstrass, multiplicative_parameter_series
+from padiclab.core import PadicScalar, PrecisionError, factorial_valuation
+from padiclab.tate import (
+    _series_residual,
+    default_grid,
+    formal_log_weierstrass,
+    multiplicative_parameter_series,
+)
 
 
 def compose_oracle_parameter_series(ctx, omega, order):
@@ -37,6 +42,92 @@ def compose_oracle_parameter_series(ctx, omega, order):
                 s = s + g_i * (m - i) * t[m - i]
         t.append(-s / m)
     return TruncatedSeries(ctx, t)
+
+
+def scalar_parameter_series(ctx, omega, order):
+    """Test-only oracle: the uniformizing series with the degree-m sum
+    s = sum_i g_i (m-i) t_(m-i) and the division by m done on scalars."""
+    from padiclab.series import _extend_power_rows
+
+    absprec = min(c.absprec for c in omega.coeffs)
+    w = [c.lift() for c in omega.coeffs]
+    zero = ctx.zero(absprec)
+    t = [zero, ctx.one(absprec)]
+    ti = [0, 1]
+    prec = absprec
+    pw = [None, ti]
+    F = [w[0]]
+    for m in range(2, order + 1):
+        k = m - 1
+        prec = min(prec, t[k].absprec)
+        if prec <= 0:
+            raise PrecisionError("uniformizing series has no remaining precision", achieved=prec)
+        mod = ctx.pk(prec)
+        if k > 1:
+            _extend_power_rows(pw, k, mod)
+        F.append(sum(w[j] * pw[j][k] for j in range(1, min(k, len(w) - 1) + 1)) % mod)
+        Fm = [PadicScalar._make(ctx, 0, f, prec) for f in F]
+        s = zero
+        for i in range(1, m):
+            g_i = Fm[i] + Fm[i - 1]
+            if not g_i.is_zero:
+                s = s + g_i * (m - i) * t[m - i]
+        tm = -s / m
+        if tm.min_valuation() < 0:
+            raise PropertyFailure(
+                f"uniformizing series leaves Z_p at degree {m} (valuation {tm.min_valuation()})"
+            )
+        t.append(tm)
+        ti.append(tm.lift())
+    return TruncatedSeries(ctx, t)
+
+
+def scalar_sk_value(k, q):
+    """Test-only oracle: s_k(q) summed term by term on scalars."""
+    ctx = q.ctx
+    if q.is_zero:
+        return ctx.zero(q.absprec)
+    target = q.absprec
+    acc = ctx.zero(target)
+    qn = ctx.one(target)
+    n = 1
+    while (n * q.v) < target:
+        qn = qn * q
+        acc = acc + qn * (n**k) / (1 - qn)
+        n += 1
+    return acc
+
+
+def scalar_uniformize_point(u, q, a_inv):
+    """Test-only oracle: (X, Y, residual) with every summand a scalar."""
+    ctx = u.ctx
+    target = min(u.absprec, q.absprec)
+    uinv = u.inverse()
+
+    def x_term(w):
+        return w / ((1 - w) ** 2)
+
+    def y_term_pos(w):
+        return w * w / ((1 - w) ** 3)
+
+    def y_term_neg(w):
+        return -(w / ((1 - w) ** 3))
+
+    X = x_term(u)
+    Y = y_term_pos(u)
+    qm = ctx.one(target)
+    m = 1
+    while m * q.v < target + 2:
+        qm = qm * q
+        wp = qm * u
+        wn = qm * uinv
+        X = X + x_term(wp) + x_term(wn)
+        Y = Y + y_term_pos(wp) + y_term_neg(wn)
+        m += 1
+    s1 = scalar_sk_value(1, q)
+    X = X - s1 * 2
+    Y = Y + s1
+    return X, Y, weierstrass_residual(X, Y, *a_inv)
 
 
 def _grid_omega(ctx, q, order):
@@ -319,3 +410,113 @@ def test_tate_grid_error_is_reported(monkeypatch):
         "tate.inversion-symmetry",
         "tate.weierstrass-residual-grid",
     ]
+
+
+def _triple(x):
+    return (x.v, x.unit, x.absprec)
+
+
+# the contexts of the integer-kernel oracle comparisons
+ORACLE_GRID = [(p, n) for p in (3, 5, 7) for n in (12, 16, 30, 80)]
+
+
+def test_parameter_series_matches_scalar_oracle():
+    # every t_m identical in (v, unit, absprec) to the scalar recursion,
+    # on the default grid and on the degenerate curve (whose sparse
+    # (1+X) omega(t) takes the least-precision path at every m >= 4)
+    for p, n in ORACLE_GRID:
+        ctx = PrimeContext(p, n)
+        order = 64 if (p, n) == (3, 80) else 24
+        omegas = [_grid_omega(ctx, q, order) for q in default_grid(ctx)[0]]
+        zero = ctx.scalar(0, ctx.wprec + 8)
+        omegas.append(formal_log_weierstrass(ctx, zero, zero, order)[1])
+        for omega in omegas:
+            fast = multiplicative_parameter_series(ctx, omega, order)
+            assert _digits(fast) == _digits(scalar_parameter_series(ctx, omega, order))
+
+
+def test_parameter_series_failure_matches_scalar_oracle(ctx3):
+    omega = TruncatedSeries.from_rationals(ctx3, [1, 1] + [0] * 6)
+    for solve in (multiplicative_parameter_series, scalar_parameter_series):
+        with pytest.raises(PropertyFailure, match=r"degree 3 \(valuation -1\)"):
+            solve(ctx3, omega, 8)
+
+
+def _oracle_points(ctx):
+    """(u, q) over the default grid, each pair followed by one variant in
+    turn: u^-1, u at absprec wprec - 5, or q at absprec wprec - 5."""
+    qs, us = default_grid(ctx)
+    low = ctx.wprec - 5
+    variants = (
+        lambda u, q: (u.inverse(), q),
+        lambda u, q: (u.reduce_absprec(low), q),
+        lambda u, q: (u, q.reduce_absprec(low)),
+    )
+    pairs = [(u, q.value()) for q in qs for u in us if not (u - 1).is_zero]
+    for i, (u, q) in enumerate(pairs):
+        yield u, q
+        yield variants[i % len(variants)](u, q)
+
+
+def test_uniformization_matches_scalar_oracle():
+    for p, n in ORACLE_GRID:
+        ctx = PrimeContext(p, n)
+        for u, q in _oracle_points(ctx):
+            a_inv = a_invariants(q)
+            fast = uniformize_point(u, q, a_inv)
+            slow = scalar_uniformize_point(u, q, a_inv)
+            assert list(map(_triple, fast)) == list(map(_triple, slow)), (p, n)
+
+
+def test_sk_value_matches_scalar_oracle():
+    for p, n in ORACLE_GRID:
+        ctx = PrimeContext(p, n)
+        for q in default_grid(ctx)[0]:
+            for qv in (q.value(), q.value().reduce_absprec(ctx.wprec - 5)):
+                for k in (1, 3, 5):
+                    assert _triple(sk_value(k, qv)) == _triple(scalar_sk_value(k, qv))
+
+
+def _count_scalar_ops(monkeypatch):
+    calls = {"mul": 0, "add": 0}
+    for name, op in (("mul", "__mul__"), ("add", "__add__")):
+        orig = getattr(PadicScalar, op)
+
+        def counted(self, other, orig=orig, name=name):
+            calls[name] += 1
+            return orig(self, other)
+
+        monkeypatch.setattr(PadicScalar, op, counted)
+    return calls
+
+
+def test_parameter_series_makes_no_scalar_products(ctx3, monkeypatch):
+    omega = _grid_omega(ctx3, default_grid(ctx3)[0][0], 64)
+    calls = _count_scalar_ops(monkeypatch)
+    assert multiplicative_parameter_series(ctx3, omega, 64).order == 64
+    assert calls["mul"] == 0
+
+
+def test_uniformization_scalar_work_does_not_grow_with_precision(monkeypatch):
+    # the m >= 1 sums run on integers, so the scalar operations of one
+    # call are the same at N = 16 and N = 80
+    counts = []
+    for n in (16, 80):
+        ctx = PrimeContext(3, n)
+        q = TateParameter.make(ctx, 1, 4)
+        a_inv = a_invariants(q.value())
+        with monkeypatch.context() as mp:
+            calls = _count_scalar_ops(mp)
+            uniformize_point(ctx.scalar(2), q, a_inv)
+        counts.append(dict(calls))
+    assert counts[0] == counts[1]
+
+
+def test_series_residual_refuses_different_lengths(ctx3):
+    a = TruncatedSeries.from_rationals(ctx3, [0, 1, 2, 3])
+    b = TruncatedSeries.from_rationals(ctx3, [0, 1, 2])
+    assert _series_residual(a, a) >= ctx3.prec
+    with pytest.raises(InvalidInputError, match="order 3 with one of order 2"):
+        _series_residual(a, b)
+    with pytest.raises(InvalidInputError, match="order 2 with one of order 3"):
+        _series_residual(b, a)
