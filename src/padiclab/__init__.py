@@ -16,7 +16,6 @@ from .core import (
 )
 from .series import (
     TruncatedSeries,
-    binomial_power,
     frobenius_substitute,
     geometric_inverse,
     log_one_plus_x,
@@ -45,7 +44,6 @@ from .coleman import (
     gauss_sum,
     negative_control,
     pair,
-    pair_qp,
     primitive_characters,
     verify_char_sum,
     verify_convolution,
@@ -61,10 +59,11 @@ from .tate import (
     mtt_report,
     sk_coefficients,
     sk_value,
+    sk_values,
     uniformize_point,
     verify_formal_iso,
     weierstrass_residual,
 )
-from .runner import CheckResult, Report, SuiteConfig, emit_report, parse_report, run_suite
+from .runner import CheckResult, Report, SuiteConfig, emit_report, run_suite
 
 __version__ = "0.1.0"

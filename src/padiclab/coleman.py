@@ -145,11 +145,6 @@ def pair(x: CycloElement, w: UnitFunctional, m: int) -> PadicScalar:
     return out
 
 
-def pair_qp(y: PadicScalar, w: UnitFunctional) -> PadicScalar:
-    """The level-0 pairing on Q_p^x."""
-    return _pair_log(iwasawa_log(y), y.v, w)
-
-
 def _pair_log(log_y: PadicScalar, v: int, w: UnitFunctional) -> PadicScalar:
     """The level-0 pairing E_0 log_p(y) + alpha v(y), read from log_p(y)
     and v(y), so a logarithm the caller keeps is not recomputed."""

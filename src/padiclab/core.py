@@ -416,26 +416,33 @@ def iwasawa_log(x: PadicScalar) -> PadicScalar:
 
 
 def _log_principal(u: PadicScalar) -> PadicScalar:
-    """log on 1 + pZ_p by the convergent series."""
+    """log on 1 + pZ_p by the convergent series, on integers.
+
+    With t = u - 1 known mod p^T, kmax = (T + 8)//v(t) + 4 and
+    L = floor(log_p(kmax + 1)), a bound on every v_p(k) in the sum,
+    p^L log(1+t) = sum_k (-1)^(k-1) t^k p^(L-v_p(k)) / (k/p^v_p(k)) is
+    summed mod p^T: each t^k is known to p^T, and the terms with
+    k v(t) >= T vanish mod p^(T-L) after the division by p^L.  The result
+    is claimed mod p^(T-L).
+    """
     ctx = u.ctx
     t = u - 1
     if not t.is_zero and t.v < 1:
         raise InvalidInputError("principal-unit log needs v(u - 1) >= 1")
     if t.is_zero:
         return ctx.zero(t.absprec)
-    target = t.absprec
-    acc = ctx.zero(target)
-    power = t
-    kmax = (target + 8) // t.v + 4
-    for k in range(1, kmax + 1):
-        term = power / k
-        if k % 2 == 0:
-            term = -term
-        acc = acc + term
-        if power.min_valuation() >= target:
-            break
-        power = power * t
-    return acc.reduce_absprec(target - _log_p_floor(kmax, ctx.p))
+    p, target = ctx.p, t.absprec
+    floor = _log_p_floor((target + 8) // t.v + 4, p)
+    mod = ctx.pk(target)
+    ti = t.lift()
+    acc = 0
+    power = 1
+    for k in range(1, (target - 1) // t.v + 1):
+        power = power * ti % mod
+        vk, uk = split_p(k, p)
+        term = power * ctx.pk(floor - vk) * pow(uk, -1, mod)
+        acc += term if k % 2 else -term
+    return PadicScalar._make(ctx, 0, acc % mod // ctx.pk(floor), target - floor)
 
 
 def _log_p_floor(k: int, p: int) -> int:

@@ -227,7 +227,8 @@ def run_suite(config: SuiteConfig) -> Report:
 
 def _check(report, name, anchor, fn, status="pass", detail=""):
     """Run fn and record its residual under status and detail; any
-    exception records a fail instead, with the error as its detail."""
+    exception records a fail instead, with the error as its detail, and
+    so does a pass whose fn measured nothing (returned None)."""
     t0 = time.monotonic()
     try:
         residual = fn()
@@ -235,6 +236,9 @@ def _check(report, name, anchor, fn, status="pass", detail=""):
         status, detail, residual = "fail", str(exc), None
     except Exception as exc:  # noqa: BLE001 - recorded, process continues
         status, detail, residual = "fail", f"{type(exc).__name__}: {exc}", None
+    else:
+        if status == "pass" and residual is None:
+            status, detail = "fail", "no residual measured"
     millis = int((time.monotonic() - t0) * 1000)
     report.checks.append(
         CheckResult(
@@ -497,15 +501,23 @@ def _run_negative_control(s: _Session, report: Report):
 def _run_tate(s: _Session, report: Report):
     ctx = s.ctx
 
-    # the sampling grid and the a-invariants of each q are built once, on
-    # first use inside a check, so that an error records that check's fail
+    # the sampling grid, and s_1, s_3, s_5 and the a-invariants of each q,
+    # are built once, on first use inside a check, so that an error
+    # records that check's fail
     @functools.cache
     def grid():
         return tt.default_grid(ctx)
 
     @functools.cache
+    def sums(q):
+        return tt.sk_values(q.value())
+
+    @functools.cache
     def a_inv(q):
-        return tt.a_invariants(q.value())
+        return tt.a_invariants(q.value(), sums(q))
+
+    def point(u, q):
+        return tt.uniformize_point(u, q, a_inv(q), sums(q)[0])
 
     def leading():
         a4s, a6s = tt.a_series_coefficients(24)
@@ -536,7 +548,7 @@ def _run_tate(s: _Session, report: Report):
             for q in qs:
                 for u in us:
                     if not (u - 1).is_zero:
-                        _, _, resid = tt.uniformize_point(u, q, a_inv(q))
+                        _, _, resid = point(u, q)
                         yield ctx.require(
                             resid.min_valuation(),
                             f"Weierstrass residual at q={q.ord},{q.unit} does not vanish",
@@ -549,8 +561,8 @@ def _run_tate(s: _Session, report: Report):
     def symmetry():
         qs, us = grid()
         q, u = qs[1], us[0]
-        x1, _, _ = tt.uniformize_point(u, q, a_inv(q))
-        x2, _, _ = tt.uniformize_point(u.inverse(), q, a_inv(q))
+        x1, _, _ = point(u, q)
+        x2, _, _ = point(u.inverse(), q)
         return ctx.require((x1 - x2).min_valuation(), "u <-> 1/u symmetry fails")
 
     _check(report, "tate.inversion-symmetry", "tate:uniformization", symmetry)
@@ -601,7 +613,3 @@ def emit_report(report: Report, format: str = "json", path=None):
                 fh.write(payload)
         return payload
     raise ConfigError(f"unknown format {format!r}")
-
-
-def parse_report(blob: bytes) -> dict:
-    return json.loads(blob.decode("ascii"))

@@ -92,11 +92,14 @@ def _extend_power_rows(rows, k, mod):
 class TruncatedSeries:
     """f = sum coeffs[i] X^i, exact mod (p^coeff-precisions, X^(order+1))."""
 
-    __slots__ = ("ctx", "coeffs")
+    __slots__ = ("ctx", "coeffs", "_powers")
 
     def __init__(self, ctx: PrimeContext, coeffs):
         self.ctx = ctx
         self.coeffs = tuple(coeffs)
+        # packed rows of this series' powers, per truncation order, when
+        # keep_powers() asked for them; None keeps one row at a time
+        self._powers = None
 
     # -- constructors --------------------------------------------------------
 
@@ -142,6 +145,16 @@ class TruncatedSeries:
         """(all coefficients in Z_p at their precision, worst valuation)."""
         worst = min(c.min_valuation() for c in self.coeffs)
         return worst >= 0, worst
+
+    def keep_powers(self) -> "TruncatedSeries":
+        """This series, holding on to the packed power rows that composing
+        over it builds: a second f.compose(g) over the returned g at the
+        same order reuses the rows g^j of the first instead of rebuilding
+        them.  Worth it only for an inner series that several outer ones
+        are composed over; the rows cost order^2/2 integers."""
+        out = TruncatedSeries(self.ctx, self.coeffs)
+        out._powers = {}
+        return out
 
     def __repr__(self):
         head = ", ".join(repr(c) for c in self.coeffs[:4])
@@ -226,7 +239,9 @@ class TruncatedSeries:
         denominator 0; a non-integral g is refused, naming its worst
         valuation.  The rows g^j are built one at a time by the packed
         convolution, which skips the zero prefix below X^j, and only one
-        row is held at once: O(order^3/6) products.
+        row is held at once: O(order^3/6) products.  Over a g from
+        keep_powers() the rows are built once and shared by every
+        composition over g at this order.
 
         Precision: with E the least absprec of a series and D_j the
         denominator exponent of f_j alone, the uncertainty p^E_g of g
@@ -243,7 +258,8 @@ class TruncatedSeries:
             )
         order = max(self.order, g.order)
         ctx = self.ctx
-        gp = _pack(g.truncate(order).coeffs)
+        rows = g._power_rows(order)
+        gp = next(rows)
         d, ef, fints = _pack(self.coeffs)
         value_prec = ef - d
         if self.order >= 1:
@@ -256,7 +272,7 @@ class TruncatedSeries:
         row = gp
         for j in range(1, self.order + 1):
             if j > 1:
-                row = _convolve(ctx, row, gp, order)
+                row = next(rows)
             fj = fints[j]
             if fj:
                 for i, r in enumerate(row[2]):
@@ -264,6 +280,27 @@ class TruncatedSeries:
                         out[i] += fj * r
         m = ctx.pk(e)
         return TruncatedSeries(ctx, _unpack(ctx, d, e, [c % m for c in out]))
+
+    def _power_rows(self, order):
+        """The packed rows g, g^2, g^3, ... of this series truncated at
+        ``order``, each the packed convolution of the one before with g.
+        Only the current row is held, unless keep_powers() made this
+        series: then the rows are kept per order and served again to the
+        next caller, which extends them where it needs more."""
+        table = [] if self._powers is None else self._powers.setdefault(order, [])
+        if not table:
+            table.append(_pack(self.truncate(order).coeffs))
+        first = row = table[0]
+        j = 0
+        while True:
+            if j < len(table):
+                row = table[j]
+            else:
+                row = _convolve(self.ctx, row, first, order)
+                if self._powers is not None:
+                    table.append(row)
+            yield row
+            j += 1
 
     def reversion(self) -> "TruncatedSeries":
         """Compositional inverse g of an integral f = f_1 X + ..., f_1 a unit.
@@ -311,19 +348,6 @@ class TruncatedSeries:
 
 
 # -- named constructions -------------------------------------------------------------
-
-
-def binomial_power(a: PadicScalar, order: int) -> TruncatedSeries:
-    """(1+X)^a for a in Z_p: coefficient m is the p-adic binomial C(a, m)."""
-    if not a.is_zero and a.v < 0:
-        raise InvalidInputError("binomial exponent must lie in Z_p")
-    ctx = a.ctx
-    out = [ctx.one(a.absprec)]
-    c = ctx.one(a.absprec)
-    for m in range(1, order + 1):
-        c = c * (a - (m - 1)) / m
-        out.append(c)
-    return TruncatedSeries(ctx, out)
 
 
 def log_one_plus_x(ctx: PrimeContext, order: int, absprec=None) -> TruncatedSeries:

@@ -55,41 +55,70 @@ def a_series_coefficients(order: int):
     return a4, a6
 
 
-def sk_value(k: int, q: PadicScalar) -> PadicScalar:
-    """s_k(q) = sum_{n>=1} n^k q^n/(1-q^n), summed to working precision.
+def sk_values(q: PadicScalar, ks=(1, 3, 5)):
+    """(s_k(q) for k in ks), s_k(q) = sum_{n>=1} n^k q^n/(1-q^n), summed to
+    working precision in one pass over n.
 
-    The sum runs on integers mod p^E, one modular inverse of 1 - q^n per
-    term, with E = absprec(q): the n = 1 term is known to exactly that
-    precision and the n-th to n v(q) + k v_p(n) + rel(q), no less, so E is
-    the least precision among the terms.  Terms with n v(q) >= E vanish.
+    The sums run on integers mod p^E, sharing q^n and the inverse of
+    1 - q^n among all k, with E = absprec(q): the n = 1 term is known to
+    exactly that precision and the n-th to n v(q) + k v_p(n) + rel(q), no
+    less, so E is the least precision among the terms.  Terms with
+    n v(q) >= E vanish.
     """
     ctx = q.ctx
     if q.is_zero:
-        return ctx.zero(q.absprec)
+        return tuple(ctx.zero(q.absprec) for _ in ks)
     if q.v < 1:
         raise InvalidInputError("s_k needs v(q) >= 1")
     target = q.absprec
     mod = ctx.pk(target)
-    qi = q.lift()
-    acc = 0
-    qn = 1
-    n = 1
-    while (n * q.v) < target:
-        qn = qn * qi % mod
-        acc = (acc + n**k * qn * pow(1 - qn, -1, mod)) % mod
-        n += 1
-    return PadicScalar._make(ctx, 0, acc, target)
+    qn = _power_list(q.lift(), (target - 1) // q.v, mod)
+    acc = [0] * len(ks)
+    for n, (x, inv) in enumerate(zip(qn, _inverses([1 - x for x in qn], mod)), 1):
+        term = x * inv
+        for i, k in enumerate(ks):
+            acc[i] = (acc[i] + n**k * term) % mod
+    return tuple(PadicScalar._make(ctx, 0, a, target) for a in acc)
 
 
-def a_invariants(q: PadicScalar):
-    """(a4, a6) of the split multiplicative curve with parameter q.
+def _power_list(x: int, count: int, mod: int):
+    """[x, x^2, ..., x^count] mod ``mod``."""
+    out = []
+    y = 1
+    for _ in range(count):
+        y = y * x % mod
+        out.append(y)
+    return out
+
+
+def _inverses(xs, mod: int):
+    """[x^-1 mod ``mod`` for x in xs] from one modular inversion: the
+    prefix products are inverted once and unwound (Montgomery's trick),
+    three products per element instead of one extended gcd each."""
+    prefix = [1]
+    for x in xs:
+        prefix.append(prefix[-1] * x % mod)
+    inv = pow(prefix[-1], -1, mod)
+    out = [0] * len(xs)
+    for i in range(len(xs) - 1, -1, -1):
+        out[i] = inv * prefix[i] % mod
+        inv = inv * xs[i] % mod
+    return out
+
+
+def sk_value(k: int, q: PadicScalar) -> PadicScalar:
+    """s_k(q) alone; see sk_values."""
+    return sk_values(q, (k,))[0]
+
+
+def a_invariants(q: PadicScalar, sums=None):
+    """(a4, a6) of the split multiplicative curve with parameter q, from
+    ``sums`` = sk_values(q) when the caller already has it.
 
     The q-coefficients are -5 and -1; both values are p-integral, which
     is asserted.
     """
-    ctx = q.ctx
-    s3 = sk_value(3, q)
-    s5 = sk_value(5, q)
+    _, s3, s5 = sk_values(q) if sums is None else sums
     a4 = -(s3 * 5)
     a6 = -(s3 * 5 + s5 * 7) / 12
     for name, val in (("a4", a4), ("a6", a6)):
@@ -103,8 +132,11 @@ def weierstrass_residual(x, y, a4, a6):
     return y * y + x * y - x * x * x - a4 * x - a6
 
 
-def uniformize_point(u: PadicScalar, q, a_inv=None):
+def uniformize_point(u: PadicScalar, q, a_inv=None, s1=None):
     """(X(u,q), Y(u,q), residual) for a unit u not congruent to 1.
+
+    ``a_inv`` = a_invariants(q) and ``s1`` = s_1(q) may be passed in by a
+    caller that evaluates many points on one curve.
 
     The two-sided sums are folded to positive powers of q via the
     u <-> 1/u symmetry, so every summand converges; the tail is cut when
@@ -112,8 +144,8 @@ def uniformize_point(u: PadicScalar, q, a_inv=None):
 
     The m = 0 terms u/(1-u)^2 and u^2/(1-u)^3 are scalars, since 1 - u
     need not be a unit.  The m >= 1 terms w/(1-w)^2, w^2/(1-w)^3 (w = q^m u)
-    and -w/(1-w)^3 (w = q^m/u) are summed on integers mod p^E, one modular
-    inverse of 1 - w per w, with E = v(q) + min(target, rel(q)) and target
+    and -w/(1-w)^3 (w = q^m/u) are summed on integers mod p^E, the
+    inverses of every 1 - w taken together, with E = v(q) + min(target, rel(q)) and target
     = min(absprec(u), absprec(q)): the m = 1 terms are known to exactly
     that precision and every later term to more, so E is the least
     precision among them.
@@ -134,27 +166,23 @@ def uniformize_point(u: PadicScalar, q, a_inv=None):
     mod = ctx.pk(E)
     ui = u.lift()
     uinv = pow(ui, -1, mod)
-    qi = q.lift()
+    qm = _power_list(q.lift(), (target + 1) // q.v, mod)
+    wps = [x * ui % mod for x in qm]
+    wns = [x * uinv % mod for x in qm]
+    invs = _inverses([1 - w for w in wps + wns], mod)
     sx = sy = 0
-    qm = 1
-    m = 1
-    while m * q.v < target + 2:
-        qm = qm * qi % mod
-        wp = qm * ui % mod
-        wn = qm * uinv % mod
-        ip = pow(1 - wp, -1, mod)
-        ineg = pow(1 - wn, -1, mod)
+    for wp, wn, ip, ineg in zip(wps, wns, invs, invs[len(qm):]):
         sx = (sx + wp * ip * ip + wn * ineg * ineg) % mod
         sy = (sy + wp * wp * ip**3 - wn * ineg**3) % mod
-        m += 1
-    if m > 1:
+    if qm:
         X = X + PadicScalar._make(ctx, 0, sx, E)
         Y = Y + PadicScalar._make(ctx, 0, sy, E)
-    s1 = sk_value(1, q)
-    X = X - s1 * 2
-    Y = Y + s1
+    if s1 is None:
+        s1 = sk_value(1, q)
     if a_inv is None:
         a_inv = a_invariants(q)
+    X = X - s1 * 2
+    Y = Y + s1
     a4, a6 = a_inv
     return X, Y, weierstrass_residual(X, Y, a4, a6)
 
@@ -318,7 +346,10 @@ def verify_formal_iso(ctx: PrimeContext, q, order: int = 64) -> dict:
     q = ctx.scalar(q_int, headroom)
     a4, a6 = a_invariants(q)
     lam, omega = formal_log_weierstrass(ctx, a4, a6, order)
-    t_of_x = multiplicative_parameter_series(ctx, omega, order)
+    # lambda and omega are composed over one table of the powers of the
+    # final t(X), built afresh by the packed convolution: the solve's own
+    # rows enforce (1+X) omega(t) t' = 1 and must not certify themselves
+    t_of_x = multiplicative_parameter_series(ctx, omega, order).keep_powers()
     ok, worst = t_of_x.is_integral()
     if not ok:
         raise PropertyFailure(

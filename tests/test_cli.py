@@ -5,12 +5,18 @@ import pytest
 
 from padiclab.runner import (
     ConfigError,
+    Report,
     SuiteConfig,
+    _check,
     emit_report,
-    parse_report,
     run_suite,
 )
 from padiclab.cli import main
+
+
+def parse_report(blob: bytes) -> dict:
+    return json.loads(blob.decode("ascii"))
+
 
 SMALL = dict(p=3, n_max=1, prec=10, n_functionals=2)
 
@@ -214,3 +220,19 @@ def test_cli_text_to_stdout(capsys):
     assert code == 0
     cap = capsys.readouterr()
     assert "PASS" in cap.out
+
+
+def test_a_pass_that_measured_nothing_fails():
+    # a check function returning None has no evidence to pass on; a skip
+    # needs none, and a residual of 0 is still a measurement
+    report = Report(config={})
+    _check(report, "stub.none", "stub", lambda: None)
+    _check(report, "stub.skipped", "stub", lambda: None, "skipped", "not defined here")
+    _check(report, "stub.zero", "stub", lambda: 0)
+    got = {c.name: (c.status, c.residual_valuation, c.detail) for c in report.checks}
+    assert got == {
+        "stub.none": ("fail", None, "no residual measured"),
+        "stub.skipped": ("skipped", None, "not defined here"),
+        "stub.zero": ("pass", 0, ""),
+    }
+    assert report.exit_code == 1

@@ -11,9 +11,9 @@ from padiclab import (
     coleman_level,
     derivative_rep,
     gauss_sum,
+    iwasawa_log,
     negative_control,
     pair,
-    pair_qp,
     primitive_characters,
     verify_char_sum,
     verify_convolution,
@@ -22,7 +22,12 @@ from padiclab import (
     verify_level_compatibility,
     verify_trivial_zero,
 )
-from padiclab.coleman import GroupRingElement, verify_gauss_product
+from padiclab.coleman import GroupRingElement, _pair_log, verify_gauss_product
+
+
+def pair_qp(y, w):
+    """Test-only: the level-0 pairing on Q_p^x."""
+    return _pair_log(iwasawa_log(y), y.v, w)
 
 
 def fingerprint(w):

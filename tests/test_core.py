@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,15 +7,41 @@ from hypothesis import given, settings, strategies as st
 from padiclab import (
     ConvergenceError,
     InvalidInputError,
+    PadicScalar,
     PrimeContext,
     hensel_root,
     iwasawa_log,
     padic_exp,
     teichmuller,
 )
+from padiclab.core import _log_p_floor, _log_principal
 
 settings.register_profile("lab", deadline=None, max_examples=25)
 settings.load_profile("lab")
+
+
+def scalar_log_principal(u):
+    """Test-only oracle: log on 1 + pZ_p with every term t^k/k a scalar,
+    stopping after the first power with k v(t) >= absprec(t)."""
+    ctx = u.ctx
+    t = u - 1
+    if not t.is_zero and t.v < 1:
+        raise InvalidInputError("principal-unit log needs v(u - 1) >= 1")
+    if t.is_zero:
+        return ctx.zero(t.absprec)
+    target = t.absprec
+    acc = ctx.zero(target)
+    power = t
+    kmax = (target + 8) // t.v + 4
+    for k in range(1, kmax + 1):
+        term = power / k
+        if k % 2 == 0:
+            term = -term
+        acc = acc + term
+        if power.min_valuation() >= target:
+            break
+        power = power * t
+    return acc.reduce_absprec(target - _log_p_floor(kmax, ctx.p))
 
 
 def test_context_rejects_bad_primes():
@@ -167,3 +194,56 @@ def test_arithmetic_never_overclaims():
     # cancellation detected: result is an honest zero at precision
     d = a - ctx.scalar(1, 10)
     assert d.is_zero and d.absprec == 10
+
+
+def _triple(x):
+    return (x.v, x.unit, x.absprec)
+
+
+def _principal_units(ctx, v, rng):
+    """Units 1 + t with v(t) = v, at absprecs where the last term k v(t)
+    of the series lands exactly on absprec (k v = absprec) and where it
+    overshoots it, down to absprec v + 1, and at wprec and above."""
+    p = ctx.p
+    for absprec in sorted({v + 1, v + 2, 3 * v, 3 * v + 1, ctx.prec, ctx.wprec, ctx.wprec + 7}):
+        if absprec <= v:
+            continue
+        for _ in range(2):
+            t = p**v * rng.randrange(1, p ** (absprec - v))
+            if t % p ** (v + 1) == 0:
+                t += p**v
+            yield PadicScalar._make(ctx, 0, 1 + t, absprec)
+
+
+def test_log_principal_matches_scalar_oracle():
+    # every result identical in (v, unit, absprec) to the scalar series
+    rng = random.Random(11)
+    for p in (3, 5, 7):
+        for n in (12, 30, 80):
+            ctx = PrimeContext(p, n)
+            units = [u for v in (1, 2, 3) for u in _principal_units(ctx, v, rng)]
+            units += [ctx.one(), ctx.one(5), ctx.scalar(1 + p**n, n)]
+            for u in units:
+                assert _triple(_log_principal(u)) == _triple(scalar_log_principal(u)), (p, n, u)
+
+
+def test_log_principal_refuses_what_the_oracle_refuses():
+    ctx = PrimeContext(5, 12)
+    for u in (ctx.scalar(2), ctx.scalar(Fraction(1, 5))):
+        for log in (_log_principal, scalar_log_principal):
+            with pytest.raises(InvalidInputError, match="v\\(u - 1\\) >= 1"):
+                log(u)
+
+
+def test_log_principal_makes_no_scalar_inversions(monkeypatch):
+    calls = []
+    orig = PadicScalar.inverse
+
+    def counted(self):
+        calls.append(self)
+        return orig(self)
+
+    monkeypatch.setattr(PadicScalar, "inverse", counted)
+    ctx = PrimeContext(3, 80)
+    assert not _log_principal(ctx.scalar(4)).is_zero
+    assert calls == []

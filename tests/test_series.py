@@ -9,7 +9,6 @@ from padiclab import (
     InvalidInputError,
     PrimeContext,
     TruncatedSeries,
-    binomial_power,
     frobenius_substitute,
     log_one_plus_x,
     teichmuller,
@@ -24,6 +23,20 @@ from padiclab.tate import (
     multiplicative_parameter_series,
     verify_formal_iso,
 )
+
+
+def binomial_power(a, order):
+    """Test-only: (1+X)^a for a in Z_p, coefficient m the p-adic binomial
+    C(a, m)."""
+    if not a.is_zero and a.v < 0:
+        raise InvalidInputError("binomial exponent must lie in Z_p")
+    ctx = a.ctx
+    out = [ctx.one(a.absprec)]
+    c = ctx.one(a.absprec)
+    for m in range(1, order + 1):
+        c = c * (a - (m - 1)) / m
+        out.append(c)
+    return TruncatedSeries(ctx, out)
 
 
 def series_residual(a, b):
@@ -362,7 +375,9 @@ def test_power_rows_match_oracles_on_iota(p):
 
 def test_power_rows_match_horner_on_tate_grid(ctx3, ctx5):
     # lambda carries the denominators 1/m, so the scale D_f of the result
-    # and the rule min(E_f, E_g - max_{j>=1} D_j) are both exercised
+    # and the rule min(E_f, E_g - max_{j>=1} D_j) are both exercised; over
+    # one kept table of t-powers, in either order, the digits are the
+    # same (omega first leaves the table a row short for lambda to extend)
     order = 48
     for ctx in (ctx3, ctx5):
         headroom = ctx.wprec + factorial_valuation(order, ctx.p) + 8
@@ -370,8 +385,12 @@ def test_power_rows_match_horner_on_tate_grid(ctx3, ctx5):
             a4, a6 = a_invariants(ctx.scalar(q.unit * ctx.p**q.ord, headroom))
             lam, omega = formal_log_weierstrass(ctx, a4, a6, order)
             t = multiplicative_parameter_series(ctx, omega, order)
-            assert _digits(lam.compose(t)) == _digits(horner_compose(lam, t))
-            assert _digits(omega.compose(t)) == _digits(horner_compose(omega, t))
+            want = [_digits(horner_compose(lam, t)), _digits(horner_compose(omega, t))]
+            assert [_digits(lam.compose(t)), _digits(omega.compose(t))] == want
+            shared = t.keep_powers()
+            assert [_digits(lam.compose(shared)), _digits(omega.compose(shared))] == want
+            shared = t.keep_powers()
+            assert [_digits(omega.compose(shared)), _digits(lam.compose(shared))] == want[::-1]
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -430,3 +449,32 @@ def test_power_rows_are_reduced_powers():
     for j in range(2, 10):
         power = [sum(power[i] * t[k - i] for i in range(k + 1)) for k in range(10)]
         assert rows[j] == [c % mod for c in power[:10]]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_shared_power_table_matches_horner_on_seeded_series(p):
+    # outer series longer and shorter than the inner one, so one kept
+    # series serves tables at two truncation orders
+    ctx = PrimeContext(p, 12)
+    rng = random.Random(10 + p)
+    g = _seeded_series(ctx, rng, 9, inner=True)
+    shared = g.keep_powers()
+    for f in (
+        _seeded_series(ctx, rng, 5),
+        _seeded_series(ctx, rng, 14, denominators={3: 2}),
+        _seeded_series(ctx, rng, 9, denominators={0: 1}),
+        _seeded_series(ctx, rng, 14),
+    ):
+        assert _digits(f.compose(shared)) == _digits(horner_compose(f, g))
+    assert sorted(shared._powers) == [9, 14]
+    assert [len(rows) for _, rows in sorted(shared._powers.items())] == [9, 14]
+
+
+def test_one_shot_composition_keeps_no_power_rows():
+    ctx = PrimeContext(3, 12)
+    rng = random.Random(4)
+    f = _seeded_series(ctx, rng, 12)
+    g = _seeded_series(ctx, rng, 12, inner=True)
+    f.compose(g)
+    assert g._powers is None
+    assert g.keep_powers()._powers == {}

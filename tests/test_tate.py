@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from padiclab import (
     mtt_report,
     sk_coefficients,
     sk_value,
+    sk_values,
     uniformize_point,
     verify_formal_iso,
     weierstrass_residual,
@@ -20,6 +22,7 @@ from padiclab import (
 from padiclab.series import TruncatedSeries
 from padiclab.core import PadicScalar, PrecisionError, factorial_valuation
 from padiclab.tate import (
+    _inverses,
     _series_residual,
     default_grid,
     formal_log_weierstrass,
@@ -378,7 +381,7 @@ def test_tate_suite_builds_its_grid_once(monkeypatch):
     from padiclab import tate
     from padiclab.runner import SuiteConfig, run_suite
 
-    calls = {"default_grid": 0, "a_invariants": 0}
+    calls = {"default_grid": 0, "a_invariants": 0, "sk_values": 0}
     for name in calls:
         orig = getattr(tate, name)
 
@@ -391,7 +394,9 @@ def test_tate_suite_builds_its_grid_once(monkeypatch):
     assert report.summary() == {
         "pass": 5, "fail": 0, "expected-fail": 0, "skipped": 0, "total": 5
     }
-    assert calls == {"default_grid": 1, "a_invariants": 6}
+    # one pass of s_1, s_3, s_5 per q at each precision: the grid points
+    # take s_1 from the pass that gave the a-invariants
+    assert calls == {"default_grid": 1, "a_invariants": 6, "sk_values": 6}
 
 
 def test_tate_grid_error_is_reported(monkeypatch):
@@ -459,13 +464,18 @@ def _oracle_points(ctx):
 
 
 def test_uniformization_matches_scalar_oracle():
+    # also as the tate suite evaluates a point: the a-invariants and s_1
+    # from one sk_values pass per q
     for p, n in ORACLE_GRID:
         ctx = PrimeContext(p, n)
         for u, q in _oracle_points(ctx):
             a_inv = a_invariants(q)
-            fast = uniformize_point(u, q, a_inv)
-            slow = scalar_uniformize_point(u, q, a_inv)
-            assert list(map(_triple, fast)) == list(map(_triple, slow)), (p, n)
+            slow = list(map(_triple, scalar_uniformize_point(u, q, a_inv)))
+            assert list(map(_triple, uniformize_point(u, q, a_inv))) == slow, (p, n)
+            sums = sk_values(q)
+            shared = a_invariants(q, sums)
+            assert list(map(_triple, shared)) == list(map(_triple, a_inv))
+            assert list(map(_triple, uniformize_point(u, q, shared, sums[0]))) == slow, (p, n)
 
 
 def test_sk_value_matches_scalar_oracle():
@@ -473,8 +483,39 @@ def test_sk_value_matches_scalar_oracle():
         ctx = PrimeContext(p, n)
         for q in default_grid(ctx)[0]:
             for qv in (q.value(), q.value().reduce_absprec(ctx.wprec - 5)):
-                for k in (1, 3, 5):
-                    assert _triple(sk_value(k, qv)) == _triple(scalar_sk_value(k, qv))
+                want = [_triple(scalar_sk_value(k, qv)) for k in (1, 3, 5)]
+                assert [_triple(s) for s in sk_values(qv)] == want
+                assert [_triple(sk_value(k, qv)) for k in (1, 3, 5)] == want
+
+
+def test_formal_iso_builds_one_table_of_t_powers_per_q(ctx3, monkeypatch):
+    # every product over the powers of t(X) convolves with one packed t,
+    # the final solve's coefficients, and the two compositions share
+    # the order - 1 rows built that way
+    from padiclab import series
+
+    order = 40
+    seen = []
+    original = series._convolve
+
+    def recorded(ctx, a, b, n):
+        seen.append(b)
+        return original(ctx, a, b, n)
+
+    monkeypatch.setattr(series, "_convolve", recorded)
+    for q in default_grid(ctx3)[0]:
+        seen.clear()
+        verify_formal_iso(ctx3, q, order)
+        uses = {}
+        for b in seen:
+            uses.setdefault(id(b), [b, 0])[1] += 1
+        tables = [(b, k) for b, k in uses.values() if k > 1]
+        assert len(tables) == 1
+        (d, e, ints), rows = tables[0]
+        assert rows == order - 1
+        t = multiplicative_parameter_series(ctx3, _grid_omega(ctx3, q, order), order)
+        assert (d, e) == (0, min(c.absprec for c in t.coeffs))
+        assert ints == [c.lift() % ctx3.pk(e) for c in t.coeffs]
 
 
 def _count_scalar_ops(monkeypatch):
@@ -520,3 +561,14 @@ def test_series_residual_refuses_different_lengths(ctx3):
         _series_residual(a, b)
     with pytest.raises(InvalidInputError, match="order 2 with one of order 3"):
         _series_residual(b, a)
+
+
+def test_batched_inverses_match_pow():
+    rng = random.Random(3)
+    mod = 3**40
+    xs = [rng.randrange(1, mod) for _ in range(30)]
+    xs = [x + 1 if x % 3 == 0 else x for x in xs] + [1 - mod, -2]
+    assert _inverses(xs, mod) == [pow(x, -1, mod) for x in xs]
+    assert _inverses([], mod) == []
+    with pytest.raises(ValueError):
+        _inverses([2, 6, 4], mod)
