@@ -20,7 +20,7 @@ from .series import (
     geometric_inverse,
     log_one_plus_x,
 )
-from .cyclotomic import CycloElement, CycloField, CycloTower, GaloisElement
+from .cyclotomic import CycloElement, CycloField, CycloTower
 from .honda import HondaData, build_ell, build_iota, check_honda, default_truncation, formal_add, solve_epsilon
 from .points import (
     H90Solution,

@@ -293,8 +293,7 @@ class CharacterData:
 
     def value_on_exponent(self, b: int) -> CycloElement:
         """chi(sigma_b) through the Delta-Gamma factorisation."""
-        g = self.tower.galois_element(self.n, b)
-        return self.value_on_gamma_power(g.gamma_index)
+        return self.value_on_gamma_power(self.tower.gamma_index(self.n, b))
 
     def conjugate(self) -> "CharacterData":
         return CharacterData(self.tower, self.n, self.j, (-self.a) % self.order if self.j else 0)

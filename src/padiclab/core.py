@@ -11,12 +11,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-try:  # big-integer fast path; plain ints work identically without it
-    from gmpy2 import mpz
-except ImportError:  # pragma: no cover
-    def mpz(x):
-        return x
-
 
 class PadicError(Exception):
     pass
@@ -171,20 +165,17 @@ class PrimeContext:
         return PadicScalar(self, v, unit, a)
 
     def teichmuller_int(self, a: int, k: int) -> int:
-        """The (p-1)-st root of unity congruent to a, as an integer mod p^k."""
+        """The (p-1)-st root of unity congruent to a, as an integer mod p^k
+        (k >= 1): a^(p^(k-1)) mod p^k.
+
+        a^(p-1) = 1 + p y, so (a^(p^(k-1)))^(p-1) = (1 + p y)^(p^(k-1)),
+        which is 1 mod p^k; and a^(p^(k-1)) = a mod p by Fermat.
+        """
         if a % self.p == 0:
             raise InvalidInputError("Teichmuller lift needs a prime to p")
-        m = self.pk(k)
-        x = a % m
-        # Newton for x^(p-1) = 1; doubles correct digits each step
-        for _ in range(max(1, k.bit_length() + 2)):
-            fx = (pow(x, self.p - 1, m) - 1) % m
-            if fx == 0:
-                break
-            dfx = (self.p - 1) * pow(x, self.p - 2, m) % m
-            x = (x - fx * pow(dfx, -1, m)) % m
-        assert pow(x, self.p - 1, m) == 1
-        return x
+        if k < 1:
+            raise InvalidInputError("Teichmuller lift needs a modulus p^k, k >= 1")
+        return pow(a, self.pk(k - 1), self.pk(k))
 
 
 class PadicScalar:
@@ -456,25 +447,35 @@ def _log_p_floor(k: int, p: int) -> int:
 
 
 def padic_exp(x: PadicScalar) -> PadicScalar:
-    """exp by the power series; requires v(x) > 1/(p-1), i.e. v(x) >= 1."""
+    """exp by the power series on integers; requires v(x) >= 1.
+
+    With x known mod p^T and v = v(x), v_p(k!) <= (k - 1)/(p - 1) gives
+    v(x^k/k!) >= k v - (k - 1)/(p - 1), which reaches T from
+    K = ceil((T(p - 1) - 1)/(v(p - 1) - 1)) on and grows with k, so the
+    terms k < K are the whole sum mod p^T.  With L = v_p((K - 1)!),
+    sum_k<K x^k p^L/k! has integer terms, each known mod p^(T + L) (the
+    error in x^k has valuation >= T + (k - 1) v), and the division by
+    p^L leaves the result claimed mod p^T.
+    """
     ctx = x.ctx
     if x.is_zero:
         return ctx.one(x.absprec)
     if x.v < 1:
         raise InvalidInputError("exp needs v(x) >= 1 over Q_p")
-    target = x.absprec
-    acc = ctx.one(target)
-    term = ctx.one(target)
-    k = 1
-    while True:
-        term = term * x / k
-        if term.min_valuation() >= target:
-            break
-        acc = acc + term
-        k += 1
-        if k > 8 * target + 16:
-            raise ConvergenceError("exp series failed to converge")
-    return acc
+    p, target, v = ctx.p, x.absprec, x.v
+    kmax = -(-(target * (p - 1) - 1) // (v * (p - 1) - 1))
+    floor = factorial_valuation(kmax - 1, p)
+    mod = ctx.pk(target + floor)
+    xi = x.lift()
+    acc = ctx.pk(floor)
+    power, inv, vf = 1, 1, 0  # x^k, the inverse of k!'s unit part, v_p(k!)
+    for k in range(1, kmax):
+        vk, uk = split_p(k, p)
+        power = power * xi % mod
+        inv = inv * pow(uk, -1, mod) % mod
+        vf += vk
+        acc += power * inv * ctx.pk(floor - vf)
+    return PadicScalar._make(ctx, 0, acc % mod // ctx.pk(floor), target)
 
 
 def hensel_root(f, df, x0: PadicScalar, target=None) -> PadicScalar:

@@ -19,7 +19,6 @@ from .core import (
     PrimeContext,
     _log_p_floor,
     iwasawa_log,
-    mpz,
     split_p,
     vp,
 )
@@ -129,7 +128,7 @@ class CycloField:
 
     def _fold(self, ints, a: int, e: int):
         """sum_j ints[j] zeta^(a j) in the power basis, mod p^e."""
-        out = [mpz(0)] * self.degree
+        out = [0] * self.degree
         red = self._reduction
         mo = self.modulus_order
         for j, c in enumerate(ints):
@@ -305,23 +304,6 @@ def _unit_exponents(field: CycloField):
     return tuple(a for a in range(1, field.modulus_order) if a % p)
 
 
-class GaloisElement:
-    """An automorphism sigma_a with its Delta/Gamma factorisation."""
-
-    __slots__ = ("field", "a", "omega_part", "gamma_part", "gamma_index")
-
-    def __init__(self, field: CycloField, a: int, gamma_log: dict):
-        a %= field.modulus_order
-        if a % field.ctx.p == 0:
-            raise InvalidInputError("exponent must be a unit mod p^(n+1)")
-        self.field = field
-        self.a = a
-        mo = field.modulus_order
-        self.omega_part = field.ctx.teichmuller_int(a, field.level) % mo
-        self.gamma_part = a * pow(self.omega_part, -1, mo) % mo
-        self.gamma_index = gamma_log[self.gamma_part]
-
-
 class CycloTower:
     """Shared context for levels 0..n_max and the k_n-layer machinery."""
 
@@ -384,8 +366,12 @@ class CycloTower:
             }
         return self._gamma_log[n]
 
-    def galois_element(self, n: int, a: int) -> GaloisElement:
-        return GaloisElement(self.field(n), a, self.gamma_log_table(n))
+    def gamma_index(self, n: int, b: int) -> int:
+        """i with sigma_b = delta gamma^i, delta in Delta: the discrete log
+        of b omega(b)^(-1) mod p^(n+1) on Gamma_n."""
+        mo = self.field(n).modulus_order
+        omega = self.ctx.teichmuller_int(b, n + 1)
+        return self.gamma_log_table(n)[b * pow(omega, -1, mo) % mo]
 
     def gamma_conjugates(self, x: CycloElement):
         """x^(gamma^i) for i = 0..p^n - 1, in gamma_orbit_exponents order."""
@@ -601,44 +587,6 @@ class CycloTower:
             _unpack(ctx, acc_d + j, target - floor + acc_d, acc)
         )
 
-    def principal_power(self, x: CycloElement, exponent) -> CycloElement:
-        """x^a for a principal unit x and a in Z_p, by the binomial series
-        sum C(a, m) (x-1)^m (the unique principal-unit root/power)."""
-        if x.residue() != 1:
-            raise InvalidInputError("principal power needs x = 1 mod the maximal ideal")
-        ctx = self.ctx
-        h = x - x.field.one()
-        v = h.valuation()
-        if v is None:
-            return x.field.one()
-        target = min(c.absprec for c in x.coords)
-        acc = x.field.one()
-        term = x.field.one()
-        bound = int(target / v) + 8
-        # the multiply/divide chain for C(a, m) sheds v_p(m!) digits, so an
-        # exact exponent is embedded with that much headroom up front
-        from .core import factorial_valuation
-
-        elevated = target + factorial_valuation(bound + 16, ctx.p) + 16
-        if isinstance(exponent, PadicScalar):
-            a = exponent
-        else:
-            a = ctx.scalar(exponent, elevated)
-        if not a.is_zero and a.v < 0:
-            raise InvalidInputError("exponent must lie in Z_p")
-        binom = ctx.scalar(1, elevated)
-        m = 1
-        while True:
-            binom = binom * (a - (m - 1)) / m
-            term = term * h
-            if m * v >= target:
-                break
-            acc = acc + term.scale(binom)
-            m += 1
-            if m > bound + 16:
-                raise ConvergenceError("binomial power failed to converge")
-        return acc
-
     # -- series evaluation ----------------------------------------------------------------
 
     def eval_series(self, f: TruncatedSeries, x: CycloElement) -> CycloElement:
@@ -662,7 +610,7 @@ class CycloTower:
         # x is integral, so the accumulator keeps f's denominator exponent
         # and each packed f_i is added at the same scale
         denom, e, fi = _pack(f.coeffs)
-        acc = (denom, e, [fi[-1]] + [mpz(0)] * (field.degree - 1))
+        acc = (denom, e, [fi[-1]] + [0] * (field.degree - 1))
         for i in range(f.order - 1, -1, -1):
             da, ea, ints = field.mul_packed(acc, xp)
             ints[0] = (ints[0] + fi[i]) % self.ctx.pk(ea)

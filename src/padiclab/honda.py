@@ -25,7 +25,6 @@ from .core import (
     PropertyFailure,
     factorial_valuation,
     hensel_root,
-    mpz,
     split_p,
     vp,
 )
@@ -126,16 +125,16 @@ def _exp_minus_one_integral(ell: TruncatedSeries) -> TruncatedSeries:
     p = ctx.p
     order = ell.order
     base = min(c.absprec for c in ell.coeffs)
-    mod = mpz(ctx.pk(base))
+    mod = ctx.pk(base)
     lp = []
     for j in range(order):
         c = ell.coeff(j + 1) * (j + 1)
         if not c.is_zero and c.v < 0:
             raise PropertyFailure(f"ell' is non-integral at degree {j}")
-        lp.append(mpz(c.lift()) % mod)
-    u = [mpz(1)] + [mpz(0)] * order
+        lp.append(c.lift() % mod)
+    u = [1] + [0] * order
     for m in range(order):
-        s = mpz(0)
+        s = 0
         for j in range(m + 1):
             cj = lp[j]
             if cj:

@@ -31,6 +31,10 @@ class PointFamily:
     multiplicative Delta-symmetrisation: the product of the conjugates
     has the torsion cancel exactly (the Teichmuller lifts sum to zero
     mod p^(n+1)), and the (p-1)-st principal root recovers the point.
+
+    That root is the integer power prod^a, a = (p-1)^(-1) mod p^(wprec+n):
+    for x in U^1_n, x^(p^K) = 1 mod p^(K-n), so exponents that agree mod
+    p^(wprec+n) give roots that agree mod p^wprec.
     """
 
     def __init__(self, honda: HondaData, tower: CycloTower, n_max: int):
@@ -45,6 +49,7 @@ class PointFamily:
         self._lattices = {}
         iota_eps = honda.iota.eval_scalar(honda.epsilon)
         self.one_plus_iota_eps = 1 + iota_eps
+        ctx = tower.ctx
         for n in range(n_max + 1):
             f = tower.field(n)
             z = f.zeta() - f.one()
@@ -55,7 +60,7 @@ class PointFamily:
             for a in f.delta_exponents():
                 t = raw.galois(a) if a != 1 else raw
                 prod = t if prod is None else prod * t
-            d = tower.principal_power(prod, Fraction(1, tower.ctx.p - 1))
+            d = prod ** pow(ctx.p - 1, -1, ctx.pk(ctx.wprec + n))
             self.d.append(d)
             self.c.append(d - f.one())
 
@@ -427,14 +432,15 @@ def solve_h90(fam: PointFamily, n: int) -> H90Solution:
     operations), and the one that does is rebuilt from y_0 + e (y_1 - y_0)
     by the lattice membership.  e is never taken from the congruence it
     later certifies; tests/test_points.py keeps the solve-per-class search
-    as an oracle.
+    as an oracle.  At n = 0, k_0 = Q_p and x_0 = u_0 = 1, certified like
+    every other level.
     """
     tower = fam.tower
     ctx = tower.ctx
     p = ctx.p
     if n == 0:
-        f = tower.field(0)
-        return H90Solution(tower, 0, 0, f.one(), f.one(), Fraction(ctx.wprec), Fraction(ctx.wprec))
+        one = tower.field(0).one()
+        return _certified(fam, 0, 0, one, one, ())
     lattice = fam.lattice(n)
     f = tower.field(n)
     pi = tower.uniformizer(n)
@@ -474,7 +480,13 @@ def solve_h90(fam: PointFamily, n: int) -> H90Solution:
             f"reconstructed unit log matches only to valuation {log_match}",
             achieved=log_match,
         )
-    x_n = pi**e * u_n
+    return _certified(fam, n, e, u_n, pi**e * u_n, tuple(range(pn)))
+
+
+def _certified(fam: PointFamily, n: int, e: int, u_n, x_n, searched) -> H90Solution:
+    """The solution x_n = pi_n^e u_n with both certificates measured."""
+    tower = fam.tower
+    ctx = tower.ctx
     # division-free form of x^gamma / x = d: gamma(x) - x d must vanish
     cert = ctx.require(
         (tower.gamma_apply(x_n) - x_n * fam.d[n]).min_valuation(),
@@ -484,9 +496,7 @@ def solve_h90(fam: PointFamily, n: int) -> H90Solution:
     norm_res = ctx.require(
         (tower.norm_kn_to_qp(u_n) - 1).min_valuation(), "N(u_n) differs from 1", ctx.solve_floor
     )
-    return H90Solution(
-        tower, n, e, u_n, x_n, Fraction(cert), Fraction(norm_res), tuple(range(pn))
-    )
+    return H90Solution(tower, n, e, u_n, x_n, Fraction(cert), Fraction(norm_res), searched)
 
 
 def verify_prop2(sol: H90Solution, tower: CycloTower) -> dict:

@@ -15,7 +15,6 @@ from .core import (
     PadicScalar,
     PrecisionError,
     PrimeContext,
-    mpz,
 )
 
 
@@ -32,13 +31,12 @@ def _pack(coeffs):
     if e <= 0:
         raise PrecisionError("series has no remaining precision", achieved=value_prec)
     m = ctx.pk(e)
-    zero = mpz(0)
     ints = []
     for c in coeffs:
         if c.unit == 0:
-            ints.append(zero)
+            ints.append(0)
         else:
-            ints.append(mpz(c.unit) * ctx.pk(c.v + denom) % m)
+            ints.append(c.unit * ctx.pk(c.v + denom) % m)
     return denom, e, ints
 
 
@@ -62,7 +60,7 @@ def _convolve(ctx, a, b, order):
         raise PrecisionError("product below zero precision", achieved=value_prec)
     m = ctx.pk(e)
     n = min(order + 1, len(ia) + len(ib) - 1)
-    out = [mpz(0)] * n
+    out = [0] * n
     for i, ci in enumerate(ia):
         if ci == 0 or i >= n:
             continue

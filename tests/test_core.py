@@ -94,6 +94,34 @@ def test_teichmuller_rejects_multiples_of_p():
         teichmuller(6, ctx)
 
 
+def newton_teichmuller(p, a, k):
+    """Test-only oracle: Newton's iteration for x^(p-1) = 1 from a, mod p^k,
+    run until the residual vanishes."""
+    m = p**k
+    x = a % m
+    while (pow(x, p - 1, m) - 1) % m:
+        fx = pow(x, p - 1, m) - 1
+        dfx = (p - 1) * pow(x, p - 2, m)
+        x = (x - fx * pow(dfx, -1, m)) % m
+    return x
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_teichmuller_int_matches_newton_oracle(p):
+    ctx = PrimeContext(p, 20)
+    units = [a for a in (*range(1, p), p + 1, 2 * p - 1, 10**9 + 7, 3**40 + 2) if a % p]
+    for k in (1, 2, 5, 12, 40, 80, 200):
+        for a in units:
+            assert ctx.teichmuller_int(a, k) == newton_teichmuller(p, a, k)
+
+
+def test_teichmuller_int_rejects_empty_modulus():
+    ctx = PrimeContext(3, 20)
+    for k in (0, -1):
+        with pytest.raises(InvalidInputError):
+            ctx.teichmuller_int(2, k)
+
+
 @given(a=st.integers(1, 10**6), b=st.integers(1, 10**6))
 def test_teichmuller_multiplicative(a, b):
     ctx = PrimeContext(7, 16)
@@ -142,6 +170,28 @@ def test_exp_log_roundtrip():
     ctx = PrimeContext(3, 20)
     x = ctx.scalar(1 + 3 + 2 * 9)
     assert (padic_exp(iwasawa_log(x)) - x).min_valuation() >= ctx.prec
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_exp_matches_exact_partial_sums(p):
+    # past k = T_max (p - 1) + 1 every term x^k/k! has valuation
+    # >= k v(x) - (k - 1)/(p - 1) >= T_max, so one exact partial sum per x
+    # fixes exp(x) mod p^T for every T <= T_max
+    t_max = 109
+    ctx = PrimeContext(p, 20)
+    for x in (p, 2 * p, p * p, p + p * p, p**3):
+        exact, term = Fraction(1), Fraction(1)
+        for k in range(1, t_max * (p - 1) + 2):
+            term = term * x / k
+            exact += term
+        for t in range(2, t_max + 1):
+            xs = ctx.scalar(x, t)
+            if xs.is_zero:
+                continue
+            got = padic_exp(xs)
+            m = p**t
+            assert got.absprec == t
+            assert got.lift() == exact.numerator * pow(exact.denominator, -1, m) % m
 
 
 def test_exp_rejects_small_valuation():

@@ -6,12 +6,15 @@ import pytest
 from padiclab import (
     ConvergenceError,
     CycloTower,
+    HondaData,
     InvalidInputError,
     PrecisionError,
     PrimeContext,
+    build_points,
     iwasawa_log,
 )
 from padiclab.core import _log_p_floor, factorial_valuation
+from padiclab.honda import default_truncation
 from padiclab.series import TruncatedSeries, log_one_plus_x
 
 
@@ -235,11 +238,57 @@ def test_gamma_kernel_and_image_rank(tower3):
         assert tower3.trace_kn_to_qp(im).min_valuation() >= ctx.prec - 2
 
 
+def principal_power(tower, x, exponent):
+    """Test-only oracle: x^a for a principal unit x and a in Z_p, by the
+    binomial series sum C(a, m) (x-1)^m, with the exponent embedded with
+    v_p(m!) digits of headroom for the multiply/divide chain of C(a, m)."""
+    if x.residue() != 1:
+        raise InvalidInputError("principal power needs x = 1 mod the maximal ideal")
+    ctx = tower.ctx
+    h = x - x.field.one()
+    v = h.valuation()
+    if v is None:
+        return x.field.one()
+    target = min(c.absprec for c in x.coords)
+    acc = x.field.one()
+    term = x.field.one()
+    bound = int(target / v) + 8
+    elevated = target + factorial_valuation(bound + 16, ctx.p) + 16
+    a = ctx.scalar(exponent, elevated)
+    binom = ctx.scalar(1, elevated)
+    m = 1
+    while m * v < target:
+        binom = binom * (a - (m - 1)) / m
+        term = term * h
+        acc = acc + term.scale(binom)
+        m += 1
+    return acc
+
+
 def test_principal_power_square_root(tower3):
     f = tower3.field(1)
     x = f.one() + tower3.uniformizer(1)
-    r = tower3.principal_power(x, Fraction(1, 2))
+    r = principal_power(tower3, x, Fraction(1, 2))
     assert ((r * r) - x).min_valuation() >= tower3.ctx.prec - 2
+
+
+@pytest.mark.parametrize("p, n", [(3, 1), (3, 2), (5, 1), (7, 1)])
+def test_points_root_matches_binomial_oracle(p, n):
+    # d_n is the integer power prod^a, a = (p-1)^(-1) mod p^(wprec+n), of the
+    # Delta-product of the raw value; the binomial series is the oracle
+    ctx = PrimeContext(p, 12)
+    tower = CycloTower(ctx, n)
+    fam = build_points(HondaData.build(ctx, default_truncation(ctx, n)), tower, n)
+    for m in range(n + 1):
+        raw = fam.raw_d[m]
+        prod = raw
+        for a in tower.field(m).delta_exponents():
+            if a != 1:
+                prod = prod * raw.galois(a)
+        expected = principal_power(tower, prod, Fraction(1, p - 1))
+        assert [(c.v, c.unit, c.absprec) for c in fam.d[m].coords] == [
+            (c.v, c.unit, c.absprec) for c in expected.coords
+        ]
 
 
 def test_restrict_detects_non_members(tower3):
@@ -293,7 +342,7 @@ def test_principal_power_of_deep_principal_unit(tower3n2_16):
     # the norm of 27 zeta (valuation 54) underflows wprec = 40
     f = tower3n2_16.field(2)
     x = f.one() + f.zeta().scale(27)
-    r = tower3n2_16.principal_power(x, 2)
+    r = principal_power(tower3n2_16, x, 2)
     assert (r - x * x).min_valuation() >= tower3n2_16.ctx.prec - 2
 
 
@@ -430,7 +479,8 @@ def test_gamma_log_table_matches_scalar_log_oracle(p, n):
     mo = p ** (n + 1)
     units = [b for b in range(1, mo) if b % p]
     for b in units:
-        g = tower.galois_element(n, b)
-        assert g.gamma_index == _discrete_gamma_log(ctx, g.gamma_part, tower.kappa_gamma, n)
-        assert pow(tower.kappa_gamma, g.gamma_index, mo) == g.gamma_part
+        gamma_part = b * pow(ctx.teichmuller_int(b, n + 1), -1, mo) % mo
+        i = tower.gamma_index(n, b)
+        assert i == _discrete_gamma_log(ctx, gamma_part, tower.kappa_gamma, n)
+        assert pow(tower.kappa_gamma, i, mo) == gamma_part
     assert len(tower.gamma_log_table(n)) == p**n

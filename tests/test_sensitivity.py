@@ -1,19 +1,25 @@
 """A pass is evidence only if the check fails on a wrong input.
 
-Each entry adds p^k at one place in one construction of the tate suite
-at p = 3, N = 20, by monkeypatching the constructor, and names the
-checks that must then fail; every other check keeps its status.  An
-entry with k above every claimed precision must change no status.
+Each entry adds p^k at one place in one construction, by monkeypatching
+the constructor, and names the checks that must then fail under its
+configuration; every other check keeps its status.  An entry with k above
+every claimed precision must change no status.  The tate entries run the
+tate suite at p = 3, N = 20; the d_n entries run every suite at
+(p, n_max, N) = (3, 2, 12) with four functionals.
 """
 
 import pytest
 
-from padiclab import tate
+from padiclab import points, tate
 from padiclab.runner import SuiteConfig, run_suite
 from padiclab.series import TruncatedSeries
 
 P, N = 3, 20
-CONFIG = SuiteConfig(p=P, n_max=0, prec=N, suites=("tate",))
+CONFIGS = {
+    "tate": SuiteConfig(p=P, n_max=0, prec=N, suites=("tate",)),
+    "tower": SuiteConfig(p=P, n_max=2, prec=12, n_functionals=4),
+}
+NEGATIVE_CONTROL = "coleman.negative-control"
 
 
 def bump_t(m, k):
@@ -47,10 +53,48 @@ def bump_a4(q_int, k):
     return patch
 
 
+def bump_d(n, j, k):
+    """Coordinate j of d_n + p^k, after build_points."""
+
+    def patch(monkeypatch):
+        build = points.build_points
+
+        def bumped(honda, tower, n_max):
+            fam = build(honda, tower, n_max)
+            coords = list(fam.d[n].coords)
+            coords[j] = coords[j] + P**k
+            fam.d[n] = fam.d[n].field.from_coords(coords)
+            return fam
+
+        monkeypatch.setattr(points, "build_points", bumped)
+
+    return patch
+
+
+# every check that reads d_2, through its log, its H90 solution or its
+# Coleman image
+D2_READERS = {
+    "points.norm-tower",
+    "points.log-closed-form[n=2]",
+    "points.generation[n=2]",
+    "points.conjugate-norms",
+    "prop2.h90-certificate[n=2]",
+    "prop2.congruence[n=2]",
+    "coleman.abel-identity[n=2]",
+    "coleman.character-sums[n=2]",
+    "coleman.convolution[n=2]",
+    "coleman.derivative-congruence[n=2]",
+    "coleman.level-compatibility[2->1]",
+    "coleman.trivial-zero[n=2]",
+    NEGATIVE_CONTROL,
+}
+
 PERTURBATIONS = [
-    ("t_3 + p^5", bump_t(3, 5), {"tate.formal-group-identification"}),
-    ("a4(q = p(1+p)) + p^5", bump_a4(P * (1 + P), 5), {"tate.weierstrass-residual-grid"}),
-    ("t_3 + p^(N+4)", bump_t(3, N + 4), set()),
+    ("t_3 + p^5", "tate", bump_t(3, 5), {"tate.formal-group-identification"}),
+    ("a4(q = p(1+p)) + p^5", "tate", bump_a4(P * (1 + P), 5), {"tate.weierstrass-residual-grid"}),
+    ("t_3 + p^(N+4)", "tate", bump_t(3, N + 4), set()),
+    ("d_2[3] + p^5", "tower", bump_d(2, 3, 5), D2_READERS),
+    ("d_2[3] + p^30", "tower", bump_d(2, 3, 30), set()),
 ]
 
 
@@ -59,18 +103,32 @@ def _statuses(report):
 
 
 @pytest.fixture(scope="module")
-def baseline():
-    statuses = _statuses(run_suite(CONFIG))
-    assert set(statuses.values()) == {"pass"}
-    return statuses
+def baselines():
+    """Unperturbed statuses per configuration, each run once."""
+    runs = {}
+
+    def baseline(name):
+        if name not in runs:
+            statuses = _statuses(run_suite(CONFIGS[name]))
+            # everything passes; the negative control, where run, fails as expected
+            rest = dict(statuses)
+            assert rest.pop(NEGATIVE_CONTROL, "expected-fail") == "expected-fail"
+            assert set(rest.values()) == {"pass"}
+            runs[name] = statuses
+        return runs[name]
+
+    return baseline
 
 
 @pytest.mark.parametrize(
-    "patch, failing", [entry[1:] for entry in PERTURBATIONS], ids=[entry[0] for entry in PERTURBATIONS]
+    "config, patch, failing",
+    [entry[1:] for entry in PERTURBATIONS],
+    ids=[entry[0] for entry in PERTURBATIONS],
 )
-def test_perturbation_fails_the_named_checks(baseline, monkeypatch, patch, failing):
+def test_perturbation_fails_the_named_checks(baselines, monkeypatch, config, patch, failing):
+    baseline = baselines(config)
     patch(monkeypatch)
-    got = _statuses(run_suite(CONFIG))
+    got = _statuses(run_suite(CONFIGS[config]))
     assert {name for name, status in got.items() if status == "fail"} == failing
     assert {name: s for name, s in got.items() if name not in failing} == {
         name: s for name, s in baseline.items() if name not in failing
