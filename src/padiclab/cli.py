@@ -70,11 +70,10 @@ def main(argv=None) -> int:
         timings=args.timings,
     )
     try:
-        config.resolved()
+        report = run_suite(config)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    report = run_suite(config)
     out = args.out
     if out is None and os.environ.get(REPORT_DIR_ENV):
         os.makedirs(os.environ[REPORT_DIR_ENV], exist_ok=True)

@@ -201,7 +201,8 @@ class CycloElement:
         return result
 
     def inverse(self) -> "CycloElement":
-        """x^(-1) = (product of the other conjugates) / N(x)."""
+        """x^(-1) = (product of the other conjugates) / N(x), returned only
+        when x x^(-1) - 1 reaches identity_floor (else PrecisionError)."""
         others = None
         for a in _unit_exponents(self.field):
             if a == 1:
@@ -216,7 +217,13 @@ class CycloElement:
                 "norm did not collapse to Q_p at working precision",
                 achieved=floor,
             )
-        return others.scale(norm.inverse())
+        inv = others.scale(norm.inverse())
+        resid = (self * inv - 1).min_valuation()
+        if resid < self.ctx.identity_floor:
+            raise PrecisionError(
+                f"x x^(-1) - 1 only reaches valuation {resid}", achieved=resid
+            )
+        return inv
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
@@ -321,6 +328,9 @@ class CycloTower:
         self._fields = {}
         self._pi = {}
         self._pi_basis = {}
+        # each level's pi-basis and (gamma - 1) pi^i columns, reduced once
+        self._pi_reduction = {}
+        self._gamma_reduction = {}
         self._log_cache = {}
         self._gamma_log = {}
         # coleman.gauss_sum's memo: (n, j, a) -> tau(chi)
@@ -473,11 +483,15 @@ class CycloTower:
         return self._pi_basis[n]
 
     def to_pi_coords(self, x: CycloElement):
-        """Coordinates of x in the pi-power basis of k_n (x must lie in k_n)."""
+        """Coordinates of x in the pi-power basis of k_n: one forward
+        substitution through the basis, reduced once per level.  An x
+        outside k_n leaves a residual below identity_floor and raises
+        PrecisionError."""
         n = x.field.n
-        basis = self.pi_basis(n)
-        cols = [b.coords for b in basis]
-        return solve_columns(self.ctx, cols, x.coords)
+        if n not in self._pi_reduction:
+            cols = [b.coords for b in self.pi_basis(n)]
+            self._pi_reduction[n] = solve_columns(self.ctx, cols, self.ctx.identity_floor)
+        return self._pi_reduction[n].solve(x.coords)[1]
 
     def from_pi_coords(self, n: int, coeffs) -> CycloElement:
         basis = self.pi_basis(n)
@@ -623,7 +637,9 @@ class CycloTower:
         """Solve (gamma - 1) y = v in k_n; needs Tr_{k_n/Q_p}(v) = 0.
 
         The kernel of gamma - 1 is Q_p, so the solution is normalised to
-        have zero coefficient on pi^0.
+        have zero coefficient on pi^0: y = sum_(i>=1) c_i pi^i, with the
+        c_i read off the columns (gamma - 1) pi^i, reduced once per
+        level.  A residual below identity_floor raises PrecisionError.
         """
         n = v.field.n
         tr = self.trace_kn_to_qp(v)
@@ -632,75 +648,87 @@ class CycloTower:
                 f"gamma_solve needs trace zero; got valuation {tr.min_valuation()}"
             )
         basis = self.pi_basis(n)[1:]
-        cols = []
-        for b in basis:
-            cols.append((self.gamma_apply(b) - b).coords)
-        sol = solve_columns(self.ctx, cols, v.coords)
+        if n not in self._gamma_reduction:
+            cols = [(self.gamma_apply(b) - b).coords for b in basis]
+            self._gamma_reduction[n] = solve_columns(self.ctx, cols, self.ctx.identity_floor)
+        sol = self._gamma_reduction[n].solve(v.coords)[1]
         y = self.field(n).zero()
         for c, b in zip(sol, basis):
             y = y + b.scale(c)
-        resid = (self.gamma_apply(y) - y - v).min_valuation()
-        if resid < self.ctx.identity_floor:
-            raise PrecisionError(
-                f"gamma_solve residual only reaches valuation {resid}",
-                achieved=resid,
-            )
         return y
 
 
-def solve_columns(ctx, cols, rhs):
-    """Solve sum_c x_c * cols[c] = rhs by exact Gauss-Jordan elimination.
+class ColumnReduction:
+    """A matrix over Q_p, given by its columns (the generators), reduced
+    once by valuation-pivoted column operations.
 
-    Pivots on minimal valuation; raises PrecisionError when the system
-    is inconsistent at the achievable precision.  Returns the PadicScalar
-    coefficient list.
+    Row by row, the remaining column with the least valuation in that
+    row becomes the pivot and is subtracted from the others; a row where
+    every remaining column vanishes is skipped, and the loop stops when
+    the columns run out.  Every multiplier has valuation >= 0, so the
+    pivots span the same Z_p-lattice as the generators, in triangular
+    form.  ``pivots`` holds (row, column, expression over the generators)
+    in pivot order; ``leftover`` the columns that never pivoted, reduced
+    against every pivot.
     """
-    rows = len(rhs)
-    ncols = len(cols)
-    A = [[cols[c][r] for c in range(ncols)] + [rhs[r]] for r in range(rows)]
-    pivot_of_col = {}
-    used = set()
-    for c in range(ncols):
-        best, bestval = None, None
-        for r in range(rows):
-            if r in used:
+
+    def __init__(self, ctx: PrimeContext, cols, floor):
+        self.ctx = ctx
+        self.floor = floor
+        self.ngen = ngen = len(cols)
+        work = []
+        for g, col in enumerate(cols):
+            expr = [ctx.zero()] * ngen
+            expr[g] = ctx.one()
+            work.append((list(col), expr))
+        self.pivots = []
+        remaining = list(range(ngen))
+        for r in range(len(cols[0]) if cols else 0):
+            if not remaining:
+                break
+            best, bestval = None, None
+            for idx in remaining:
+                entry = work[idx][0][r]
+                if not entry.is_zero and (bestval is None or entry.v < bestval):
+                    best, bestval = idx, entry.v
+            if best is None:
                 continue
-            entry = A[r][c]
-            if entry.is_zero:
-                continue
-            if bestval is None or entry.v < bestval:
-                best, bestval = r, entry.v
-        if best is None:
-            continue
-        used.add(best)
-        pivot_of_col[c] = best
-        prow = A[best]
-        pivot = prow[c]
-        for r in range(rows):
-            if r == best:
-                continue
-            factor = A[r][c] / pivot
-            if factor.is_zero:
-                continue
-            A[r] = [
-                A[r][j] - factor * prow[j] if (not prow[j].is_zero) else A[r][j]
-                for j in range(ncols + 1)
-            ]
-    # consistency on rows without pivots
-    for r in range(rows):
-        if r in used:
-            continue
-        if A[r][ncols].min_valuation() < ctx.identity_floor:
+            remaining.remove(best)
+            pv, pe = work[best]
+            for idx in remaining:
+                cv, ce = work[idx]
+                fac = cv[r] / pv[r]
+                if not fac.is_zero:
+                    work[idx] = (
+                        [a - fac * b for a, b in zip(cv, pv)],
+                        [a - fac * b for a, b in zip(ce, pe)],
+                    )
+            self.pivots.append((r, pv, pe))
+        self.leftover = [work[idx][0] for idx in remaining]
+
+    def solve(self, rhs):
+        """rhs over the pivots and over the generators, by one forward
+        substitution through the pivot rows.  The leftover of rhs must
+        vanish to the floor, else PrecisionError."""
+        ctx = self.ctx
+        res = list(rhs)
+        coeffs = []
+        for r, col, _ in self.pivots:
+            c = res[r] / col[r]
+            coeffs.append(c)
+            res = [a - c * b for a, b in zip(res, col)]
+        floor = min(s.min_valuation() for s in res)
+        if floor < self.floor:
             raise PrecisionError(
-                "linear system inconsistent at precision"
-                f" (residual valuation {A[r][ncols].min_valuation()})",
-                achieved=A[r][ncols].min_valuation(),
+                f"linear system inconsistent at precision (residual valuation {floor})",
+                achieved=floor,
             )
-    out = []
-    for c in range(ncols):
-        r = pivot_of_col.get(c)
-        if r is None:
-            out.append(ctx.zero())
-        else:
-            out.append(A[r][ncols] / A[r][c])
-    return out
+        exps = [ctx.zero()] * self.ngen
+        for c, (_, _, expr) in zip(coeffs, self.pivots):
+            exps = [x + c * e for x, e in zip(exps, expr)]
+        return coeffs, exps
+
+
+def solve_columns(ctx, cols, floor) -> ColumnReduction:
+    """The column reduction of cols, whose solves hold to floor."""
+    return ColumnReduction(ctx, cols, floor)

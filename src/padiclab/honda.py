@@ -203,7 +203,6 @@ class HondaData:
         self.ell = ell
         self.report = report
         self.iota = iota
-        self.iota_prime = iota.derivative()
         self.iota_inv = iota_inv
         self.epsilon = epsilon
 
@@ -227,6 +226,7 @@ def formal_add(x, y, honda: HondaData, tower):
     ix = tower.eval_series(honda.iota, x)
     iy = tower.eval_series(honda.iota, y)
     target = ix + iy + ix * iy
+    iota_prime = honda.iota.derivative()
     w = target
     ctx = honda.ctx
     degree = w.field.degree
@@ -235,5 +235,5 @@ def formal_add(x, y, honda: HondaData, tower):
         resid = tower.eval_series(honda.iota, w) - target
         if resid.min_valuation() >= ctx.wprec - 2:
             return w
-        w = w - resid * tower.eval_series(honda.iota_prime, w).inverse()
+        w = w - resid * tower.eval_series(iota_prime, w).inverse()
     raise ConvergenceError("formal addition did not converge")

@@ -17,7 +17,7 @@ from .core import (
     iwasawa_log,
     padic_exp,
 )
-from .cyclotomic import CycloElement, CycloTower
+from .cyclotomic import CycloElement, CycloTower, solve_columns
 from .honda import HondaData
 
 
@@ -180,6 +180,8 @@ class UnitLogLattice:
     j0 = floor(p^n/(p-1)) + 1.  Below j0 they generate the graded pieces
     of the unit filtration; from j0 on, log(1 + pi^i) = pi^i mod m^(i+1),
     so their logs form a unipotent-triangular basis of m^(j0) = log U^(j0).
+    The logs are reduced once (``solve_columns`` at solve_floor): every
+    row must pivot, and the redundant generators must reduce to zero.
     """
 
     def __init__(self, tower: CycloTower, n: int):
@@ -203,42 +205,31 @@ class UnitLogLattice:
             self.generators.append(i)
             vectors.append(tower.to_pi_coords(vec))
         self._pi_powers = pi_powers
-        self.basis, self.basis_expr = _column_hnf(ctx, vectors, self.dim)
+        self._reduction = solve_columns(ctx, vectors, ctx.solve_floor)
+        rows = {r for r, _, _ in self._reduction.pivots}
+        for r in range(self.dim):
+            if r not in rows:
+                raise PropertyFailure(f"unit lattice is rank-deficient at row {r}")
+        for col in self._reduction.leftover:
+            floor = min(s.min_valuation() for s in col)
+            if floor < ctx.solve_floor:
+                raise PrecisionError(
+                    f"redundant lattice generator fails to reduce (valuation {floor})",
+                    achieved=floor,
+                )
 
     def coords(self, y_coords):
-        """Coordinates of y (in pi-power coordinates) over the lattice basis,
-        by one forward substitution; the leftover must vanish to solve_floor.
-        """
-        ctx = self.tower.ctx
-        res = list(y_coords)
-        coeffs = []
-        for r in range(self.dim):
-            col = self.basis[r]
-            c = res[r] / col[r]
-            coeffs.append(c)
-            res = [res[j] - c * col[j] for j in range(self.dim)]
-        floor = min(s.min_valuation() for s in res)
-        if floor < ctx.solve_floor:
-            raise PrecisionError(
-                f"membership residual only reaches valuation {floor}",
-                achieved=floor,
-            )
-        return coeffs
+        """Coordinates of y (in pi-power coordinates) over the reduced
+        basis; the leftover must vanish to solve_floor."""
+        return self._reduction.solve(y_coords)[0]
 
     def membership(self, y_coords):
         """Integral coordinates of y in the lattice, or None.
 
         Returns (coords_in_basis, exponents_over_generators).
         """
-        ctx = self.tower.ctx
-        coeffs = self.coords(y_coords)
-        if not _integral(coeffs):
-            return None
-        exps = [ctx.zero() for _ in self.generators]
-        for c, expr in zip(coeffs, self.basis_expr):
-            for g, e in enumerate(expr):
-                exps[g] = exps[g] + c * e
-        return coeffs, exps
+        coeffs, exps = self._reduction.solve(y_coords)
+        return (coeffs, exps) if _integral(coeffs) else None
 
     def unit_from_exponents(self, exps):
         """Reconstruct the principal unit prod (1 + pi^i)^(e_i), e_i in Z_p.
@@ -266,93 +257,12 @@ def _integral(coeffs) -> bool:
     return all(c.is_zero or c.v >= 0 for c in coeffs)
 
 
-def _column_hnf(ctx, vectors, dim):
-    """Valuation-pivoted column reduction with generator bookkeeping.
-
-    Returns (basis columns indexed by pivot row, expressions of each
-    basis column over the original generators).  Leftover columns must
-    vanish at working precision.
-    """
-    ngen = len(vectors)
-    cols = []
-    for g, vec in enumerate(vectors):
-        expr = [ctx.zero() for _ in range(ngen)]
-        expr[g] = ctx.one()
-        cols.append((list(vec), expr))
-    basis = [None] * dim
-    basis_expr = [None] * dim
-    remaining = list(range(ngen))
-    for r in range(dim):
-        best, bestval = None, None
-        for idx in remaining:
-            entry = cols[idx][0][r]
-            if entry.is_zero:
-                continue
-            if bestval is None or entry.v < bestval:
-                best, bestval = idx, entry.v
-        if best is None:
-            raise PropertyFailure(f"unit lattice is rank-deficient at row {r}")
-        pv, pe = cols[best]
-        remaining.remove(best)
-        piv = pv[r]
-        for idx in remaining:
-            cv, ce = cols[idx]
-            fac = cv[r] / piv
-            if fac.is_zero:
-                continue
-            cols[idx] = (
-                [cv[j] - fac * pv[j] for j in range(dim)],
-                [ce[g] - fac * pe[g] for g in range(ngen)],
-            )
-        basis[r] = pv
-        basis_expr[r] = pe
-    for idx in remaining:
-        floor = min(s.min_valuation() for s in cols[idx][0])
-        if floor < ctx.solve_floor:
-            raise PrecisionError(
-                f"redundant lattice generator fails to reduce (valuation {floor})",
-                achieved=floor,
-            )
-    return basis, basis_expr
-
-
-def smith_valuations(ctx, rows):
-    """Elementary-divisor valuations of a matrix over Z_p."""
-    mat = [list(r) for r in rows]
-    nr, nc = len(mat), len(mat[0])
-    divisors = []
-    used_r, used_c = set(), set()
-    while True:
-        best = None
-        for i in range(nr):
-            if i in used_r:
-                continue
-            for j in range(nc):
-                if j in used_c:
-                    continue
-                e = mat[i][j]
-                if e.is_zero:
-                    continue
-                if best is None or e.v < best[2]:
-                    best = (i, j, e.v)
-        if best is None:
-            break
-        i0, j0, v0 = best
-        piv = mat[i0][j0]
-        for i in range(nr):
-            if i == i0 or mat[i][j0].is_zero:
-                continue
-            fac = mat[i][j0] / piv
-            mat[i] = [mat[i][j] - fac * mat[i0][j] for j in range(nc)]
-        used_r.add(i0)
-        used_c.add(j0)
-        divisors.append(v0)
-    return sorted(divisors)
-
-
 def verify_generation(fam: PointFamily, n: int) -> dict:
     """The Z_p[Gamma_n]-span of d_n together with u = 1 + p must be all of
-    U^1_n: compare log-lattices by elementary divisors."""
+    U^1_n.  Their log-lattice coordinates are reduced by unimodular column
+    operations to a triangular basis, so the rank is the number of pivots
+    and, at full rank, the index is p^(sum of the pivot valuations); at
+    index p^0 every elementary divisor (``divisors``) has valuation 0."""
     tower = fam.tower
     ctx = tower.ctx
     lattice = fam.lattice(n)
@@ -365,7 +275,8 @@ def verify_generation(fam: PointFamily, n: int) -> dict:
         raise PropertyFailure(
             f"span of the points leaves the unit lattice; coordinate valuation {worst}"
         )
-    divisors = smith_valuations(ctx, coords)
+    pivots = solve_columns(ctx, coords, ctx.solve_floor).pivots
+    divisors = sorted(col[r].v for r, col, _ in pivots)
     rank = len(divisors)
     if rank != lattice.dim:
         raise PropertyFailure(

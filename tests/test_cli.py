@@ -201,6 +201,24 @@ def test_cli_config_error_exit_two():
     assert main(["--functionals", "0"]) == 2
 
 
+def test_cli_validates_the_config_once(monkeypatch, capsys):
+    calls = []
+    resolved = SuiteConfig.resolved
+
+    def counted(self):
+        calls.append(self)
+        return resolved(self)
+
+    monkeypatch.setattr(SuiteConfig, "resolved", counted)
+    args = ["--nmax", "0", "--prec", "10", "--suite", "honda", "--out", os.devnull]
+    assert main(args) == 0
+    assert len(calls) == 1
+    assert main(["--q-ord", "0"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "configuration error: q must have positive valuation (split multiplicative)"
+    )
+
+
 def test_cli_env_var_output_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("PADICLAB_REPORT_DIR", str(tmp_path))
     code = main(

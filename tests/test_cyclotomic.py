@@ -13,6 +13,7 @@ from padiclab import (
     build_points,
     iwasawa_log,
 )
+from padiclab import cyclotomic
 from padiclab.core import _log_p_floor, factorial_valuation
 from padiclab.honda import default_truncation
 from padiclab.series import TruncatedSeries, log_one_plus_x
@@ -225,6 +226,119 @@ def test_gamma_solve_from_constructed_target(tower3):
 def test_gamma_solve_requires_trace_zero(tower3):
     with pytest.raises(InvalidInputError):
         tower3.gamma_solve(tower3.field(1).one())
+
+
+def _seeded_kn(tower, n, rng):
+    """A seeded element of O_{k_n}: the Delta-trace of random integer
+    coordinates in K_n, built without the pi-basis."""
+    ctx = tower.ctx
+    f = tower.field(n)
+    z = f.from_coords([ctx.scalar(rng.randrange(ctx.p**ctx.prec)) for _ in range(f.degree)])
+    acc = f.zero()
+    for a in f.delta_exponents():
+        acc = acc + (z.galois(a) if a != 1 else z)
+    return acc
+
+
+@pytest.mark.parametrize("p, n", [(3, 1), (5, 1), (7, 1), (3, 2)])
+def test_pi_coords_and_gamma_solve_leave_no_residual(p, n):
+    tower = CycloTower(PrimeContext(p, 12), n)
+    ctx = tower.ctx
+    rng = random.Random(100 * p + n)
+    for _ in range(3):
+        x = _seeded_kn(tower, n, rng)
+        coords = tower.to_pi_coords(x)
+        assert (tower.from_pi_coords(n, coords) - x).min_valuation() >= ctx.identity_floor
+        w = _seeded_kn(tower, n, rng)
+        v = w - tower.field(n).from_scalar(tower.trace_kn_to_qp(w) / p**n)
+        y = tower.gamma_solve(v)
+        assert (tower.gamma_apply(y) - y - v).min_valuation() >= ctx.identity_floor
+
+
+def test_pi_coords_refuse_an_element_outside_kn(tower3):
+    with pytest.raises(PrecisionError, match="residual valuation"):
+        tower3.to_pi_coords(tower3.field(1).zeta())
+
+
+def smith_valuations(ctx, rows):
+    """Elementary-divisor valuations of a matrix over Z_p, by full
+    valuation pivoting: the oracle for the column reduction's index."""
+    mat = [list(r) for r in rows]
+    nr, nc = len(mat), len(mat[0])
+    divisors = []
+    used_r, used_c = set(), set()
+    while True:
+        best = None
+        for i in range(nr):
+            for j in range(nc):
+                e = mat[i][j]
+                if i in used_r or j in used_c or e.is_zero:
+                    continue
+                if best is None or e.v < best[2]:
+                    best = (i, j, e.v)
+        if best is None:
+            return sorted(divisors)
+        i0, j0, v0 = best
+        for i in range(nr):
+            if i != i0 and not mat[i][j0].is_zero:
+                fac = mat[i][j0] / mat[i0][j0]
+                mat[i] = [mat[i][j] - fac * mat[i0][j] for j in range(nc)]
+        used_r.add(i0)
+        used_c.add(j0)
+        divisors.append(v0)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_column_reduction_pivots_give_rank_and_index(seed):
+    # the pivots' valuations need not be the elementary divisors, but
+    # their count is the rank and, at full row rank, their sum is the
+    # index, as Smith's are
+    ctx = PrimeContext(3, 12)
+    rng = random.Random(seed)
+    nrows = rng.randint(2, 5)
+    ncols = nrows + rng.randint(0, 2)
+    cols = [
+        [ctx.scalar(rng.randrange(1, 81) * 3 ** rng.choice([0, 0, 1, 2])) for _ in range(nrows)]
+        for _ in range(ncols)
+    ]
+    if seed % 2:  # a dependent column
+        cols.append([a + b for a, b in zip(cols[0], cols[1])])
+    pivots = cyclotomic.solve_columns(ctx, cols, ctx.solve_floor).pivots
+    smith = smith_valuations(ctx, cols)
+    assert len(pivots) == len(smith) == nrows
+    assert sum(col[r].v for r, col, _ in pivots) == sum(smith)
+
+
+def test_column_reduction_differs_from_smith_termwise():
+    # rows (p, 0, 0), (0, p, 0), (1, 1, p): pivots p, p, p; Smith 1, p, p^2
+    ctx = PrimeContext(3, 12)
+    rows = [[3, 0, 0], [0, 3, 0], [1, 1, 3]]
+    cols = [[ctx.scalar(rows[i][j]) for i in range(3)] for j in range(3)]
+    pivots = cyclotomic.solve_columns(ctx, cols, ctx.solve_floor).pivots
+    assert [col[r].v for r, col, _ in pivots] == [1, 1, 1]
+    assert smith_valuations(ctx, cols) == [0, 1, 2]
+
+
+@pytest.fixture(scope="module")
+def tower7():
+    return CycloTower(PrimeContext(7, 12), 1)
+
+
+@pytest.mark.parametrize("seed", [1, 3, 8, 9, 22, 41])
+def test_inverse_returns_only_a_true_inverse(tower7, seed):
+    # x = y/7 (zeta - 1)^k; at seeds 1, 9, 22 and 41 the conjugate product
+    # leaves x x^(-1) - 1 at valuation 8 or 9, below identity_floor 10
+    ctx = tower7.ctx
+    f = tower7.field(1)
+    rng = random.Random(seed)
+    y = f.from_coords([ctx.scalar(rng.randrange(7**12)) for _ in range(f.degree)])
+    k = rng.randrange(f.degree)
+    x = y.scale(Fraction(1, 7)) * (f.zeta() - f.one()) ** k
+    try:
+        inv = x.inverse()
+    except PrecisionError:
+        return
+    assert (x * inv - 1).min_valuation() >= ctx.identity_floor
 
 
 def test_gamma_kernel_and_image_rank(tower3):

@@ -12,6 +12,7 @@ from padiclab import (
     verify_norm_tower,
     verify_prop2,
 )
+from padiclab import cyclotomic, points
 from padiclab.cyclotomic import CycloTower
 from padiclab.points import UnitLogLattice, verify_two_routes
 from padiclab.runner import SuiteConfig, run_suite
@@ -138,6 +139,26 @@ def test_lattice_rejects_foreign_vectors(fam3, tower3):
     assert lat.membership(y) is None
 
 
+@pytest.mark.parametrize(
+    "spoil, error, match",
+    [
+        # no generator reaches the last pi-power row
+        (lambda ctx, v: v[:-1] + [ctx.zero()], PropertyFailure, "rank-deficient at row 2"),
+        # the redundant generator can only reduce to the inputs' precision
+        (
+            lambda ctx, v: [c.reduce_absprec(ctx.solve_floor - 1) for c in v],
+            PrecisionError,
+            "redundant lattice generator fails to reduce",
+        ),
+    ],
+)
+def test_lattice_refuses_spoilt_generators(tower3, monkeypatch, spoil, error, match):
+    to_pi_coords = tower3.to_pi_coords
+    monkeypatch.setattr(tower3, "to_pi_coords", lambda x: spoil(tower3.ctx, to_pi_coords(x)))
+    with pytest.raises(error, match=match):
+        UnitLogLattice(tower3, 1)
+
+
 def test_h90_exponent_class(sol3):
     assert sol3.e % 3 == 2
     assert sol3.searched == (0, 1, 2)
@@ -238,6 +259,23 @@ def test_one_unit_lattice_per_level(monkeypatch):
     report = run_suite(SuiteConfig(p=3, n_max=2, prec=12, suites=("points", "prop2")))
     assert report.summary()["fail"] == 0
     assert sorted(levels) == [0, 1, 2]
+
+
+def test_one_factorisation_per_level_and_matrix(monkeypatch):
+    # per level: the pi-basis, the (gamma - 1) pi^i columns (n >= 1), the
+    # unit lattice and the generation span, each reduced once in a full run
+    matrices = []
+    solve_columns = cyclotomic.solve_columns
+
+    def counted(ctx, cols, *rest):
+        matrices.append(tuple(tuple((c.v, c.unit, c.absprec) for c in col) for col in cols))
+        return solve_columns(ctx, cols, *rest)
+
+    monkeypatch.setattr(cyclotomic, "solve_columns", counted)
+    monkeypatch.setattr(points, "solve_columns", counted)
+    report = run_suite(SuiteConfig(p=3, n_max=2, prec=12, n_functionals=4))
+    assert report.summary()["fail"] == 0
+    assert len(matrices) == len(set(matrices)) == 3 + 4 * 2
 
 
 @pytest.mark.parametrize(

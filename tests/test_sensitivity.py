@@ -4,8 +4,8 @@ Each entry adds p^k at one place in one construction, by monkeypatching
 the constructor, and names the checks that must then fail under its
 configuration; every other check keeps its status.  An entry with k above
 every claimed precision must change no status.  The tate entries run the
-tate suite at p = 3, N = 20; the d_n entries run every suite at
-(p, n_max, N) = (3, 2, 12) with four functionals.
+tate suite at p = 3, N = 20; the d_n and Hilbert-90 entries run every
+suite at (p, n_max, N) = (3, 2, 12) with four functionals.
 """
 
 import pytest
@@ -71,6 +71,39 @@ def bump_d(n, j, k):
     return patch
 
 
+def bump_h90(n, shift_e=0, j=0, k=None):
+    """The Hilbert-90 solution at level n, before its certificates are
+    measured: e_n + shift_e, and coordinate j of u_n + p^k with
+    x_n = pi_n^(e_n) u_n rebuilt from it."""
+
+    def patch(monkeypatch):
+        certified = points._certified
+
+        def bumped(fam, m, e, u_n, x_n, searched):
+            if m == n:
+                e += shift_e
+                if k is not None:
+                    coords = list(u_n.coords)
+                    coords[j] = coords[j] + P**k
+                    u_n = u_n.field.from_coords(coords)
+                    x_n = fam.tower.uniformizer(n) ** e * u_n
+            return certified(fam, m, e, u_n, x_n, searched)
+
+        monkeypatch.setattr(points, "_certified", bumped)
+
+    return patch
+
+
+# the class e_1 is read only by the exponent congruences
+E1_READERS = {"prop2.congruence[n=1]", "prop2.e1-class"}
+# a wrong u_1 fails the certificate, so every reader of the level-1
+# solution fails with it
+H90_1_READERS = E1_READERS | {
+    "prop2.h90-certificate[n=1]",
+    "coleman.abel-identity[n=1]",
+    "coleman.derivative-congruence[n=1]",
+}
+
 # every check that reads d_2, through its log, its H90 solution or its
 # Coleman image
 D2_READERS = {
@@ -95,6 +128,9 @@ PERTURBATIONS = [
     ("t_3 + p^(N+4)", "tate", bump_t(3, N + 4), set()),
     ("d_2[3] + p^5", "tower", bump_d(2, 3, 5), D2_READERS),
     ("d_2[3] + p^30", "tower", bump_d(2, 3, 30), set()),
+    ("e_1 + 1", "tower", bump_h90(1, shift_e=1), E1_READERS),
+    ("u_1[0] + p^5", "tower", bump_h90(1, k=5), H90_1_READERS),
+    ("u_1[0] + p^30", "tower", bump_h90(1, k=30), set()),
 ]
 
 
