@@ -89,8 +89,8 @@ class PrimeContext:
     ``identity_floor`` = N - 2 is the valuation a stated identity must
     reach, and ``solve_floor`` = N - 4 the one a result read off a
     solve must reach.  A solve (an elimination with valuation pivots, a
-    lattice membership, a unit rebuilt from its exponents, an inverse
-    through the norm) divides by its pivots and rebuilds through
+    lattice membership, a unit rebuilt from its exponents) divides by
+    its pivots and rebuilds through
     logarithms, which can cost up to two digits more than computing the
     two sides of an identity does.  ``require`` applies the policy.
     """

@@ -10,6 +10,8 @@ canonical uniformizer pi_n.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from operator import add, mul
 
 from .core import (
     ConvergenceError,
@@ -188,36 +190,51 @@ class CycloElement:
         return self.field.from_coords(_unpack(self.ctx, *packed))
 
     def __pow__(self, k: int):
+        """x^k by one square-and-multiply on the packed vector
+        (``CycloField.pow_packed``); for k < 0, the one inverse of x^(-k)."""
         if k < 0:
-            return (self.inverse()) ** (-k)
-        result = self.field.one(max(c.absprec for c in self.coords))
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+            return (self ** (-k)).inverse()
+        if k == 0:
+            return self.field.one(max(c.absprec for c in self.coords))
+        packed = self.field.pow_packed(_pack(self.coords), k)
+        return self.field.from_coords(_unpack(self.ctx, *packed))
+
+    def peel(self):
+        """(u, s, m) with x = u p^m / (zeta-1)^s, u a unit, 0 <= s < d.
+
+        With v(x) = k/d, m = ceil(k/d) and s = dm - k, so u = x (zeta-1)^s
+        / p^m has valuation 0: (zeta-1)^d / p is a unit.  Raises
+        PrecisionError for x zero at its precision.
+        """
+        v = self.valuation()
+        if v is None:
+            raise PrecisionError(
+                "cannot peel a value that is zero at its precision",
+                achieved=self.min_valuation(),
+            )
+        f = self.field
+        k = int(v * f.degree)
+        m = -(-k // f.degree)
+        s = f.degree * m - k
+        u = self
+        if s:
+            u = u * (f.zeta() - f.one()) ** s
+        if m:
+            u = u.scale(Fraction(self.ctx.p) ** -m)
+        return u, s, m
 
     def inverse(self) -> "CycloElement":
-        """x^(-1) = (product of the other conjugates) / N(x), returned only
-        when x x^(-1) - 1 reaches identity_floor (else PrecisionError)."""
-        others = None
-        for a in _unit_exponents(self.field):
-            if a == 1:
-                continue
-            conj = self.galois(a)
-            others = conj if others is None else others * conj
-        full = others * self
-        norm = full.coords[0]
-        floor = min(c.min_valuation() for c in full.coords[1:])
-        if not norm.is_zero and floor < norm.v + self.ctx.solve_floor:
-            raise PrecisionError(
-                "norm did not collapse to Q_p at working precision",
-                achieved=floor,
-            )
-        inv = others.scale(norm.inverse())
+        """x^(-1) = (zeta-1)^s u^((p-1)p^K - 1) / p^m for the peel (u, s, m)
+        of x, K = n + the least absprec A of u's coordinates: u^(p-1) lies
+        in U^1_n, where y^(p^K) = 1 mod p^(K-n), so the power is u^(-1)
+        mod p^A.  Returned only when x x^(-1) - 1 reaches identity_floor
+        (else PrecisionError)."""
+        f = self.field
+        p = self.ctx.p
+        u, s, m = self.peel()
+        K = f.n + min(c.absprec for c in u.coords)
+        inv = u ** ((p - 1) * p**K - 1) * (f.zeta() - f.one()) ** s
+        inv = inv.scale(Fraction(p) ** -m)
         resid = (self * inv - 1).min_valuation()
         if resid < self.ctx.identity_floor:
             raise PrecisionError(
@@ -306,11 +323,6 @@ class CycloElement:
         return f"CycloElement(level={self.field.level}; {body or '0'}{more})"
 
 
-def _unit_exponents(field: CycloField):
-    p = field.ctx.p
-    return tuple(a for a in range(1, field.modulus_order) if a % p)
-
-
 class CycloTower:
     """Shared context for levels 0..n_max and the k_n-layer machinery."""
 
@@ -358,14 +370,17 @@ class CycloTower:
     def gamma_apply(self, x: CycloElement) -> CycloElement:
         return x.galois(self.gamma_exponent(x.field.n))
 
-    def gamma_orbit_exponents(self, n: int):
-        """kappa(gamma)^i mod p^(n+1) for i = 0..p^n - 1 (coset reps of Delta)."""
+    def gamma_orbit_exponents(self, n: int, m: int = 0):
+        """kappa(gamma)^(i p^m) mod p^(n+1) for i = 0..p^(n-m) - 1: at m = 0
+        the coset reps of Delta, in general Gal(K_n/K_m), since
+        kappa(gamma)^(p^m) generates 1 + p^(m+1)Z mod p^(n+1)."""
         mo = self.field(n).modulus_order
+        g = pow(self.kappa_gamma, self.ctx.p**m, mo)
         out = []
         a = 1
-        for _ in range(self.ctx.p**n):
+        for _ in range(self.ctx.p ** (n - m)):
             out.append(a)
-            a = a * self.kappa_gamma % mo
+            a = a * g % mo
         return out
 
     def gamma_log_table(self, n: int) -> dict:
@@ -383,11 +398,12 @@ class CycloTower:
         omega = self.ctx.teichmuller_int(b, n + 1)
         return self.gamma_log_table(n)[b * pow(omega, -1, mo) % mo]
 
-    def gamma_conjugates(self, x: CycloElement):
-        """x^(gamma^i) for i = 0..p^n - 1, in gamma_orbit_exponents order."""
+    def gamma_conjugates(self, x: CycloElement, m: int = 0):
+        """The conjugates of x over K_m, x^(gamma^(i p^m)) for i = 0..p^(n-m)
+        - 1, in gamma_orbit_exponents order."""
         return [
             x.galois(a) if a != 1 else x
-            for a in self.gamma_orbit_exponents(x.field.n)
+            for a in self.gamma_orbit_exponents(x.field.n, m)
         ]
 
     def is_delta_fixed(self, x: CycloElement) -> bool:
@@ -419,43 +435,26 @@ class CycloTower:
                 )
         return fm.from_coords(coords[: fm.degree])
 
-    def rel_exponents(self, n: int, m: int):
-        """Exponents of Gal(K_n/K_m): a = 1 mod p^(m+1)."""
-        mo = self.field(n).modulus_order
-        step = self.ctx.p ** (m + 1)
-        return tuple((1 + s * step) % mo for s in range(self.ctx.p ** (n - m)))
-
     def trace(self, x: CycloElement, m: int) -> CycloElement:
         """Tr_{K_n/K_m} (= Tr_{k_n/k_m} on Delta-fixed elements)."""
-        n = x.field.n
-        if m > n:
+        if m > x.field.n:
             raise InvalidInputError("target level above source level")
-        acc = None
-        for a in self.rel_exponents(n, m):
-            t = x.galois(a) if a != 1 else x
-            acc = t if acc is None else acc + t
-        return self.restrict(acc, m)
+        return self.restrict(reduce(add, self.gamma_conjugates(x, m)), m)
 
     def norm(self, x: CycloElement, m: int) -> CycloElement:
-        n = x.field.n
-        if m > n:
+        """N_{K_n/K_m}; the conjugates are multiplied in orbit order, which
+        is exact for integral x."""
+        if m > x.field.n:
             raise InvalidInputError("target level above source level")
-        acc = None
-        for a in self.rel_exponents(n, m):
-            t = x.galois(a) if a != 1 else x
-            acc = t if acc is None else acc * t
-        return self.restrict(acc, m)
+        return self.restrict(reduce(mul, self.gamma_conjugates(x, m)), m)
 
     def trace_kn_to_qp(self, x: CycloElement) -> PadicScalar:
         """Tr_{k_n/Q_p} for Delta-fixed x: absolute trace divided by p-1."""
         return x.trace_to_qp() / (self.ctx.p - 1)
 
     def norm_kn_to_qp(self, x: CycloElement) -> PadicScalar:
-        """N_{k_n/Q_p}: product over the Gamma_n coset representatives."""
-        acc = None
-        for t in self.gamma_conjugates(x):
-            acc = t if acc is None else acc * t
-        return acc.scalar_part()
+        """N_{k_n/Q_p} for Delta-fixed x: N_{K_n/K_0}(x), which lies in Q_p."""
+        return self.norm(x, 0).scalar_part()
 
     # -- the canonical uniformizer and k_n coordinates -----------------------------------
 
@@ -517,26 +516,17 @@ class CycloTower:
     def log_element(self, x: CycloElement) -> CycloElement:
         """Iwasawa logarithm on K_n^x: kills torsion, log(p) = 0.
 
-        The (zeta-1)-power carrying the valuation is peeled off first, so
-        precision never pays for large valuations.  The unit part goes to
-        ``_log_unit``, which runs on one packed integer vector: Teichmuller
-        strip, contraction by p-powers, then the log series with term k
-        at absprec E - v_p(k), E the strip's precision, and the sum at
-        the least of those.
+        With the peel x = u p^m / (zeta-1)^s, log x = log u - s log(zeta-1),
+        so precision never pays for large valuations and no inverse is
+        taken.  The unit u goes to ``_log_unit``, which runs on one packed
+        integer vector: Teichmuller strip, contraction by p-powers, then
+        the log series with term k at absprec E - v_p(k), E the strip's
+        precision, and the sum at the least of those.
         """
-        v = x.valuation()
-        if v is None:
-            raise InvalidInputError("log of zero at working precision")
-        f = x.field
-        if v == 0:
-            return self._log_unit(x)
-        k = int(v * f.degree)
-        z1 = f.zeta() - f.one()
-        if k > 0:
-            unit_part = x * (z1.inverse() ** k)
-        else:
-            unit_part = x * z1 ** (-k)
-        return self._log_unit(unit_part) + self.log_zeta_minus_one(f.n).scale(k)
+        u, s, _ = x.peel()
+        if not s:
+            return self._log_unit(u)
+        return self._log_unit(u) - self.log_zeta_minus_one(x.field.n).scale(s)
 
     def _log_unit(self, y: CycloElement) -> CycloElement:
         """log on units, on one packed vector (0, E, ints).

@@ -200,6 +200,34 @@ def test_trace_tower_transitivity(ctx3n2, tower3n2):
     assert (via - direct).min_valuation() >= ctx3n2.prec - 2
 
 
+def _relative_maps(tower, x, m):
+    """Test-only oracle: Tr and N from K_n to K_m over the exponents
+    a = 1 mod p^(m+1) of Gal(K_n/K_m), in increasing order."""
+    mo = x.field.modulus_order
+    step = tower.ctx.p ** (m + 1)
+    conj = [x.galois(a) for a in range(1, mo, step)]
+    tr, nm = conj[0], conj[0]
+    for c in conj[1:]:
+        tr, nm = tr + c, nm * c
+    return tower.restrict(tr, m), tower.restrict(nm, m)
+
+
+@pytest.mark.parametrize("p, n, kappa", [(3, 1, None), (3, 2, None), (3, 2, 13), (5, 1, 11)])
+def test_trace_and_norm_match_relative_exponent_oracle(p, n, kappa):
+    tower = CycloTower(PrimeContext(p, 12), n, kappa)
+    rng = random.Random(300 * p + n)
+    f = tower.field(n)
+    for _ in range(2):
+        x = f.from_coords([tower.ctx.scalar(rng.randrange(p**12)) for _ in range(f.degree)])
+        for m in range(n + 1):
+            tr, nm = _relative_maps(tower, x, m)
+            assert _triples(tower.trace(x, m)) == _triples(tr)
+            assert _triples(tower.norm(x, m)) == _triples(nm)
+    x = _seeded_kn(tower, n, rng)
+    c = tower.norm_kn_to_qp(x)
+    assert (c.v, c.unit, c.absprec) == _triples(_relative_maps(tower, x, 0)[1])[0]
+
+
 def test_delta_projection_idempotent(tower3):
     f = tower3.field(1)
     x = f.zeta_power(2) + f.zeta_power(7).scale(5)
@@ -326,19 +354,81 @@ def tower7():
 
 @pytest.mark.parametrize("seed", [1, 3, 8, 9, 22, 41])
 def test_inverse_returns_only_a_true_inverse(tower7, seed):
-    # x = y/7 (zeta - 1)^k; at seeds 1, 9, 22 and 41 the conjugate product
-    # leaves x x^(-1) - 1 at valuation 8 or 9, below identity_floor 10
+    # x = y/7 (zeta - 1)^k at d = 42: a norm of valuation 42 v(x) underflows
+    # the working precision, the peel and one integer power do not
     ctx = tower7.ctx
     f = tower7.field(1)
     rng = random.Random(seed)
     y = f.from_coords([ctx.scalar(rng.randrange(7**12)) for _ in range(f.degree)])
     k = rng.randrange(f.degree)
     x = y.scale(Fraction(1, 7)) * (f.zeta() - f.one()) ** k
-    try:
-        inv = x.inverse()
-    except PrecisionError:
-        return
+    inv = x.inverse()
     assert (x * inv - 1).min_valuation() >= ctx.identity_floor
+
+
+@pytest.mark.parametrize("p, n", [(3, 1), (5, 1), (7, 1), (3, 2)])
+def test_peel_splits_off_a_unit(p, n):
+    ctx = PrimeContext(p, 12)
+    f = CycloTower(ctx, n).field(n)
+    z1 = f.zeta() - f.one()
+    rng = random.Random(500 * p + n)
+    for _ in range(4):
+        y = f.from_coords([ctx.scalar(rng.randrange(p**12)) for _ in range(f.degree)])
+        x = y.scale(Fraction(1, p**2)) * z1 ** rng.randrange(2 * f.degree)
+        u, s, m = x.peel()
+        assert u.valuation() == 0 and 0 <= s < f.degree
+        assert x.valuation() == m - Fraction(s, f.degree)
+        back = (u * (z1**s).inverse()).scale(Fraction(p) ** m)
+        assert (back - x).min_valuation() >= ctx.identity_floor + m
+    with pytest.raises(PrecisionError):
+        f.zero().peel()
+
+
+@pytest.mark.parametrize("p, n", [(3, 1), (5, 1)])
+def test_log_element_makes_no_inverse(p, n, monkeypatch):
+    tower = CycloTower(PrimeContext(p, 12), n)
+    f = tower.field(n)
+    z1 = f.zeta() - f.one()
+    x = tower.uniformizer(n)
+    calls = []
+    orig = cyclotomic.CycloElement.inverse
+    monkeypatch.setattr(
+        cyclotomic.CycloElement, "inverse", lambda self: calls.append(1) or orig(self)
+    )
+    for y in (x, x * z1**3, z1.scale(Fraction(1, p)), f.from_scalar(p)):
+        assert y.valuation() != 0
+        tower.log_element(y)
+    assert calls == []
+
+
+def _loop_power(x, k):
+    """Test-only oracle: x^k (k >= 0) by the per-product square-and-multiply
+    loop, every product an unpacked CycloElement."""
+    result = x.field.one(max(c.absprec for c in x.coords))
+    base = x
+    while k:
+        if k & 1:
+            result = result * base
+        k >>= 1
+        if k:
+            base = base * base
+    return result
+
+
+@pytest.mark.parametrize("p, n", [(3, 1), (5, 1), (7, 1), (3, 2)])
+def test_power_matches_per_product_loop(p, n):
+    ctx = PrimeContext(p, 12)
+    f = CycloTower(ctx, n).field(n)
+    rng = random.Random(700 * p + n)
+    z1 = f.zeta() - f.one()
+    y = f.from_coords([ctx.scalar(rng.randrange(p**12)) for _ in range(f.degree)])
+    ragged = [ctx.scalar(rng.randrange(p**12), 20 + rng.randrange(8)) for _ in range(f.degree)]
+    inputs = [y, f.from_coords(ragged), y * z1**3]
+    for x in inputs:
+        for k in (0, 1, 2, 7, f.degree):
+            assert _triples(x**k) == _triples(_loop_power(x, k))
+        for k in (1, 2, 7):
+            assert _triples(x ** -k) == _triples((x**k).inverse())
 
 
 def test_gamma_kernel_and_image_rank(tower3):

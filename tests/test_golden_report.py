@@ -1,12 +1,17 @@
-"""The seed-0 JSON report of a small all-suites configuration, byte for
-byte against a file recorded before the packed unit logarithm, the
-per-level caches and the Gamma_n discrete-log table went in."""
+"""Seed-0 JSON reports of small all-suites configurations, byte for
+byte against recorded files: (3, 2, 12) was recorded before the packed
+unit logarithm, the per-level caches and the Gamma_n discrete-log table
+went in, and re-recorded when the peeled inverse and logarithm raised
+three of its residuals; (5, 1, 12) with kappa(gamma) = 11 pins a prime
+other than 3 and a non-default generator."""
 
 from pathlib import Path
 
 from padiclab.runner import SuiteConfig, emit_report, run_suite
 
-GOLDEN = Path(__file__).parent / "data" / "report_p3n2_N12_seed0.json"
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "report_p3n2_N12_seed0.json"
+GOLDEN_P5 = DATA / "report_p5n1_N12_k11_seed0.json"
 
 
 def test_report_matches_golden_bytes():
@@ -14,3 +19,9 @@ def test_report_matches_golden_bytes():
     report = run_suite(SuiteConfig(p=3, n_max=2, prec=12, n_functionals=4))
     assert report.summary()["fail"] == 0
     assert emit_report(report) == GOLDEN.read_bytes()
+
+
+def test_report_matches_golden_bytes_p5_kappa11():
+    report = run_suite(SuiteConfig(p=5, n_max=1, prec=12, kappa_gamma=11, n_functionals=20))
+    assert report.summary()["fail"] == 0
+    assert emit_report(report) == GOLDEN_P5.read_bytes()
