@@ -4,27 +4,57 @@ epsilon with ell(epsilon) = p.
 
 ell(X) = log(1+X) + sum_{k>=0} sum_{delta in mu_{p-1}} ((X+1)^(p^k delta) - 1)/p^k
 
-With L = log(1+X), (X+1)^a = exp(aL), the Teichmuller sum
-sum_delta delta^j = (p-1)[(p-1) | j] and the geometric series in k give
+With A(X) = sum_delta ((1+X)^delta - 1) and phi(X) = (1+X)^p - 1, the
+substitution X -> phi shifts the k-sum by one and turns log(1+X) into
+p log(1+X), which gives the functional equation (Hazewinkel, Formal
+Groups and Applications, ch. I 2)
 
-ell = L + (p-1) sum_{(p-1) | j} L^j / (j! (1 - p^(j-1))),
+    ell = A + p^(-1) ell(phi),
 
-so ell_m = (1/m!) sum_j s(m, j) w_j with s the signed Stirling numbers
-of the first kind, w_1 = 1 and w_j = (p-1)/(1 - p^(j-1)) for (p-1) | j.
-This identity holds coefficient by coefficient only: it is never a way
-to evaluate ell, since log(zeta) = 0 while ell(zeta - 1) != 0.
+and F = 1 + iota = exp(ell) then satisfies
+
+    F^p = F(phi) exp(pA),
+
+where exp(pA) is integral since p^m/m! is (Dwork's lemma makes F
+integral too).  Both are solved degree by degree on integers mod p^W.
+Since (phi^j)_j = p^j, the unknown of degree m stands alone on the left,
+as ell_m (1 - p^(m-1)) and as F_m (p - p^m), and everything else reads
+lower degrees.
+
+Loss bound: phi = X^p mod p, so (phi^j)_m is divisible by p except at
+m = pj.  An error at degree j therefore comes back divided by p only at
+degree pj, and a chain m -> pm -> p^2 m inside the order M has at most
+floor(log_p M) steps; with the one digit of the division by p, either
+solve loses at most floor(log_p M) + 1 digits (`_solve_digits`), where
+the exponential ODE m F_m = sum_j j ell_j F_(m-j) would lose v_p(M!).
+exp(pA) itself comes from m E_m = p sum_j j A_j E_(m-j), whose errors do
+not compound: one at degree k reaches degree n only times p k/n' for
+k < n' <= n and integers, since exp(-pA) = 1 mod p.  So E_i is right to
+W + 1 - floor(log_p i) digits, and it enters F at degrees m >= i, from
+which at most floor(log_p(M/i)) steps m -> pm remain.
+
+ell and iota are built separately, and the checks that tie them assume
+neither construction: `log_at_points` compares ell at three points of
+pZ_p with the defining double sum, without A or phi; ell(iota^(-1)) =
+log(1+X) (the suite's honda.log-of-inverse) ties the two solves to
+each other; `check_honda` reads ell's integral derivative and its
+Frobenius property, which the solve makes hold by construction.
 """
 
 from __future__ import annotations
+
+from math import comb
+from operator import add, mul
 
 from .core import (
     ConvergenceError,
     InvalidInputError,
     PadicScalar,
+    PrecisionError,
     PrimeContext,
     PropertyFailure,
-    factorial_valuation,
     hensel_root,
+    iwasawa_log,
     split_p,
     vp,
 )
@@ -44,33 +74,135 @@ def default_truncation(ctx: PrimeContext, n_max: int) -> int:
     return d * (ctx.prec + logterm + 4) + 8
 
 
-def build_ell(ctx: PrimeContext, order: int) -> TruncatedSeries:
-    """ell to degree ``order`` by the Stirling closed form of the module
-    docstring, every coefficient known mod p^(wprec + v_p(order!)).
+def _log_floor(n: int, p: int) -> int:
+    """floor(log_p n) for n >= 1."""
+    k = 0
+    while p ** (k + 1) <= n:
+        k += 1
+    return k
 
-    Only one Stirling row s(m, .) is held at a time. It is kept to
-    v_p(order!) more digits than the coefficients, the most that the
-    division by m! can consume.
+
+def _solve_digits(ctx: PrimeContext, order: int) -> int:
+    """Working digits W of both functional-equation solves to degree
+    ``order``: wprec + floor(log_p order) + 3.
+
+    Each degree divides by p once, and an error is amplified by p only
+    along steps m -> pm, so at most floor(log_p order) + 1 times in all:
+    every coefficient is right to W - floor(log_p order) - 1 = wprec + 2
+    digits and is claimed to wprec.  ell's solve carries p^D ell,
+    D = floor(log_p order), and so works D digits above W.
+    """
+    return ctx.wprec + _log_floor(order, ctx.p) + 3
+
+
+def _averaged_binomials(ctx: PrimeContext, order: int, digits: int) -> list:
+    """A_m = sum_{delta in mu_(p-1)} C(delta, m) mod p^digits, m <= order.
+
+    C(1, m) vanishes past m = 1.  Every other delta runs
+    C(delta, m) = C(delta, m-1) (delta - m + 1)/m as a valuation and a
+    unit mod p^(digits + D + 2), D = floor(log_p order), with delta its
+    Teichmuller lift as an integer, so no m! is ever divided out.  A
+    factor delta - k that vanishes to more than D + 2 digits would leave
+    the unit short of p^digits: PrecisionError.
     """
     p = ctx.p
-    vf_top = factorial_valuation(order, p)
-    target = ctx.wprec + vf_top
-    modulus = ctx.pk(target + vf_top)
-    weight = [0] * (order + 1)
-    weight[1] = 1
-    for j in range(p - 1, order + 1, p - 1):
-        weight[j] = (p - 1) * pow(1 - pow(p, j - 1, modulus), -1, modulus)
-    row = [1]  # s(0, 0)
-    vfact, unit_fact = 0, 1
-    coeffs = [ctx.zero(target)]
+    slack = _log_floor(order, p) + 2
+    mod = ctx.pk(digits + slack)
+    out = [0] * (order + 1)
+    if order >= 1:
+        out[1] = 1
+    for r in range(2, p):
+        delta = ctx.teichmuller_int(r, digits + slack)
+        v, unit = 0, 1
+        for m in range(1, order + 1):
+            factor = (delta - m + 1) % mod
+            fv, fu = split_p(factor, p) if factor else (slack + 1, 0)
+            if fv > slack:
+                raise PrecisionError(
+                    f"the Teichmuller lift of {r} meets {m - 1} beyond p^{slack}"
+                )
+            mv, mu = split_p(m, p)
+            v += fv - mv
+            unit = unit * fu * pow(mu, -1, mod) % mod
+            if v < digits:
+                out[m] += unit * ctx.pk(v)
+    top = ctx.pk(digits)
+    return [a % top for a in out]
+
+
+def _phi_rows(p: int, mod: int, order: int):
+    """The rows of phi^j = ((1+X)^p - 1)^j mod ``mod`` for j = 1, 2, ...,
+    each as (lo, entries) with entries[i] = (phi^j)_(lo+i) over the
+    degrees lo..min(pj, order).
+
+    Row j is row j-1 times phi, with the leading entries that vanish mod
+    ``mod`` dropped: phi = X^p + p h with deg h < p, so (phi^j)_m is
+    divisible by p^ceil((pj - m)/(p-1)) and a row holds at most
+    (p-1) log_p(mod) + 1 entries.  Only the current row is held, and the
+    rows end when lo passes ``order``.
+    """
+    phi = [comb(p, i) for i in range(1, p + 1)]
+    lo, row = 0, [1]
+    while True:
+        n = len(row)
+        new = [0] * (n + p - 1)
+        for i, c in enumerate(phi):
+            new[i : i + n] = map(add, new[i : i + n], [c * r for r in row])
+        lo += 1
+        row = [c % mod for c in new[: max(0, order - lo + 1)]]
+        k = 0
+        while k < len(row) and not row[k]:
+            k += 1
+        if k == len(row):
+            return
+        lo, row = lo + k, row[k:]
+        yield lo, row
+
+
+def _push_row(acc: list, j: int, c: int, row) -> None:
+    """acc[m] += c (phi^j)_m for the degrees m > j of row j (None: no row)."""
+    if row is None:
+        return
+    lo, entries = row
+    start = max(lo, j + 1)
+    entries = entries[start - lo :]
+    stop = start + len(entries)
+    acc[start:stop] = map(add, acc[start:stop], [c * x for x in entries])
+
+
+def build_ell(ctx: PrimeContext, order: int) -> TruncatedSeries:
+    """ell to degree ``order`` from ell = A + p^(-1) ell(phi), every
+    coefficient at absprec wprec.
+
+    The solve runs on L = p^D ell, D = floor(log_p order), which is
+    integral (v(ell_m) >= -v_p(m)), mod p^(W + D) with W = _solve_digits:
+    L_1 = p^D and, for m >= 2,
+
+        L_m (1 - p^(m-1)) = p^D A_m + p^(-1) sum_{j<m} L_j (phi^j)_m,
+
+    with row j of phi^j added into the sums as soon as L_j is known.
+    The division by p is exact for a logarithm with this functional
+    equation; a remainder raises PropertyFailure naming the degree.
+    """
+    p = ctx.p
+    scale = _log_floor(order, p)
+    digits = _solve_digits(ctx, order)
+    mod = ctx.pk(digits + scale)
+    lift = ctx.pk(scale)
+    a = _averaged_binomials(ctx, order, digits)
+    acc = [0] * (order + 1)
+    rows = _phi_rows(p, mod, order)
+    coeffs = [ctx.zero()]
     for m in range(1, order + 1):
-        # s(m, j) = s(m-1, j-1) - (m-1) s(m-1, j)
-        row = [(a - (m - 1) * b) % modulus for a, b in zip([0] + row, row + [0])]
-        v, u = split_p(m, p)
-        vfact += v
-        unit_fact = unit_fact * u % modulus
-        raw = sum(s * w for s, w in zip(row, weight)) * pow(unit_fact, -1, modulus)
-        coeffs.append(PadicScalar._make(ctx, -vfact, raw, target))
+        if m == 1:
+            lm = lift
+        else:
+            s = acc[m] % mod
+            if s % p:
+                raise PropertyFailure(f"ell(phi) is not divisible by p at degree {m}")
+            lm = (lift * a[m] + s // p) * pow(1 - pow(p, m - 1, mod), -1, mod) % mod
+        coeffs.append(PadicScalar._make(ctx, -scale, lm, ctx.wprec))
+        _push_row(acc, m, lm, next(rows, None))
     return TruncatedSeries(ctx, coeffs)
 
 
@@ -114,56 +246,79 @@ def check_honda(ell: TruncatedSeries) -> dict:
     return report
 
 
-def _exp_minus_one_integral(ell: TruncatedSeries) -> TruncatedSeries:
-    """exp(ell) - 1 by the ODE u' = ell' u on plain integer residues.
+def _square_and_multiply(p: int) -> list:
+    """Steps (a, b) of the binary addition chain from F to F^p: each step
+    makes F^(a+b) from F^a and F^b (a == b is a squaring)."""
+    steps, k = [], 1
+    for bit in bin(p)[3:]:
+        steps.append((k, k))
+        k *= 2
+        if bit == "1":
+            steps.append((k, 1))
+            k += 1
+    return steps
 
-    ell' must be integral (the Honda property); each degree divides by
-    its index exactly, and a failed exact division is precisely a
-    non-integral coefficient of the result.
+
+def build_iota(ctx: PrimeContext, order: int) -> tuple:
+    """iota = exp(ell) - 1 to degree ``order`` from F^p = F(phi) exp(pA),
+    F = 1 + iota, every coefficient at absprec wprec, with its
+    compositional inverse (checked integral to order 160).  It reads A
+    and phi only, never ell.
+
+    On integers mod p^W, W = _solve_digits, degree by degree: first
+    E_m = (p/m) sum_j j A_j E_(m-j) for E = exp(pA), where the division
+    by p^(v_p(m) - 1) is exact because E is integral; then F_1 = 1 and,
+    for m >= 2,
+
+        F_m (p - p^m) = sum_{j<m} F_j (phi^j)_m + sum_{i>=1} E_i F(phi)_(m-i)
+                        - [(F^p)_m - p F_m].
+
+    The bracket is read off the online products of a square-and-multiply
+    chain from F to F^p before F_m is known: each power F^c has
+    (F^c)_m = c F_m + (terms of lower degree).  A remainder in either
+    exact division raises PropertyFailure naming the degree.
     """
-    ctx = ell.ctx
     p = ctx.p
-    order = ell.order
-    base = min(c.absprec for c in ell.coeffs)
-    mod = ctx.pk(base)
-    lp = []
-    for j in range(order):
-        c = ell.coeff(j + 1) * (j + 1)
-        if not c.is_zero and c.v < 0:
-            raise PropertyFailure(f"ell' is non-integral at degree {j}")
-        lp.append(c.lift() % mod)
-    u = [1] + [0] * order
-    for m in range(order):
-        s = 0
-        for j in range(m + 1):
-            cj = lp[j]
-            if cj:
-                s += cj * u[m - j]
-        s %= mod
-        v1 = vp(m + 1, p) if (m + 1) % p == 0 else 0
-        unit = (m + 1) // p**v1
-        if unit != 1:
-            s = s * pow(unit, -1, mod) % mod
-        if v1:
-            if s % ctx.pk(v1):
-                raise PropertyFailure(
-                    f"exp(ell) has a non-integral coefficient at degree {m + 1}"
-                )
-            s //= ctx.pk(v1)
-        u[m + 1] = s
-    vloss = 0
-    coeffs = [ctx.zero(base)]
+    digits = _solve_digits(ctx, order)
+    mod = ctx.pk(digits)
+    ja = [j * a % mod for j, a in enumerate(_averaged_binomials(ctx, order, digits))]
+    chain = _square_and_multiply(p)
+    powers = {1: [1], **{a + b: [1] for a, b in chain}}  # F^c below degree m
+    e = [1]  # exp(pA) through degree m
+    g = [1]  # F(phi) below degree m
+    acc = [0] * (order + 1)
+    rows = _phi_rows(p, mod, order)
+    coeffs = [ctx.zero()]
     for m in range(1, order + 1):
-        if m % p == 0:
-            vloss += vp(m, p)
-        coeffs.append(PadicScalar._make(ctx, 0, int(u[m]), base - vloss))
-    return TruncatedSeries(ctx, coeffs)
-
-
-def build_iota(ell: TruncatedSeries) -> tuple:
-    """iota = exp(ell) - 1, certified integral coefficientwise, with its
-    compositional inverse (checked integral to order 160)."""
-    iota = _exp_minus_one_integral(ell)
+        v, u = split_p(m, p)
+        s = sum(map(mul, ja[1 : m + 1], reversed(e))) % mod
+        if v and s % ctx.pk(v - 1):
+            raise PropertyFailure(f"exp(pA) has a non-integral coefficient at degree {m}")
+        e.append(s * p // ctx.pk(v) * pow(u, -1, mod) % mod)
+        rest = {1: 0}
+        for a, b in chain:
+            fa = powers[a]
+            if a == b:
+                h = (m - 1) // 2
+                mid = 2 * sum(map(mul, fa[1 : h + 1], fa[m - 1 : m - 1 - h : -1]))
+                if m % 2 == 0:
+                    mid += fa[m // 2] ** 2
+            else:
+                mid = sum(map(mul, fa[1:m], powers[b][m - 1 : 0 : -1]))
+            rest[a + b] = (rest[a] + rest[b] + mid) % mod
+        if m == 1:
+            fm = 1
+        else:
+            rhs = (acc[m] + sum(map(mul, e[1:], reversed(g))) - rest[p]) % mod
+            if rhs % p:
+                raise PropertyFailure(f"iota has a non-integral coefficient at degree {m}")
+            fm = rhs // p * pow(1 - pow(p, m - 1, mod), -1, mod) % mod
+        for c, fc in powers.items():
+            fc.append((c * fm + rest[c]) % mod)
+        g.append((acc[m] + fm * pow(p, m, mod)) % mod)
+        coeffs.append(PadicScalar._make(ctx, 0, fm, ctx.wprec))
+        _push_row(acc, m, fm, next(rows, None))
+    iota = TruncatedSeries(ctx, coeffs)
     ok, worst = iota.is_integral()
     if not ok:
         raise PropertyFailure(
@@ -176,6 +331,39 @@ def build_iota(ell: TruncatedSeries) -> tuple:
             f"inverse of iota has a non-integral coefficient (valuation {worst_inv})"
         )
     return iota, inv
+
+
+def log_at_points(ell: TruncatedSeries) -> int:
+    """The least valuation of ell(x) minus the defining double sum
+    log(1+x) + sum_k sum_delta ((1+x)^(p^k delta) - 1)/p^k over
+    x in {p, p(1+p), p^2}: a certificate of ell that reads neither A nor
+    phi.
+
+    Each power is one integer pow mod p^(T+k), T = wprec + 2, with
+    delta's Teichmuller lift as an integer.  The k-sum stops at the first
+    k with (p-1)(v(x)+k) - k >= T: with L = log(1+x), v(L) = v(x),
+    sum_delta ((1+x)^(p^k delta) - 1) = (p-1) sum_{(p-1)|j} (p^k L)^j/j!
+    has valuation >= (p-1)(v(x)+k), and that bound less k grows with k.
+    """
+    ctx = ell.ctx
+    p, target = ctx.p, ctx.wprec + 2
+    worst = None
+    for x in (p, p * (1 + p), p * p):
+        vx = vp(x, p)
+        total = iwasawa_log(ctx.scalar(1 + x, target + 8))
+        k = 0
+        while (p - 1) * (vx + k) - k < target:
+            digits = target + k
+            mod = ctx.pk(digits)
+            s = sum(
+                pow(1 + x, ctx.pk(k) * ctx.teichmuller_int(r, digits), mod) - 1
+                for r in range(1, p)
+            )
+            total = total + PadicScalar._make(ctx, -k, s, target)
+            k += 1
+        r = (ell.eval_scalar(ctx.scalar(x, target)) - total).min_valuation()
+        worst = r if worst is None else min(worst, r)
+    return worst
 
 
 def solve_epsilon(ell: TruncatedSeries, ctx: PrimeContext) -> PadicScalar:
@@ -210,7 +398,7 @@ class HondaData:
     def build(cls, ctx: PrimeContext, order: int) -> "HondaData":
         ell = build_ell(ctx, order)
         report = check_honda(ell)
-        iota, iota_inv = build_iota(ell)
+        iota, iota_inv = build_iota(ctx, order)
         epsilon = solve_epsilon(ell, ctx)
         return cls(ctx, ell, report, iota, iota_inv, epsilon)
 

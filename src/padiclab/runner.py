@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .core import InvalidInputError, PadicError, PadicScalar, PrimeContext
 from .cyclotomic import CycloTower
-from .honda import HondaData, default_truncation
+from .honda import HondaData, default_truncation, log_at_points
 from .series import log_one_plus_x
 from . import coleman as cm
 from . import points as pts
@@ -289,6 +289,14 @@ def _run_honda(s: _Session, report: Report):
         )
 
     _check(report, "honda.log-of-inverse", "honda:integral-isomorphism", log_roundtrip)
+    _check(
+        report,
+        "honda.log-at-points",
+        "honda:logarithm",
+        lambda: ctx.require(
+            log_at_points(s.honda.ell), "ell at p, p(1+p), p^2 misses its defining sum"
+        ),
+    )
     _check(
         report,
         "honda.epsilon-residual",

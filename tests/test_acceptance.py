@@ -73,6 +73,7 @@ def test_criterion_01_honda_properties(reports):
                 "honda.iota-integral",
                 "honda.iota-inverse-integral",
                 "honda.log-of-inverse",
+                "honda.log-at-points",
             ],
             f"criterion-1 honda-properties p={p}",
         )

@@ -3,7 +3,9 @@ byte against recorded files: (3, 2, 12) was recorded before the packed
 unit logarithm, the per-level caches and the Gamma_n discrete-log table
 went in, and re-recorded when the peeled inverse and logarithm raised
 three of its residuals; (5, 1, 12) with kappa(gamma) = 11 pins a prime
-other than 3 and a non-default generator."""
+other than 3 and a non-default generator.  Both were re-recorded when ell
+came to be known to wprec (honda.epsilon-residual reads wprec) and
+gained the honda.log-at-points check."""
 
 from pathlib import Path
 

@@ -1,17 +1,82 @@
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
 from padiclab import (
+    PadicScalar,
     PrimeContext,
     PropertyFailure,
     check_honda,
     formal_add,
     hensel_root,
+    honda,
 )
-from padiclab.honda import build_ell
-from padiclab.series import frobenius_substitute, log_one_plus_x
+from padiclab.core import factorial_valuation, split_p, vp
+from padiclab.honda import build_ell, build_iota, default_truncation, log_at_points
+from padiclab.series import TruncatedSeries, frobenius_substitute, log_one_plus_x
+
+
+def stirling_ell(ctx, order):
+    """Test-only oracle: ell by its Stirling closed form.
+
+    With L = log(1+X), (X+1)^a = exp(aL), the Teichmuller sum
+    sum_delta delta^j = (p-1)[(p-1) | j] and the geometric series in k give
+    ell = L + (p-1) sum_{(p-1) | j} L^j / (j! (1 - p^(j-1))), so
+    ell_m = (1/m!) sum_j s(m, j) w_j with s the signed Stirling numbers of
+    the first kind, w_1 = 1 and w_j = (p-1)/(1 - p^(j-1)) for (p-1) | j.
+    Every coefficient is known mod p^(wprec + v_p(order!)); the Stirling
+    row is kept v_p(order!) digits more, the most the division by m! can
+    consume.
+    """
+    p = ctx.p
+    vf_top = factorial_valuation(order, p)
+    target = ctx.wprec + vf_top
+    modulus = ctx.pk(target + vf_top)
+    weight = [0] * (order + 1)
+    weight[1] = 1
+    for j in range(p - 1, order + 1, p - 1):
+        weight[j] = (p - 1) * pow(1 - pow(p, j - 1, modulus), -1, modulus)
+    row = [1]  # s(0, 0)
+    vfact, unit_fact = 0, 1
+    coeffs = [ctx.zero(target)]
+    for m in range(1, order + 1):
+        # s(m, j) = s(m-1, j-1) - (m-1) s(m-1, j)
+        row = [(a - (m - 1) * b) % modulus for a, b in zip([0] + row, row + [0])]
+        v, u = split_p(m, p)
+        vfact += v
+        unit_fact = unit_fact * u % modulus
+        raw = sum(s * w for s, w in zip(row, weight)) * pow(unit_fact, -1, modulus)
+        coeffs.append(PadicScalar._make(ctx, -vfact, raw, target))
+    return TruncatedSeries(ctx, coeffs)
+
+
+def ode_iota(ell):
+    """Test-only oracle: exp(ell) - 1 by the ODE u' = ell' u on integers.
+
+    ell' must be integral; degree m + 1 divides by m + 1 exactly and so
+    loses v_p(m + 1) digits, which is why ell must come with v_p(order!)
+    digits to spare (``stirling_ell``).
+    """
+    ctx = ell.ctx
+    p = ctx.p
+    order = ell.order
+    base = min(c.absprec for c in ell.coeffs)
+    mod = ctx.pk(base)
+    lp = [(ell.coeff(j + 1) * (j + 1)).lift() % mod for j in range(order)]
+    u = [1] + [0] * order
+    for m in range(order):
+        s = sum(lp[j] * u[m - j] for j in range(m + 1)) % mod
+        v1, unit = split_p(m + 1, p)
+        s = s * pow(unit, -1, mod) % mod
+        assert s % ctx.pk(v1) == 0, f"exp(ell) is non-integral at degree {m + 1}"
+        u[m + 1] = s // ctx.pk(v1)
+    vloss = 0
+    coeffs = [ctx.zero(base)]
+    for m in range(1, order + 1):
+        vloss += vp(m, p) if m % p == 0 else 0
+        coeffs.append(PadicScalar._make(ctx, 0, u[m], base - vloss))
+    return TruncatedSeries(ctx, coeffs)
 
 
 def definition_oracle_coefficients(p, order, digits):
@@ -197,3 +262,100 @@ def test_formal_add_ultrametric_valuation(honda3, tower3):
     y = f.from_scalar(honda3.epsilon)  # valuation 1
     s = formal_add(x, y, honda3, tower3)
     assert s.valuation() == x.valuation()
+
+
+def _agree_to(a, b, digits):
+    return all((x - y).min_valuation() >= digits for x, y in zip(a.coeffs, b.coeffs))
+
+
+@pytest.mark.parametrize("p, n, prec", [(3, 1, 12), (5, 1, 12), (7, 1, 12), (3, 2, 16)])
+def test_functional_equation_solves_match_stirling_and_ode_oracles(p, n, prec):
+    ctx = PrimeContext(p, prec)
+    order = default_truncation(ctx, n)
+    oracle_ell = stirling_ell(ctx, order)
+    ell = build_ell(ctx, order)
+    iota, _ = build_iota(ctx, order)
+    assert ell.order == iota.order == order
+    assert _agree_to(ell, oracle_ell, ctx.wprec)
+    oracle_iota = ode_iota(oracle_ell)
+    assert min(c.absprec for c in oracle_iota.coeffs) >= ctx.wprec
+    assert _agree_to(iota, oracle_iota, ctx.wprec)
+
+
+def test_averaged_binomials_p3_alternate():
+    ctx = PrimeContext(3, 12)
+    digits = 40
+    a = honda._averaged_binomials(ctx, 60, digits)
+    assert a[:2] == [0, 0]
+    assert a[2:] == [(-1) ** m % 3**digits for m in range(2, 61)]
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_averaged_binomials_match_exact_binomial_sums(p):
+    # C(x, m) for an integer x = delta mod p^K is C(delta, m) mod
+    # p^(K - v_p(m!)), so exact integer binomials of the lifts are an oracle
+    ctx = PrimeContext(p, 12)
+    order, digits = 40, 30
+    lifts = [ctx.teichmuller_int(r, digits + factorial_valuation(order, p)) for r in range(1, p)]
+    want = [sum(comb(x, m) for x in lifts) % p**digits for m in range(order + 1)]
+    want[0] = 0
+    assert honda._averaged_binomials(ctx, order, digits) == want
+
+
+def test_both_solves_take_their_digits_from_one_budget(monkeypatch):
+    budget = honda._solve_digits
+    calls = []
+
+    def spy(ctx, order):
+        calls.append(order)
+        return budget(ctx, order)
+
+    monkeypatch.setattr(honda, "_solve_digits", spy)
+    ctx = PrimeContext(3, 12)
+    build_ell(ctx, 40)
+    assert calls == [40]
+    build_iota(ctx, 40)
+    assert calls == [40, 40]
+
+
+@pytest.mark.parametrize("p, n, prec", [(3, 2, 16), (5, 1, 12), (3, 3, 30)])
+def test_solve_digits_grow_with_log_of_order_only(p, n, prec):
+    # wprec + O(log_p M), where the Stirling oracle's row modulus is
+    # p^(wprec + 2 v_p(M!)): 3^506 at (3, 2, 16)
+    ctx = PrimeContext(p, prec)
+    order = default_truncation(ctx, n)
+    log_order = max(k for k in range(64) if p**k <= order)
+    assert honda._solve_digits(ctx, order) <= ctx.wprec + 2 * log_order + 8
+
+
+def test_ell_and_iota_claim_exactly_wprec(honda3, honda5):
+    for data in (honda3, honda5):
+        for series in (data.ell, data.iota):
+            assert {c.absprec for c in series.coeffs} == {data.ctx.wprec}
+
+
+def test_remainders_in_the_solves_name_their_degree(monkeypatch):
+    # one wrong entry above the diagonal of phi's first row: (phi)_2 + 1
+    rows = honda._phi_rows
+
+    def skewed(p, mod, order):
+        for j, (lo, entries) in enumerate(rows(p, mod, order), 1):
+            if j == 1:
+                entries = [entries[0], entries[1] + 1] + entries[2:]
+            yield lo, entries
+
+    monkeypatch.setattr(honda, "_phi_rows", skewed)
+    ctx = PrimeContext(3, 12)
+    # at order 2, ell carries no p^D scale and L_1 = 1 meets the wrong entry
+    with pytest.raises(PropertyFailure, match="degree 2"):
+        build_ell(ctx, 2)
+    with pytest.raises(PropertyFailure, match="degree 2"):
+        build_iota(ctx, 40)
+
+
+def test_log_at_points_measures_the_defining_sum(honda3, ctx3):
+    assert log_at_points(honda3.ell) >= ctx3.wprec
+    # ell_2 + 3^5 moves ell(3) and ell(12) by 3^7
+    coeffs = list(honda3.ell.coeffs)
+    coeffs[2] = coeffs[2] + 3**5
+    assert log_at_points(TruncatedSeries(ctx3, coeffs)) == 7

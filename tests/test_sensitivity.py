@@ -4,13 +4,13 @@ Each entry adds p^k at one place in one construction, by monkeypatching
 the constructor, and names the checks that must then fail under its
 configuration; every other check keeps its status.  An entry with k above
 every claimed precision must change no status.  The tate entries run the
-tate suite at p = 3, N = 20; the d_n and Hilbert-90 entries run every
-suite at (p, n_max, N) = (3, 2, 12) with four functionals.
+tate suite at p = 3, N = 20; the ell, iota, d_n and Hilbert-90 entries
+run every suite at (p, n_max, N) = (3, 2, 12) with four functionals.
 """
 
 import pytest
 
-from padiclab import points, tate
+from padiclab import honda, points, tate
 from padiclab.runner import SuiteConfig, run_suite
 from padiclab.series import TruncatedSeries
 
@@ -49,6 +49,42 @@ def bump_a4(q_int, k):
             return (a4 + P**k, a6) if q.lift() == q_int else (a4, a6)
 
         monkeypatch.setattr(tate, "a_invariants", bumped)
+
+    return patch
+
+
+def bump_ell(m, k):
+    """ell_m + p^k, after the solve: check_honda, epsilon and every later
+    stage read the perturbed ell."""
+
+    def patch(monkeypatch):
+        build = honda.build_ell
+
+        def bumped(ctx, order):
+            coeffs = list(build(ctx, order).coeffs)
+            coeffs[m] = coeffs[m] + P**k
+            return TruncatedSeries(ctx, coeffs)
+
+        monkeypatch.setattr(honda, "build_ell", bumped)
+
+    return patch
+
+
+def bump_iota(m, k):
+    """iota_m + p^k, after the solve, with iota^(-1) rebuilt from the
+    perturbed iota, so the two stay consistent with each other."""
+
+    def patch(monkeypatch):
+        build = honda.build_iota
+
+        def bumped(ctx, order):
+            iota, _ = build(ctx, order)
+            coeffs = list(iota.coeffs)
+            coeffs[m] = coeffs[m] + P**k
+            iota = TruncatedSeries(ctx, coeffs)
+            return iota, iota.truncate(min(160, iota.order)).reversion()
+
+        monkeypatch.setattr(honda, "build_iota", bumped)
 
     return patch
 
@@ -122,10 +158,47 @@ D2_READERS = {
     NEGATIVE_CONTROL,
 }
 
+# every d_n is built from iota at zeta_n - 1 and at epsilon, the root of
+# ell = p, so a wrong ell or iota moves every point, and with it every
+# log, Hilbert-90 solution and Coleman image; inside the honda suite only
+# ell(iota^(-1)) = log(1+X) reads iota
+IOTA_READERS = {
+    "honda.log-of-inverse",
+    "points.norm-tower",
+    "points.log-closed-form[n=0]",
+    "points.log-closed-form[n=1]",
+    "points.log-closed-form[n=2]",
+    "points.two-route-agreement",
+    "points.conjugate-norms",
+    "prop2.h90-certificate[n=0]",
+    "prop2.h90-certificate[n=1]",
+    "prop2.h90-certificate[n=2]",
+    "prop2.congruence[n=0]",
+    "prop2.congruence[n=1]",
+    "prop2.congruence[n=2]",
+    "prop2.e1-class",
+    "coleman.abel-identity[n=1]",
+    "coleman.abel-identity[n=2]",
+    "coleman.character-sums[n=1]",
+    "coleman.character-sums[n=2]",
+    "coleman.derivative-congruence[n=1]",
+    "coleman.derivative-congruence[n=2]",
+    "coleman.level-compatibility[1->0]",
+    "coleman.level-compatibility[2->1]",
+    "coleman.trivial-zero[n=1]",
+    NEGATIVE_CONTROL,
+}
+# a wrong ell also misses its defining sum at the three points
+ELL_READERS = IOTA_READERS | {"honda.log-at-points"}
+
 PERTURBATIONS = [
     ("t_3 + p^5", "tate", bump_t(3, 5), {"tate.formal-group-identification"}),
     ("a4(q = p(1+p)) + p^5", "tate", bump_a4(P * (1 + P), 5), {"tate.weierstrass-residual-grid"}),
     ("t_3 + p^(N+4)", "tate", bump_t(3, N + 4), set()),
+    ("ell_2 + p^5", "tower", bump_ell(2, 5), ELL_READERS),
+    ("iota_2 + p^5", "tower", bump_iota(2, 5), IOTA_READERS),
+    # ell_400 x^400 at the smallest point valuation 1/18 has valuation 25
+    ("ell_400 + p^3", "tower", bump_ell(400, 3), set()),
     ("d_2[3] + p^5", "tower", bump_d(2, 3, 5), D2_READERS),
     ("d_2[3] + p^30", "tower", bump_d(2, 3, 30), set()),
     ("e_1 + 1", "tower", bump_h90(1, shift_e=1), E1_READERS),

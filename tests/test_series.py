@@ -363,7 +363,7 @@ def test_power_rows_match_oracles_on_iota(p):
     # and the Frobenius substitution of ell
     ctx = PrimeContext(p, 16)
     ell = build_ell(ctx, 200)
-    iota, inv = build_iota(ell)
+    iota, inv = build_iota(ctx, 200)
     assert _digits(inv) == _digits(newton_reversion(iota.truncate(160)))
     truncated = ell.truncate(160)
     assert _digits(truncated.compose(inv)) == _digits(horner_compose(truncated, inv))
@@ -421,7 +421,6 @@ def test_reversion_matches_newton_oracle():
 
 def test_build_iota_never_composes_or_divides(monkeypatch):
     ctx = PrimeContext(3, 16)
-    ell = build_ell(ctx, 60)
     calls = []
     for name in ("compose", "reciprocal"):
         original = getattr(TruncatedSeries, name)
@@ -431,7 +430,7 @@ def test_build_iota_never_composes_or_divides(monkeypatch):
             return _original(self, *args)
 
         monkeypatch.setattr(TruncatedSeries, name, counting)
-    iota, inv = build_iota(ell)
+    iota, inv = build_iota(ctx, 60)
     assert inv.order == 60
     assert calls == []
 
