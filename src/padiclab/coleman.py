@@ -163,7 +163,11 @@ class GroupRingElement:
         self.tower = tower
         self.n = n
         self.coeffs = list(coeffs)
-        assert len(self.coeffs) == tower.ctx.p**n
+        if len(self.coeffs) != tower.ctx.p**n:
+            raise InvalidInputError(
+                f"a level-{n} group-ring element has {tower.ctx.p**n}"
+                f" coefficients, not {len(self.coeffs)}"
+            )
 
     def augmentation(self) -> PadicScalar:
         acc = self.tower.ctx.zero()
@@ -363,13 +367,18 @@ def primitive_characters(tower: CycloTower, n: int):
 # -- the derivative chain --------------------------------------------------------------
 
 
+def derivative_value(w: UnitFunctional, sol: H90Solution) -> PadicScalar:
+    """The derivative representative D_n = -w_0(N x_n), n = sol.n, read
+    off the norm's logarithm and valuation."""
+    return -_pair_log(sol.log_norm_x, sol.norm_x.v, w)
+
+
 def derivative_rep(w: UnitFunctional, sol: H90Solution, col: GroupRingElement):
     """Certifies the Abel summation identity at level n = sol.n,
             col = (gamma^(-1) - 1) sum_sigma (x_n^sigma, w) sigma,
     for the level-n image col = coleman_level(w, fam, n); it holds for
     every functional, admissible or not.  An image from another level is
-    refused.  Also reads the derivative representative
-    D_n = -w_0(N x_n) and its closed form -e_n alpha.
+    refused.  Also reads the derivative representative D_n.
 
     Returns (D_n, report)."""
     tower = w.tower
@@ -388,16 +397,8 @@ def derivative_rep(w: UnitFunctional, sol: H90Solution, col: GroupRingElement):
     resid = ctx.require(
         col.residual_against(rhs), f"Abel summation identity fails at level {n}"
     )
-    d_n = -_pair_log(sol.log_norm_x, sol.norm_x.v, w)
-    closed = -(w.alpha * sol.e)
-    closed_resid = (d_n - closed).min_valuation()
-    report = {
-        "level": n,
-        "abel_residual": resid,
-        "derivative": d_n,
-        "closed_form_residual": closed_resid,
-    }
-    return d_n, report
+    d_n = derivative_value(w, sol)
+    return d_n, {"level": n, "abel_residual": resid, "derivative": d_n}
 
 
 def verify_key2(w: UnitFunctional, q: TateParameter) -> Fraction:
@@ -418,7 +419,7 @@ def verify_dcol(w: UnitFunctional, sol: H90Solution, q: TateParameter) -> dict:
     tower = w.tower
     ctx = tower.ctx
     n = sol.n
-    d_n = -_pair_log(sol.log_norm_x, sol.norm_x.v, w)
+    d_n = derivative_value(w, sol)
     log_kappa = tower.log_int(tower.kappa_gamma)
     factor = ctx.scalar(ctx.p) / (log_kappa * (ctx.p - 1))
     rhs = factor * q.slope() * w.e0()

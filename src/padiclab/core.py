@@ -349,14 +349,6 @@ class PadicScalar:
             raise InvalidInputError("cannot lift a scalar of negative valuation")
         return self.unit * self.ctx.pk(self.v) % self.ctx.pk(self.absprec)
 
-    def residue(self) -> int:
-        """Image in the residue field F_p; needs v >= 0."""
-        if self.unit == 0:
-            return 0
-        if self.v < 0:
-            raise InvalidInputError("negative valuation has no residue")
-        return 0 if self.v > 0 else self.unit % self.ctx.p
-
     def congruent_to(self, other, modulus_exp: int) -> bool:
         """Exact congruence self = other mod p^modulus_exp.
 
@@ -423,7 +415,7 @@ def _log_principal(u: PadicScalar) -> PadicScalar:
     if t.is_zero:
         return ctx.zero(t.absprec)
     p, target = ctx.p, t.absprec
-    floor = _log_p_floor((target + 8) // t.v + 4, p)
+    floor = _log_floor((target + 8) // t.v + 5, p)
     mod = ctx.pk(target)
     ti = t.lift()
     acc = 0
@@ -436,14 +428,12 @@ def _log_principal(u: PadicScalar) -> PadicScalar:
     return PadicScalar._make(ctx, 0, acc % mod // ctx.pk(floor), target - floor)
 
 
-def _log_p_floor(k: int, p: int) -> int:
-    # upper bound for v_p of upcoming denominators
-    b = 0
-    q = p
-    while q <= k + 1:
-        b += 1
-        q *= p
-    return b
+def _log_floor(n: int, p: int) -> int:
+    """floor(log_p n) for n >= 1: the largest v_p(k) over k <= n."""
+    k = 0
+    while p ** (k + 1) <= n:
+        k += 1
+    return k
 
 
 def padic_exp(x: PadicScalar) -> PadicScalar:

@@ -1,16 +1,18 @@
 """Arithmetic in the cyclotomic tower K_n = Q_p(zeta_{p^(n+1)}).
 
-Elements are coefficient vectors over the power basis zeta^0..zeta^(d-1),
-d = p^n (p-1).  The n-th layer k_n of the Z_p-extension sits inside K_n
-as the subspace fixed by the torsion subgroup Delta = mu_{p-1}; it is
-detected by Galois invariance and coordinatised by powers of the
-canonical uniformizer pi_n.
+An element is one integer vector over the power basis zeta^0..zeta^(d-1),
+d = p^n (p-1), with one denominator exponent and one absolute precision;
+each operation follows the per-coordinate ``PadicScalar`` rule, cut to the
+least coordinate precision.  Its coordinates are a view.  The n-th layer
+k_n of the Z_p-extension is the subspace fixed by Delta = mu_{p-1},
+coordinatised by powers of the canonical uniformizer pi_n.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from math import gcd
 from operator import add, mul
 
 from .core import (
@@ -19,7 +21,7 @@ from .core import (
     PadicScalar,
     PrecisionError,
     PrimeContext,
-    _log_p_floor,
+    _log_floor,
     iwasawa_log,
     split_p,
     vp,
@@ -68,36 +70,32 @@ class CycloField:
     # -- constructors -------------------------------------------------------
 
     def zero(self, absprec=None) -> "CycloElement":
-        z = self.ctx.zero(absprec)
-        return CycloElement(self, (z,) * self.degree)
+        return self.from_scalar(self.ctx.zero(absprec))
 
     def one(self, absprec=None) -> "CycloElement":
         return self.from_scalar(self.ctx.one(absprec))
 
     def from_scalar(self, s) -> "CycloElement":
         s = s if isinstance(s, PadicScalar) else self.ctx.scalar(s)
-        z = self.ctx.zero(s.absprec)
-        return CycloElement(self, (s,) + (z,) * (self.degree - 1))
+        denom = max(0, -s.v)
+        ints = [0] * self.degree
+        ints[0] = s.unit * self.ctx.pk(s.v + denom)
+        return CycloElement(self, denom, s.absprec + denom, ints)
 
     def from_coords(self, coords) -> "CycloElement":
         if len(coords) != self.degree:
             raise InvalidInputError("coordinate vector has wrong length")
-        return CycloElement(self, tuple(coords))
+        return CycloElement(self, *_pack(coords))
 
     def zeta(self, absprec=None) -> "CycloElement":
-        z = self.ctx.zero(absprec)
-        o = self.ctx.one(absprec)
-        coords = [z] * self.degree
-        coords[1] = o
-        return CycloElement(self, tuple(coords))
+        return self.zeta_power(1, absprec)
 
     def zeta_power(self, k: int, absprec=None) -> "CycloElement":
-        z = self.ctx.zero(absprec)
-        coords = [z] * self.degree
-        o = self.ctx.one(absprec)
+        ints = [0] * self.degree
         for idx, sign in self._reduction[k % self.modulus_order]:
-            coords[idx] = o if sign > 0 else -o
-        return CycloElement(self, tuple(coords))
+            ints[idx] = sign
+        a = self.ctx.wprec if absprec is None else absprec
+        return CycloElement(self, 0, a, ints)
 
     def delta_exponents(self):
         """Teichmuller lifts of 1..p-1 reduced mod p^level."""
@@ -107,97 +105,127 @@ class CycloField:
             for r in range(1, ctx.p)
         )
 
-    # -- packed kernels -------------------------------------------------------
-
-    def mul_packed(self, A, B):
+    def _product(self, A, B):
+        """The packed product of two triples, reduced mod p^e: the one
+        kernel of ``__mul__``, ``__pow__``, the unit log and eval_series."""
         d, e, conv = _convolve(self.ctx, A, B, 2 * self.degree - 2)
-        return d, e, self._fold(conv, 1, e)
+        m = self.ctx.pk(e)
+        return d, e, [c % m for c in self._fold(conv, 1)]
 
-    def pow_packed(self, A, k: int):
-        """A^k, k >= 1, by square-and-multiply on the packed vector."""
-        result = None
-        while k:
-            if k & 1:
-                result = A if result is None else self.mul_packed(result, A)
-            k >>= 1
-            if k:
-                A = self.mul_packed(A, A)
-        return result
-
-    def galois_packed(self, A, a: int):
-        d, e, ints = A
-        return d, e, self._fold(ints, a, e)
-
-    def _fold(self, ints, a: int, e: int):
-        """sum_j ints[j] zeta^(a j) in the power basis, mod p^e."""
+    def _fold(self, ints, a: int):
+        """sum_j ints[j] zeta^(a j) in the power basis, unreduced."""
         out = [0] * self.degree
         red = self._reduction
         mo = self.modulus_order
         for j, c in enumerate(ints):
-            if c == 0:
-                continue
-            for idx, sign in red[a * j % mo]:
-                out[idx] += c if sign > 0 else -c
-        m = self.ctx.pk(e)
-        return [c % m for c in out]
+            if c:
+                for idx, sign in red[a * j % mo]:
+                    out[idx] += c if sign > 0 else -c
+        return out
 
 
 class CycloElement:
-    __slots__ = ("field", "coords")
+    """sum ints[j] zeta^j / p^denom known mod p^(e - denom), held as
+    ``packed`` = (denom, e, ints), normalised: ints mod p^e, and denom the
+    least exponent >= 0 clearing every coordinate, as ``series._pack``
+    picks it (it bounds each product's error)."""
 
-    def __init__(self, field: CycloField, coords):
+    __slots__ = ("field", "packed")
+
+    def __init__(self, field: CycloField, denom: int, e: int, ints):
+        ctx = field.ctx
+        if denom < 0:
+            q = ctx.pk(-denom)
+            ints, denom, e = [c * q for c in ints], 0, e - denom
+        m = ctx.pk(max(e, 0))
+        ints = [c % m for c in ints]
+        if denom and not any(c % ctx.p for c in ints):
+            t = min([denom] + [vp(c, ctx.p) for c in ints if c])
+            q = ctx.pk(t)
+            ints, denom, e = [c // q for c in ints], denom - t, e - t
         self.field = field
-        self.coords = tuple(coords)
+        self.packed = (denom, e, ints)
 
     @property
     def ctx(self) -> PrimeContext:
         return self.field.ctx
 
+    @property
+    def absprec(self) -> int:
+        return self.packed[1] - self.packed[0]
+
+    @property
+    def coords(self):
+        """The coordinates as PadicScalars at absprec: a fresh view."""
+        return _unpack(self.ctx, *self.packed)
+
     # -- linear structure -----------------------------------------------------
 
-    def __add__(self, other):
+    def _combine(self, other, sign: int):
+        """self + sign other, over the larger denominator at the lesser
+        absprec."""
         other = self._coerce(other)
-        return CycloElement(
-            self.field, tuple(a + b for a, b in zip(self.coords, other.coords))
-        )
+        (da, ea, a), (db, eb, b) = self.packed, other.packed
+        d = max(da, db)
+        qa, qb = self.ctx.pk(d - da), sign * self.ctx.pk(d - db)
+        ints = [x * qa + y * qb for x, y in zip(a, b)]
+        return CycloElement(self.field, d, min(ea - da, eb - db) + d, ints)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        return CycloElement(
-            self.field, tuple(a - b for a, b in zip(self.coords, other.coords))
-        )
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return CycloElement(self.field, tuple(-a for a in self.coords))
+        denom, e, ints = self.packed
+        return CycloElement(self.field, denom, e, [-c for c in ints])
 
     def scale(self, s) -> "CycloElement":
-        return CycloElement(self.field, tuple(a * s for a in self.coords))
+        """x s, at absprec min(A + v(s), min_valuation + absprec(s)), the
+        least of the coordinate products'; an exact int or Fraction is
+        embedded as ``PadicScalar`` embeds it for the coordinate of least
+        valuation, which decides that minimum."""
+        denom, e, ints = self.packed
+        mv = int(self.min_valuation())
+        if not isinstance(s, PadicScalar):
+            s = PadicScalar(self.ctx, mv, 1, e - denom)._coerce(s)
+        if s.unit == 0:
+            return self.field.zero(mv + s.absprec)
+        a = min(e - denom + s.v, mv + s.absprec)
+        return CycloElement(
+            self.field, denom - s.v, a + denom - s.v, [c * s.unit for c in ints]
+        )
 
     def _coerce(self, other):
         if isinstance(other, CycloElement):
             if other.field.level != self.field.level:
                 raise InvalidInputError("level mismatch between cyclotomic elements")
             return other
-        return self.field.from_scalar(
-            other if isinstance(other, PadicScalar) else self.ctx.scalar(other)
-        )
+        return self.field.from_scalar(other)
 
     # -- multiplicative structure ------------------------------------------------
 
     def __mul__(self, other):
         other = self._coerce(other)
-        packed = self.field.mul_packed(_pack(self.coords), _pack(other.coords))
-        return self.field.from_coords(_unpack(self.ctx, *packed))
+        return CycloElement(self.field, *self.field._product(self.packed, other.packed))
 
     def __pow__(self, k: int):
-        """x^k by one square-and-multiply on the packed vector
-        (``CycloField.pow_packed``); for k < 0, the one inverse of x^(-k)."""
+        """x^k by square-and-multiply on the packed triple; for k < 0, the
+        one inverse of x^(-k)."""
         if k < 0:
             return (self ** (-k)).inverse()
+        f = self.field
         if k == 0:
-            return self.field.one(max(c.absprec for c in self.coords))
-        packed = self.field.pow_packed(_pack(self.coords), k)
-        return self.field.from_coords(_unpack(self.ctx, *packed))
+            return f.one(self.absprec)
+        base, result = self.packed, None
+        while k:
+            if k & 1:
+                result = base if result is None else f._product(result, base)
+            k >>= 1
+            if k:
+                base = f._product(base, base)
+        return CycloElement(f, *result)
 
     def peel(self):
         """(u, s, m) with x = u p^m / (zeta-1)^s, u a unit, 0 <= s < d.
@@ -225,14 +253,14 @@ class CycloElement:
 
     def inverse(self) -> "CycloElement":
         """x^(-1) = (zeta-1)^s u^((p-1)p^K - 1) / p^m for the peel (u, s, m)
-        of x, K = n + the least absprec A of u's coordinates: u^(p-1) lies
-        in U^1_n, where y^(p^K) = 1 mod p^(K-n), so the power is u^(-1)
-        mod p^A.  Returned only when x x^(-1) - 1 reaches identity_floor
-        (else PrecisionError)."""
+        of x, K = n + the absprec A of u: u^(p-1) lies in U^1_n, where
+        y^(p^K) = 1 mod p^(K-n), so the power is u^(-1) mod p^A.  Returned
+        only when x x^(-1) - 1 reaches identity_floor (else
+        PrecisionError)."""
         f = self.field
         p = self.ctx.p
         u, s, m = self.peel()
-        K = f.n + min(c.absprec for c in u.coords)
+        K = f.n + u.absprec
         inv = u ** ((p - 1) * p**K - 1) * (f.zeta() - f.one()) ** s
         inv = inv.scale(Fraction(p) ** -m)
         resid = (self * inv - 1).min_valuation()
@@ -251,34 +279,46 @@ class CycloElement:
         """The automorphism zeta -> zeta^a applied coefficientwise."""
         if a % self.ctx.p == 0:
             raise InvalidInputError("Galois exponent must be prime to p")
-        packed = self.field.galois_packed(_pack(self.coords), a)
-        return self.field.from_coords(_unpack(self.ctx, *packed))
+        denom, e, ints = self.packed
+        return CycloElement(self.field, denom, e, self.field._fold(ints, a))
 
     # -- invariants ------------------------------------------------------------------
 
     def trace_to_qp(self) -> PadicScalar:
         """Absolute trace from K_n, by the exact basis trace table."""
-        acc = self.ctx.zero(max(c.absprec for c in self.coords))
-        for c, t in zip(self.coords, self.field._trace_table):
-            if t:
-                acc = acc + c * t
-        return acc
+        denom, e, ints = self.packed
+        raw = sum(c * t for c, t in zip(ints, self.field._trace_table) if t)
+        return PadicScalar._make(self.ctx, -denom, raw, e - denom)
 
     def residue(self) -> int:
         """Image in the residue field F_p (the tower is totally ramified)."""
-        r = 0
-        for c in self.coords:
-            r += c.residue()
-        return r % self.ctx.p
+        denom, _, ints = self.packed
+        if denom:
+            raise InvalidInputError("negative valuation has no residue")
+        return sum(ints) % self.ctx.p
 
     def min_valuation(self):
         """Lower bound for the valuation, v(p) = 1 (cheap, coordinatewise)."""
-        return Fraction(min(c.min_valuation() for c in self.coords))
+        denom, e, ints = self.packed
+        g = gcd(*ints)
+        return Fraction(e - denom if g == 0 else vp(g, self.ctx.p) - denom)
+
+    def _first_low_coord(self, step: int):
+        """(j, v) for the first coordinate j, step not dividing j, whose
+        min valuation v is below identity_floor; else None."""
+        denom, e, ints = self.packed
+        for j, c in enumerate(ints):
+            if j % step:
+                v = e - denom if c == 0 else vp(c, self.ctx.p) - denom
+                if v < self.ctx.identity_floor:
+                    return j, v
+        return None
 
     def reduce_absprec(self, absprec) -> "CycloElement":
-        return CycloElement(
-            self.field, tuple(c.reduce_absprec(absprec) for c in self.coords)
-        )
+        denom, e, ints = self.packed
+        if absprec >= e - denom:
+            return self
+        return CycloElement(self.field, denom, absprec + denom, ints)
 
     def valuation(self):
         """Exact valuation as a Fraction (v(p) = 1), or None for zero at
@@ -287,19 +327,18 @@ class CycloElement:
         The (zeta-1)^i, i < d, are a Z_p-basis of the integers of K_n and
         v(zeta - 1) = 1/d, so x = sum c_i (zeta-1)^i has valuation
         min_i (v(c_i) + i/d): the i/d differ mod 1, so no two terms cancel.
-        The packed coordinates p^D x_j mod p^E go to p^D c_i by an integer
-        Taylor shift (zeta = 1 + t, unitriangular), so every c_i is known
-        to the one precision E - D. A nonzero c_i has v(c_i) < E - D, below
-        every vanishing coordinate's bound E - D + j/d, so the minimum is
-        exact; the result is None exactly when every c_i vanishes.
+        An integer Taylor shift (zeta = 1 + t) takes the packed vector to
+        the p^D c_i, all known mod p^E, so a nonzero c_i has v(c_i) < E - D,
+        below every vanishing one's bound, and the minimum is exact.
         """
         d = self.field.degree
         p = self.ctx.p
-        denom, e, a = _pack(self.coords)
+        denom, e, a = self.packed
+        a = list(a)
         for i in range(d):
             for j in range(d - 1, i, -1):
                 a[j - 1] += a[j]
-        m = self.ctx.pk(e)
+        m = self.ctx.pk(max(e, 0))
         keys = [d * vp(c, p) + i for i, c in enumerate(a) if c % m]
         if not keys:
             return None
@@ -307,14 +346,14 @@ class CycloElement:
 
     def scalar_part(self) -> PadicScalar:
         """Extract the Q_p value of an element supported on zeta^0."""
-        thr = self.ctx.identity_floor
-        for c in self.coords[1:]:
-            if c.min_valuation() < thr:
-                raise PrecisionError(
-                    f"element is not rational at precision {thr}",
-                    achieved=c.min_valuation(),
-                )
-        return self.coords[0]
+        low = self._first_low_coord(self.field.degree)
+        if low is not None:
+            raise PrecisionError(
+                f"element is not rational at precision {self.ctx.identity_floor}",
+                achieved=low[1],
+            )
+        denom, e, ints = self.packed
+        return PadicScalar._make(self.ctx, -denom, ints[0], e - denom)
 
     def __repr__(self):
         nz = [(i, c) for i, c in enumerate(self.coords) if not c.is_zero]
@@ -401,6 +440,8 @@ class CycloTower:
     def gamma_conjugates(self, x: CycloElement, m: int = 0):
         """The conjugates of x over K_m, x^(gamma^(i p^m)) for i = 0..p^(n-m)
         - 1, in gamma_orbit_exponents order."""
+        if m > x.field.n:
+            raise InvalidInputError("target level above source level")
         return [
             x.galois(a) if a != 1 else x
             for a in self.gamma_orbit_exponents(x.field.n, m)
@@ -421,31 +462,23 @@ class CycloTower:
         if m == n:
             return x
         step = self.ctx.p ** (n - m)
-        thr = self.ctx.identity_floor
-        fm = self.field(m)
-        coords = []
-        for j, c in enumerate(x.coords):
-            if j % step == 0:
-                coords.append(c)
-            elif c.min_valuation() < thr:
-                raise PrecisionError(
-                    f"element does not descend to level {m}"
-                    f" (coord {j} has valuation {c.min_valuation()})",
-                    achieved=c.min_valuation(),
-                )
-        return fm.from_coords(coords[: fm.degree])
+        low = x._first_low_coord(step)
+        if low is not None:
+            raise PrecisionError(
+                f"element does not descend to level {m}"
+                f" (coord {low[0]} has valuation {low[1]})",
+                achieved=low[1],
+            )
+        denom, e, ints = x.packed
+        return CycloElement(self.field(m), denom, e, ints[::step])
 
     def trace(self, x: CycloElement, m: int) -> CycloElement:
         """Tr_{K_n/K_m} (= Tr_{k_n/k_m} on Delta-fixed elements)."""
-        if m > x.field.n:
-            raise InvalidInputError("target level above source level")
         return self.restrict(reduce(add, self.gamma_conjugates(x, m)), m)
 
     def norm(self, x: CycloElement, m: int) -> CycloElement:
         """N_{K_n/K_m}; the conjugates are multiplied in orbit order, which
         is exact for integral x."""
-        if m > x.field.n:
-            raise InvalidInputError("target level above source level")
         return self.restrict(reduce(mul, self.gamma_conjugates(x, m)), m)
 
     def trace_kn_to_qp(self, x: CycloElement) -> PadicScalar:
@@ -462,12 +495,8 @@ class CycloTower:
         """pi_n = prod_{delta in Delta} (zeta^delta - 1), a uniformizer of k_n."""
         if n not in self._pi:
             f = self.field(n)
-            one = f.one()
-            acc = None
-            for a in f.delta_exponents():
-                t = f.zeta_power(a) - one
-                acc = t if acc is None else acc * t
-            self._pi[n] = acc
+            factors = [f.zeta_power(a) - f.one() for a in f.delta_exponents()]
+            self._pi[n] = reduce(mul, factors)
         return self._pi[n]
 
     def pi_basis(self, n: int):
@@ -518,10 +547,7 @@ class CycloTower:
 
         With the peel x = u p^m / (zeta-1)^s, log x = log u - s log(zeta-1),
         so precision never pays for large valuations and no inverse is
-        taken.  The unit u goes to ``_log_unit``, which runs on one packed
-        integer vector: Teichmuller strip, contraction by p-powers, then
-        the log series with term k at absprec E - v_p(k), E the strip's
-        precision, and the sum at the least of those.
+        taken.
         """
         u, s, _ = x.peel()
         if not s:
@@ -529,19 +555,15 @@ class CycloTower:
         return self._log_unit(u) - self.log_zeta_minus_one(x.field.n).scale(s)
 
     def _log_unit(self, y: CycloElement) -> CycloElement:
-        """log on units, on one packed vector (0, E, ints).
+        """log on units, on y's packed vector (0, A, ints).
 
-        The Teichmuller strip is an integer multiply by omega^(-1) mod p^E,
-        where E is the least absprec the coordinatewise strip would leave,
-        min(absprec, v + wprec).  p-powerings (``CycloField.pow_packed``)
-        contract y into 1 + pO.  The series log(1 + h) = sum (-1)^(k-1) h^k/k
-        then runs with every power h^k at E: term k is h^k times the
-        inverse of k's unit part, at denominator exponent v_p(k), since
-        scaling by an exact rational shifts absprec uniformly by its
-        valuation.  The accumulator keeps the running minimum of the term
-        precisions (its denominator is the largest v_p(k) so far).  Last,
-        1/p^j is a denominator shift and the result is cut to absprec
-        E - log_p(kmax) - j, the bound on the skipped tail's 1/k.
+        The Teichmuller strip multiplies by omega^(-1) mod p^E, E = min(A,
+        wprec), and p-powerings contract y into 1 + pO.  In log(1 + h) =
+        sum (-1)^(k-1) h^k/k every h^k is known to p^E, and term k is h^k
+        times the inverse of k's unit part over p^(v_p(k)): the accumulator
+        keeps the largest v_p(k) so far as its denominator exponent.  1/p^j
+        is a denominator shift, and the result is cut to absprec
+        E - log_p(kmax + 1) - j, the bound on the skipped tail's 1/k.
         """
         ctx = self.ctx
         p = ctx.p
@@ -549,23 +571,20 @@ class CycloTower:
         r = y.residue()
         if r == 0:
             raise PrecisionError("unit part collapsed; raise working precision")
-        omega = ctx.teichmuller_int(r, min(c.absprec for c in y.coords))
-        # residue() has checked v >= 0, so the packed scale is 0
-        target = min(
-            c.absprec if c.unit == 0 else min(c.absprec, c.v + ctx.wprec)
-            for c in y.coords
-        )
+        # residue() has checked that the denominator exponent is 0
+        _, a, ints = y.packed
+        omega = ctx.teichmuller_int(r, a)
+        target = min(a, ctx.wprec)
         m = ctx.pk(target)
         winv = pow(omega, -1, m)
-        ints = [c * winv % m for c in _pack(y.coords)[2]]
+        y = CycloElement(field, 0, target, [c * winv for c in ints])
         j = 0
-        max_j = 3 * (field.n + 4)
-        while (ints[0] - 1) % p or any(c % p for c in ints[1:]):
-            ints = field.pow_packed((0, target, ints), p)[2]
+        while (y.packed[2][0] - 1) % p or any(c % p for c in y.packed[2][1:]):
+            y = y**p
             j += 1
-            if j > max_j:
+            if j > 3 * (field.n + 4):
                 raise ConvergenceError("principal part failed to contract")
-        h = list(ints)
+        h = list(y.packed[2])
         h[0] = (h[0] - 1) % m
         # log(1+h) with v(h) >= 1: term k has valuation >= k v(h) - v_p(k)
         vh = min((vp(c, p) for c in h if c), default=target)
@@ -584,12 +603,10 @@ class CycloTower:
             acc = [(a + c * t) % m for a, t in zip(acc, power)]
             if not any(power):
                 break
-            power = field.mul_packed((0, target, power), (0, target, h))[2]
+            power = field._product((0, target, power), (0, target, h))[2]
         # the skipped tail is below target only up to the 1/k denominators
-        floor = _log_p_floor(kmax, p)
-        return field.from_coords(
-            _unpack(ctx, acc_d + j, target - floor + acc_d, acc)
-        )
+        floor = _log_floor(kmax + 1, p)
+        return CycloElement(field, acc_d + j, target - floor + acc_d, acc)
 
     # -- series evaluation ----------------------------------------------------------------
 
@@ -608,18 +625,17 @@ class CycloTower:
                 achieved=f.order,
             )
         field = x.field
-        xp = _pack(x.coords)
-        if xp[0] != 0:
+        if x.packed[0] != 0:
             raise InvalidInputError("series evaluation needs an integral point")
         # x is integral, so the accumulator keeps f's denominator exponent
         # and each packed f_i is added at the same scale
         denom, e, fi = _pack(f.coeffs)
         acc = (denom, e, [fi[-1]] + [0] * (field.degree - 1))
         for i in range(f.order - 1, -1, -1):
-            da, ea, ints = field.mul_packed(acc, xp)
+            da, ea, ints = field._product(acc, x.packed)
             ints[0] = (ints[0] + fi[i]) % self.ctx.pk(ea)
             acc = (da, ea, ints)
-        return field.from_coords(_unpack(self.ctx, *acc))
+        return CycloElement(field, *acc)
 
     # -- Gamma-equivariant linear solving ---------------------------------------------------
 

@@ -53,6 +53,7 @@ from .core import (
     PrecisionError,
     PrimeContext,
     PropertyFailure,
+    _log_floor,
     hensel_root,
     iwasawa_log,
     split_p,
@@ -68,18 +69,9 @@ def default_truncation(ctx: PrimeContext, n_max: int) -> int:
     carry 1/m denominators; the extra d*(log_p M + 4) terms cover that.
     """
     d = ctx.p**n_max * (ctx.p - 1)
-    logterm = 1
-    while ctx.p**logterm < d * (ctx.prec + 8):
-        logterm += 1
+    # the least L >= 1 with p^L >= d (prec + 8)
+    logterm = _log_floor(d * (ctx.prec + 8) - 1, ctx.p) + 1
     return d * (ctx.prec + logterm + 4) + 8
-
-
-def _log_floor(n: int, p: int) -> int:
-    """floor(log_p n) for n >= 1."""
-    k = 0
-    while p ** (k + 1) <= n:
-        k += 1
-    return k
 
 
 def _solve_digits(ctx: PrimeContext, order: int) -> int:

@@ -41,11 +41,8 @@ def _pack(coeffs):
 
 
 def _unpack(ctx, denom, e, ints):
-    out = []
-    absprec = e - denom
-    for c in ints:
-        out.append(PadicScalar._make(ctx, -denom, c % ctx.pk(e), absprec))
-    return tuple(out)
+    m = ctx.pk(max(e, 0))
+    return tuple(PadicScalar._make(ctx, -denom, c % m, e - denom) for c in ints)
 
 
 def _convolve(ctx, a, b, order):

@@ -14,7 +14,7 @@ from padiclab import (
     padic_exp,
     teichmuller,
 )
-from padiclab.core import _log_p_floor, _log_principal
+from padiclab.core import _log_floor, _log_principal
 
 settings.register_profile("lab", deadline=None, max_examples=25)
 settings.load_profile("lab")
@@ -41,7 +41,7 @@ def scalar_log_principal(u):
         if power.min_valuation() >= target:
             break
         power = power * t
-    return acc.reduce_absprec(target - _log_p_floor(kmax, ctx.p))
+    return acc.reduce_absprec(target - _log_floor(kmax + 1, ctx.p))
 
 
 def test_context_rejects_bad_primes():

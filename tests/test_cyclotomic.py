@@ -14,7 +14,7 @@ from padiclab import (
     iwasawa_log,
 )
 from padiclab import cyclotomic
-from padiclab.core import _log_p_floor, factorial_valuation
+from padiclab.core import _log_floor, factorial_valuation
 from padiclab.honda import default_truncation
 from padiclab.series import TruncatedSeries, log_one_plus_x
 
@@ -594,7 +594,7 @@ def _series_log_unit(tower, y):
             break
         power = power * h
     out = acc.scale(Fraction(1, ctx.p**j)).reduce_absprec(
-        target - _log_p_floor(kmax, ctx.p) - j
+        target - _log_floor(kmax + 1, ctx.p) - j
     )
     return out, j
 

@@ -12,7 +12,7 @@ from padiclab import (
     hensel_root,
     honda,
 )
-from padiclab.core import factorial_valuation, split_p, vp
+from padiclab.core import _log_floor, factorial_valuation, split_p, vp
 from padiclab.honda import build_ell, build_iota, default_truncation, log_at_points
 from padiclab.series import TruncatedSeries, frobenius_substitute, log_one_plus_x
 
@@ -359,3 +359,28 @@ def test_log_at_points_measures_the_defining_sum(honda3, ctx3):
     coeffs = list(honda3.ell.coeffs)
     coeffs[2] = coeffs[2] + 3**5
     assert log_at_points(TruncatedSeries(ctx3, coeffs)) == 7
+
+
+def _searched_truncation(p, n, prec):
+    """Test-only oracle: the order with L found by searching for the least
+    L >= 1 with p^L >= d (prec + 8)."""
+    d = p**n * (p - 1)
+    logterm = 1
+    while p**logterm < d * (prec + 8):
+        logterm += 1
+    return d * (prec + logterm + 4) + 8
+
+
+def test_default_truncation_matches_the_search_oracle():
+    for p in (3, 5, 7, 11):
+        for n in range(4):
+            for prec in range(4, 121):
+                expected = _searched_truncation(p, n, prec)
+                assert default_truncation(PrimeContext(p, prec), n) == expected
+
+
+def test_log_floor_is_the_largest_power_below():
+    for p in (3, 5, 7, 11):
+        for m in range(1, p**4 + 2):
+            k = _log_floor(m, p)
+            assert p**k <= m < p ** (k + 1)

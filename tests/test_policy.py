@@ -63,6 +63,44 @@ def test_scan_finds_a_literal_tolerance():
     assert _threshold_parameters(tree) == [("f", "threshold")]
 
 
+# the packed (denominator, precision, ints) format and its kernels
+PACKED = {"_pack", "_unpack", "_convolve"}
+VECTOR_MODULES = {"series.py", "cyclotomic.py"}
+
+
+def _packed_uses(tree):
+    """The packed-format helpers a module imports or reaches as attributes."""
+    names = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name in PACKED
+    ]
+    names += [
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in PACKED
+    ]
+    return sorted(names)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_packed_format_stays_in_the_vector_modules(path):
+    # every other module sees TruncatedSeries and CycloElement, not triples
+    if path.name not in VECTOR_MODULES:
+        assert _packed_uses(ast.parse(path.read_text())) == [], path.name
+
+
+def test_scan_finds_a_packed_import():
+    tree = ast.parse(
+        "from .series import TruncatedSeries, _pack\n"
+        "from . import series\n"
+        "triple = series._convolve(ctx, a, b, 4)\n"
+    )
+    assert _packed_uses(tree) == ["_convolve", "_pack"]
+
+
 def test_require_returns_or_names_the_failure():
     ctx = PrimeContext(5, 12)
     assert ctx.require(10, "identity") == 10
