@@ -108,7 +108,7 @@ class CycloField:
     def _product(self, A, B):
         """The packed product of two triples, reduced mod p^e: the one
         kernel of ``__mul__``, ``__pow__``, the unit log and eval_series."""
-        d, e, conv = _convolve(self.ctx, A, B, 2 * self.degree - 2)
+        d, e, conv = _convolve(A, B, 2 * self.degree - 2)
         m = self.ctx.pk(e)
         return d, e, [c % m for c in self._fold(conv, 1)]
 

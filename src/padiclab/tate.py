@@ -346,10 +346,10 @@ def verify_formal_iso(ctx: PrimeContext, q, order: int = 64) -> dict:
     q = ctx.scalar(q_int, headroom)
     a4, a6 = a_invariants(q)
     lam, omega = formal_log_weierstrass(ctx, a4, a6, order)
-    # lambda and omega are composed over one table of the powers of the
-    # final t(X), built afresh by the packed convolution: the solve's own
-    # rows enforce (1+X) omega(t) t' = 1 and must not certify themselves
-    t_of_x = multiplicative_parameter_series(ctx, omega, order).keep_powers()
+    # lambda and omega are composed over the final t(X) afresh: the solve's
+    # own power rows enforce (1+X) omega(t) t' = 1 and must not certify
+    # themselves
+    t_of_x = multiplicative_parameter_series(ctx, omega, order)
     ok, worst = t_of_x.is_integral()
     if not ok:
         raise PropertyFailure(

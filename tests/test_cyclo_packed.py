@@ -47,7 +47,7 @@ def _fold(f, ints, a=1):
 
 def _product(f, A, B):
     """Test-only oracle: the packed product of two triples."""
-    d, e, conv = _convolve(f.ctx, A, B, 2 * f.degree - 2)
+    d, e, conv = _convolve(A, B, 2 * f.degree - 2)
     return d, e, [c % f.ctx.pk(e) for c in _fold(f, conv)]
 
 

@@ -13,9 +13,10 @@ from padiclab import (
     log_one_plus_x,
     teichmuller,
 )
-from padiclab.core import factorial_valuation
+from padiclab import series
+from padiclab.core import PadicScalar, factorial_valuation
 from padiclab.honda import build_ell, build_iota
-from padiclab.series import _convolve, _extend_power_rows, _pack, _unpack
+from padiclab.series import _KRONECKER_MIN, _extend_power_rows, _pack, _product_ints, _unpack
 from padiclab.tate import (
     a_invariants,
     default_grid,
@@ -74,6 +75,38 @@ def series_exp(f):
     return TruncatedSeries(ctx, out)
 
 
+def schoolbook_ints(a, b, n):
+    """Test-only oracle: the first n coefficients of a(X) b(X), unreduced,
+    by the double loop over every pair of entries."""
+    out = [0] * n
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j < n:
+                out[i + j] += x * y
+    return out
+
+
+def schoolbook_convolve(ctx, a, b, order):
+    """Test-only oracle: the packed product of two triples truncated at
+    ``order``, by the double loop, at the precision of the packed rule:
+    value precision min(E_a - D_a - D_b, E_b - D_b - D_a) at scale
+    D_a + D_b."""
+    da, ea, ia = a
+    db, eb, ib = b
+    d = da + db
+    e = min(ea - da - db, eb - db - da) + d
+    n = min(order + 1, len(ia) + len(ib) - 1)
+    return d, e, [c % ctx.pk(e) for c in schoolbook_ints(ia, ib, n)]
+
+
+def schoolbook_mul(f, g):
+    """Test-only oracle: f * g through ``schoolbook_convolve``."""
+    order = max(f.order, g.order)
+    d, e, ints = schoolbook_convolve(f.ctx, _pack(f.coeffs), _pack(g.coeffs), order)
+    ints += [0] * (order + 1 - len(ints))
+    return TruncatedSeries(f.ctx, _unpack(f.ctx, d, e, ints))
+
+
 def horner_compose(f, g):
     """Test-only oracle: f(g) by packed Horner steps from the top
     coefficient down, paying f's running denominator at every step."""
@@ -82,7 +115,7 @@ def horner_compose(f, g):
     gp = _pack(g.truncate(order).coeffs)
     acc = _pack((f.coeffs[-1],))
     for i in range(f.order - 1, -1, -1):
-        acc = _convolve(ctx, acc, gp, order)
+        acc = schoolbook_convolve(ctx, acc, gp, order)
         ci = _pack((f.coeffs[i],))
         d = max(acc[0], ci[0])
         e = min(acc[1] - acc[0], ci[1] - ci[0]) + d
@@ -108,9 +141,27 @@ def newton_reversion(f):
         ft = f.truncate(reached)
         gt = g.truncate(reached)
         err = horner_compose(ft, gt) - TruncatedSeries.x(ctx, reached)
-        corr = err * horner_compose(df.truncate(reached), gt).reciprocal()
+        corr = schoolbook_mul(err, horner_compose(df.truncate(reached), gt).reciprocal())
         g = gt - corr
     return g.truncate(f.order)
+
+
+def row_reversion(f):
+    """Test-only oracle: the compositional inverse solved degree by degree
+    from f(g) = X on integers mod p^E, E = min(wprec, absprec of f):
+    g_m = -g_1 sum_{j>=2} f_j (g^j)_m, the power rows (g^j)_m growing by
+    one column per degree."""
+    ctx = f.ctx
+    prec = min([ctx.wprec] + [c.absprec for c in f.coeffs])
+    mod = ctx.pk(prec)
+    fi = [c.lift() for c in f.coeffs]
+    g1 = pow(fi[1], -1, mod)
+    rows = [None, [0, g1]]
+    for m in range(2, f.order + 1):
+        _extend_power_rows(rows, m, mod)
+        s = sum(fi[j] * rows[j][m] for j in range(2, m + 1))
+        rows[1].append(-g1 * s % mod)
+    return TruncatedSeries(ctx, [PadicScalar._make(ctx, 0, c, prec) for c in rows[1]])
 
 
 def scalar_reciprocal(f):
@@ -365,6 +416,7 @@ def test_power_rows_match_oracles_on_iota(p):
     ell = build_ell(ctx, 200)
     iota, inv = build_iota(ctx, 200)
     assert _digits(inv) == _digits(newton_reversion(iota.truncate(160)))
+    assert _digits(inv) == _digits(row_reversion(iota.truncate(160)))
     truncated = ell.truncate(160)
     assert _digits(truncated.compose(inv)) == _digits(horner_compose(truncated, inv))
     frob = TruncatedSeries.from_rationals(
@@ -375,9 +427,7 @@ def test_power_rows_match_oracles_on_iota(p):
 
 def test_power_rows_match_horner_on_tate_grid(ctx3, ctx5):
     # lambda carries the denominators 1/m, so the scale D_f of the result
-    # and the rule min(E_f, E_g - max_{j>=1} D_j) are both exercised; over
-    # one kept table of t-powers, in either order, the digits are the
-    # same (omega first leaves the table a row short for lambda to extend)
+    # and the rule min(E_f, E_g - max_{j>=1} D_j) are both exercised
     order = 48
     for ctx in (ctx3, ctx5):
         headroom = ctx.wprec + factorial_valuation(order, ctx.p) + 8
@@ -387,10 +437,6 @@ def test_power_rows_match_horner_on_tate_grid(ctx3, ctx5):
             t = multiplicative_parameter_series(ctx, omega, order)
             want = [_digits(horner_compose(lam, t)), _digits(horner_compose(omega, t))]
             assert [_digits(lam.compose(t)), _digits(omega.compose(t))] == want
-            shared = t.keep_powers()
-            assert [_digits(lam.compose(shared)), _digits(omega.compose(shared))] == want
-            shared = t.keep_powers()
-            assert [_digits(omega.compose(shared)), _digits(lam.compose(shared))] == want[::-1]
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -407,16 +453,19 @@ def test_power_rows_match_oracles_on_seeded_series(p):
     ]
     for f, g in cases:
         assert _digits(f.compose(g)) == _digits(horner_compose(f, g))
-    for order in (2, 7, 15):
+    for order in (2, 7, 15, 40):
         f = _seeded_series(ctx, rng, order, inner=True)
         f = TruncatedSeries(ctx, (f.coeffs[0], ctx.scalar(1 + p * rng.randrange(p**4))) + f.coeffs[2:])
-        assert _digits(f.reversion()) == _digits(newton_reversion(f))
+        want = _digits(row_reversion(f))
+        assert _digits(newton_reversion(f)) == want
+        assert _digits(f.reversion()) == want
 
 
 def test_reversion_matches_newton_oracle():
     ctx = PrimeContext(5, 16)
     f = TruncatedSeries.from_rationals(ctx, [0, 1, 3, 1, 0, 2, 0, 0, 1, 0, 0, 4, 1])
     assert _digits(f.reversion()) == _digits(newton_reversion(f))
+    assert _digits(f.reversion()) == _digits(row_reversion(f))
 
 
 def test_build_iota_never_composes_or_divides(monkeypatch):
@@ -451,29 +500,104 @@ def test_power_rows_are_reduced_powers():
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
-def test_shared_power_table_matches_horner_on_seeded_series(p):
-    # outer series longer and shorter than the inner one, so one kept
-    # series serves tables at two truncation orders
+def test_compose_matches_horner_over_one_inner_series(p):
+    # outer series longer and shorter than the inner one, so one inner
+    # series is composed over at two truncation orders, and again after
     ctx = PrimeContext(p, 12)
     rng = random.Random(10 + p)
     g = _seeded_series(ctx, rng, 9, inner=True)
-    shared = g.keep_powers()
-    for f in (
+    before = _digits(g)
+    outers = (
         _seeded_series(ctx, rng, 5),
         _seeded_series(ctx, rng, 14, denominators={3: 2}),
         _seeded_series(ctx, rng, 9, denominators={0: 1}),
         _seeded_series(ctx, rng, 14),
-    ):
-        assert _digits(f.compose(shared)) == _digits(horner_compose(f, g))
-    assert sorted(shared._powers) == [9, 14]
-    assert [len(rows) for _, rows in sorted(shared._powers.items())] == [9, 14]
+    )
+    want = [_digits(horner_compose(f, g)) for f in outers]
+    assert [_digits(f.compose(g)) for f in outers] == want
+    assert [_digits(f.compose(g)) for f in reversed(outers)] == want[::-1]
+    assert _digits(g) == before
 
 
-def test_one_shot_composition_keeps_no_power_rows():
-    ctx = PrimeContext(3, 12)
-    rng = random.Random(4)
-    f = _seeded_series(ctx, rng, 12)
-    g = _seeded_series(ctx, rng, 12, inner=True)
-    f.compose(g)
-    assert g._powers is None
-    assert g.keep_powers()._powers == {}
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_compose_matches_horner_around_the_block_size(p):
+    # len f = k^2 and k^2 +- 1 split into full blocks, a short last block
+    # and one extra block; g shorter and longer than f, sparse, and with
+    # a zero tail; a constant f never reads g
+    ctx = PrimeContext(p, 12)
+    rng = random.Random(30 + p)
+    sparse = TruncatedSeries.from_rationals(ctx, [0, p, 0, 0, 1, 0, 0, 0, 0, 2 * p])
+    tailed = TruncatedSeries(ctx, _seeded_series(ctx, rng, 6, inner=True).coeffs + (ctx.zero(),) * 20)
+    for length in (15, 16, 17, 24, 25, 26):
+        f = _seeded_series(ctx, rng, length - 1, denominators={length // 2: 1})
+        for g in (
+            _seeded_series(ctx, rng, 7, inner=True),
+            _seeded_series(ctx, rng, 40, inner=True),
+            sparse,
+            tailed,
+        ):
+            assert _digits(f.compose(g)) == _digits(horner_compose(f, g)), (length, g.order)
+    for f in (TruncatedSeries.from_rationals(ctx, [Fraction(2, p**2)]), _seeded_series(ctx, rng, 0)):
+        g = _seeded_series(ctx, rng, 30, inner=True)
+        assert _digits(f.compose(g)) == _digits(horner_compose(f, g))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_product_kernel_matches_schoolbook(p):
+    # both sides of the Kronecker cutoff, zero tails and an all-zero
+    # operand, truncation below both lengths, and entries p^e - 1 (the
+    # widest slots)
+    e = 40
+    mod = p**e
+    rng = random.Random(40 + p)
+    lengths = (1, _KRONECKER_MIN - 1, _KRONECKER_MIN, 18, 100)
+    for la in lengths:
+        for lb in lengths:
+            operands = [
+                ([rng.randrange(mod) for _ in range(la)], [rng.randrange(mod) for _ in range(lb)]),
+                ([mod - 1] * la, [mod - 1] * lb),
+                ([rng.randrange(mod) for _ in range(la)] + [0] * 5, [rng.randrange(mod) for _ in range(lb)]),
+                ([0] * la, [rng.randrange(mod) for _ in range(lb)]),
+            ]
+            for a, b in operands:
+                copies = (list(a), list(b))
+                full = len(a) + len(b) - 1
+                for n in {full, full + 3, max(1, min(la, lb) - 1)}:
+                    assert _product_ints(a, b, n) == schoolbook_ints(a, b, n), (la, lb, n)
+                    assert _product_ints(b, a, n) == schoolbook_ints(a, b, n), (la, lb, n)
+                assert (a, b) == copies
+
+
+def test_product_kernel_refuses_negative_entries():
+    # a negative entry would borrow across Kronecker slots; neither path
+    # returns digits for it
+    mod = 3**40
+    rng = random.Random(7)
+    for length in (2, _KRONECKER_MIN - 1, _KRONECKER_MIN, 30):
+        a = [rng.randrange(mod) for _ in range(length)]
+        b = [rng.randrange(mod) for _ in range(length)]
+        a[length // 2] = -1
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ValueError, match="non-negative"):
+                _product_ints(x, y, 2 * length - 1)
+
+
+def test_products_route_by_the_shorter_trimmed_operand(monkeypatch):
+    # zeta - 1 and the Frobenius inner series 3X + 3X^2 + X^3, their zero
+    # tails trimmed, stay on the loop; a dense operand of the cutoff's
+    # length is packed, and so is the other operand
+    calls = []
+    original = series._to_int
+
+    def recorded(ints, w):
+        calls.append(len(ints))
+        return original(ints, w)
+
+    monkeypatch.setattr(series, "_to_int", recorded)
+    mod = 3**40
+    dense = list(range(1, 30))
+    _product_ints([mod - 1, 1] + [0] * 16, dense, 60)
+    _product_ints([0, 3, 3, 1] + [0] * 40, dense, 60)
+    assert calls == []
+    _product_ints(dense[:_KRONECKER_MIN], dense, 60)
+    assert calls == [_KRONECKER_MIN, len(dense)]

@@ -488,34 +488,37 @@ def test_sk_value_matches_scalar_oracle():
                 assert [_triple(sk_value(k, qv)) for k in (1, 3, 5)] == want
 
 
-def test_formal_iso_builds_one_table_of_t_powers_per_q(ctx3, monkeypatch):
-    # every product over the powers of t(X) convolves with one packed t,
-    # the final solve's coefficients, and the two compositions share
-    # the order - 1 rows built that way
+def test_formal_iso_composes_over_the_final_t(ctx3, monkeypatch):
+    # lambda and omega, and only they, are composed over the final t(X)
+    # itself, not over the solve's rows; with every product forced onto
+    # the schoolbook loop the compositions and the residuals are the same
     from padiclab import series
 
     order = 40
     seen = []
-    original = series._convolve
+    original = TruncatedSeries.compose
 
-    def recorded(ctx, a, b, n):
-        seen.append(b)
-        return original(ctx, a, b, n)
+    def recorded(f, g):
+        out = original(f, g)
+        seen.append((f, g, out))
+        return out
 
-    monkeypatch.setattr(series, "_convolve", recorded)
+    monkeypatch.setattr(TruncatedSeries, "compose", recorded)
     for q in default_grid(ctx3)[0]:
         seen.clear()
-        verify_formal_iso(ctx3, q, order)
-        uses = {}
-        for b in seen:
-            uses.setdefault(id(b), [b, 0])[1] += 1
-        tables = [(b, k) for b, k in uses.values() if k > 1]
-        assert len(tables) == 1
-        (d, e, ints), rows = tables[0]
-        assert rows == order - 1
-        t = multiplicative_parameter_series(ctx3, _grid_omega(ctx3, q, order), order)
-        assert (d, e) == (0, min(c.absprec for c in t.coeffs))
-        assert ints == [c.lift() % ctx3.pk(e) for c in t.coeffs]
+        result = verify_formal_iso(ctx3, q, order)
+        headroom = ctx3.wprec + factorial_valuation(order, ctx3.p) + 8
+        a4, a6 = a_invariants(ctx3.scalar(q.unit * ctx3.p**q.ord, headroom))
+        lam, omega = formal_log_weierstrass(ctx3, a4, a6, order)
+        t = multiplicative_parameter_series(ctx3, omega, order)
+        assert [_digits(f) for f, _, _ in seen] == [_digits(lam), _digits(omega)]
+        assert [_digits(g) for _, g, _ in seen] == [_digits(t)] * 2
+        composed = [_digits(out) for _, _, out in seen]
+        with monkeypatch.context() as mp:
+            mp.setattr(series, "_KRONECKER_MIN", order + 2)
+            seen.clear()
+            assert verify_formal_iso(ctx3, q, order) == result
+        assert [_digits(out) for _, _, out in seen] == composed
 
 
 def _count_scalar_ops(monkeypatch):
