@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from math import gcd
 from operator import add, mul
 
 from .core import (
@@ -26,7 +25,7 @@ from .core import (
     split_p,
     vp,
 )
-from .series import TruncatedSeries, _convolve, _pack, _unpack
+from .series import PackedVector, TruncatedSeries, _convolve, _normalise, _pack, _unpack
 
 
 class CycloField:
@@ -124,78 +123,28 @@ class CycloField:
         return out
 
 
-class CycloElement:
+class CycloElement(PackedVector):
     """sum ints[j] zeta^j / p^denom known mod p^(e - denom), held as
-    ``packed`` = (denom, e, ints), normalised: ints mod p^e, and denom the
-    least exponent >= 0 clearing every coordinate, as ``series._pack``
-    picks it (it bounds each product's error)."""
+    ``packed`` = (denom, e, ints) in ``series._normalise``'s normal form;
+    the linear operations are ``PackedVector``'s."""
 
-    __slots__ = ("field", "packed")
+    __slots__ = ("field",)
 
     def __init__(self, field: CycloField, denom: int, e: int, ints):
-        ctx = field.ctx
-        if denom < 0:
-            q = ctx.pk(-denom)
-            ints, denom, e = [c * q for c in ints], 0, e - denom
-        m = ctx.pk(max(e, 0))
-        ints = [c % m for c in ints]
-        if denom and not any(c % ctx.p for c in ints):
-            t = min([denom] + [vp(c, ctx.p) for c in ints if c])
-            q = ctx.pk(t)
-            ints, denom, e = [c // q for c in ints], denom - t, e - t
         self.field = field
-        self.packed = (denom, e, ints)
+        self.packed = _normalise(field.ctx, denom, e, ints)
+
+    def _new(self, denom, e, ints):
+        return CycloElement(self.field, denom, e, ints)
 
     @property
     def ctx(self) -> PrimeContext:
         return self.field.ctx
 
     @property
-    def absprec(self) -> int:
-        return self.packed[1] - self.packed[0]
-
-    @property
     def coords(self):
         """The coordinates as PadicScalars at absprec: a fresh view."""
         return _unpack(self.ctx, *self.packed)
-
-    # -- linear structure -----------------------------------------------------
-
-    def _combine(self, other, sign: int):
-        """self + sign other, over the larger denominator at the lesser
-        absprec."""
-        other = self._coerce(other)
-        (da, ea, a), (db, eb, b) = self.packed, other.packed
-        d = max(da, db)
-        qa, qb = self.ctx.pk(d - da), sign * self.ctx.pk(d - db)
-        ints = [x * qa + y * qb for x, y in zip(a, b)]
-        return CycloElement(self.field, d, min(ea - da, eb - db) + d, ints)
-
-    def __add__(self, other):
-        return self._combine(other, 1)
-
-    def __sub__(self, other):
-        return self._combine(other, -1)
-
-    def __neg__(self):
-        denom, e, ints = self.packed
-        return CycloElement(self.field, denom, e, [-c for c in ints])
-
-    def scale(self, s) -> "CycloElement":
-        """x s, at absprec min(A + v(s), min_valuation + absprec(s)), the
-        least of the coordinate products'; an exact int or Fraction is
-        embedded as ``PadicScalar`` embeds it for the coordinate of least
-        valuation, which decides that minimum."""
-        denom, e, ints = self.packed
-        mv = int(self.min_valuation())
-        if not isinstance(s, PadicScalar):
-            s = PadicScalar(self.ctx, mv, 1, e - denom)._coerce(s)
-        if s.unit == 0:
-            return self.field.zero(mv + s.absprec)
-        a = min(e - denom + s.v, mv + s.absprec)
-        return CycloElement(
-            self.field, denom - s.v, a + denom - s.v, [c * s.unit for c in ints]
-        )
 
     def _coerce(self, other):
         if isinstance(other, CycloElement):
@@ -297,28 +246,13 @@ class CycloElement:
             raise InvalidInputError("negative valuation has no residue")
         return sum(ints) % self.ctx.p
 
-    def min_valuation(self):
-        """Lower bound for the valuation, v(p) = 1 (cheap, coordinatewise)."""
-        denom, e, ints = self.packed
-        g = gcd(*ints)
-        return Fraction(e - denom if g == 0 else vp(g, self.ctx.p) - denom)
-
     def _first_low_coord(self, step: int):
         """(j, v) for the first coordinate j, step not dividing j, whose
         min valuation v is below identity_floor; else None."""
-        denom, e, ints = self.packed
-        for j, c in enumerate(ints):
-            if j % step:
-                v = e - denom if c == 0 else vp(c, self.ctx.p) - denom
-                if v < self.ctx.identity_floor:
-                    return j, v
+        for j, v in enumerate(self.valuations()):
+            if j % step and v < self.ctx.identity_floor:
+                return j, v
         return None
-
-    def reduce_absprec(self, absprec) -> "CycloElement":
-        denom, e, ints = self.packed
-        if absprec >= e - denom:
-            return self
-        return CycloElement(self.field, denom, absprec + denom, ints)
 
     def valuation(self):
         """Exact valuation as a Fraction (v(p) = 1), or None for zero at
@@ -614,7 +548,7 @@ class CycloTower:
         """sum f_m x^m with the truncation adequacy check M v(x) >= prec."""
         v = x.valuation()
         if v is None:
-            return x.field.from_scalar(f.constant_term())
+            return x.field.from_scalar(f.coeff(0))
         if v <= 0:
             raise InvalidInputError("series evaluation needs v(x) > 0")
         needed = int(self.ctx.prec / v) + 1
@@ -629,7 +563,7 @@ class CycloTower:
             raise InvalidInputError("series evaluation needs an integral point")
         # x is integral, so the accumulator keeps f's denominator exponent
         # and each packed f_i is added at the same scale
-        denom, e, fi = _pack(f.coeffs)
+        denom, e, fi = f.packed
         acc = (denom, e, [fi[-1]] + [0] * (field.degree - 1))
         for i in range(f.order - 1, -1, -1):
             da, ea, ints = field._product(acc, x.packed)

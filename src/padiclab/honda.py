@@ -184,7 +184,7 @@ def build_ell(ctx: PrimeContext, order: int) -> TruncatedSeries:
     a = _averaged_binomials(ctx, order, digits)
     acc = [0] * (order + 1)
     rows = _phi_rows(p, mod, order)
-    coeffs = [ctx.zero()]
+    coeffs = [0]
     for m in range(1, order + 1):
         if m == 1:
             lm = lift
@@ -193,9 +193,9 @@ def build_ell(ctx: PrimeContext, order: int) -> TruncatedSeries:
             if s % p:
                 raise PropertyFailure(f"ell(phi) is not divisible by p at degree {m}")
             lm = (lift * a[m] + s // p) * pow(1 - pow(p, m - 1, mod), -1, mod) % mod
-        coeffs.append(PadicScalar._make(ctx, -scale, lm, ctx.wprec))
+        coeffs.append(lm)
         _push_row(acc, m, lm, next(rows, None))
-    return TruncatedSeries(ctx, coeffs)
+    return TruncatedSeries(ctx, scale, ctx.wprec + scale, coeffs)
 
 
 def check_honda(ell: TruncatedSeries) -> dict:
@@ -204,38 +204,25 @@ def check_honda(ell: TruncatedSeries) -> dict:
     Returns the minimal valuations found; raises PropertyFailure naming
     the offending degree otherwise.
     """
-    ctx = ell.ctx
-    report = {}
     if not ell.coeff(0).is_zero:
         raise PropertyFailure("constant term of ell is nonzero")
-    report["const_term_valuation"] = ell.coeff(0).min_valuation()
-
     deriv = ell.derivative()
     lead = deriv.coeff(0) - 1
     if not lead.is_zero:
         raise PropertyFailure(
             f"ell'(0) - 1 has valuation {lead.min_valuation()}, expected zero"
         )
-    report["deriv_unit_residual"] = lead.min_valuation()
-    worst = None
-    for m in range(1, deriv.order + 1):
-        v = deriv.coeff(m).min_valuation()
+    vals = deriv.valuations()[1:]
+    for m, v in enumerate(vals, 1):
         if v < 0:
             raise PropertyFailure(f"ell' has a non-integral coefficient at degree {m}")
-        worst = v if worst is None else min(worst, v)
-    report["deriv_min_valuation"] = worst
-
-    frob = frobenius_substitute(ell) - ell.scale(ctx.p)
-    worst = None
-    for m in range(0, frob.order + 1):
-        v = frob.coeff(m).min_valuation()
+    frob = (frobenius_substitute(ell) - ell.scale(ell.ctx.p)).valuations()
+    for m, v in enumerate(frob):
         if v < 1:
             raise PropertyFailure(
                 f"(phi - p) ell has valuation {v} < 1 at degree {m}"
             )
-        worst = v if worst is None else min(worst, v)
-    report["frobenius_min_valuation"] = worst
-    return report
+    return {"deriv_min_valuation": min(vals, default=None), "frobenius_min_valuation": min(frob)}
 
 
 def _square_and_multiply(p: int) -> list:
@@ -254,8 +241,9 @@ def _square_and_multiply(p: int) -> list:
 def build_iota(ctx: PrimeContext, order: int) -> tuple:
     """iota = exp(ell) - 1 to degree ``order`` from F^p = F(phi) exp(pA),
     F = 1 + iota, every coefficient at absprec wprec, with its
-    compositional inverse (checked integral to order 160).  It reads A
-    and phi only, never ell.
+    compositional inverse to order 160.  It reads A and phi only, never
+    ell.  Both are integral by construction: iota's coefficients are
+    solved as integers, and ``reversion`` returns integers.
 
     On integers mod p^W, W = _solve_digits, degree by degree: first
     E_m = (p/m) sum_j j A_j E_(m-j) for E = exp(pA), where the division
@@ -280,7 +268,7 @@ def build_iota(ctx: PrimeContext, order: int) -> tuple:
     g = [1]  # F(phi) below degree m
     acc = [0] * (order + 1)
     rows = _phi_rows(p, mod, order)
-    coeffs = [ctx.zero()]
+    coeffs = [0]
     for m in range(1, order + 1):
         v, u = split_p(m, p)
         s = sum(map(mul, ja[1 : m + 1], reversed(e))) % mod
@@ -308,21 +296,10 @@ def build_iota(ctx: PrimeContext, order: int) -> tuple:
         for c, fc in powers.items():
             fc.append((c * fm + rest[c]) % mod)
         g.append((acc[m] + fm * pow(p, m, mod)) % mod)
-        coeffs.append(PadicScalar._make(ctx, 0, fm, ctx.wprec))
+        coeffs.append(fm)
         _push_row(acc, m, fm, next(rows, None))
-    iota = TruncatedSeries(ctx, coeffs)
-    ok, worst = iota.is_integral()
-    if not ok:
-        raise PropertyFailure(
-            f"iota has a non-integral coefficient (valuation {worst})"
-        )
-    inv = iota.truncate(min(160, iota.order)).reversion()
-    ok, worst_inv = inv.is_integral()
-    if not ok:
-        raise PropertyFailure(
-            f"inverse of iota has a non-integral coefficient (valuation {worst_inv})"
-        )
-    return iota, inv
+    iota = TruncatedSeries(ctx, 0, ctx.wprec, coeffs)
+    return iota, iota.truncate(min(160, iota.order)).reversion()
 
 
 def log_at_points(ell: TruncatedSeries) -> int:
@@ -360,7 +337,7 @@ def log_at_points(ell: TruncatedSeries) -> int:
 
 def solve_epsilon(ell: TruncatedSeries, ctx: PrimeContext) -> PadicScalar:
     """The element of pZ_p with ell(epsilon) = p, by Newton from x0 = p."""
-    target = min(c.absprec for c in ell.coeffs)
+    target = ell.absprec
     x0 = ctx.scalar(ctx.p, target)
     deriv = ell.derivative()
     eps = hensel_root(

@@ -1,17 +1,24 @@
 """Truncated power series over Q_p: exact modulo (p^prec, X^(M+1)).
 
-Coefficients are PadicScalar at the API level.  Multiplication,
-composition and reversion run on packed integer vectors with a uniform
-denominator exponent, through one product kernel (``_product_ints``:
-a schoolbook loop for a short operand, Kronecker substitution
-otherwise), which keeps the hot loops in plain bigint arithmetic.
-Composition is Brent-Kung's baby-step/giant-step scheme over that
-kernel, and reversion is Newton doubling over composition.
+A series is one packed integer vector, as a K_n element is: the
+coefficients are ints[i] / p^denom, all known modulo p^(e - denom), one
+precision for the whole series.  ``PackedVector`` holds that triple and
+the linear operations for both ``TruncatedSeries`` and
+``cyclotomic.CycloElement``; each follows the per-coefficient
+``PadicScalar`` rule, cut to the least coefficient precision.  The
+``PadicScalar`` coefficients are a view, built afresh at every read.
+Multiplication, composition and reversion run through one product kernel
+(``_product_ints``: a schoolbook loop for a short operand, Kronecker
+substitution otherwise), which keeps the hot loops in plain bigint
+arithmetic.  Composition is Brent-Kung's baby-step/giant-step scheme
+over that kernel, and reversion is Newton doubling over composition.
 """
 
 from __future__ import annotations
 
-from math import isqrt
+from fractions import Fraction
+from itertools import zip_longest
+from math import comb, gcd, isqrt
 from operator import mul
 
 from .core import (
@@ -19,34 +26,27 @@ from .core import (
     PadicScalar,
     PrecisionError,
     PrimeContext,
+    _log_floor,
+    split_p,
+    vp,
 )
 
 
 def _pack(coeffs):
-    """(scale D, integer absprec E, ints): coeff_i = ints[i]/p^D mod p^(E-D)."""
+    """(scale D, integer absprec E, ints): coeff_i = ints[i]/p^D mod p^(E-D),
+    every coefficient cut to the least absprec."""
     ctx = coeffs[0].ctx
-    denom = 0
-    value_prec = None
-    for c in coeffs:
-        if c.unit != 0 and c.v < -denom:
-            denom = -c.v
-        value_prec = c.absprec if value_prec is None else min(value_prec, c.absprec)
+    denom = max([0] + [-c.v for c in coeffs if c.unit])
+    value_prec = min(c.absprec for c in coeffs)
     e = value_prec + denom
     if e <= 0:
         raise PrecisionError("series has no remaining precision", achieved=value_prec)
     m = ctx.pk(e)
-    ints = []
-    for c in coeffs:
-        if c.unit == 0:
-            ints.append(0)
-        else:
-            ints.append(c.unit * ctx.pk(c.v + denom) % m)
-    return denom, e, ints
+    return denom, e, [c.unit * ctx.pk(c.v + denom) % m if c.unit else 0 for c in coeffs]
 
 
 def _unpack(ctx, denom, e, ints):
-    m = ctx.pk(max(e, 0))
-    return tuple(PadicScalar._make(ctx, -denom, c % m, e - denom) for c in ints)
+    return tuple(PadicScalar._make(ctx, -denom, c, e - denom) for c in ints)
 
 
 # The shortest operand, cut to its nonzero span, that the product kernel
@@ -178,132 +178,223 @@ def _extend_power_rows(rows, k, mod):
         rows[j].append(sum(map(mul, t[1 : k - j + 2], prev[k - 1 : j - 2 : -1])) % mod)
 
 
-class TruncatedSeries:
-    """f = sum coeffs[i] X^i, exact mod (p^coeff-precisions, X^(order+1))."""
+def _normalise(ctx, denom, e, ints):
+    """(denom, e, ints) in normal form: ints reduced mod p^e, and denom the
+    least exponent >= 0 clearing every entry, as ``_pack`` picks it (it
+    bounds each product's error).  A negative denom is multiplied out."""
+    if denom < 0:
+        q = ctx.pk(-denom)
+        ints, denom, e = [c * q for c in ints], 0, e - denom
+    m = ctx.pk(max(e, 0))
+    ints = [c % m for c in ints]
+    if denom:
+        g = gcd(*ints)
+        t = denom if g == 0 else min(denom, vp(g, ctx.p))
+        if t:
+            q = ctx.pk(t)
+            ints, denom, e = [c // q for c in ints], denom - t, e - t
+    return denom, e, ints
 
-    __slots__ = ("ctx", "coeffs")
 
-    def __init__(self, ctx: PrimeContext, coeffs):
+class PackedVector:
+    """sum ints[j] b_j / p^denom over a basis (b_j), every coordinate known
+    mod p^(e - denom), held as ``packed`` = (denom, e, ints) in the normal
+    form of ``_normalise``.  A subclass sets ``packed`` and provides
+    ``ctx``, ``_new`` (a vector over the same basis from a triple) and
+    ``_coerce``."""
+
+    __slots__ = ("packed",)
+
+    @property
+    def absprec(self) -> int:
+        return self.packed[1] - self.packed[0]
+
+    def _combine(self, other, sign: int):
+        """self + sign other, over the larger denominator at the lesser
+        absprec; the shorter vector is padded with zeros."""
+        other = self._coerce(other)
+        (da, ea, a), (db, eb, b) = self.packed, other.packed
+        d = max(da, db)
+        qa, qb = self.ctx.pk(d - da), sign * self.ctx.pk(d - db)
+        ints = [x * qa + y * qb for x, y in zip_longest(a, b, fillvalue=0)]
+        return self._new(d, min(ea - da, eb - db) + d, ints)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        denom, e, ints = self.packed
+        return self._new(denom, e, [-c for c in ints])
+
+    def scale(self, s):
+        """self s, at absprec min(A + v(s), min_valuation + absprec(s)), the
+        least of the coordinate products'; an exact int or Fraction is
+        embedded as ``PadicScalar`` embeds it for the coordinate of least
+        valuation, which decides that minimum."""
+        denom, e, ints = self.packed
+        mv = int(self.min_valuation())
+        if not isinstance(s, PadicScalar):
+            s = PadicScalar(self.ctx, mv, 1, e - denom)._coerce(s)
+        # a zero s has s.v = s.absprec, so a = mv + absprec(s) and ints 0
+        a = min(e - denom + s.v, mv + s.absprec)
+        return self._new(denom - s.v, a + denom - s.v, [c * s.unit for c in ints])
+
+    def min_valuation(self):
+        """The least coordinate valuation, v(p) = 1, a zero counting as its
+        absprec: for a K_n element a cheap lower bound of its valuation."""
+        denom, e, ints = self.packed
+        g = gcd(*ints)
+        return Fraction(e - denom if g == 0 else vp(g, self.ctx.p) - denom)
+
+    def valuations(self) -> list:
+        """The valuation of each coordinate, a zero counting as its absprec."""
+        denom, e, ints = self.packed
+        p = self.ctx.p
+        return [vp(c, p) - denom if c else e - denom for c in ints]
+
+    def reduce_absprec(self, absprec):
+        denom, e, ints = self.packed
+        if absprec >= e - denom:
+            return self
+        return self._new(denom, absprec + denom, ints)
+
+
+class TruncatedSeries(PackedVector):
+    """f = sum ints[i] X^i / p^denom, exact mod (p^(e - denom), X^(order+1)),
+    held as ``packed`` = (denom, e, ints); ``coeffs`` is a view."""
+
+    __slots__ = ("ctx",)
+
+    def __init__(self, ctx: PrimeContext, denom: int, e: int, ints):
         self.ctx = ctx
-        self.coeffs = tuple(coeffs)
+        self.packed = _normalise(ctx, denom, e, ints)
+
+    def _new(self, denom, e, ints):
+        return TruncatedSeries(self.ctx, denom, e, ints)
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
+    def from_scalars(cls, ctx, coeffs):
+        """The series with these PadicScalar coefficients, cut to their
+        least absprec."""
+        return cls(ctx, *_pack(coeffs))
+
+    @classmethod
     def from_rationals(cls, ctx, values, absprec=None):
-        return cls(ctx, [ctx.scalar(v, absprec) for v in values])
+        return cls.from_scalars(ctx, [ctx.scalar(v, absprec) for v in values])
 
     @classmethod
     def zero(cls, ctx, order, absprec=None):
-        return cls(ctx, [ctx.zero(absprec)] * (order + 1))
+        return cls(ctx, 0, ctx.wprec if absprec is None else absprec, [0] * (order + 1))
 
     @classmethod
     def one(cls, ctx, order, absprec=None):
-        z = ctx.zero(absprec)
-        return cls(ctx, [ctx.one(absprec)] + [z] * order)
+        a = ctx.wprec if absprec is None else absprec
+        return cls(ctx, 0, a, [1] + [0] * order)
 
     @classmethod
     def x(cls, ctx, order, absprec=None):
-        z = ctx.zero(absprec)
-        c = [z] * (order + 1)
-        if order >= 1:
-            c[1] = ctx.one(absprec)
-        return cls(ctx, c)
+        a = ctx.wprec if absprec is None else absprec
+        return cls(ctx, 0, a, ([0, 1] + [0] * order)[: order + 1])
 
     # -- views ---------------------------------------------------------------
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.packed[2]) - 1
+
+    @property
+    def coeffs(self):
+        """The coefficients as PadicScalars at absprec: a fresh view."""
+        return _unpack(self.ctx, *self.packed)
 
     def coeff(self, i: int) -> PadicScalar:
-        return self.coeffs[i] if i <= self.order else self.ctx.zero()
+        if i > self.order:
+            return self.ctx.zero()
+        denom, e, ints = self.packed
+        return PadicScalar._make(self.ctx, -denom, ints[i], e - denom)
 
     def truncate(self, order: int) -> "TruncatedSeries":
         if order >= self.order:
             return self
-        return TruncatedSeries(self.ctx, self.coeffs[: order + 1])
-
-    def constant_term(self) -> PadicScalar:
-        return self.coeffs[0]
+        denom, e, ints = self.packed
+        return self._new(denom, e, ints[: order + 1])
 
     def is_integral(self):
         """(all coefficients in Z_p at their precision, worst valuation)."""
-        worst = min(c.min_valuation() for c in self.coeffs)
+        worst = int(self.min_valuation())
         return worst >= 0, worst
 
+    def _is_unit(self, i: int) -> bool:
+        """Whether coefficient i has valuation exactly 0."""
+        denom, _, ints = self.packed
+        c = ints[i] if i <= self.order else 0
+        return c % self.ctx.pk(denom) == 0 and c % self.ctx.pk(denom + 1) != 0
+
     def __repr__(self):
-        head = ", ".join(repr(c) for c in self.coeffs[:4])
+        head = ", ".join(repr(self.coeff(i)) for i in range(min(4, self.order + 1)))
         return f"TruncatedSeries(order={self.order}; {head}, ...)"
-
-    # -- linear structure ------------------------------------------------------
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        n = max(self.order, other.order)
-        out = [self.coeff(i) + other.coeff(i) for i in range(n + 1)]
-        return TruncatedSeries(self.ctx, out)
-
-    def __neg__(self):
-        return TruncatedSeries(self.ctx, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def scale(self, s) -> "TruncatedSeries":
-        # exact ints/fractions go through per-coefficient coercion so they
-        # never cap elevated coefficient precision
-        return TruncatedSeries(self.ctx, [c * s for c in self.coeffs])
 
     def _coerce(self, other):
         if isinstance(other, TruncatedSeries):
             return other
-        return TruncatedSeries(self.ctx, [self.ctx.scalar(other)])
+        return TruncatedSeries.from_scalars(self.ctx, [self.ctx.scalar(other)])
 
     # -- multiplicative structure ----------------------------------------------
 
     def __mul__(self, other):
         other = self._coerce(other)
         order = max(self.order, other.order)
-        d, e, ints = _convolve(_pack(self.coeffs), _pack(other.coeffs), order)
-        ints += [0] * (order + 1 - len(ints))
-        return TruncatedSeries(self.ctx, _unpack(self.ctx, d, e, ints))
+        d, e, ints = _convolve(self.packed, other.packed, order)
+        return self._new(d, e, ints + [0] * (order + 1 - len(ints)))
 
     def reciprocal(self) -> "TruncatedSeries":
         """1/f for an integral f with unit constant term, by the recursion
         r_m = -r_0 sum_{j=1}^m f_j r_(m-j) on integers mod p^E, with E the
-        least absprec of f.  A non-integral f is refused, naming its worst
+        absprec of f.  A non-integral f is refused, naming its worst
         valuation."""
-        c0 = self.coeffs[0]
-        if c0.is_zero or c0.v != 0:
+        if not self._is_unit(0):
             raise InvalidInputError("reciprocal needs a unit constant term")
         ok, worst = self.is_integral()
         if not ok:
             raise InvalidInputError(
                 f"reciprocal needs an integral series (valuation {worst})"
             )
-        ctx = self.ctx
-        prec = min(c.absprec for c in self.coeffs)
-        mod = ctx.pk(prec)
-        f = [c.lift() for c in self.coeffs]
+        _, prec, f = self.packed
+        mod = self.ctx.pk(prec)
         r0 = pow(f[0], -1, mod)
         out = [r0]
         for m in range(1, self.order + 1):
             out.append(-r0 * sum(map(mul, f[1 : m + 1], out[::-1])) % mod)
-        return TruncatedSeries(ctx, [PadicScalar._make(ctx, 0, c, prec) for c in out])
+        return self._new(0, prec, out)
 
     def derivative(self) -> "TruncatedSeries":
+        """f' on the integers, i f_i at the absprec of f; the derivative of
+        a constant is zero at wprec."""
         if self.order == 0:
-            return TruncatedSeries(self.ctx, [self.ctx.zero()])
-        out = [self.coeffs[i] * i for i in range(1, self.order + 1)]
-        return TruncatedSeries(self.ctx, out)
+            return TruncatedSeries.zero(self.ctx, 0)
+        denom, e, ints = self.packed
+        return self._new(denom, e, [i * c for i, c in enumerate(ints[1:], 1)])
 
     def integrate(self) -> "TruncatedSeries":
-        """Antiderivative with zero constant term; divides by i per degree."""
-        out = [self.ctx.zero()]
-        for i, c in enumerate(self.coeffs):
-            out.append(c / (i + 1))
-        return TruncatedSeries(self.ctx, out)
+        """Antiderivative with constant term zero at wprec.  Degree i + 1
+        divides by i + 1 and loses v_p(i + 1) digits, so the result is
+        packed over p^(denom + V), V = floor(log_p(order + 1)), at absprec
+        min(wprec, A - V)."""
+        ctx = self.ctx
+        denom, e, ints = self.packed
+        top = _log_floor(len(ints), ctx.p)
+        a = min(ctx.wprec, e - denom - top) + denom + top
+        m = ctx.pk(max(a, 0))
+        out = [0]
+        for i, c in enumerate(ints, 1):
+            v, u = split_p(i, ctx.p)
+            out.append(c * ctx.pk(top - v) * pow(u, -1, m))
+        return self._new(denom + top, a, out)
 
     # -- composition -------------------------------------------------------------
 
@@ -325,7 +416,7 @@ class TruncatedSeries:
         length order + 1 through ``_product_ints``, against L such
         products for one power row per degree.
 
-        Precision: with E the least absprec of a series and D_j the
+        Precision: with E the absprec of a series and D_j the
         denominator exponent of f_j alone, the uncertainty p^E_g of g
         costs the term f_j g^j its D_j digits, so the result is packed at
         scale D_f, the denominator of f, with value precision
@@ -337,7 +428,7 @@ class TruncatedSeries:
         Horner step is reduced mod p^e, and the digits are those of the
         term-by-term sum.
         """
-        if not g.coeffs[0].is_zero:
+        if g.packed[2][0]:
             raise InvalidInputError("composition needs inner constant term 0")
         ok, worst = g.is_integral()
         if not ok:
@@ -345,18 +436,17 @@ class TruncatedSeries:
                 f"composition needs an integral inner series (valuation {worst})"
             )
         order = max(self.order, g.order)
-        ctx = self.ctx
-        _, eg, gints = _pack(g.coeffs)
-        d, ef, fints = _pack(self.coeffs)
+        _, eg, gints = g.packed
+        d, ef, fints = self.packed
         value_prec = ef - d
         if self.order >= 1:
-            d_tail = max([-c.v for c in self.coeffs[1:] if c.unit] + [0])
+            tail = gcd(*fints[1:])
+            d_tail = max(0, d - vp(tail, self.ctx.p)) if tail else 0
             value_prec = min(value_prec, eg - d_tail)
         e = value_prec + d
         if e <= 0:
             raise PrecisionError("composition below zero precision", achieved=value_prec)
-        out = _compose_ints(fints, gints, order + 1, ctx.pk(e))
-        return TruncatedSeries(ctx, _unpack(ctx, d, e, out))
+        return self._new(d, e, _compose_ints(fints, gints, order + 1, self.ctx.pk(e)))
 
     def reversion(self) -> "TruncatedSeries":
         """Compositional inverse g of an integral f = f_1 X + ..., f_1 a unit.
@@ -371,23 +461,20 @@ class TruncatedSeries:
         a unit, so these are the integers of the degree-by-degree
         solve.  A non-integral f is refused, naming its worst valuation.
         Every coefficient of g is known modulo p^E with
-        E = min(wprec, absprec of f_0..f_M): the target X is taken at
-        wprec.
+        E = min(wprec, absprec of f): the target X is taken at wprec.
         """
-        if not self.coeffs[0].is_zero:
+        if self.packed[2][0]:
             raise InvalidInputError("reversion needs f(0) = 0")
-        c1 = self.coeff(1)
-        if c1.is_zero or c1.v != 0:
+        if not self._is_unit(1):
             raise InvalidInputError("reversion needs a unit linear coefficient")
         ok, worst = self.is_integral()
         if not ok:
             raise InvalidInputError(
                 f"reversion needs an integral series (valuation {worst})"
             )
-        ctx = self.ctx
-        prec = min([ctx.wprec] + [c.absprec for c in self.coeffs])
-        mod = ctx.pk(prec)
-        f = [c.lift() for c in self.coeffs]
+        prec = min(self.ctx.wprec, self.absprec)
+        mod = self.ctx.pk(prec)
+        f = self.packed[2]
         g = [0, pow(f[1], -1, mod)]
         while len(g) <= self.order:
             n = min(2 * len(g) - 1, self.order + 1)
@@ -395,47 +482,52 @@ class TruncatedSeries:
             err[1] = (err[1] - 1) % mod
             corr = _product_ints(err, [j * c for j, c in enumerate(g[1:], 1)], n)
             g = [(a - b) % mod for a, b in zip(g + [0] * (n - len(g)), corr)]
-        return TruncatedSeries(ctx, [PadicScalar._make(ctx, 0, c, prec) for c in g])
+        return self._new(0, prec, g)
 
     # -- evaluation ------------------------------------------------------------------
 
     def eval_scalar(self, x: PadicScalar) -> PadicScalar:
-        """Horner evaluation at a scalar with v(x) >= 1."""
+        """Horner evaluation at a scalar with v(x) >= 1, on integers, under
+        ``PadicScalar``'s precision rule at every step: with P and X the
+        absprecs of the accumulator and of x and mv a valuation (a zero's
+        being its absprec), acc x is known to min(P + mv(x), X + mv(acc))
+        and adding a coefficient caps that at the series' absprec A.
+        mv(acc) is read only when it can decide the minimum."""
         if not x.is_zero and x.v < 1:
             raise InvalidInputError("scalar evaluation needs v(x) >= 1")
-        acc = self.coeffs[-1]
-        for i in range(self.order - 1, -1, -1):
-            acc = acc * x + self.coeffs[i]
-        return acc
+        ctx = self.ctx
+        denom, e, ints = self.packed
+        a = e - denom
+        xa, xv, xi = x.absprec, x.min_valuation(), x.lift()
+        acc, prec = ints[-1], a
+        for c in reversed(ints[:-1]):
+            # X + mv(acc) < P + mv(x) iff v_p(acc) < P + mv(x) - X + denom
+            reach = prec + xv
+            cut = reach - xa + denom
+            if cut > 0 and acc % ctx.pk(cut):
+                reach = xa + vp(acc, ctx.p) - denom
+            prec = min(reach, a)
+            acc = (acc * xi + c) % ctx.pk(max(prec + denom, 0))
+        return PadicScalar._make(ctx, -denom, acc, prec)
 
 
 # -- named constructions -------------------------------------------------------------
 
 
 def log_one_plus_x(ctx: PrimeContext, order: int, absprec=None) -> TruncatedSeries:
-    coeffs = [0] + [(-1) ** (m - 1) for m in range(1, order + 1)]
-    s = TruncatedSeries.from_rationals(ctx, coeffs, absprec)
-    out = [s.coeffs[0]]
-    for m in range(1, order + 1):
-        out.append(s.coeffs[m] / m)
-    return TruncatedSeries(ctx, out)
+    """log(1+X), order >= 1, as the integral of 1/(1+X): at absprec
+    min(wprec, absprec - floor(log_p order)), absprec wprec by default."""
+    return geometric_inverse(ctx, order - 1, absprec).integrate()
 
 
 def geometric_inverse(ctx: PrimeContext, order: int, absprec=None) -> TruncatedSeries:
     """1/(1+X) = sum (-X)^m."""
-    return TruncatedSeries.from_rationals(
-        ctx, [(-1) ** m for m in range(order + 1)], absprec
-    )
+    a = ctx.wprec if absprec is None else absprec
+    return TruncatedSeries(ctx, 0, a, [(-1) ** m for m in range(order + 1)])
 
 
 def frobenius_substitute(f: TruncatedSeries) -> TruncatedSeries:
     """f((1+X)^p - 1), the Frobenius substitution on the formal variable."""
-    from math import comb
-
-    ctx = f.ctx
-    p = ctx.p
-    absprec = max(c.absprec for c in f.coeffs)
+    p = f.ctx.p
     inner = [comb(p, j) if j else 0 for j in range(min(p, f.order) + 1)]
-    g = TruncatedSeries.from_rationals(ctx, inner, absprec)
-    return f.compose(g)
-
+    return f.compose(TruncatedSeries(f.ctx, 0, f.absprec, inner))

@@ -202,7 +202,6 @@ def formal_log_weierstrass(ctx: PrimeContext, a4, a6, order: int) -> TruncatedSe
     absprec = min(a4.absprec, a6.absprec)
     mod = ctx.pk(absprec)
     a4, a6 = a4.lift(), a6.lift()
-    zero = ctx.zero(absprec)
     n = order + 3
     # w, w^2 and w^3 indexed by degree in t; w starts at t^3
     w = [0, 0, 0, 1]
@@ -216,14 +215,10 @@ def formal_log_weierstrass(ctx: PrimeContext, a4, a6, order: int) -> TruncatedSe
         sq[m + 3] = sum(map(mul, w[3:], w[:2:-1])) % mod
         if m + 6 <= n:
             cube[m + 6] = sum(map(mul, w[3:], sq[m + 3 : 5 : -1])) % mod
-    # w = t^3 W, W(0) = 1
-    big_w = TruncatedSeries(ctx, [PadicScalar._make(ctx, 0, c, absprec) for c in w[3:]])
-    num = big_w.scale(2) + TruncatedSeries(
-        ctx, (zero,) + big_w.derivative().coeffs
-    )
-    two_minus_t = TruncatedSeries.from_rationals(
-        ctx, [2, -1] + [0] * (order - 1), absprec
-    )
+    # w = t^3 W, W(0) = 1, and 2W + tW' has coefficients (i + 2) W_i
+    big_w = TruncatedSeries(ctx, 0, absprec, w[3:])
+    num = TruncatedSeries(ctx, 0, absprec, [(i + 2) * c for i, c in enumerate(w[3:])])
+    two_minus_t = TruncatedSeries(ctx, 0, absprec, [2, -1] + [0] * (order - 1))
     omega = (num * big_w.reciprocal() * two_minus_t.reciprocal()).truncate(order - 1)
     lam = omega.integrate().truncate(order)
     return lam, omega
@@ -256,13 +251,13 @@ def multiplicative_parameter_series(ctx, omega: TruncatedSeries, order: int) -> 
     c0 = omega.coeff(0)
     if c0.is_zero or not (c0 - 1).is_zero:
         raise InvalidInputError("omega needs constant term 1")
-    worst = min(c.min_valuation() for c in omega.coeffs)
-    if worst < 0:
+    ok, worst = omega.is_integral()
+    if not ok:
         raise InvalidInputError(f"omega has a non-integral coefficient (valuation {worst})")
-    absprec = min(c.absprec for c in omega.coeffs)
-    w = [c.lift() for c in omega.coeffs]
-    t = [ctx.zero(absprec), ctx.one(absprec)]
+    _, absprec, w = omega.packed
+    # t_j as an integer, and its (min valuation, absprec)
     ti = [0, 1]
+    tv = [(absprec, absprec), (0, absprec)]
     # jt[j] = j t_j, the coefficients of X t'(X)
     jt = [0, 1]
     prec = absprec
@@ -274,7 +269,7 @@ def multiplicative_parameter_series(ctx, omega: TruncatedSeries, order: int) -> 
     g = [None]
     for m in range(2, order + 1):
         k = m - 1
-        prec = min(prec, t[k].absprec)
+        prec = min(prec, tv[k][1])
         if prec <= 0:
             raise PrecisionError("uniformizing series has no remaining precision", achieved=prec)
         mod = ctx.pk(prec)
@@ -286,44 +281,44 @@ def multiplicative_parameter_series(ctx, omega: TruncatedSeries, order: int) -> 
             E = prec
             s = sum(map(mul, g[1:m], jt[k:0:-1]))
         else:
-            E, s = _sparse_degree_sum(ctx, g, jt, t, m, prec, absprec)
+            E, s = _sparse_degree_sum(ctx, g, jt, tv, m, prec, absprec)
         vm, um = split_p(m, ctx.p)
-        tm = PadicScalar._make(ctx, -vm, -s * pow(um, -1, ctx.pk(E)), E - vm)
-        if tm.min_valuation() < 0:
-            raise PropertyFailure(
-                f"uniformizing series leaves Z_p at degree {m} (valuation {tm.min_valuation()})"
-            )
-        t.append(tm)
-        ti.append(tm.lift())
+        q = ctx.pk(E)
+        r = -s * pow(um, -1, q) % q
+        v = vp(r, ctx.p) - vm if r else E - vm
+        if v < 0:
+            raise PropertyFailure(f"uniformizing series leaves Z_p at degree {m} (valuation {v})")
+        tv.append((v, E - vm))
+        ti.append(r // ctx.pk(vm))
         jt.append(m * ti[m])
-    return TruncatedSeries(ctx, t)
+    return TruncatedSeries(ctx, 0, min(a for _, a in tv), ti)
 
 
-def _sparse_degree_sum(ctx, g, jt, t, m, prec, absprec):
+def _sparse_degree_sum(ctx, g, jt, tv, m, prec, absprec):
     """(E, s) for degree m when g_(m-1) vanishes mod p^prec: s sums the
     terms g_i (m-i) t_(m-i) with g_i nonzero mod p^prec, and E is the least
     precision among them, v_p(m-i) + min(prec + v(t_(m-i)),
     absprec(t_(m-i)) + v(g_i)), and at most absprec, omega's least
-    absprec."""
+    absprec; tv[j] is (v(t_j), absprec(t_j)), a zero's v its absprec."""
     mod = ctx.pk(prec)
     E, s = absprec, 0
     for i in range(1, m):
         gi = g[i] % mod
         if gi:
-            tj = t[m - i]
-            E = min(E, vp(m - i, ctx.p) + min(prec + tj.min_valuation(), tj.absprec + vp(gi, ctx.p)))
+            v, a = tv[m - i]
+            E = min(E, vp(m - i, ctx.p) + min(prec + v, a + vp(gi, ctx.p)))
             s += gi * jt[m - i]
     return E, s
 
 
 def _series_residual(a: TruncatedSeries, b: TruncatedSeries):
     """Least valuation of a - b, coefficient by coefficient; series of
-    different lengths are refused, not truncated to the shorter."""
-    if len(a.coeffs) != len(b.coeffs):
+    different orders are refused, not truncated to the shorter."""
+    if a.order != b.order:
         raise InvalidInputError(
             f"cannot compare a series of order {a.order} with one of order {b.order}"
         )
-    return min((x - y).min_valuation() for x, y in zip(a.coeffs, b.coeffs))
+    return int((a - b).min_valuation())
 
 
 def verify_formal_iso(ctx: PrimeContext, q, order: int = 64) -> dict:
@@ -358,7 +353,7 @@ def verify_formal_iso(ctx: PrimeContext, q, order: int = 64) -> dict:
     if not t_of_x.coeff(0).is_zero:
         raise PropertyFailure("uniformizing series has a constant term")
     ctx.require((t_of_x.coeff(1) - 1).min_valuation(), "uniformizing series does not start at X")
-    logx = log_one_plus_x(ctx, order, min(c.absprec for c in lam.coeffs))
+    logx = log_one_plus_x(ctx, order, lam.absprec)
     roundtrip = lam.compose(t_of_x)
     rt_resid = ctx.require(_series_residual(roundtrip, logx), "log roundtrip fails")
     # pullback of dx/(2y+x): both through the composed derivative and the

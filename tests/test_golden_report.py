@@ -5,7 +5,9 @@ went in, and re-recorded when the peeled inverse and logarithm raised
 three of its residuals; (5, 1, 12) with kappa(gamma) = 11 pins a prime
 other than 3 and a non-default generator.  Both were re-recorded when ell
 came to be known to wprec (honda.epsilon-residual reads wprec) and
-gained the honda.log-at-points check."""
+gained the honda.log-at-points check.  (3, 0, 80) with the tate and mtt
+suites pins the Tate layer at the formal-tate workload's precision; it
+was recorded before series came to be held as packed integer vectors."""
 
 from pathlib import Path
 
@@ -14,6 +16,7 @@ from padiclab.runner import SuiteConfig, emit_report, run_suite
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "report_p3n2_N12_seed0.json"
 GOLDEN_P5 = DATA / "report_p5n1_N12_k11_seed0.json"
+GOLDEN_TATE = DATA / "report_p3n0_N80_tate_mtt_seed0.json"
 
 
 def test_report_matches_golden_bytes():
@@ -27,3 +30,9 @@ def test_report_matches_golden_bytes_p5_kappa11():
     report = run_suite(SuiteConfig(p=5, n_max=1, prec=12, kappa_gamma=11, n_functionals=20))
     assert report.summary()["fail"] == 0
     assert emit_report(report) == GOLDEN_P5.read_bytes()
+
+
+def test_report_matches_golden_bytes_tate_n80():
+    report = run_suite(SuiteConfig(p=3, n_max=0, prec=80, suites=("tate", "mtt")))
+    assert report.summary()["fail"] == 0
+    assert emit_report(report) == GOLDEN_TATE.read_bytes()

@@ -48,7 +48,7 @@ def stirling_ell(ctx, order):
         unit_fact = unit_fact * u % modulus
         raw = sum(s * w for s, w in zip(row, weight)) * pow(unit_fact, -1, modulus)
         coeffs.append(PadicScalar._make(ctx, -vfact, raw, target))
-    return TruncatedSeries(ctx, coeffs)
+    return TruncatedSeries.from_scalars(ctx, coeffs)
 
 
 def ode_iota(ell):
@@ -76,7 +76,7 @@ def ode_iota(ell):
     for m in range(1, order + 1):
         vloss += vp(m, p) if m % p == 0 else 0
         coeffs.append(PadicScalar._make(ctx, 0, u[m], base - vloss))
-    return TruncatedSeries(ctx, coeffs)
+    return TruncatedSeries.from_scalars(ctx, coeffs)
 
 
 def definition_oracle_coefficients(p, order, digits):
@@ -358,7 +358,7 @@ def test_log_at_points_measures_the_defining_sum(honda3, ctx3):
     # ell_2 + 3^5 moves ell(3) and ell(12) by 3^7
     coeffs = list(honda3.ell.coeffs)
     coeffs[2] = coeffs[2] + 3**5
-    assert log_at_points(TruncatedSeries(ctx3, coeffs)) == 7
+    assert log_at_points(TruncatedSeries.from_scalars(ctx3, coeffs)) == 7
 
 
 def _searched_truncation(p, n, prec):

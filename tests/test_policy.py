@@ -64,7 +64,16 @@ def test_scan_finds_a_literal_tolerance():
 
 
 # the packed (denominator, precision, ints) format and its kernels
-PACKED = {"_pack", "_unpack", "_convolve", "_product_ints", "_compose_ints", "_to_int", "_from_int"}
+PACKED = {
+    "_pack",
+    "_unpack",
+    "_normalise",
+    "_convolve",
+    "_product_ints",
+    "_compose_ints",
+    "_to_int",
+    "_from_int",
+}
 VECTOR_MODULES = {"series.py", "cyclotomic.py"}
 
 

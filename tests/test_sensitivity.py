@@ -4,8 +4,9 @@ Each entry adds p^k at one place in one construction, by monkeypatching
 the constructor, and names the checks that must then fail under its
 configuration; every other check keeps its status.  An entry with k above
 every claimed precision must change no status.  The tate entries run the
-tate suite at p = 3, N = 20; the ell, iota, d_n and Hilbert-90 entries
-run every suite at (p, n_max, N) = (3, 2, 12) with four functionals.
+tate suite at p = 3, N = 20; the ell, iota, epsilon, d_n and Hilbert-90
+entries run every suite at (p, n_max, N) = (3, 2, 12) with four
+functionals.
 """
 
 import pytest
@@ -31,7 +32,7 @@ def bump_t(m, k):
         def bumped(ctx, omega, order):
             coeffs = list(solve(ctx, omega, order).coeffs)
             coeffs[m] = coeffs[m] + P**k
-            return TruncatedSeries(ctx, coeffs)
+            return TruncatedSeries.from_scalars(ctx, coeffs)
 
         monkeypatch.setattr(tate, "multiplicative_parameter_series", bumped)
 
@@ -63,7 +64,7 @@ def bump_ell(m, k):
         def bumped(ctx, order):
             coeffs = list(build(ctx, order).coeffs)
             coeffs[m] = coeffs[m] + P**k
-            return TruncatedSeries(ctx, coeffs)
+            return TruncatedSeries.from_scalars(ctx, coeffs)
 
         monkeypatch.setattr(honda, "build_ell", bumped)
 
@@ -81,10 +82,21 @@ def bump_iota(m, k):
             iota, _ = build(ctx, order)
             coeffs = list(iota.coeffs)
             coeffs[m] = coeffs[m] + P**k
-            iota = TruncatedSeries(ctx, coeffs)
+            iota = TruncatedSeries.from_scalars(ctx, coeffs)
             return iota, iota.truncate(min(160, iota.order)).reversion()
 
         monkeypatch.setattr(honda, "build_iota", bumped)
+
+    return patch
+
+
+def bump_epsilon(k):
+    """epsilon + p^k, after the Newton solve: ell(epsilon) = p and every
+    d_n read the perturbed root."""
+
+    def patch(monkeypatch):
+        solve = honda.solve_epsilon
+        monkeypatch.setattr(honda, "solve_epsilon", lambda ell, ctx: solve(ell, ctx) + P**k)
 
     return patch
 
@@ -190,6 +202,13 @@ IOTA_READERS = {
 }
 # a wrong ell also misses its defining sum at the three points
 ELL_READERS = IOTA_READERS | {"honda.log-at-points"}
+# every d_n carries the factor 1 + iota(epsilon), so a wrong epsilon fails
+# every reader of the points that a wrong iota fails, and the level-2
+# trivial zero too; inside the honda suite only ell(epsilon) = p reads it
+EPSILON_READERS = (IOTA_READERS - {"honda.log-of-inverse"}) | {
+    "honda.epsilon-residual",
+    "coleman.trivial-zero[n=2]",
+}
 
 PERTURBATIONS = [
     ("t_3 + p^5", "tate", bump_t(3, 5), {"tate.formal-group-identification"}),
@@ -199,6 +218,9 @@ PERTURBATIONS = [
     ("iota_2 + p^5", "tower", bump_iota(2, 5), IOTA_READERS),
     # ell_400 x^400 at the smallest point valuation 1/18 has valuation 25
     ("ell_400 + p^3", "tower", bump_ell(400, 3), set()),
+    ("epsilon + p^5", "tower", bump_epsilon(5), EPSILON_READERS),
+    # epsilon is solved to wprec - 2 = 34 digits, so p^30 does move it
+    ("epsilon + p^30", "tower", bump_epsilon(30), set()),
     ("d_2[3] + p^5", "tower", bump_d(2, 3, 5), D2_READERS),
     ("d_2[3] + p^30", "tower", bump_d(2, 3, 30), set()),
     ("e_1 + 1", "tower", bump_h90(1, shift_e=1), E1_READERS),

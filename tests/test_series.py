@@ -37,7 +37,7 @@ def binomial_power(a, order):
     for m in range(1, order + 1):
         c = c * (a - (m - 1)) / m
         out.append(c)
-    return TruncatedSeries(ctx, out)
+    return TruncatedSeries.from_scalars(ctx, out)
 
 
 def series_residual(a, b):
@@ -72,7 +72,7 @@ def series_exp(f):
             if not dcoeffs[j].is_zero:
                 s = s + dcoeffs[j] * out[m - j]
         out.append(s / (m + 1))
-    return TruncatedSeries(ctx, out)
+    return TruncatedSeries.from_scalars(ctx, out)
 
 
 def schoolbook_ints(a, b, n):
@@ -104,7 +104,7 @@ def schoolbook_mul(f, g):
     order = max(f.order, g.order)
     d, e, ints = schoolbook_convolve(f.ctx, _pack(f.coeffs), _pack(g.coeffs), order)
     ints += [0] * (order + 1 - len(ints))
-    return TruncatedSeries(f.ctx, _unpack(f.ctx, d, e, ints))
+    return TruncatedSeries.from_scalars(f.ctx, _unpack(f.ctx, d, e, ints))
 
 
 def horner_compose(f, g):
@@ -125,7 +125,7 @@ def horner_compose(f, g):
         acc = (d, e, ints)
     d, e, ints = acc
     ints += [0] * (order + 1 - len(ints))
-    return TruncatedSeries(ctx, _unpack(ctx, d, e, ints[: order + 1]))
+    return TruncatedSeries.from_scalars(ctx, _unpack(ctx, d, e, ints[: order + 1]))
 
 
 def newton_reversion(f):
@@ -134,7 +134,7 @@ def newton_reversion(f):
     ctx = f.ctx
     c1 = f.coeff(1)
     df = f.derivative()
-    g = TruncatedSeries(ctx, [ctx.zero(c1.absprec), c1.inverse()])
+    g = TruncatedSeries.from_scalars(ctx, [ctx.zero(c1.absprec), c1.inverse()])
     reached = 1
     while reached < f.order:
         reached = min(2 * reached, f.order)
@@ -161,7 +161,7 @@ def row_reversion(f):
         _extend_power_rows(rows, m, mod)
         s = sum(fi[j] * rows[j][m] for j in range(2, m + 1))
         rows[1].append(-g1 * s % mod)
-    return TruncatedSeries(ctx, [PadicScalar._make(ctx, 0, c, prec) for c in rows[1]])
+    return TruncatedSeries.from_scalars(ctx, [PadicScalar._make(ctx, 0, c, prec) for c in rows[1]])
 
 
 def scalar_reciprocal(f):
@@ -175,7 +175,7 @@ def scalar_reciprocal(f):
         for j in range(1, m + 1):
             s = s + f.coeff(j) * out[m - j]
         out.append(-s * inv0)
-    return TruncatedSeries(f.ctx, out)
+    return TruncatedSeries.from_scalars(f.ctx, out)
 
 
 def scalar_formal_log(ctx, a4, a6, order):
@@ -202,8 +202,8 @@ def scalar_formal_log(ctx, a4, a6, order):
             for i in range(3, m + 1):
                 acc = acc + w[i] * sq[m + 6 - i]
             cube[m + 6] = acc
-    big_w = TruncatedSeries(ctx, w[3:])
-    num = big_w.scale(2) + TruncatedSeries(ctx, (zero,) + big_w.derivative().coeffs)
+    big_w = TruncatedSeries.from_scalars(ctx, w[3:])
+    num = big_w.scale(2) + TruncatedSeries.from_scalars(ctx, (zero,) + big_w.derivative().coeffs)
     two_minus_t = TruncatedSeries.from_rationals(ctx, [2, -1] + [0] * (order - 1), absprec)
     omega = num * scalar_reciprocal(big_w) * scalar_reciprocal(two_minus_t)
     omega = omega.truncate(order - 1)
@@ -222,7 +222,7 @@ def _seeded_series(ctx, rng, order, inner=False, denominators=()):
             continue
         x = Fraction(rng.randrange(ctx.p**12), ctx.p ** dict(denominators).get(i, 0))
         coeffs.append(ctx.scalar(x, absprec))
-    return TruncatedSeries(ctx, coeffs)
+    return TruncatedSeries.from_scalars(ctx, coeffs)
 
 
 def test_binomial_power_one():
@@ -455,7 +455,7 @@ def test_power_rows_match_oracles_on_seeded_series(p):
         assert _digits(f.compose(g)) == _digits(horner_compose(f, g))
     for order in (2, 7, 15, 40):
         f = _seeded_series(ctx, rng, order, inner=True)
-        f = TruncatedSeries(ctx, (f.coeffs[0], ctx.scalar(1 + p * rng.randrange(p**4))) + f.coeffs[2:])
+        f = TruncatedSeries.from_scalars(ctx, (f.coeffs[0], ctx.scalar(1 + p * rng.randrange(p**4))) + f.coeffs[2:])
         want = _digits(row_reversion(f))
         assert _digits(newton_reversion(f)) == want
         assert _digits(f.reversion()) == want
@@ -527,7 +527,7 @@ def test_compose_matches_horner_around_the_block_size(p):
     ctx = PrimeContext(p, 12)
     rng = random.Random(30 + p)
     sparse = TruncatedSeries.from_rationals(ctx, [0, p, 0, 0, 1, 0, 0, 0, 0, 2 * p])
-    tailed = TruncatedSeries(ctx, _seeded_series(ctx, rng, 6, inner=True).coeffs + (ctx.zero(),) * 20)
+    tailed = TruncatedSeries.from_scalars(ctx, _seeded_series(ctx, rng, 6, inner=True).coeffs + (ctx.zero(),) * 20)
     for length in (15, 16, 17, 24, 25, 26):
         f = _seeded_series(ctx, rng, length - 1, denominators={length // 2: 1})
         for g in (

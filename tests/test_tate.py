@@ -37,14 +37,14 @@ def compose_oracle_parameter_series(ctx, omega, order):
     zero = ctx.zero(absprec)
     t = [zero, ctx.one(absprec)]
     for m in range(2, order + 1):
-        F = omega.truncate(m - 1).compose(TruncatedSeries(ctx, t))
+        F = omega.truncate(m - 1).compose(TruncatedSeries.from_scalars(ctx, t))
         s = zero
         for i in range(1, m):
             g_i = F.coeff(i) + F.coeff(i - 1)
             if not g_i.is_zero:
                 s = s + g_i * (m - i) * t[m - i]
         t.append(-s / m)
-    return TruncatedSeries(ctx, t)
+    return TruncatedSeries.from_scalars(ctx, t)
 
 
 def scalar_parameter_series(ctx, omega, order):
@@ -82,7 +82,7 @@ def scalar_parameter_series(ctx, omega, order):
             )
         t.append(tm)
         ti.append(tm.lift())
-    return TruncatedSeries(ctx, t)
+    return TruncatedSeries.from_scalars(ctx, t)
 
 
 def scalar_sk_value(k, q):
