@@ -3,15 +3,22 @@
 An element is one integer vector over the power basis zeta^0..zeta^(d-1),
 d = p^n (p-1), with one denominator exponent and one absolute precision;
 each operation follows the per-coordinate ``PadicScalar`` rule, cut to the
-least coordinate precision.  Its coordinates are a view.  The n-th layer
-k_n of the Z_p-extension is the subspace fixed by Delta = mu_{p-1},
-coordinatised by powers of the canonical uniformizer pi_n.
+least coordinate precision.  Its coordinates are a view.  Every product
+in K_n is one ``CycloField._product``: one multiply of the packed
+integers and the fold by zeta^(p^(n+1)) = 1 and the cyclotomic relation
+on the product int.  Power series are summed at an element by baby steps
+and giant steps (``CycloField._evaluate``), about 2 sqrt(M) products for
+M terms; inverses are Newton's iteration, about 2 log2(d A) products at
+absprec A.  The n-th layer k_n of the Z_p-extension is the subspace fixed
+by Delta = mu_{p-1}, coordinatised by powers of the canonical uniformizer
+pi_n.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from math import isqrt
 from operator import add, mul
 
 from .core import (
@@ -25,7 +32,17 @@ from .core import (
     split_p,
     vp,
 )
-from .series import PackedVector, TruncatedSeries, _convolve, _normalise, _pack, _unpack
+from .series import (
+    PackedVector,
+    TruncatedSeries,
+    _block_sums,
+    _from_int,
+    _normalise,
+    _pack,
+    _product_scale,
+    _to_int,
+    _unpack,
+)
 
 
 class CycloField:
@@ -105,11 +122,67 @@ class CycloField:
         )
 
     def _product(self, A, B):
-        """The packed product of two triples, reduced mod p^e: the one
-        kernel of ``__mul__``, ``__pow__``, the unit log and eval_series."""
-        d, e, conv = _convolve(A, B, 2 * self.degree - 2)
+        """The packed product of two triples, reduced mod p^e, at
+        ``series._product_scale``'s scale and precision: the one kernel of
+        every product in K_n.
+
+        One multiply and a fold on the product int.  Both operands are
+        packed into w-byte slots (a squaring packs once) and multiplied.
+        The slots at and past p^(n+1) are added onto the low ones
+        (zeta^(p^(n+1)) = 1), so each of the p^(n+1) slots left sums at
+        most min(len) products of two entries, below 2^B.  The top p^n
+        slots T stand for zeta^(d+r) = -(zeta^r + zeta^(r+p^n) + ... +
+        zeta^(r+(p-2)p^n)): the bytes of T, repeated p - 1 times, are
+        subtracted from the d low slots, after one multiple of p^e at or
+        above 2^B is added to every slot, so that none goes negative and
+        none reaches 2^(8w) (w is sized for 2^(B+1) + p^e).  Then d slots
+        are read back and reduced mod p^e: the residues of the schoolbook
+        product folded by the cyclotomic relation.
+        """
+        D, e = _product_scale(A, B)
         m = self.ctx.pk(e)
-        return d, e, [c % m for c in self._fold(conv, 1)]
+        a, b = A[2], B[2]
+        p, deg = self.ctx.p, self.degree
+        bound = max(a).bit_length() + max(b).bit_length() + min(len(a), len(b)).bit_length()
+        w = (max(bound + 2, m.bit_length() + 1) + 7) // 8
+        x = _to_int(a, w)
+        x *= x if a is b else _to_int(b, w)
+        cut = 8 * w * self.modulus_order
+        x = (x & ((1 << cut) - 1)) + (x >> cut)
+        cut = 8 * w * deg
+        offset = (m << max(0, bound + 1 - m.bit_length())).to_bytes(w, "little")
+        top = (x >> cut).to_bytes(w * p**self.n, "little")
+        x = (
+            (x & ((1 << cut) - 1))
+            + int.from_bytes(offset * deg, "little")
+            - int.from_bytes(top * (p - 1), "little")
+        )
+        return D, e, [c % m for c in _from_int(x, w, deg)]
+
+    def _evaluate(self, coeffs, x, e):
+        """sum coeffs[i] x^i mod p^e, for the ints x of an integral
+        element and non-negative coeffs, by Paterson and Stockmeyer's baby
+        steps and giant steps (SIAM J. Comput. 2, 1973).
+
+        With L = len(coeffs) and k = isqrt(L): the baby steps x^2 .. x^k
+        cost k - 1 products, the block sums sum_(j<k) c_(ik+j) x^j are
+        formed on big ints by ``series._block_sums``, and Horner in x^k
+        costs ceil(L/k) - 1 products: about 2 sqrt(L) in all, against L
+        for Horner in x.  Every product is reduced mod p^e, which is exact
+        for residues mod p^e: the result is the term-by-term sum's.
+        """
+        m = self.ctx.pk(e)
+        k = max(1, isqrt(len(coeffs)))
+        baby = [[1] + [0] * (self.degree - 1), [c % m for c in x]]
+        for _ in range(k - 1):
+            baby.append(self._product((0, e, baby[-1]), (0, e, baby[1]))[2])
+        giant = baby.pop()
+        blocks = _block_sums([c % m for c in coeffs], baby, m, self.degree)
+        acc = blocks.pop()
+        while blocks:
+            acc = self._product((0, e, acc), (0, e, giant))[2]
+            acc = [(c + t) % m for c, t in zip(acc, blocks.pop())]
+        return acc
 
     def _fold(self, ints, a: int):
         """sum_j ints[j] zeta^(a j) in the power basis, unreduced."""
@@ -201,16 +274,25 @@ class CycloElement(PackedVector):
         return u, s, m
 
     def inverse(self) -> "CycloElement":
-        """x^(-1) = (zeta-1)^s u^((p-1)p^K - 1) / p^m for the peel (u, s, m)
-        of x, K = n + the absprec A of u: u^(p-1) lies in U^1_n, where
-        y^(p^K) = 1 mod p^(K-n), so the power is u^(-1) mod p^A.  Returned
-        only when x x^(-1) - 1 reaches identity_floor (else
-        PrecisionError)."""
+        """x^(-1) = (zeta-1)^s u^(-1) / p^m for the peel (u, s, m) of x.
+
+        u^(-1) mod p^A, A the absprec of u, is Newton's iteration
+        y <- y (2 - u y) from the inverse of u's residue: 1 - u y starts at
+        valuation >= 1/d and squares at each step, so ceil(log2(d A))
+        steps, two products each, take it to p^A, where the inverse is
+        unique.  Returned only when x x^(-1) - 1 reaches identity_floor
+        (else PrecisionError)."""
         f = self.field
         p = self.ctx.p
         u, s, m = self.peel()
-        K = f.n + u.absprec
-        inv = u ** ((p - 1) * p**K - 1) * (f.zeta() - f.one()) ** s
+        _, a, _ = u.packed
+        mod = self.ctx.pk(a)
+        y = [pow(u.residue(), -1, mod)] + [0] * (f.degree - 1)
+        for _ in range((f.degree * a - 1).bit_length()):
+            t = [-c % mod for c in f._product(u.packed, (0, a, y))[2]]
+            t[0] = (t[0] + 2) % mod
+            y = f._product((0, a, y), (0, a, t))[2]
+        inv = CycloElement(f, 0, a, y) * (f.zeta() - f.one()) ** s
         inv = inv.scale(Fraction(p) ** -m)
         resid = (self * inv - 1).min_valuation()
         if resid < self.ctx.identity_floor:
@@ -492,12 +574,15 @@ class CycloTower:
         """log on units, on y's packed vector (0, A, ints).
 
         The Teichmuller strip multiplies by omega^(-1) mod p^E, E = min(A,
-        wprec), and p-powerings contract y into 1 + pO.  In log(1 + h) =
-        sum (-1)^(k-1) h^k/k every h^k is known to p^E, and term k is h^k
-        times the inverse of k's unit part over p^(v_p(k)): the accumulator
-        keeps the largest v_p(k) so far as its denominator exponent.  1/p^j
-        is a denominator shift, and the result is cut to absprec
-        E - log_p(kmax + 1) - j, the bound on the skipped tail's 1/k.
+        wprec), and j p-powerings (about log2(p) products each) contract y
+        into 1 + pO.  In log(1 + h) = sum_(k<=kmax) (-1)^(k-1) h^k/k every
+        h^k is known to p^E; over the common denominator p^D,
+        D = floor(log_p kmax), term k's coefficient is p^(D - v_p(k)) times
+        the inverse of k's unit part, and the sum is one ``_evaluate``,
+        about 2 sqrt(kmax) products.  1/p^j is a denominator shift, and
+        the result is cut to absprec E - log_p(kmax + 1) - j, the bound on
+        the skipped tail's 1/k; as D <= log_p(kmax + 1), the digits the
+        common denominator moves lie above it.
         """
         ctx = self.ctx
         p = ctx.p
@@ -523,29 +608,27 @@ class CycloTower:
         # log(1+h) with v(h) >= 1: term k has valuation >= k v(h) - v_p(k)
         vh = min((vp(c, p) for c in h if c), default=target)
         kmax = (target + 8) // vh + 4
-        acc_d, acc = 0, [0] * field.degree
-        power = h
+        denom = _log_floor(kmax, p)
+        coeffs = [0]
         for k in range(1, kmax + 1):
             vk, uk = split_p(k, p)
-            if vk > acc_d:
-                shift = ctx.pk(vk - acc_d)
-                acc = [a * shift for a in acc]
-                acc_d = vk
-            c = pow(uk, -1, m) * ctx.pk(acc_d - vk)
-            if k % 2 == 0:
-                c = -c
-            acc = [(a + c * t) % m for a, t in zip(acc, power)]
-            if not any(power):
-                break
-            power = field._product((0, target, power), (0, target, h))[2]
+            c = pow(uk, -1, m) * ctx.pk(denom - vk)
+            coeffs.append(-c % m if k % 2 == 0 else c)
+        acc = field._evaluate(coeffs, h, target)
         # the skipped tail is below target only up to the 1/k denominators
         floor = _log_floor(kmax + 1, p)
-        return CycloElement(field, acc_d + j, target - floor + acc_d, acc)
+        return CycloElement(field, denom + j, target - floor + denom, acc)
 
     # -- series evaluation ----------------------------------------------------------------
 
     def eval_series(self, f: TruncatedSeries, x: CycloElement) -> CycloElement:
-        """sum f_m x^m with the truncation adequacy check M v(x) >= prec."""
+        """sum f_m x^m with the truncation adequacy check M v(x) >= prec.
+
+        x is integral, so the sum keeps f's denominator exponent D_f and is
+        known to p^E, E = min(E_f, E_x) over that scale, as each step of
+        Horner's rule is; the packed f_m are summed by ``_evaluate``, about
+        2 sqrt(M) products, not M.
+        """
         v = x.valuation()
         if v is None:
             return x.field.from_scalar(f.coeff(0))
@@ -561,15 +644,8 @@ class CycloTower:
         field = x.field
         if x.packed[0] != 0:
             raise InvalidInputError("series evaluation needs an integral point")
-        # x is integral, so the accumulator keeps f's denominator exponent
-        # and each packed f_i is added at the same scale
-        denom, e, fi = f.packed
-        acc = (denom, e, [fi[-1]] + [0] * (field.degree - 1))
-        for i in range(f.order - 1, -1, -1):
-            da, ea, ints = field._product(acc, x.packed)
-            ints[0] = (ints[0] + fi[i]) % self.ctx.pk(ea)
-            acc = (da, ea, ints)
-        return CycloElement(field, *acc)
+        denom, e = _product_scale(f.packed, x.packed)
+        return CycloElement(field, denom, e, field._evaluate(f.packed[2], x.packed[2], e))
 
     # -- Gamma-equivariant linear solving ---------------------------------------------------
 

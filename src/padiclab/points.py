@@ -236,21 +236,37 @@ class UnitLogLattice:
 
         Exponents are truncated modulo p^wprec; the discarded part moves
         the unit by a p^(wprec - n - 1)-th power of a principal unit,
-        which is below every claimed precision.
+        which is below every claimed precision.  Straus's multi-
+        exponentiation (Amer. Math. Monthly 71, 1964) shares the squarings:
+        from the top bit down, one squaring of the running product and one
+        product per generator whose exponent has that bit, so about
+        wprec log2(p) squarings in all instead of per generator.  The
+        generators are integral, so every product is known to the least
+        absprec of its factors, and the unit is cut to the least absprec of
+        wprec and of the generators with a nonzero exponent.
         """
         tower = self.tower
         ctx = tower.ctx
         f = tower.field(self.n)
-        acc = f.one()
         cap = ctx.pk(ctx.wprec)
+        absprec = ctx.wprec
+        terms = []
         for i, e in zip(self.generators, exps):
             if e.is_zero:
                 continue
             if e.v < 0:
                 raise InvalidInputError("unit reconstruction needs integral exponents")
             g = f.one() + self._pi_powers[i]
-            acc = acc * g ** (e.lift() % cap)
-        return acc
+            absprec = min(absprec, g.absprec)
+            terms.append((g, e.lift() % cap))
+        acc = None
+        for bit in range(max((k.bit_length() for _, k in terms), default=0) - 1, -1, -1):
+            if acc is not None:
+                acc = acc * acc
+            for g, k in terms:
+                if k >> bit & 1:
+                    acc = g if acc is None else acc * g
+        return f.one(absprec) if acc is None else acc.reduce_absprec(absprec)
 
 
 def _integral(coeffs) -> bool:

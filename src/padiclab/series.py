@@ -55,8 +55,8 @@ def _unpack(ctx, denom, e, ints):
 # 0.99 at length 6 and 1.30 at length 8 for p = 3, and 0.79 and 1.02 for
 # p = 7; with the other operand 200 long it is 1.9 (p = 3) and 1.4 (p = 7)
 # at length 8.  Below it, packing and unpacking every slot costs more than
-# the loop saves: zeta - 1, the Frobenius inner series 3X + 3X^2 + X^3 and
-# elements of the fields of degree 2, 4 and 6 stay on the loop.
+# the loop saves: the Frobenius inner series 3X + 3X^2 + X^3 stays on the
+# loop.
 _KRONECKER_MIN = 8
 
 
@@ -117,19 +117,42 @@ def _from_int(x, w, count):
     return [int.from_bytes(buf[i : i + w], "little") for i in range(0, w * count, w)]
 
 
-def _convolve(a, b, order):
-    """Packed product truncated at ``order``, its ints not yet reduced
-    mod p^e: each caller reduces once, after its own last step."""
-    da, ea, ia = a
-    db, eb, ib = b
+def _product_scale(a, b):
+    """(D, e) of the product of the packed triples a and b: scale
+    D = D_a + D_b, and e = D plus the value precision
+    min(E_a - D_a - D_b, E_b - D_b - D_a)."""
+    da, ea, _ = a
+    db, eb, _ = b
     # error bound: delta_a * |b| <= p^-(ea-da) * p^db and symmetrically
     value_prec = min(ea - da - db, eb - db - da)
     d = da + db
-    e = value_prec + d
-    if e <= 0:
+    if value_prec + d <= 0:
         raise PrecisionError("product below zero precision", achieved=value_prec)
-    n = min(order + 1, len(ia) + len(ib) - 1)
-    return d, e, _product_ints(ia, ib, n)
+    return d, value_prec + d
+
+
+def _convolve(a, b, order):
+    """Packed product truncated at ``order``, its ints not yet reduced
+    mod p^e: each caller reduces once, after its own last step."""
+    d, e = _product_scale(a, b)
+    n = min(order + 1, len(a[2]) + len(b[2]) - 1)
+    return d, e, _product_ints(a[2], b[2], n)
+
+
+def _block_sums(f, rows, mod, slots):
+    """sum_(j<k) f_(ik+j) rows[j] mod ``mod`` for each block i of
+    k = len(rows) coefficients of f, on big ints: every row is packed into
+    one int once, so a block costs k int-by-packed products and one
+    unpack of ``slots`` slots.  f and rows hold residues mod ``mod``, so a
+    slot holds at most k products of two residues."""
+    k = len(rows)
+    w = (2 * (mod - 1).bit_length() + k.bit_length() + 7) // 8
+    packed = [_to_int(row, w) for row in rows]
+    blocks = []
+    for i in range(0, len(f), k):
+        block = sum(c * row for c, row in zip(f[i : i + k], packed) if c)
+        blocks.append([c % mod for c in _from_int(block, w, slots)])
+    return blocks
 
 
 def _compose_ints(f, g, n, mod):
@@ -144,15 +167,7 @@ def _compose_ints(f, g, n, mod):
         prev = baby[-1]
         baby.append([c % mod for c in _product_ints(prev, g, min(n, len(prev) + len(g) - 1))])
     giant = baby.pop()
-    # each block sum_(j<k) f_(ik+j) g^j on big ints: a slot holds at most
-    # k products of two residues
-    w = (2 * (mod - 1).bit_length() + k.bit_length() + 7) // 8
-    packed = [_to_int(row, w) for row in baby]
-    slots = len(baby[-1])
-    blocks = []
-    for i in range(0, len(f), k):
-        block = _from_int(sum(c * row for c, row in zip(f[i : i + k], packed) if c), w, slots)
-        blocks.append([c % mod for c in block])
+    blocks = _block_sums(f, baby, mod, len(baby[-1]))
     # Horner in g^k, one reduction per step
     acc = blocks.pop()
     while blocks:

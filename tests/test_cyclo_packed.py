@@ -5,7 +5,10 @@ rule gives: ``PadicScalar`` arithmetic on the coordinates, cut to their
 least absprec; products, powers and the Galois action by the packed
 convolution on (denominator, precision, ints) triples, here a schoolbook
 loop that shares no code with the product kernel, folded by the
-cyclotomic relation itself.
+cyclotomic relation itself.  The evaluator behind ``eval_series`` and the
+unit logarithm is pinned against Horner's rule and the term-by-term
+logarithm on that loop, and the Newton inverse against the closed-form
+power.
 """
 
 import random
@@ -14,11 +17,12 @@ from math import comb
 
 import pytest
 
-from padiclab import CycloTower, InvalidInputError, PrecisionError, PrimeContext
-from padiclab.core import PadicScalar
+from padiclab import CycloTower, InvalidInputError, PrecisionError, PrimeContext, TruncatedSeries
+from padiclab.core import PadicScalar, _log_floor, split_p, vp
+from padiclab.cyclotomic import CycloElement
 from padiclab.series import _pack, _unpack
 
-CONFIGS = [(3, 1), (5, 1), (7, 1), (3, 2)]
+CONFIGS = [(3, 0), (3, 1), (5, 1), (7, 1), (3, 2)]
 
 
 def _triples(coords):
@@ -145,6 +149,9 @@ def _elements(p, n):
         out.append(f.from_coords(coords))
     z1 = f.zeta() - f.one()
     out += [f.zero(20), z1, z1.scale(Fraction(1, p**2)), f.one() + z1.scale(p)]
+    # tiny entries at high precision: the product's slots are sized by
+    # p^e, not by the entries
+    out.append(f.zeta(60))
     # a product whose denominator p^2 cancels, and a base whose square
     # (zeta-1)^(2d-2)/p^4 has every coordinate divisible by p
     out += [z1.scale(Fraction(1, p**2)) * p**2, (z1 ** (f.degree - 1)).scale(Fraction(1, p**2))]
@@ -258,3 +265,151 @@ def test_vector_operations_make_no_scalars(p, n, monkeypatch):
     assert calls == []
     x.coords  # the view is where scalars are made
     assert len(calls) == f.degree
+
+
+# -- the evaluator, the unit logarithm and the inverse ----------------------
+
+
+def _horner(f, series, x):
+    """Test-only oracle: sum f_i x^i by Horner's rule on the schoolbook
+    product of packed triples, for the triples series = (D, e, f_i) and
+    x; returns the sum's triple."""
+    denom, e, fi = series
+    acc = (denom, e, [fi[-1] % f.ctx.pk(e)] + [0] * (f.degree - 1))
+    for c in reversed(fi[:-1]):
+        d, e, ints = _product(f, acc, x)
+        ints[0] = (ints[0] + c) % f.ctx.pk(e)
+        acc = (d, e, ints)
+    return acc
+
+
+def _integral(f, rng, v, absprec):
+    """A seeded element of valuation >= v, its coordinates known to
+    absprec."""
+    ctx = f.ctx
+    span = ctx.pk(absprec)
+    return f.from_coords([ctx.scalar(rng.randrange(span) * ctx.pk(v), absprec) for _ in range(f.degree)])
+
+
+# lengths 1, 2, perfect squares and perfect squares + 1
+LENGTHS = (1, 2, 16, 17, 25, 26)
+
+
+@pytest.mark.parametrize("p, n", CONFIGS)
+def test_evaluate_matches_horner(p, n):
+    _, f, rng, xs = _elements(p, n)
+    e = 30
+    m = f.ctx.pk(e)
+    points = [x.packed[2] for x in xs if x.packed[0] == 0]
+    for length in LENGTHS:
+        coeffs = [rng.randrange(m) if rng.randrange(4) else 0 for _ in range(length)]
+        for x in points:
+            assert f._evaluate(coeffs, x, e) == _horner(f, (0, e, coeffs), (0, e, x))[2]
+
+
+@pytest.mark.parametrize("p, n", CONFIGS)
+def test_eval_series_matches_horner(p, n):
+    tower, f, rng, _ = _elements(p, n)
+    ctx = tower.ctx
+    checked = 0
+    for length in LENGTHS:
+        # coefficients with denominators up to p^2, zeros and ragged absprecs
+        series = TruncatedSeries.from_scalars(
+            ctx,
+            [
+                ctx.scalar(Fraction(rng.randrange(p**20), p ** rng.randrange(3)), 14 + rng.randrange(12))
+                if rng.randrange(4)
+                else ctx.zero(30)
+                for _ in range(length)
+            ],
+        )
+        # v(x) >= 13 makes one term enough, v(x) >= 1 thirteen
+        for x in (_integral(f, rng, 13, 40), _integral(f, rng, 1, 20), _integral(f, rng, 1, 40)):
+            thunk = lambda: tower.eval_series(series, x).coords  # noqa: E731
+            if x.valuation() is not None and series.order < int(ctx.prec / x.valuation()) + 1:
+                with pytest.raises(PrecisionError):
+                    thunk()
+                continue
+            expected = CycloElement(f, *_horner(f, series.packed, x.packed)).coords
+            assert _outcome(thunk) == _triples(expected)
+            checked += 1
+    assert checked >= 10
+
+
+def _term_log_unit(tower, y):
+    """Test-only oracle: the unit log summed term by term on the schoolbook
+    product, its denominator raised to the largest v_p(k) so far and the
+    sum stopped at the first power of h that vanishes mod p^E."""
+    ctx = tower.ctx
+    p = ctx.p
+    field = y.field
+    r = y.residue()
+    _, a, ints = y.packed
+    target = min(a, ctx.wprec)
+    m = ctx.pk(target)
+    winv = pow(ctx.teichmuller_int(r, a), -1, m)
+    y = CycloElement(field, 0, target, [c * winv for c in ints])
+    j = 0
+    while (y.packed[2][0] - 1) % p or any(c % p for c in y.packed[2][1:]):
+        y = y**p
+        j += 1
+    h = list(y.packed[2])
+    h[0] = (h[0] - 1) % m
+    vh = min((vp(c, p) for c in h if c), default=target)
+    kmax = (target + 8) // vh + 4
+    acc_d, acc, power = 0, [0] * field.degree, h
+    for k in range(1, kmax + 1):
+        vk, uk = split_p(k, p)
+        if vk > acc_d:
+            acc = [c * ctx.pk(vk - acc_d) for c in acc]
+            acc_d = vk
+        c = pow(uk, -1, m) * ctx.pk(acc_d - vk) * (-1) ** (k - 1)
+        acc = [(x + c * t) % m for x, t in zip(acc, power)]
+        if not any(power):
+            break
+        power = _product(field, (0, target, power), (0, target, h))[2]
+    floor = _log_floor(kmax + 1, p)
+    return CycloElement(field, acc_d + j, target - floor + acc_d, acc).coords
+
+
+@pytest.mark.parametrize("p, n", [(3, 2), (7, 1)])
+def test_log_unit_matches_term_by_term_oracle(p, n):
+    tower, f, rng, _ = _elements(p, n)
+    ctx = tower.ctx
+    units = [f.one() + _integral(f, rng, k, ctx.wprec + 2) for k in (1, 2, 7, 20)]
+    for _ in range(3):
+        y = _integral(f, rng, 0, ctx.wprec)
+        units.append(y + (rng.randrange(1, p) - y.residue()) % p)
+    z1 = f.zeta() - f.one()
+    units.append((z1**f.degree).scale(Fraction(1, p)))
+    for y in units:
+        assert y.residue()
+        assert _triples(tower._log_unit(y).coords) == _triples(_term_log_unit(tower, y))
+
+
+def _closed_form_inverse(x):
+    """Test-only oracle: x^(-1) = (zeta-1)^s u^((p-1)p^K - 1) / p^m for the
+    peel (u, s, m) of x, K = n + the absprec A of u: u^(p-1) lies in
+    U^1_n, where y^(p^K) = 1 mod p^(K-n), so the power is u^(-1) mod p^A.
+    Refused as ``inverse`` refuses, when x x^(-1) - 1 misses
+    identity_floor."""
+    f, p = x.field, x.ctx.p
+    u, s, m = x.peel()
+    inv = u ** ((p - 1) * p ** (f.n + u.absprec) - 1) * (f.zeta() - f.one()) ** s
+    inv = inv.scale(Fraction(p) ** -m)
+    if (x * inv - 1).min_valuation() < x.ctx.identity_floor:
+        raise PrecisionError("not an inverse at identity_floor")
+    return inv.coords
+
+
+@pytest.mark.parametrize("p, n", CONFIGS)
+def test_inverse_matches_closed_form_power(p, n):
+    _, f, rng, xs = _elements(p, n)
+    z1 = f.zeta() - f.one()
+    xs = xs + [_integral(f, rng, 0, 30) * z1 ** rng.randrange(2 * f.degree) for _ in range(4)]
+    inverted = 0
+    for x in xs:
+        expected = _outcome(lambda: _closed_form_inverse(x))
+        assert _outcome(lambda: x.inverse().coords) == expected
+        inverted += isinstance(expected, list)
+    assert inverted >= 4

@@ -7,16 +7,22 @@ other than 3 and a non-default generator.  Both were re-recorded when ell
 came to be known to wprec (honda.epsilon-residual reads wprec) and
 gained the honda.log-at-points check.  (3, 0, 80) with the tate and mtt
 suites pins the Tate layer at the formal-tate workload's precision; it
-was recorded before series came to be held as packed integer vectors."""
+was recorded before series came to be held as packed integer vectors.
+(7, 1, 12) pins p = 7, whose field product folds the top block onto
+p - 1 = 6 lower ones; it was recorded before the product became one
+multiply and a fold on the packed integers.  The golden (3, 2, 12) run
+also bounds the number of K_n products, which no report shows."""
 
 from pathlib import Path
 
+from padiclab import cyclotomic
 from padiclab.runner import SuiteConfig, emit_report, run_suite
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "report_p3n2_N12_seed0.json"
 GOLDEN_P5 = DATA / "report_p5n1_N12_k11_seed0.json"
 GOLDEN_TATE = DATA / "report_p3n0_N80_tate_mtt_seed0.json"
+GOLDEN_P7 = DATA / "report_p7n1_N12_seed0.json"
 
 
 def test_report_matches_golden_bytes():
@@ -36,3 +42,21 @@ def test_report_matches_golden_bytes_tate_n80():
     report = run_suite(SuiteConfig(p=3, n_max=0, prec=80, suites=("tate", "mtt")))
     assert report.summary()["fail"] == 0
     assert emit_report(report) == GOLDEN_TATE.read_bytes()
+
+
+def test_report_matches_golden_bytes_p7():
+    report = run_suite(SuiteConfig(p=7, n_max=1, prec=12, n_functionals=4))
+    assert report.summary()["fail"] == 0
+    assert emit_report(report) == GOLDEN_P7.read_bytes()
+
+
+def test_golden_config_product_count(monkeypatch):
+    # 5233 K_n products before the evaluator, the shared squarings of u_n
+    # and the Newton inverse; Horner in eval_series alone would pass 2616
+    calls = []
+    product = cyclotomic.CycloField._product
+    monkeypatch.setattr(
+        cyclotomic.CycloField, "_product", lambda self, a, b: calls.append(1) or product(self, a, b)
+    )
+    run_suite(SuiteConfig(p=3, n_max=2, prec=12, n_functionals=4))
+    assert len(calls) <= 2616

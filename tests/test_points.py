@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from padiclab import (
+    InvalidInputError,
     PrecisionError,
     PropertyFailure,
     closed_form_log,
@@ -291,3 +293,49 @@ def test_h90_class_test_contract(fam3, monkeypatch, c, error, match):
     monkeypatch.setattr(UnitLogLattice, "coords", lambda self, y: [ctx.scalar(c)] * self.dim)
     with pytest.raises(error, match=match):
         solve_h90(fam3, 1)
+
+
+def _power_per_generator(lattice, exps):
+    """Test-only oracle: prod (1 + pi^i)^(e_i) with one power per
+    generator, each exponent reduced mod p^wprec."""
+    tower = lattice.tower
+    ctx = tower.ctx
+    f = tower.field(lattice.n)
+    acc = f.one()
+    for i, e in zip(lattice.generators, exps):
+        if e.is_zero:
+            continue
+        if e.v < 0:
+            raise InvalidInputError("unit reconstruction needs integral exponents")
+        acc = acc * (f.one() + lattice._pi_powers[i]) ** (e.lift() % ctx.pk(ctx.wprec))
+    return acc
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_unit_from_exponents_matches_one_power_per_generator(fam3n2, level):
+    lattice = fam3n2.lattice(level)
+    ctx = lattice.tower.ctx
+    rng = random.Random(level)
+    ngen = len(lattice.generators)
+    zeros = [ctx.zero()] * ngen
+    ints = [rng.randrange(ctx.pk(ctx.wprec)) for _ in range(ngen)]
+    rand = [ctx.scalar(k) for k in ints]
+    # an exponent that vanishes mod p^wprec but is not zero at its precision
+    wrapped = ctx.scalar(ctx.pk(ctx.wprec), ctx.wprec + 5)
+    cases = [
+        zeros,
+        [ctx.scalar(5)] + zeros[1:],
+        zeros[:-1] + [rand[-1]],
+        [wrapped] + zeros[1:],
+        [wrapped] + rand[1:],
+        rand,
+        [ctx.scalar(k, 20) for k in ints],
+    ]
+    for exps in cases:
+        got = lattice.unit_from_exponents(exps)
+        expected = _power_per_generator(lattice, exps)
+        assert [(c.v, c.unit, c.absprec) for c in got.coords] == [
+            (c.v, c.unit, c.absprec) for c in expected.coords
+        ]
+    with pytest.raises(InvalidInputError):
+        lattice.unit_from_exponents([ctx.scalar(Fraction(1, 3))] + zeros[1:])

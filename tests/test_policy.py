@@ -69,7 +69,9 @@ PACKED = {
     "_unpack",
     "_normalise",
     "_convolve",
+    "_product_scale",
     "_product_ints",
+    "_block_sums",
     "_compose_ints",
     "_to_int",
     "_from_int",
