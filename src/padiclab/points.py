@@ -339,8 +339,13 @@ class H90Solution:
 
     @cached_property
     def norm_x(self) -> PadicScalar:
-        """N_{k_n/Q_p}(x_n)."""
-        return self.tower.norm_kn_to_qp(self.x_n)
+        """N_{k_n/Q_p}(x_n) = N(u_n) N(pi_n)^e.  N(u_n) is a unit and
+        N(pi_n) has valuation 1, so the product keeps their relative
+        precision at any e; the norm of x_n itself is zero at its precision
+        once e reaches the absprec of x_n."""
+        tower = self.tower
+        norm_pi = tower.norm_kn_to_qp(tower.uniformizer(self.n))
+        return tower.norm_kn_to_qp(self.u_n) * norm_pi**self.e
 
     @cached_property
     def log_norm_x(self) -> PadicScalar:

@@ -343,7 +343,7 @@ def test_trace_type_family_is_compatible_but_not_global(fam3n2, tower3n2):
 
 def test_level_inputs_are_computed_once(monkeypatch):
     # the abel and dcol batteries read log x_n and N(x_n) from the solution;
-    # each runs once per level, and each Gauss sum is built once
+    # each is computed once per level, and each Gauss sum is built once
     from padiclab import points
     from padiclab.coleman import CharacterData
     from padiclab.cyclotomic import CycloTower
@@ -381,8 +381,12 @@ def test_level_inputs_are_computed_once(monkeypatch):
     assert report.summary()["fail"] == 0
     assert [s.n for s in sols] == [1, 2]
     for sol in sols:
-        for calls in args.values():
-            assert sum(x is sol.x_n for x in calls) == 1
+        assert sum(x is sol.x_n for x in args["log_element"]) == 1
+        # N(x_n) is N(u_n) N(pi_n)^e: u_n's norm is taken once for the
+        # certificate and once for N(x_n), and x_n's never
+        norms = args["norm_kn_to_qp"]
+        assert sum(x is sol.u_n for x in norms) == 2
+        assert not any(x is sol.x_n for x in norms)
     primitive = {(n, a) for n in (1, 2) for a in range(1, 3**n) if a % 3}
     assert builds == {(n, a): 2 * 3**n for n, a in primitive}
 

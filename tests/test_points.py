@@ -6,6 +6,7 @@ import pytest
 from padiclab import (
     InvalidInputError,
     PrecisionError,
+    PrimeContext,
     PropertyFailure,
     closed_form_log,
     solve_h90,
@@ -16,7 +17,7 @@ from padiclab import (
 )
 from padiclab import cyclotomic, points
 from padiclab.cyclotomic import CycloTower
-from padiclab.points import UnitLogLattice, verify_two_routes
+from padiclab.points import H90Solution, UnitLogLattice, verify_two_routes
 from padiclab.runner import SuiteConfig, run_suite
 
 
@@ -177,6 +178,18 @@ def test_h90_decomposition_shape(sol3, tower3, fam3):
     assert sol3.u_n.residue() == 1
     lhs = tower3.gamma_apply(sol3.x_n) / sol3.x_n
     assert (lhs - fam3.d[1]).min_valuation() >= tower3.ctx.prec - 4
+
+
+def test_norm_x_keeps_its_digits_past_the_working_precision():
+    # x = pi^40 at (3, 1, 12): e = 40 exceeds wprec = 36, so the norm of x
+    # itself is zero at its precision; N(u) N(pi)^e keeps 35 digits
+    tower = CycloTower(PrimeContext(3, 12), 1)
+    u = tower.field(1).one()
+    x = tower.uniformizer(1) ** 40 * u
+    sol = H90Solution(tower, 1, 40, u, x, Fraction(0), Fraction(0))
+    assert tower.norm_kn_to_qp(x).is_zero
+    assert (sol.norm_x.v, sol.norm_x.unit, sol.norm_x.absprec) == (40, 1, 75)
+    assert sol.log_norm_x.is_zero
 
 
 def test_h90_level_zero_degenerate(fam3):

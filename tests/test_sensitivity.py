@@ -142,8 +142,9 @@ def bump_h90(n, shift_e=0, j=0, k=None):
     return patch
 
 
-# the class e_1 is read only by the exponent congruences
-E1_READERS = {"prop2.congruence[n=1]", "prop2.e1-class"}
+# the class e_1 is read by the exponent congruences and, through
+# N(x_1) = N(u_1) N(pi_1)^(e_1), by the derivative congruence
+E1_READERS = {"prop2.congruence[n=1]", "prop2.e1-class", "coleman.derivative-congruence[n=1]"}
 # a wrong u_1 fails the certificate, so every reader of the level-1
 # solution fails with it
 H90_1_READERS = E1_READERS | {
