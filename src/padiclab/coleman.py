@@ -24,6 +24,7 @@ from .core import (
 )
 from .cyclotomic import CycloElement, CycloTower
 from .points import H90Solution, PointFamily
+from .series import PackedVector
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,7 @@ class UnitFunctional:
         ctx = tower.ctx
         span = ctx.pk(ctx.prec)
         coords = [rng.randrange(span) for _ in range(ctx.p**n)]
-        top = tower.from_pi_coords(n, coords)
+        top = tower.from_pi_coords(n, PackedVector(ctx, 0, ctx.wprec, coords))
         return cls.from_top_density(tower, top, q)
 
     @classmethod

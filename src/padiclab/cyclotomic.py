@@ -37,11 +37,8 @@ from .series import (
     TruncatedSeries,
     _block_sums,
     _from_int,
-    _normalise,
-    _pack,
     _product_scale,
     _to_int,
-    _unpack,
 )
 
 
@@ -97,11 +94,6 @@ class CycloField:
         ints = [0] * self.degree
         ints[0] = s.unit * self.ctx.pk(s.v + denom)
         return CycloElement(self, denom, s.absprec + denom, ints)
-
-    def from_coords(self, coords) -> "CycloElement":
-        if len(coords) != self.degree:
-            raise InvalidInputError("coordinate vector has wrong length")
-        return CycloElement(self, *_pack(coords))
 
     def zeta(self, absprec=None) -> "CycloElement":
         return self.zeta_power(1, absprec)
@@ -205,19 +197,10 @@ class CycloElement(PackedVector):
 
     def __init__(self, field: CycloField, denom: int, e: int, ints):
         self.field = field
-        self.packed = _normalise(field.ctx, denom, e, ints)
+        super().__init__(field.ctx, denom, e, ints)
 
     def _new(self, denom, e, ints):
         return CycloElement(self.field, denom, e, ints)
-
-    @property
-    def ctx(self) -> PrimeContext:
-        return self.field.ctx
-
-    @property
-    def coords(self):
-        """The coordinates as PadicScalars at absprec: a fresh view."""
-        return _unpack(self.ctx, *self.packed)
 
     def _coerce(self, other):
         if isinstance(other, CycloElement):
@@ -394,7 +377,7 @@ class CycloTower:
         self.kappa_gamma = kg
         self._fields = {}
         self._pi = {}
-        self._pi_basis = {}
+        self._pi_powers = {}
         # each level's pi-basis and (gamma - 1) pi^i columns, reduced once
         self._pi_reduction = {}
         self._gamma_reduction = {}
@@ -515,35 +498,37 @@ class CycloTower:
             self._pi[n] = reduce(mul, factors)
         return self._pi[n]
 
+    def pi_powers(self, n: int, k: int):
+        """pi^0..pi^(k-1), kept per level and extended on demand."""
+        powers = self._pi_powers.setdefault(n, [self.field(n).one()])
+        while len(powers) < k:
+            powers.append(powers[-1] * self.uniformizer(n))
+        return powers[:k]
+
     def pi_basis(self, n: int):
         """Powers pi^0..pi^(p^n - 1): a Z_p-basis of O_{k_n}."""
-        if n not in self._pi_basis:
-            pi = self.uniformizer(n)
-            f = self.field(n)
-            basis = [f.one()]
-            for _ in range(self.ctx.p**n - 1):
-                basis.append(basis[-1] * pi)
-            self._pi_basis[n] = basis
-        return self._pi_basis[n]
+        return self.pi_powers(n, self.ctx.p**n)
 
-    def to_pi_coords(self, x: CycloElement):
-        """Coordinates of x in the pi-power basis of k_n: one forward
-        substitution through the basis, reduced once per level.  An x
-        outside k_n leaves a residual below identity_floor and raises
-        PrecisionError."""
+    def to_pi_coords(self, x: CycloElement) -> PackedVector:
+        """Coordinates of x in the pi-power basis of k_n, packed: one
+        forward substitution through the basis, reduced once per level.  An
+        x outside k_n leaves a residual below identity_floor: PrecisionError."""
         n = x.field.n
         if n not in self._pi_reduction:
-            cols = [b.coords for b in self.pi_basis(n)]
-            self._pi_reduction[n] = solve_columns(self.ctx, cols, self.ctx.identity_floor)
-        return self._pi_reduction[n].solve(x.coords)[1]
+            basis = self.pi_basis(n)
+            self._pi_reduction[n] = solve_columns(self.ctx, basis, self.ctx.identity_floor)
+        return self._pi_reduction[n].coords(x)
 
-    def from_pi_coords(self, n: int, coeffs) -> CycloElement:
+    def from_pi_coords(self, n: int, coeffs: PackedVector) -> CycloElement:
+        """sum c_i pi^i for packed pi coordinates c, on the integers, known
+        to the least absprec of the terms under ``scale``'s rule,
+        min(A(pi^i) + v(c_i), v(pi^i) + A(c))."""
         basis = self.pi_basis(n)
-        acc = self.field(n).zero()
-        for c, b in zip(coeffs, basis):
-            c = c if isinstance(c, PadicScalar) else self.ctx.scalar(c)
-            acc = acc + b.scale(c)
-        return acc
+        denom, e, cs = coeffs.packed
+        terms = zip(basis, coeffs.valuations())
+        absprec = min(min(b.absprec + v, b.min_valuation() + e - denom) for b, v in terms)
+        ints = [sum(map(mul, cs, row)) for row in zip(*(b.packed[2] for b in basis))]
+        return CycloElement(self.field(n), denom, absprec + denom, ints)
 
     # -- logarithm and exponential -----------------------------------------------------
 
@@ -653,9 +638,10 @@ class CycloTower:
         """Solve (gamma - 1) y = v in k_n; needs Tr_{k_n/Q_p}(v) = 0.
 
         The kernel of gamma - 1 is Q_p, so the solution is normalised to
-        have zero coefficient on pi^0: y = sum_(i>=1) c_i pi^i, with the
-        c_i read off the columns (gamma - 1) pi^i, reduced once per
-        level.  A residual below identity_floor raises PrecisionError.
+        have zero coefficient on pi^0: y = sum_i c_i pi^i, with the c_i
+        read off the columns (gamma - 1) pi^i, reduced once per level (the
+        zero column i = 0 never pivots, so c_0 = 0).  A residual below
+        identity_floor raises PrecisionError.
         """
         n = v.field.n
         tr = self.trace_kn_to_qp(v)
@@ -663,88 +649,104 @@ class CycloTower:
             raise InvalidInputError(
                 f"gamma_solve needs trace zero; got valuation {tr.min_valuation()}"
             )
-        basis = self.pi_basis(n)[1:]
         if n not in self._gamma_reduction:
-            cols = [(self.gamma_apply(b) - b).coords for b in basis]
+            cols = [self.gamma_apply(b) - b for b in self.pi_basis(n)]
             self._gamma_reduction[n] = solve_columns(self.ctx, cols, self.ctx.identity_floor)
-        sol = self._gamma_reduction[n].solve(v.coords)[1]
-        y = self.field(n).zero()
-        for c, b in zip(sol, basis):
-            y = y + b.scale(c)
-        return y
+        return self.from_pi_coords(n, self._gamma_reduction[n].coords(v))
 
 
 class ColumnReduction:
-    """A matrix over Q_p, given by its columns (the generators), reduced
-    once by valuation-pivoted column operations.
+    """The packed columns (the generators) of a matrix over Q_p, reduced
+    once by valuation-pivoted column operations: Hermite reduction over
+    Z_p (H. Cohen, GTM 138, 2.4).  Row by row, the remaining column of
+    least valuation in the row pivots and clears the row in the others.
+    ``pivots`` holds (row, column, expression over the generators) in
+    pivot order, ``leftover`` the columns that never pivoted.
 
-    Row by row, the remaining column with the least valuation in that
-    row becomes the pivot and is subtracted from the others; a row where
-    every remaining column vanishes is skipped, and the loop stops when
-    the columns run out.  Every multiplier has valuation >= 0, so the
-    pivots span the same Z_p-lattice as the generators, in triangular
-    form.  ``pivots`` holds (row, column, expression over the generators)
-    in pivot order; ``leftover`` the columns that never pivoted, reduced
-    against every pivot.
+    Precision rule: every multiplier is ``_quotient``'s exact integer, so
+    the operations are unimodular, each expression is an exact integer
+    vector, and c - f b is known to min(A_c, A_b + v(f)): a column loses
+    digits only at the pivot division.  ``gain`` is what the pivot rows
+    add to an error's valuation on its way into a solve's coefficients.
     """
 
     def __init__(self, ctx: PrimeContext, cols, floor):
-        self.ctx = ctx
-        self.floor = floor
-        self.ngen = ngen = len(cols)
-        work = []
-        for g, col in enumerate(cols):
-            expr = [ctx.zero()] * ngen
-            expr[g] = ctx.one()
-            work.append((list(col), expr))
-        self.pivots = []
-        remaining = list(range(ngen))
-        for r in range(len(cols[0]) if cols else 0):
-            if not remaining:
-                break
-            best, bestval = None, None
-            for idx in remaining:
-                entry = work[idx][0][r]
-                if not entry.is_zero and (bestval is None or entry.v < bestval):
-                    best, bestval = idx, entry.v
-            if best is None:
+        self.ctx, self.floor, ngen = ctx, floor, len(cols)
+        work = [(c, [int(g == h) for h in range(ngen)]) for g, c in enumerate(cols)]
+        nrows = len(cols[0].packed[2]) if ngen else 0
+        # err: forward substitution of an error of valuation 0 in each row
+        self.pivots, err, gains = [], [0] * nrows, []
+        for r in range(nrows):
+            vals = [
+                (vp(c.packed[2][r], ctx.p) - c.packed[0], i)
+                for i, (c, _) in enumerate(work)
+                if c.packed[2][r]
+            ]
+            if not vals:
                 continue
-            remaining.remove(best)
-            pv, pe = work[best]
-            for idx in remaining:
-                cv, ce = work[idx]
-                fac = cv[r] / pv[r]
-                if not fac.is_zero:
-                    work[idx] = (
-                        [a - fac * b for a, b in zip(cv, pv)],
-                        [a - fac * b for a, b in zip(ce, pe)],
-                    )
+            pv, pe = work.pop(min(vals)[1])
+            for i, (c, e) in enumerate(work):
+                f = _quotient(c, pv, r)
+                if f:
+                    work[i] = (c - pv.scale(f), [a - f * b for a, b in zip(e, pe)])
             self.pivots.append((r, pv, pe))
-        self.leftover = [work[idx][0] for idx in remaining]
+            pvals = pv.valuations()
+            gains.append(err[r] - pvals[r])
+            err = [min(a, gains[-1] + v) for a, v in zip(err, pvals)]
+        self.leftover = [c for c, _ in work]
+        self.gain = min(gains, default=0)
+        self._by_generator = [[e[g] for _, _, e in self.pivots] for g in range(ngen)]
 
     def solve(self, rhs):
-        """rhs over the pivots and over the generators, by one forward
-        substitution through the pivot rows.  The leftover of rhs must
-        vanish to the floor, else PrecisionError."""
-        ctx = self.ctx
-        res = list(rhs)
-        coeffs = []
+        """(coeffs, exps): rhs over the pivots, packed, and over the
+        generators, exact, by forward substitution with ``_quotient``'s
+        multipliers: rhs - sum exps_g gen_g is exactly rhs's leftover, which
+        must vanish to the floor, else PrecisionError.  Its absprec A bounds
+        every error of the substitution, so coeffs is known to A + gain."""
+        res, fs = rhs, []
         for r, col, _ in self.pivots:
-            c = res[r] / col[r]
-            coeffs.append(c)
-            res = [a - c * b for a, b in zip(res, col)]
-        floor = min(s.min_valuation() for s in res)
+            fs.append(_quotient(res, col, r))
+            if fs[-1]:
+                res = res - col.scale(fs[-1])
+        floor = res.min_valuation()
         if floor < self.floor:
             raise PrecisionError(
                 f"linear system inconsistent at precision (residual valuation {floor})",
                 achieved=floor,
             )
-        exps = [ctx.zero()] * self.ngen
-        for c, (_, _, expr) in zip(coeffs, self.pivots):
-            exps = [x + c * e for x, e in zip(exps, expr)]
-        return coeffs, exps
+        q = max([1] + [f.denominator for f in fs])
+        nums = [int(f * q) for f in fs]
+        exps = [Fraction(sum(map(mul, nums, row)), q) for row in self._by_generator]
+        return _exact(self.ctx, fs, res.absprec + self.gain), exps
+
+    def coords(self, rhs) -> PackedVector:
+        """rhs over the generators, packed as its coefficients are."""
+        coeffs, exps = self.solve(rhs)
+        return _exact(self.ctx, exps, coeffs.absprec)
+
+
+def _quotient(a: PackedVector, b: PackedVector, r: int):
+    """One fixed exact a_r / b_r: p^(v(a_r) - v(b_r)) times the least
+    residue of unit(a_r) / unit(b_r) mod p^k, k the lesser relative
+    precision of the entries, which clears row r to the precision of the
+    new column.  A Fraction for a negative valuation; 0 for a zero a_r."""
+    (da, ea, ai), (db, eb, bi) = a.packed, b.packed
+    if not ai[r]:
+        return 0
+    p = a.ctx.p
+    (va, ua), (vb, ub) = split_p(ai[r], p), split_p(bi[r], p)
+    m = a.ctx.pk(min(ea - va, eb - vb))
+    q, s = ua * pow(ub, -1, m) % m, va - da - vb + db
+    return q * p**s if s >= 0 else Fraction(q, p**-s)
+
+
+def _exact(ctx: PrimeContext, values, absprec) -> PackedVector:
+    """Exact rationals with p-power denominators, packed at absprec."""
+    q = max([1] + [x.denominator for x in values])
+    denom = vp(q, ctx.p)
+    return PackedVector(ctx, denom, absprec + denom, [int(x * q) for x in values])
 
 
 def solve_columns(ctx, cols, floor) -> ColumnReduction:
-    """The column reduction of cols, whose solves hold to floor."""
+    """The column reduction of the packed vectors cols, solving to floor."""
     return ColumnReduction(ctx, cols, floor)

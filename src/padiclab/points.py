@@ -19,6 +19,7 @@ from .core import (
 )
 from .cyclotomic import CycloElement, CycloTower, solve_columns
 from .honda import HondaData
+from .series import PackedVector
 
 
 class PointFamily:
@@ -180,59 +181,52 @@ class UnitLogLattice:
     j0 = floor(p^n/(p-1)) + 1.  Below j0 they generate the graded pieces
     of the unit filtration; from j0 on, log(1 + pi^i) = pi^i mod m^(i+1),
     so their logs form a unipotent-triangular basis of m^(j0) = log U^(j0).
-    The logs are reduced once (``solve_columns`` at solve_floor): every
-    row must pivot, and the redundant generators must reduce to zero.
+    The logs' pi coordinates are reduced once (``solve_columns`` at
+    solve_floor): every row must pivot, and the redundant generators must
+    reduce to zero.
+
+    Precision: with exact multipliers a pivot loses digits only at the
+    pivot divisions, a vector's coordinates are known to its leftover's
+    absprec plus the reduction's ``gain``, and its exponents are exact.
     """
 
     def __init__(self, tower: CycloTower, n: int):
         self.tower = tower
         self.n = n
         ctx = tower.ctx
-        p = ctx.p
-        self.dim = p**n
-        self.j0 = self.dim // (p - 1) + 1
-        pi = tower.uniformizer(n)
-        f = tower.field(n)
-        self.generators = []  # pi-power index i of the unit 1 + pi^i
-        vectors = []
-        pipow = f.one()
-        pi_powers = [f.one()]
-        for _ in range(self.j0 + self.dim):
-            pipow = pipow * pi
-            pi_powers.append(pipow)
-        for i in range(1, self.j0 + self.dim):
-            vec = tower.log_element(f.one() + pi_powers[i])
-            self.generators.append(i)
-            vectors.append(tower.to_pi_coords(vec))
-        self._pi_powers = pi_powers
+        self.dim = ctx.p**n
+        self.j0 = self.dim // (ctx.p - 1) + 1
+        one = tower.field(n).one()
+        self.generators = list(range(1, self.j0 + self.dim))  # i of the unit 1 + pi^i
+        self._pi_powers = tower.pi_powers(n, self.j0 + self.dim)
+        logs = [tower.log_element(one + self._pi_powers[i]) for i in self.generators]
+        vectors = [tower.to_pi_coords(x) for x in logs]
         self._reduction = solve_columns(ctx, vectors, ctx.solve_floor)
         rows = {r for r, _, _ in self._reduction.pivots}
         for r in range(self.dim):
             if r not in rows:
                 raise PropertyFailure(f"unit lattice is rank-deficient at row {r}")
         for col in self._reduction.leftover:
-            floor = min(s.min_valuation() for s in col)
+            floor = col.min_valuation()
             if floor < ctx.solve_floor:
                 raise PrecisionError(
                     f"redundant lattice generator fails to reduce (valuation {floor})",
                     achieved=floor,
                 )
 
-    def coords(self, y_coords):
-        """Coordinates of y (in pi-power coordinates) over the reduced
-        basis; the leftover must vanish to solve_floor."""
-        return self._reduction.solve(y_coords)[0]
+    def coords(self, y: PackedVector) -> PackedVector:
+        """y's coordinates over the reduced basis; its leftover must reach solve_floor."""
+        return self._reduction.solve(y)[0]
 
-    def membership(self, y_coords):
-        """Integral coordinates of y in the lattice, or None.
-
-        Returns (coords_in_basis, exponents_over_generators).
-        """
-        coeffs, exps = self._reduction.solve(y_coords)
-        return (coeffs, exps) if _integral(coeffs) else None
+    def membership(self, y: PackedVector):
+        """(coordinates over the reduced basis, exact exponents over the
+        generators) of y when its coordinates are integral, else None."""
+        coeffs, exps = self._reduction.solve(y)
+        return (coeffs, exps) if coeffs.min_valuation() >= 0 else None
 
     def unit_from_exponents(self, exps):
-        """Reconstruct the principal unit prod (1 + pi^i)^(e_i), e_i in Z_p.
+        """Reconstruct the principal unit prod (1 + pi^i)^(e_i) from exact
+        integer exponents e_i.
 
         Exponents are truncated modulo p^wprec; the discarded part moves
         the unit by a p^(wprec - n - 1)-th power of a principal unit,
@@ -240,10 +234,13 @@ class UnitLogLattice:
         exponentiation (Amer. Math. Monthly 71, 1964) shares the squarings:
         from the top bit down, one squaring of the running product and one
         product per generator whose exponent has that bit, so about
-        wprec log2(p) squarings in all instead of per generator.  The
-        generators are integral, so every product is known to the least
-        absprec of its factors, and the unit is cut to the least absprec of
-        wprec and of the generators with a nonzero exponent.
+        wprec log2(p) squarings in all instead of per generator.
+
+        Precision: the exponents are exact, and the generators integral,
+        so every product is known to the least absprec of its factors: the
+        unit is cut to the least absprec of wprec and of the generators
+        with a nonzero exponent.  How near its log is to the vector solved
+        for is bounded by the solve's leftover.
         """
         tower = self.tower
         ctx = tower.ctx
@@ -252,13 +249,13 @@ class UnitLogLattice:
         absprec = ctx.wprec
         terms = []
         for i, e in zip(self.generators, exps):
-            if e.is_zero:
+            if not e:
                 continue
-            if e.v < 0:
+            if e.denominator != 1:
                 raise InvalidInputError("unit reconstruction needs integral exponents")
             g = f.one() + self._pi_powers[i]
             absprec = min(absprec, g.absprec)
-            terms.append((g, e.lift() % cap))
+            terms.append((g, e.numerator % cap))
         acc = None
         for bit in range(max((k.bit_length() for _, k in terms), default=0) - 1, -1, -1):
             if acc is not None:
@@ -267,10 +264,6 @@ class UnitLogLattice:
                 if k >> bit & 1:
                     acc = g if acc is None else acc * g
         return f.one(absprec) if acc is None else acc.reduce_absprec(absprec)
-
-
-def _integral(coeffs) -> bool:
-    return all(c.is_zero or c.v >= 0 for c in coeffs)
 
 
 def verify_generation(fam: PointFamily, n: int) -> dict:
@@ -284,15 +277,12 @@ def verify_generation(fam: PointFamily, n: int) -> dict:
     lattice = fam.lattice(n)
     vectors = [tower.to_pi_coords(conj) for conj in fam.log_d_conjugates(n)]
     log_u = tower.log_int(1 + ctx.p)
-    vectors.append([log_u] + [ctx.zero()] * (lattice.dim - 1))
+    vectors.append(PackedVector(ctx, 0, log_u.absprec, [log_u.lift()] + [0] * (lattice.dim - 1)))
     coords = [lattice.coords(v) for v in vectors]
-    if not all(map(_integral, coords)):
-        worst = min(c.v for row in coords for c in row if not c.is_zero)
-        raise PropertyFailure(
-            f"span of the points leaves the unit lattice; coordinate valuation {worst}"
-        )
+    worst = min(c.min_valuation() for c in coords)
+    ctx.require(worst, "span of the points leaves the unit lattice", 0)
     pivots = solve_columns(ctx, coords, ctx.solve_floor).pivots
-    divisors = sorted(col[r].v for r, col, _ in pivots)
+    divisors = sorted(col.valuations()[r] for r, col, _ in pivots)
     rank = len(divisors)
     if rank != lattice.dim:
         raise PropertyFailure(
@@ -339,13 +329,11 @@ class H90Solution:
 
     @cached_property
     def norm_x(self) -> PadicScalar:
-        """N_{k_n/Q_p}(x_n) = N(u_n) N(pi_n)^e.  N(u_n) is a unit and
-        N(pi_n) has valuation 1, so the product keeps their relative
-        precision at any e; the norm of x_n itself is zero at its precision
-        once e reaches the absprec of x_n."""
-        tower = self.tower
-        norm_pi = tower.norm_kn_to_qp(tower.uniformizer(self.n))
-        return tower.norm_kn_to_qp(self.u_n) * norm_pi**self.e
+        """N_{k_n/Q_p}(x_n) as N(u_n) N(pi_n)^e, a unit times a power of a
+        value of valuation 1: it keeps its relative precision at any e, where
+        N(x_n) is zero at its precision once e reaches the absprec of x_n."""
+        norm = self.tower.norm_kn_to_qp
+        return norm(self.u_n) * norm(self.tower.uniformizer(self.n)) ** self.e
 
     @cached_property
     def log_norm_x(self) -> PadicScalar:
@@ -360,7 +348,7 @@ def solve_h90(fam: PointFamily, n: int) -> H90Solution:
     The trace-normalised solution y(e) of (gamma - 1) y = log d_n +
     e log pi^(1-gamma) is linear in e, and so are its lattice coordinates:
     two solves give c(e) = c_0 + e (c_1 - c_0).  The class test is here:
-    e in range(p^n) qualifies when c(e) is integral (p^n * dim scalar
+    e in range(p^n) qualifies when c(e) is integral (p^n packed vector
     operations), and the one that does is rebuilt from y_0 + e (y_1 - y_0)
     by the lattice membership.  e is never taken from the congruence it
     later certifies; tests/test_points.py keeps the solve-per-class search
@@ -388,8 +376,8 @@ def solve_h90(fam: PointFamily, n: int) -> H90Solution:
 
     y0, y1 = normalised_solve(0), normalised_solve(1)
     c0, c1 = (lattice.coords(tower.to_pi_coords(y)) for y in (y0, y1))
-    dc = [b - a for a, b in zip(c0, c1)]
-    hits = [e for e in range(pn) if _integral([a + b * e for a, b in zip(c0, dc)])]
+    dc = c1 - c0
+    hits = [e for e in range(pn) if (c0 + dc.scale(e)).min_valuation() >= 0]
     if not hits:
         raise PropertyFailure(
             "no residue class admits a norm-one Hilbert-90 solution"

@@ -214,11 +214,33 @@ def _normalise(ctx, denom, e, ints):
 class PackedVector:
     """sum ints[j] b_j / p^denom over a basis (b_j), every coordinate known
     mod p^(e - denom), held as ``packed`` = (denom, e, ints) in the normal
-    form of ``_normalise``.  A subclass sets ``packed`` and provides
-    ``ctx``, ``_new`` (a vector over the same basis from a triple) and
-    ``_coerce``."""
+    form of ``_normalise``: on its own a coordinate vector.  A subclass
+    fixing the basis overrides ``_coerce`` (an operand over that basis) and
+    ``_new`` (a vector over that basis from a triple) as it needs."""
 
-    __slots__ = ("packed",)
+    __slots__ = ("ctx", "packed")
+
+    def __init__(self, ctx: PrimeContext, denom: int, e: int, ints):
+        self.ctx = ctx
+        self.packed = _normalise(ctx, denom, e, ints)
+
+    def _new(self, denom, e, ints):
+        return type(self)(self.ctx, denom, e, ints)
+
+    def _coerce(self, other):
+        return other
+
+    @property
+    def coords(self):
+        """The coordinates as PadicScalars at absprec: a fresh view."""
+        return _unpack(self.ctx, *self.packed)
+
+    def coeff(self, i: int) -> PadicScalar:
+        """Coordinate i as a PadicScalar; zero at wprec past the end."""
+        denom, e, ints = self.packed
+        if i >= len(ints):
+            return self.ctx.zero()
+        return PadicScalar._make(self.ctx, -denom, ints[i], e - denom)
 
     @property
     def absprec(self) -> int:
@@ -281,14 +303,7 @@ class TruncatedSeries(PackedVector):
     """f = sum ints[i] X^i / p^denom, exact mod (p^(e - denom), X^(order+1)),
     held as ``packed`` = (denom, e, ints); ``coeffs`` is a view."""
 
-    __slots__ = ("ctx",)
-
-    def __init__(self, ctx: PrimeContext, denom: int, e: int, ints):
-        self.ctx = ctx
-        self.packed = _normalise(ctx, denom, e, ints)
-
-    def _new(self, denom, e, ints):
-        return TruncatedSeries(self.ctx, denom, e, ints)
+    __slots__ = ()
 
     # -- constructors --------------------------------------------------------
 
@@ -297,10 +312,6 @@ class TruncatedSeries(PackedVector):
         """The series with these PadicScalar coefficients, cut to their
         least absprec."""
         return cls(ctx, *_pack(coeffs))
-
-    @classmethod
-    def from_rationals(cls, ctx, values, absprec=None):
-        return cls.from_scalars(ctx, [ctx.scalar(v, absprec) for v in values])
 
     @classmethod
     def zero(cls, ctx, order, absprec=None):
@@ -322,16 +333,7 @@ class TruncatedSeries(PackedVector):
     def order(self) -> int:
         return len(self.packed[2]) - 1
 
-    @property
-    def coeffs(self):
-        """The coefficients as PadicScalars at absprec: a fresh view."""
-        return _unpack(self.ctx, *self.packed)
-
-    def coeff(self, i: int) -> PadicScalar:
-        if i > self.order:
-            return self.ctx.zero()
-        denom, e, ints = self.packed
-        return PadicScalar._make(self.ctx, -denom, ints[i], e - denom)
+    coeffs = PackedVector.coords
 
     def truncate(self, order: int) -> "TruncatedSeries":
         if order >= self.order:

@@ -8,7 +8,23 @@ from padiclab import (
     build_points,
     solve_h90,
 )
+from padiclab.cyclotomic import CycloElement
 from padiclab.honda import default_truncation
+from padiclab.series import TruncatedSeries, _pack
+
+
+def from_coords(field, coords):
+    """The K_n element with these PadicScalar coordinates, cut to their
+    least absprec."""
+    if len(coords) != field.degree:
+        raise ValueError("coordinate vector has wrong length")
+    return CycloElement(field, *_pack(coords))
+
+
+def from_rationals(ctx, values, absprec=None):
+    """The series with these exact coefficients, at absprec (wprec by
+    default)."""
+    return TruncatedSeries.from_scalars(ctx, [ctx.scalar(v, absprec) for v in values])
 
 
 @pytest.fixture(scope="session")

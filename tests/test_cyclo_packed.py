@@ -21,6 +21,7 @@ from padiclab import CycloTower, InvalidInputError, PrecisionError, PrimeContext
 from padiclab.core import PadicScalar, _log_floor, split_p, vp
 from padiclab.cyclotomic import CycloElement
 from padiclab.series import _pack, _unpack
+from conftest import from_coords
 
 CONFIGS = [(3, 0), (3, 1), (5, 1), (7, 1), (3, 2)]
 
@@ -146,7 +147,7 @@ def _elements(p, n):
                 coords.append(ctx.scalar(value, a))
             else:
                 coords.append(ctx.scalar(rng.randrange(p**a), a))
-        out.append(f.from_coords(coords))
+        out.append(from_coords(f, coords))
     z1 = f.zeta() - f.one()
     out += [f.zero(20), z1, z1.scale(Fraction(1, p**2)), f.one() + z1.scale(p)]
     # tiny entries at high precision: the product's slots are sized by
@@ -222,7 +223,8 @@ def test_restrict_and_scalar_part_match_the_coordinatewise_rule(p, n):
             # x itself rarely descends; its part on the multiples of step
             # does with a tail at valuation thr, and does not with thr - 1
             tails = [
-                f.from_coords(
+                from_coords(
+                    f,
                     [
                         c if j % step == 0 else ctx.scalar(p ** (t + rng.randrange(2)), 40)
                         for j, c in enumerate(x.coords)
@@ -288,7 +290,8 @@ def _integral(f, rng, v, absprec):
     absprec."""
     ctx = f.ctx
     span = ctx.pk(absprec)
-    return f.from_coords([ctx.scalar(rng.randrange(span) * ctx.pk(v), absprec) for _ in range(f.degree)])
+    coords = [ctx.scalar(rng.randrange(span) * ctx.pk(v), absprec) for _ in range(f.degree)]
+    return from_coords(f, coords)
 
 
 # lengths 1, 2, perfect squares and perfect squares + 1

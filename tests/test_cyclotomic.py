@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 import pytest
 
@@ -16,7 +18,9 @@ from padiclab import (
 from padiclab import cyclotomic
 from padiclab.core import _log_floor, factorial_valuation
 from padiclab.honda import default_truncation
-from padiclab.series import TruncatedSeries, log_one_plus_x
+from padiclab.points import UnitLogLattice
+from padiclab.series import PackedVector, TruncatedSeries, log_one_plus_x
+from conftest import from_coords, from_rationals
 
 
 def test_galois_identity_and_defining_action(tower3):
@@ -111,7 +115,8 @@ def _exp_element(x):
     honest = min(c.absprec for c in x.coords)
     bound = int(Fraction(honest + 8) / margin) + 8
     elevated = honest + factorial_valuation(bound + 16, ctx.p) + 16
-    lifted = x.field.from_coords(
+    lifted = from_coords(
+        x.field,
         tuple(ctx.scalar(c.lift(), elevated) for c in x.coords)
     )
     target = honest + 4
@@ -178,7 +183,7 @@ def test_eval_series_identity_and_affine(tower3):
     z = f.zeta() - f.one()
     x_series = TruncatedSeries.x(tower3.ctx, 120)
     assert (tower3.eval_series(x_series, z) - z).min_valuation() >= 10
-    one_plus = TruncatedSeries.from_rationals(tower3.ctx, [1, 1] + [0] * 119)
+    one_plus = from_rationals(tower3.ctx, [1, 1] + [0] * 119)
     assert (
         tower3.eval_series(one_plus, z) - (f.one() + z)
     ).min_valuation() >= 10
@@ -218,7 +223,7 @@ def test_trace_and_norm_match_relative_exponent_oracle(p, n, kappa):
     rng = random.Random(300 * p + n)
     f = tower.field(n)
     for _ in range(2):
-        x = f.from_coords([tower.ctx.scalar(rng.randrange(p**12)) for _ in range(f.degree)])
+        x = from_coords(f, [tower.ctx.scalar(rng.randrange(p**12)) for _ in range(f.degree)])
         for m in range(n + 1):
             tr, nm = _relative_maps(tower, x, m)
             assert _triples(tower.trace(x, m)) == _triples(tr)
@@ -247,8 +252,7 @@ def test_gamma_solve_from_constructed_target(tower3):
     resid = (tower3.gamma_apply(sol) - sol - v).min_valuation()
     assert resid >= tower3.ctx.prec - 2
     diff = sol - y  # must be a constant
-    coords = tower3.to_pi_coords(diff)
-    assert all(c.is_zero or c.min_valuation() >= 10 for c in coords[1:])
+    assert min(tower3.to_pi_coords(diff).valuations()[1:]) >= 10
 
 
 def test_gamma_solve_requires_trace_zero(tower3):
@@ -261,7 +265,7 @@ def _seeded_kn(tower, n, rng):
     coordinates in K_n, built without the pi-basis."""
     ctx = tower.ctx
     f = tower.field(n)
-    z = f.from_coords([ctx.scalar(rng.randrange(ctx.p**ctx.prec)) for _ in range(f.degree)])
+    z = from_coords(f, [ctx.scalar(rng.randrange(ctx.p**ctx.prec)) for _ in range(f.degree)])
     acc = f.zero()
     for a in f.delta_exponents():
         acc = acc + (z.galois(a) if a != 1 else z)
@@ -316,35 +320,145 @@ def smith_valuations(ctx, rows):
         divisors.append(v0)
 
 
+def _seeded_columns(ctx, seed):
+    """Integer columns at wprec with entries of valuation 0 to 2; at odd
+    seeds one more column, the sum of the first two."""
+    rng = random.Random(seed)
+    nrows = rng.randint(2, 5)
+    ncols = nrows + rng.randint(0, 2)
+    entries = [
+        [rng.randrange(1, 81) * 3 ** rng.choice([0, 0, 1, 2]) for _ in range(nrows)]
+        for _ in range(ncols)
+    ]
+    cols = [PackedVector(ctx, 0, ctx.wprec, ints) for ints in entries]
+    if seed % 2:  # a dependent column
+        cols.append(cols[0] + cols[1])
+    return cols
+
+
+def _pivot_valuations(reduction):
+    return [col.valuations()[r] for r, col, _ in reduction.pivots]
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_column_reduction_pivots_give_rank_and_index(seed):
     # the pivots' valuations need not be the elementary divisors, but
     # their count is the rank and, at full row rank, their sum is the
     # index, as Smith's are
     ctx = PrimeContext(3, 12)
-    rng = random.Random(seed)
-    nrows = rng.randint(2, 5)
-    ncols = nrows + rng.randint(0, 2)
-    cols = [
-        [ctx.scalar(rng.randrange(1, 81) * 3 ** rng.choice([0, 0, 1, 2])) for _ in range(nrows)]
-        for _ in range(ncols)
-    ]
-    if seed % 2:  # a dependent column
-        cols.append([a + b for a, b in zip(cols[0], cols[1])])
-    pivots = cyclotomic.solve_columns(ctx, cols, ctx.solve_floor).pivots
-    smith = smith_valuations(ctx, cols)
-    assert len(pivots) == len(smith) == nrows
-    assert sum(col[r].v for r, col, _ in pivots) == sum(smith)
+    cols = _seeded_columns(ctx, seed)
+    pivots = _pivot_valuations(cyclotomic.solve_columns(ctx, cols, ctx.solve_floor))
+    smith = smith_valuations(ctx, [c.coords for c in cols])
+    assert len(pivots) == len(smith) == len(cols[0].packed[2])
+    assert sum(pivots) == sum(smith)
 
 
 def test_column_reduction_differs_from_smith_termwise():
     # rows (p, 0, 0), (0, p, 0), (1, 1, p): pivots p, p, p; Smith 1, p, p^2
     ctx = PrimeContext(3, 12)
     rows = [[3, 0, 0], [0, 3, 0], [1, 1, 3]]
-    cols = [[ctx.scalar(rows[i][j]) for i in range(3)] for j in range(3)]
-    pivots = cyclotomic.solve_columns(ctx, cols, ctx.solve_floor).pivots
-    assert [col[r].v for r, col, _ in pivots] == [1, 1, 1]
-    assert smith_valuations(ctx, cols) == [0, 1, 2]
+    cols = [PackedVector(ctx, 0, ctx.wprec, [rows[i][j] for i in range(3)]) for j in range(3)]
+    reduction = cyclotomic.solve_columns(ctx, cols, ctx.solve_floor)
+    assert _pivot_valuations(reduction) == [1, 1, 1]
+    assert smith_valuations(ctx, [c.coords for c in cols]) == [0, 1, 2]
+
+
+class ScalarColumnReduction:
+    """Test-only oracle: the column reduction on PadicScalar columns, each
+    entry at its own absprec, every multiplier the PadicScalar quotient of
+    the row's entries; solve returns (coeffs, exps) as PadicScalars."""
+
+    def __init__(self, ctx, cols, floor):
+        self.ctx = ctx
+        self.floor = floor
+        self.ngen = ngen = len(cols)
+        work = []
+        for g, col in enumerate(cols):
+            expr = [ctx.zero()] * ngen
+            expr[g] = ctx.one()
+            work.append((list(col), expr))
+        self.pivots = []
+        remaining = list(range(ngen))
+        for r in range(len(cols[0]) if cols else 0):
+            if not remaining:
+                break
+            best, bestval = None, None
+            for idx in remaining:
+                entry = work[idx][0][r]
+                if not entry.is_zero and (bestval is None or entry.v < bestval):
+                    best, bestval = idx, entry.v
+            if best is None:
+                continue
+            remaining.remove(best)
+            pv, pe = work[best]
+            for idx in remaining:
+                cv, ce = work[idx]
+                fac = cv[r] / pv[r]
+                if not fac.is_zero:
+                    work[idx] = (
+                        [a - fac * b for a, b in zip(cv, pv)],
+                        [a - fac * b for a, b in zip(ce, pe)],
+                    )
+            self.pivots.append((r, pv, pe))
+        self.leftover = [work[idx][0] for idx in remaining]
+
+    def solve(self, rhs):
+        res = list(rhs)
+        coeffs = []
+        for r, col, _ in self.pivots:
+            c = res[r] / col[r]
+            coeffs.append(c)
+            res = [a - c * b for a, b in zip(res, col)]
+        floor = min(s.min_valuation() for s in res)
+        if floor < self.floor:
+            raise PrecisionError(f"residual valuation {floor}", achieved=floor)
+        exps = [self.ctx.zero()] * self.ngen
+        for c, (_, _, expr) in zip(coeffs, self.pivots):
+            exps = [x + c * e for x, e in zip(exps, expr)]
+        return coeffs, exps
+
+
+def _lattice_columns(p, n):
+    """The pi coordinates of the unit lattice's generators log(1 + pi^i)
+    at (p, n), N = 12."""
+    tower = CycloTower(PrimeContext(p, 12), n)
+    lattice = UnitLogLattice(tower, n)
+    one = lattice._pi_powers[0]
+    logs = [tower.log_element(one + lattice._pi_powers[i]) for i in lattice.generators]
+    return tower.ctx, [tower.to_pi_coords(x) for x in logs]
+
+
+@pytest.mark.parametrize(
+    "case",
+    [("seeded", seed) for seed in range(8)]
+    + [("lattice", pn) for pn in [(3, 1), (3, 2), (5, 1), (7, 1)]],
+)
+def test_column_reduction_matches_scalar_oracle(case):
+    # the same pivot rows in the same order, so the same rank, and the same
+    # pivot valuations (the divisors); a seeded combination of the
+    # generators is solved to the floor with exact exponents, and its
+    # coefficients over the pivots agree with the oracle's to the lesser
+    # precision
+    kind, arg = case
+    if kind == "seeded":
+        ctx = PrimeContext(3, 12)
+        cols = _seeded_columns(ctx, arg)
+    else:
+        ctx, cols = _lattice_columns(*arg)
+    floor = ctx.solve_floor
+    reduction = cyclotomic.solve_columns(ctx, cols, floor)
+    oracle = ScalarColumnReduction(ctx, [c.coords for c in cols], floor)
+    assert [r for r, _, _ in reduction.pivots] == [r for r, _, _ in oracle.pivots]
+    assert _pivot_valuations(reduction) == [col[r].v for r, col, _ in oracle.pivots]
+    rng = random.Random(repr(case))
+    rhs = reduce(add, (c.scale(rng.randrange(ctx.p**6)) for c in cols))
+    coeffs, exps = reduction.solve(rhs)
+    assert all(isinstance(x, (int, Fraction)) for x in exps)
+    rebuilt = reduce(add, (c.scale(x) for c, x in zip(cols, exps)))
+    assert (rhs - rebuilt).min_valuation() >= floor
+    expected, _ = oracle.solve(rhs.coords)
+    for c, o in zip(coeffs.coords, expected):
+        assert (c - o).is_zero
 
 
 @pytest.fixture(scope="module")
@@ -359,7 +473,7 @@ def test_inverse_returns_only_a_true_inverse(tower7, seed):
     ctx = tower7.ctx
     f = tower7.field(1)
     rng = random.Random(seed)
-    y = f.from_coords([ctx.scalar(rng.randrange(7**12)) for _ in range(f.degree)])
+    y = from_coords(f, [ctx.scalar(rng.randrange(7**12)) for _ in range(f.degree)])
     k = rng.randrange(f.degree)
     x = y.scale(Fraction(1, 7)) * (f.zeta() - f.one()) ** k
     inv = x.inverse()
@@ -373,7 +487,7 @@ def test_peel_splits_off_a_unit(p, n):
     z1 = f.zeta() - f.one()
     rng = random.Random(500 * p + n)
     for _ in range(4):
-        y = f.from_coords([ctx.scalar(rng.randrange(p**12)) for _ in range(f.degree)])
+        y = from_coords(f, [ctx.scalar(rng.randrange(p**12)) for _ in range(f.degree)])
         x = y.scale(Fraction(1, p**2)) * z1 ** rng.randrange(2 * f.degree)
         u, s, m = x.peel()
         assert u.valuation() == 0 and 0 <= s < f.degree
@@ -421,9 +535,9 @@ def test_power_matches_per_product_loop(p, n):
     f = CycloTower(ctx, n).field(n)
     rng = random.Random(700 * p + n)
     z1 = f.zeta() - f.one()
-    y = f.from_coords([ctx.scalar(rng.randrange(p**12)) for _ in range(f.degree)])
+    y = from_coords(f, [ctx.scalar(rng.randrange(p**12)) for _ in range(f.degree)])
     ragged = [ctx.scalar(rng.randrange(p**12), 20 + rng.randrange(8)) for _ in range(f.degree)]
-    inputs = [y, f.from_coords(ragged), y * z1**3]
+    inputs = [y, from_coords(f, ragged), y * z1**3]
     for x in inputs:
         for k in (0, 1, 2, 7, f.degree):
             assert _triples(x**k) == _triples(_loop_power(x, k))
@@ -525,7 +639,7 @@ def test_valuation_matches_norm_oracle(p, n):
             ctx.scalar(rng.randrange(-p**3, p**3) * p ** rng.randrange(3))
             for _ in range(f.degree)
         ]
-        x = f.from_coords(coords) * z1 ** rng.randrange(f.degree + 1)
+        x = from_coords(f, coords) * z1 ** rng.randrange(f.degree + 1)
         expected = _norm_valuation(x)
         if expected is not None:
             assert x.valuation() == expected
@@ -614,9 +728,9 @@ def _log_inputs(tower, n, rng):
         coords = [rng.randrange(span) for _ in range(f.degree)]
         # the residue of y is the sum of its coordinates mod p
         coords[0] += (rng.randrange(1, p) - sum(coords)) % p
-        units.append(f.from_coords([ctx.scalar(c) for c in coords]))
+        units.append(from_coords(f, [ctx.scalar(c) for c in coords]))
     for k in (1, 2, 5):
-        y = f.from_coords([ctx.scalar(rng.randrange(span)) for _ in range(f.degree)])
+        y = from_coords(f, [ctx.scalar(rng.randrange(span)) for _ in range(f.degree)])
         units.append(f.one() + y.scale(p**k))
     # coordinates known to different precisions; with all of them beyond
     # wprec, the strip's bound v + wprec is the one that binds
@@ -625,7 +739,7 @@ def _log_inputs(tower, n, rng):
         vals[0] = 2 + p * rng.randrange(span)
         vals[1] += (1 - sum(vals)) % p
         precs = [ctx.wprec + 7] + [ctx.wprec + rng.randrange(low, 6) for _ in vals[1:]]
-        units.append(f.from_coords([ctx.scalar(v, a) for v, a in zip(vals, precs)]))
+        units.append(from_coords(f, [ctx.scalar(v, a) for v, a in zip(vals, precs)]))
     z1 = f.zeta() - f.one()
     units.append((z1**f.degree).scale(Fraction(1, p)))  # log_zeta_minus_one's unit
     return units

@@ -11,11 +11,12 @@ was recorded before series came to be held as packed integer vectors.
 (7, 1, 12) pins p = 7, whose field product folds the top block onto
 p - 1 = 6 lower ones; it was recorded before the product became one
 multiply and a fold on the packed integers.  The golden (3, 2, 12) run
-also bounds the number of K_n products, which no report shows."""
+also bounds the number of K_n products and of PadicScalar
+normalisations, which no report shows."""
 
 from pathlib import Path
 
-from padiclab import cyclotomic
+from padiclab import core, cyclotomic
 from padiclab.runner import SuiteConfig, emit_report, run_suite
 
 DATA = Path(__file__).parent / "data"
@@ -60,3 +61,16 @@ def test_golden_config_product_count(monkeypatch):
     )
     run_suite(SuiteConfig(p=3, n_max=2, prec=12, n_functionals=4))
     assert len(calls) <= 2616
+
+
+def test_golden_config_scalar_count(monkeypatch):
+    # 12411 PadicScalar normalisations when the k_n column reductions ran
+    # on PadicScalar columns; the packed reductions make none, and this
+    # fails if scalars come back into them
+    calls = []
+    make = core.PadicScalar._make.__func__
+    monkeypatch.setattr(
+        core.PadicScalar, "_make", classmethod(lambda cls, *a: calls.append(1) or make(cls, *a))
+    )
+    run_suite(SuiteConfig(p=3, n_max=2, prec=12, n_functionals=4))
+    assert len(calls) <= 12411 // 2

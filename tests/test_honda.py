@@ -15,6 +15,7 @@ from padiclab import (
 from padiclab.core import _log_floor, factorial_valuation, split_p, vp
 from padiclab.honda import build_ell, build_iota, default_truncation, log_at_points
 from padiclab.series import TruncatedSeries, frobenius_substitute, log_one_plus_x
+from conftest import from_rationals
 
 
 def stirling_ell(ctx, order):
@@ -161,7 +162,7 @@ def test_frobenius_difference_frozen_degree_two(honda3, ctx3):
 def test_check_honda_flags_violations(ctx3):
     from padiclab.series import TruncatedSeries
 
-    bad = TruncatedSeries.from_rationals(ctx3, [0, 1, Fraction(1, 3), 0, 0])
+    bad = from_rationals(ctx3, [0, 1, Fraction(1, 3), 0, 0])
     with pytest.raises(PropertyFailure):
         check_honda(bad)
 

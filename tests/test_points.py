@@ -19,6 +19,7 @@ from padiclab import cyclotomic, points
 from padiclab.cyclotomic import CycloTower
 from padiclab.points import H90Solution, UnitLogLattice, verify_two_routes
 from padiclab.runner import SuiteConfig, run_suite
+from padiclab.series import PackedVector, _pack
 
 
 def brute_force_h90_classes(fam, n):
@@ -146,10 +147,14 @@ def test_lattice_rejects_foreign_vectors(fam3, tower3):
     "spoil, error, match",
     [
         # no generator reaches the last pi-power row
-        (lambda ctx, v: v[:-1] + [ctx.zero()], PropertyFailure, "rank-deficient at row 2"),
+        (
+            lambda ctx, v: PackedVector(ctx, *v.packed[:2], v.packed[2][:-1] + [0]),
+            PropertyFailure,
+            "rank-deficient at row 2",
+        ),
         # the redundant generator can only reduce to the inputs' precision
         (
-            lambda ctx, v: [c.reduce_absprec(ctx.solve_floor - 1) for c in v],
+            lambda ctx, v: v.reduce_absprec(ctx.solve_floor - 1),
             PrecisionError,
             "redundant lattice generator fails to reduce",
         ),
@@ -283,7 +288,7 @@ def test_one_factorisation_per_level_and_matrix(monkeypatch):
     solve_columns = cyclotomic.solve_columns
 
     def counted(ctx, cols, *rest):
-        matrices.append(tuple(tuple((c.v, c.unit, c.absprec) for c in col) for col in cols))
+        matrices.append(tuple((*col.packed[:2], tuple(col.packed[2])) for col in cols))
         return solve_columns(ctx, cols, *rest)
 
     monkeypatch.setattr(cyclotomic, "solve_columns", counted)
@@ -303,24 +308,28 @@ def test_one_factorisation_per_level_and_matrix(monkeypatch):
 def test_h90_class_test_contract(fam3, monkeypatch, c, error, match):
     # c(e) constant in e: integral for every class, or for none
     ctx = fam3.tower.ctx
-    monkeypatch.setattr(UnitLogLattice, "coords", lambda self, y: [ctx.scalar(c)] * self.dim)
+    monkeypatch.setattr(
+        UnitLogLattice,
+        "coords",
+        lambda self, y: PackedVector(ctx, *_pack([ctx.scalar(c)] * self.dim)),
+    )
     with pytest.raises(error, match=match):
         solve_h90(fam3, 1)
 
 
 def _power_per_generator(lattice, exps):
     """Test-only oracle: prod (1 + pi^i)^(e_i) with one power per
-    generator, each exponent reduced mod p^wprec."""
+    generator, each exact integer exponent reduced mod p^wprec."""
     tower = lattice.tower
     ctx = tower.ctx
     f = tower.field(lattice.n)
     acc = f.one()
     for i, e in zip(lattice.generators, exps):
-        if e.is_zero:
+        if e == 0:
             continue
-        if e.v < 0:
+        if Fraction(e).denominator != 1:
             raise InvalidInputError("unit reconstruction needs integral exponents")
-        acc = acc * (f.one() + lattice._pi_powers[i]) ** (e.lift() % ctx.pk(ctx.wprec))
+        acc = acc * (f.one() + lattice._pi_powers[i]) ** (int(e) % ctx.pk(ctx.wprec))
     return acc
 
 
@@ -330,25 +339,31 @@ def test_unit_from_exponents_matches_one_power_per_generator(fam3n2, level):
     ctx = lattice.tower.ctx
     rng = random.Random(level)
     ngen = len(lattice.generators)
-    zeros = [ctx.zero()] * ngen
+    zeros = [0] * ngen
     ints = [rng.randrange(ctx.pk(ctx.wprec)) for _ in range(ngen)]
-    rand = [ctx.scalar(k) for k in ints]
-    # an exponent that vanishes mod p^wprec but is not zero at its precision
-    wrapped = ctx.scalar(ctx.pk(ctx.wprec), ctx.wprec + 5)
+    # a nonzero exponent that vanishes mod p^wprec, and exact exponents
+    # past p^wprec, as a solve may return them
+    wrapped = ctx.pk(ctx.wprec)
     cases = [
         zeros,
-        [ctx.scalar(5)] + zeros[1:],
-        zeros[:-1] + [rand[-1]],
+        [5] + zeros[1:],
+        zeros[:-1] + [ints[-1]],
         [wrapped] + zeros[1:],
-        [wrapped] + rand[1:],
-        rand,
-        [ctx.scalar(k, 20) for k in ints],
+        [wrapped] + ints[1:],
+        ints,
+        [k * wrapped + k for k in ints],
+        [Fraction(k, 1) for k in ints],
     ]
     for exps in cases:
         got = lattice.unit_from_exponents(exps)
         expected = _power_per_generator(lattice, exps)
-        assert [(c.v, c.unit, c.absprec) for c in got.coords] == [
-            (c.v, c.unit, c.absprec) for c in expected.coords
-        ]
+        assert got.packed == expected.packed
     with pytest.raises(InvalidInputError):
-        lattice.unit_from_exponents([ctx.scalar(Fraction(1, 3))] + zeros[1:])
+        lattice.unit_from_exponents([Fraction(1, 3)] + zeros[1:])
+
+
+def test_lattice_solve_keeps_exact_multipliers(sol3n2):
+    # (3, 2, 12) at level 2 read 25 with the reductions on PadicScalar
+    # columns and reads 26 with exact multipliers; scaling the lattice's
+    # columns by the PadicScalar quotients instead drops it to 23
+    assert sol3n2.residual_valuation >= 25

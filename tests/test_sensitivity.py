@@ -14,6 +14,7 @@ import pytest
 from padiclab import honda, points, tate
 from padiclab.runner import SuiteConfig, run_suite
 from padiclab.series import TruncatedSeries
+from conftest import from_coords
 
 P, N = 3, 20
 CONFIGS = {
@@ -111,7 +112,7 @@ def bump_d(n, j, k):
             fam = build(honda, tower, n_max)
             coords = list(fam.d[n].coords)
             coords[j] = coords[j] + P**k
-            fam.d[n] = fam.d[n].field.from_coords(coords)
+            fam.d[n] = from_coords(fam.d[n].field, coords)
             return fam
 
         monkeypatch.setattr(points, "build_points", bumped)
@@ -133,7 +134,7 @@ def bump_h90(n, shift_e=0, j=0, k=None):
                 if k is not None:
                     coords = list(u_n.coords)
                     coords[j] = coords[j] + P**k
-                    u_n = u_n.field.from_coords(coords)
+                    u_n = from_coords(u_n.field, coords)
                     x_n = fam.tower.uniformizer(n) ** e * u_n
             return certified(fam, m, e, u_n, x_n, searched)
 

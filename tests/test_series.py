@@ -24,6 +24,7 @@ from padiclab.tate import (
     multiplicative_parameter_series,
     verify_formal_iso,
 )
+from conftest import from_rationals
 
 
 def binomial_power(a, order):
@@ -204,7 +205,7 @@ def scalar_formal_log(ctx, a4, a6, order):
             cube[m + 6] = acc
     big_w = TruncatedSeries.from_scalars(ctx, w[3:])
     num = big_w.scale(2) + TruncatedSeries.from_scalars(ctx, (zero,) + big_w.derivative().coeffs)
-    two_minus_t = TruncatedSeries.from_rationals(ctx, [2, -1] + [0] * (order - 1), absprec)
+    two_minus_t = from_rationals(ctx, [2, -1] + [0] * (order - 1), absprec)
     omega = num * scalar_reciprocal(big_w) * scalar_reciprocal(two_minus_t)
     omega = omega.truncate(order - 1)
     return omega.integrate().truncate(order), omega
@@ -271,7 +272,7 @@ def test_binomial_power_additive(a, b):
 def test_frobenius_on_x():
     ctx = PrimeContext(3, 16)
     f = frobenius_substitute(TruncatedSeries.x(ctx, 6))
-    expected = TruncatedSeries.from_rationals(ctx, [0, 3, 3, 1, 0, 0, 0])
+    expected = from_rationals(ctx, [0, 3, 3, 1, 0, 0, 0])
     assert series_residual(f, expected) >= ctx.prec
 
 
@@ -289,8 +290,8 @@ def test_frobenius_on_constant():
 
 def test_frobenius_is_ring_homomorphism():
     ctx = PrimeContext(5, 14)
-    f = TruncatedSeries.from_rationals(ctx, [1, 2, 0, 3, 1, 0, 0, 2, 1])
-    g = TruncatedSeries.from_rationals(ctx, [0, 1, 5, 0, 2, 1, 3, 0, 1])
+    f = from_rationals(ctx, [1, 2, 0, 3, 1, 0, 0, 2, 1])
+    g = from_rationals(ctx, [0, 1, 5, 0, 2, 1, 3, 0, 1])
     lhs = frobenius_substitute(f * g)
     rhs = frobenius_substitute(f) * frobenius_substitute(g)
     assert series_residual(lhs, rhs) >= ctx.prec
@@ -298,7 +299,7 @@ def test_frobenius_is_ring_homomorphism():
 
 def test_series_log_exp_roundtrip():
     ctx = PrimeContext(3, 16)
-    one_plus_x = TruncatedSeries.from_rationals(ctx, [1, 1] + [0] * 14)
+    one_plus_x = from_rationals(ctx, [1, 1] + [0] * 14)
     assert series_residual(series_exp(series_log(one_plus_x)), one_plus_x) >= ctx.prec - 2
 
 
@@ -310,15 +311,15 @@ def test_log_series_quadratic_coefficient():
 
 def test_compose_with_identity():
     ctx = PrimeContext(3, 16)
-    f = TruncatedSeries.from_rationals(ctx, [2, 1, 4, 0, 1])
+    f = from_rationals(ctx, [2, 1, 4, 0, 1])
     assert series_residual(f.compose(TruncatedSeries.x(ctx, 4)), f) >= ctx.prec
 
 
 def test_compose_polynomial_example():
     ctx = PrimeContext(3, 16)
-    f = TruncatedSeries.from_rationals(ctx, [0, 0, 1, 0, 0])  # X^2
-    g = TruncatedSeries.from_rationals(ctx, [0, 1, 1, 0, 0])  # X + X^2
-    expected = TruncatedSeries.from_rationals(ctx, [0, 0, 1, 2, 1])
+    f = from_rationals(ctx, [0, 0, 1, 0, 0])  # X^2
+    g = from_rationals(ctx, [0, 1, 1, 0, 0])  # X + X^2
+    expected = from_rationals(ctx, [0, 0, 1, 2, 1])
     assert series_residual(f.compose(g), expected) >= ctx.prec
 
 
@@ -331,7 +332,7 @@ def test_compose_requires_zero_constant():
 
 def test_reversion_roundtrip():
     ctx = PrimeContext(5, 16)
-    f = TruncatedSeries.from_rationals(ctx, [0, 1, 3, 1, 0, 2, 0, 0, 1, 0, 0, 4, 1])
+    f = from_rationals(ctx, [0, 1, 3, 1, 0, 2, 0, 0, 1, 0, 0, 4, 1])
     g = f.reversion()
     assert series_residual(
         f.compose(g), TruncatedSeries.x(ctx, f.order)
@@ -340,9 +341,9 @@ def test_reversion_roundtrip():
 
 def test_ring_axioms_sampled():
     ctx = PrimeContext(3, 14)
-    f = TruncatedSeries.from_rationals(ctx, [1, 4, 2, 0, 5])
-    g = TruncatedSeries.from_rationals(ctx, [2, 1, 0, 3, 1])
-    h = TruncatedSeries.from_rationals(ctx, [0, 2, 2, 1, 0])
+    f = from_rationals(ctx, [1, 4, 2, 0, 5])
+    g = from_rationals(ctx, [2, 1, 0, 3, 1])
+    h = from_rationals(ctx, [0, 2, 2, 1, 0])
     assert series_residual(f * (g + h), f * g + f * h) >= ctx.prec
     assert series_residual((f * g) * h, f * (g * h)) >= ctx.prec
     assert series_residual(f * g, g * f) >= ctx.prec
@@ -358,14 +359,14 @@ def test_eval_scalar_needs_positive_valuation():
 def test_compose_refuses_non_integral_inner():
     ctx = PrimeContext(3, 16)
     f = log_one_plus_x(ctx, 6)
-    g = TruncatedSeries.from_rationals(ctx, [0, 1, Fraction(1, 9), 0])
+    g = from_rationals(ctx, [0, 1, Fraction(1, 9), 0])
     with pytest.raises(InvalidInputError, match=r"integral inner series \(valuation -2\)"):
         f.compose(g)
 
 
 def test_reciprocal_refuses_non_integral_series():
     ctx = PrimeContext(3, 16)
-    f = TruncatedSeries.from_rationals(ctx, [1, 2, Fraction(1, 27)])
+    f = from_rationals(ctx, [1, 2, Fraction(1, 27)])
     with pytest.raises(InvalidInputError, match=r"integral series \(valuation -3\)"):
         f.reciprocal()
 
@@ -419,7 +420,7 @@ def test_power_rows_match_oracles_on_iota(p):
     assert _digits(inv) == _digits(row_reversion(iota.truncate(160)))
     truncated = ell.truncate(160)
     assert _digits(truncated.compose(inv)) == _digits(horner_compose(truncated, inv))
-    frob = TruncatedSeries.from_rationals(
+    frob = from_rationals(
         ctx, [comb(p, j) if j else 0 for j in range(p + 1)], max(c.absprec for c in ell.coeffs)
     )
     assert _digits(frobenius_substitute(ell)) == _digits(horner_compose(ell, frob))
@@ -449,7 +450,7 @@ def test_power_rows_match_oracles_on_seeded_series(p):
         # the constant term's denominator sets the scale but costs g nothing
         (_seeded_series(ctx, rng, 10, denominators={0: 3}), _seeded_series(ctx, rng, 10, inner=True)),
         (_seeded_series(ctx, rng, 9, denominators={2: 2, 9: 1}), _seeded_series(ctx, rng, 7, inner=True)),
-        (TruncatedSeries.from_rationals(ctx, [Fraction(1, p)]), _seeded_series(ctx, rng, 6, inner=True)),
+        (from_rationals(ctx, [Fraction(1, p)]), _seeded_series(ctx, rng, 6, inner=True)),
     ]
     for f, g in cases:
         assert _digits(f.compose(g)) == _digits(horner_compose(f, g))
@@ -463,7 +464,7 @@ def test_power_rows_match_oracles_on_seeded_series(p):
 
 def test_reversion_matches_newton_oracle():
     ctx = PrimeContext(5, 16)
-    f = TruncatedSeries.from_rationals(ctx, [0, 1, 3, 1, 0, 2, 0, 0, 1, 0, 0, 4, 1])
+    f = from_rationals(ctx, [0, 1, 3, 1, 0, 2, 0, 0, 1, 0, 0, 4, 1])
     assert _digits(f.reversion()) == _digits(newton_reversion(f))
     assert _digits(f.reversion()) == _digits(row_reversion(f))
 
@@ -526,7 +527,7 @@ def test_compose_matches_horner_around_the_block_size(p):
     # a zero tail; a constant f never reads g
     ctx = PrimeContext(p, 12)
     rng = random.Random(30 + p)
-    sparse = TruncatedSeries.from_rationals(ctx, [0, p, 0, 0, 1, 0, 0, 0, 0, 2 * p])
+    sparse = from_rationals(ctx, [0, p, 0, 0, 1, 0, 0, 0, 0, 2 * p])
     tailed = TruncatedSeries.from_scalars(ctx, _seeded_series(ctx, rng, 6, inner=True).coeffs + (ctx.zero(),) * 20)
     for length in (15, 16, 17, 24, 25, 26):
         f = _seeded_series(ctx, rng, length - 1, denominators={length // 2: 1})
@@ -537,7 +538,7 @@ def test_compose_matches_horner_around_the_block_size(p):
             tailed,
         ):
             assert _digits(f.compose(g)) == _digits(horner_compose(f, g)), (length, g.order)
-    for f in (TruncatedSeries.from_rationals(ctx, [Fraction(2, p**2)]), _seeded_series(ctx, rng, 0)):
+    for f in (from_rationals(ctx, [Fraction(2, p**2)]), _seeded_series(ctx, rng, 0)):
         g = _seeded_series(ctx, rng, 30, inner=True)
         assert _digits(f.compose(g)) == _digits(horner_compose(f, g))
 

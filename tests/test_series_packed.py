@@ -17,6 +17,7 @@ import pytest
 
 from padiclab import InvalidInputError, PrecisionError, PrimeContext, TruncatedSeries
 from padiclab.core import PadicScalar
+from conftest import from_rationals
 
 PRIMES = [3, 5, 7]
 
@@ -79,7 +80,7 @@ def _cases(p):
     # above wprec, where a constant or a coefficient at wprec caps the result
     xs.append(_series(ctx, rng, 10, top=ctx.wprec + 20))
     xs.append(TruncatedSeries.zero(ctx, 5, 20))
-    xs.append(TruncatedSeries.from_rationals(ctx, [0, Fraction(1, p**2), 0, p**3]))
+    xs.append(from_rationals(ctx, [0, Fraction(1, p**2), 0, p**3]))
     return ctx, rng, xs
 
 
@@ -206,7 +207,7 @@ def test_products_match_the_scalar_sums(p):
         for y in xs:
             assert _outcome(lambda: x * y) == _outcome(lambda: _product(x.coeffs, y.coeffs))
     inners = [_series(ctx, rng, order, inner=True, integral=True) for order in (1, 5, 11)]
-    inners.append(TruncatedSeries.from_rationals(ctx, [0, p, 0, 1]))
+    inners.append(from_rationals(ctx, [0, p, 0, 1]))
     for f in xs:
         for g in inners:
             assert _outcome(lambda: f.compose(g)) == _outcome(lambda: _compose(f.coeffs, g.coeffs))
@@ -223,13 +224,13 @@ def test_reciprocal_and_reversion_match_the_scalar_recursions(p):
         assert _triples(f.reversion().coeffs) == _triples(_reversion(f.coeffs))
     # a denominator, a non-unit head and a constant term are refused
     with pytest.raises(InvalidInputError, match=r"integral series \(valuation -2\)"):
-        TruncatedSeries.from_rationals(ctx, [1, 1, Fraction(1, p**2)]).reciprocal()
+        from_rationals(ctx, [1, 1, Fraction(1, p**2)]).reciprocal()
     with pytest.raises(InvalidInputError, match="unit constant term"):
-        TruncatedSeries.from_rationals(ctx, [p, 1, 1]).reciprocal()
+        from_rationals(ctx, [p, 1, 1]).reciprocal()
     with pytest.raises(InvalidInputError, match="unit linear coefficient"):
-        TruncatedSeries.from_rationals(ctx, [0, p, 1]).reversion()
+        from_rationals(ctx, [0, p, 1]).reversion()
     with pytest.raises(InvalidInputError, match="f\\(0\\) = 0"):
-        TruncatedSeries.from_rationals(ctx, [1, 1, 1]).reversion()
+        from_rationals(ctx, [1, 1, 1]).reversion()
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -238,7 +239,7 @@ def test_scalar_evaluation_matches_the_scalar_horner_loop(p):
     # precisions, and a series zero at precision (the difference that
     # honda.epsilon-residual reads)
     ctx, rng, xs = _cases(p)
-    xs.append(TruncatedSeries.from_rationals(ctx, [p**40, 0, p**40], 30))
+    xs.append(from_rationals(ctx, [p**40, 0, p**40], 30))
     points = [ctx.zero(a) for a in (0, 5, ctx.wprec, ctx.wprec + 9)]
     for v in (1, 2, 5):
         for a in (v + 1, ctx.prec, ctx.wprec - 3, ctx.wprec + 7):

@@ -28,6 +28,7 @@ from padiclab.tate import (
     formal_log_weierstrass,
     multiplicative_parameter_series,
 )
+from conftest import from_rationals
 
 
 def compose_oracle_parameter_series(ctx, omega, order):
@@ -254,7 +255,7 @@ def test_degenerate_parameter_series_frozen():
     ctx = PrimeContext(3, 14)
     zero = ctx.scalar(0, 80)
     lam, omega = formal_log_weierstrass(ctx, zero, zero, 20)
-    minus_log_one_minus = TruncatedSeries.from_rationals(
+    minus_log_one_minus = from_rationals(
         ctx, [0] + [Fraction(1, m) for m in range(1, 21)], 80
     )
     resid = min(
@@ -262,7 +263,7 @@ def test_degenerate_parameter_series_frozen():
     )
     assert resid >= ctx.prec
     t = multiplicative_parameter_series(ctx, omega, 20)
-    x_over_one_plus_x = TruncatedSeries.from_rationals(
+    x_over_one_plus_x = from_rationals(
         ctx, [0] + [(-1) ** (m - 1) for m in range(1, 21)], 80
     )
     resid_t = min(
@@ -301,17 +302,17 @@ def test_parameter_series_never_composes(ctx3, monkeypatch):
 
 def test_parameter_series_rejects_bad_omega(ctx3):
     for constant in (0, 3, 2):
-        omega = TruncatedSeries.from_rationals(ctx3, [constant, 1, 0, 0])
+        omega = from_rationals(ctx3, [constant, 1, 0, 0])
         with pytest.raises(InvalidInputError, match="constant term 1"):
             multiplicative_parameter_series(ctx3, omega, 3)
-    omega = TruncatedSeries.from_rationals(ctx3, [1, Fraction(1, 3), 0, 0])
+    omega = from_rationals(ctx3, [1, Fraction(1, 3), 0, 0])
     with pytest.raises(InvalidInputError, match="non-integral"):
         multiplicative_parameter_series(ctx3, omega, 3)
 
 
 def test_parameter_series_leaving_zp_names_the_degree(ctx3):
     # omega = 1 + X: lambda = X + X^2/2, so t = X - X^2 + (4/3) X^3 + ...
-    omega = TruncatedSeries.from_rationals(ctx3, [1, 1] + [0] * 6)
+    omega = from_rationals(ctx3, [1, 1] + [0] * 6)
     with pytest.raises(PropertyFailure, match="degree 3"):
         multiplicative_parameter_series(ctx3, omega, 8)
 
@@ -441,7 +442,7 @@ def test_parameter_series_matches_scalar_oracle():
 
 
 def test_parameter_series_failure_matches_scalar_oracle(ctx3):
-    omega = TruncatedSeries.from_rationals(ctx3, [1, 1] + [0] * 6)
+    omega = from_rationals(ctx3, [1, 1] + [0] * 6)
     for solve in (multiplicative_parameter_series, scalar_parameter_series):
         with pytest.raises(PropertyFailure, match=r"degree 3 \(valuation -1\)"):
             solve(ctx3, omega, 8)
@@ -557,8 +558,8 @@ def test_uniformization_scalar_work_does_not_grow_with_precision(monkeypatch):
 
 
 def test_series_residual_refuses_different_lengths(ctx3):
-    a = TruncatedSeries.from_rationals(ctx3, [0, 1, 2, 3])
-    b = TruncatedSeries.from_rationals(ctx3, [0, 1, 2])
+    a = from_rationals(ctx3, [0, 1, 2, 3])
+    b = from_rationals(ctx3, [0, 1, 2])
     assert _series_residual(a, a) >= ctx3.prec
     with pytest.raises(InvalidInputError, match="order 3 with one of order 2"):
         _series_residual(a, b)
