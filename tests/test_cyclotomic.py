@@ -461,6 +461,23 @@ def test_column_reduction_matches_scalar_oracle(case):
         assert (c - o).is_zero
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_column_reduction_coefficients_hold_to_their_absprec(seed):
+    # exact integer columns and a combination of them cut to absprec a:
+    # the coefficients claimed at a + gain agree with those of the uncut
+    # combination (claimed at a, seeds 3 and 6 would overclaim)
+    ctx = PrimeContext(3, 12)
+    cols = _seeded_columns(ctx, seed)
+    reduction = cyclotomic.solve_columns(ctx, cols, ctx.solve_floor)
+    rng = random.Random(seed)
+    rhs = reduce(add, (c.scale(rng.randrange(ctx.p**6)) for c in cols))
+    exact, _ = reduction.solve(rhs)
+    for a in (9, 12, 15):
+        cut, _ = reduction.solve(rhs.reduce_absprec(a))
+        assert cut.absprec == a + reduction.gain
+        assert (cut - exact).min_valuation() >= cut.absprec
+
+
 @pytest.fixture(scope="module")
 def tower7():
     return CycloTower(PrimeContext(7, 12), 1)
