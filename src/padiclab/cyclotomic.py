@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from math import isqrt
 from operator import add, mul
 
 from .core import (
@@ -35,8 +34,8 @@ from .core import (
 from .series import (
     PackedVector,
     TruncatedSeries,
-    _block_sums,
     _from_int,
+    _paterson_stockmeyer,
     _product_scale,
     _to_int,
 )
@@ -153,28 +152,12 @@ class CycloField:
 
     def _evaluate(self, coeffs, x, e):
         """sum coeffs[i] x^i mod p^e, for the ints x of an integral
-        element and non-negative coeffs, by Paterson and Stockmeyer's baby
-        steps and giant steps (SIAM J. Comput. 2, 1973).
-
-        With L = len(coeffs) and k = isqrt(L): the baby steps x^2 .. x^k
-        cost k - 1 products, the block sums sum_(j<k) c_(ik+j) x^j are
-        formed on big ints by ``series._block_sums``, and Horner in x^k
-        costs ceil(L/k) - 1 products: about 2 sqrt(L) in all, against L
-        for Horner in x.  Every product is reduced mod p^e, which is exact
-        for residues mod p^e: the result is the term-by-term sum's.
-        """
-        m = self.ctx.pk(e)
-        k = max(1, isqrt(len(coeffs)))
-        baby = [[1] + [0] * (self.degree - 1), [c % m for c in x]]
-        for _ in range(k - 1):
-            baby.append(self._product((0, e, baby[-1]), (0, e, baby[1]))[2])
-        giant = baby.pop()
-        blocks = _block_sums([c % m for c in coeffs], baby, m, self.degree)
-        acc = blocks.pop()
-        while blocks:
-            acc = self._product((0, e, acc), (0, e, giant))[2]
-            acc = [(c + t) % m for c, t in zip(acc, blocks.pop())]
-        return acc
+        element and non-negative coeffs, by ``series._paterson_stockmeyer``
+        over ``_product``: about 2 sqrt(len(coeffs)) products."""
+        one = [1] + [0] * (self.degree - 1)
+        return _paterson_stockmeyer(
+            coeffs, x, one, lambda a, b: self._product((0, e, a), (0, e, b))[2], self.ctx.pk(e)
+        )
 
     def _fold(self, ints, a: int):
         """sum_j ints[j] zeta^(a j) in the power basis, unreduced."""
@@ -412,6 +395,8 @@ class CycloTower:
         """kappa(gamma)^(i p^m) mod p^(n+1) for i = 0..p^(n-m) - 1: at m = 0
         the coset reps of Delta, in general Gal(K_n/K_m), since
         kappa(gamma)^(p^m) generates 1 + p^(m+1)Z mod p^(n+1)."""
+        if not 0 <= m <= n:
+            raise InvalidInputError(f"no Gamma orbit from level {n} over level {m}")
         mo = self.field(n).modulus_order
         g = pow(self.kappa_gamma, self.ctx.p**m, mo)
         out = []

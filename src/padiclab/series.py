@@ -155,42 +155,43 @@ def _block_sums(f, rows, mod, slots):
     return blocks
 
 
-def _compose_ints(f, g, n, mod):
-    """f(g) mod (mod, X^n) for lists of non-negative ints with g[0] = 0,
-    by Brent-Kung's baby steps and giant steps; see
-    ``TruncatedSeries.compose``.  Returns n residues."""
-    f = [c % mod for c in f]
-    g = [c % mod for c in g[:n]]
-    k = isqrt(len(f))
-    baby = [[1], g]
+def _paterson_stockmeyer(f, x, one, product, mod):
+    """sum_i f_i x^i mod ``mod`` for ints f and x, by Paterson and
+    Stockmeyer's baby steps and giant steps (SIAM J. Comput. 2, 1973):
+    the one evaluator of series composition and of K_n series sums.
+
+    ``one`` and x are the ints of 1 and x, and product(a, b) returns the
+    residues mod ``mod`` of the ring's product a b, no shorter than a (so
+    the last baby step is the longest).  With L = len(f) and
+    k = isqrt(L): the baby steps x^2 .. x^k cost k - 1 products, the
+    block sums sum_(j<k) f_(ik+j) x^j are formed on big ints by
+    ``_block_sums``, and Horner in x^k costs ceil(L/k) - 1 products:
+    about 2 sqrt(L) in all, against L for Horner in x.  Every step is
+    reduced mod ``mod``, which is exact for residues: the result is the
+    term-by-term sum's.
+    """
+    k = max(1, isqrt(len(f)))
+    baby = [one, [c % mod for c in x]]
     for _ in range(k - 1):
-        prev = baby[-1]
-        baby.append([c % mod for c in _product_ints(prev, g, min(n, len(prev) + len(g) - 1))])
+        baby.append(product(baby[-1], baby[1]))
     giant = baby.pop()
-    blocks = _block_sums(f, baby, mod, len(baby[-1]))
-    # Horner in g^k, one reduction per step
+    blocks = _block_sums([c % mod for c in f], baby, mod, len(baby[-1]))
     acc = blocks.pop()
     while blocks:
-        acc = _product_ints(acc, giant, min(n, len(acc) + len(giant) - 1))
-        for j, c in enumerate(blocks.pop()):
-            acc[j] += c
-        acc = [c % mod for c in acc]
+        terms = zip_longest(product(acc, giant), blocks.pop(), fillvalue=0)
+        acc = [(c + t) % mod for c, t in terms]
+    return acc
+
+
+def _compose_ints(f, g, n, mod):
+    """f(g) mod (mod, X^n) for lists of non-negative ints with g[0] = 0;
+    see ``TruncatedSeries.compose``.  Returns n residues."""
+
+    def product(a, b):
+        return [c % mod for c in _product_ints(a, b, min(n, len(a) + len(b) - 1))]
+
+    acc = _paterson_stockmeyer(f, g[:n], [1], product, mod)
     return acc + [0] * (n - len(acc))
-
-
-def _extend_power_rows(rows, k, mod):
-    """Append column k of the power table of t = rows[1], mod ``mod``.
-
-    rows[j] holds the integers (t^j)_i for i < k, and row 1 is t itself,
-    known through t_(k-1) (t_0 = 0).  This appends
-    (t^j)_k = sum_{a=1}^{k-j+1} t_a (t^(j-1))_(k-a) for j = 2..k, opening
-    row k; it never reads t_k.
-    """
-    t = rows[1]
-    rows.append([0] * k)
-    for j in range(2, k + 1):
-        prev = rows[j - 1]
-        rows[j].append(sum(map(mul, t[1 : k - j + 2], prev[k - 1 : j - 2 : -1])) % mod)
 
 
 def _normalise(ctx, denom, e, ints):
@@ -236,7 +237,9 @@ class PackedVector:
         return _unpack(self.ctx, *self.packed)
 
     def coeff(self, i: int) -> PadicScalar:
-        """Coordinate i as a PadicScalar; zero at wprec past the end."""
+        """Coordinate i >= 0 as a PadicScalar; zero at wprec past the end."""
+        if i < 0:
+            raise InvalidInputError(f"no coordinate {i}: indices start at 0")
         denom, e, ints = self.packed
         if i >= len(ints):
             return self.ctx.zero()
@@ -477,8 +480,13 @@ class TruncatedSeries(PackedVector):
         order.  The inverse of f mod (p^E, X^(M+1)) is unique when f_1 is
         a unit, so these are the integers of the degree-by-degree
         solve.  A non-integral f is refused, naming its worst valuation.
-        Every coefficient of g is known modulo p^E with
-        E = min(wprec, absprec of f): the target X is taken at wprec.
+
+        Every coefficient of g is known modulo p^E with E the absprec of
+        f, which may exceed wprec: the target X is exact, and each g_m is
+        an integer polynomial in f_1^(-1), f_2, ..., f_m, so changing f
+        mod p^E changes g only mod p^E.  iota^(-1) reverts iota at wprec;
+        Tate's t(X) reverts exp(lambda) - 1 at the headroom above wprec
+        that its checks need.
         """
         if self.packed[2][0]:
             raise InvalidInputError("reversion needs f(0) = 0")
@@ -489,7 +497,7 @@ class TruncatedSeries(PackedVector):
             raise InvalidInputError(
                 f"reversion needs an integral series (valuation {worst})"
             )
-        prec = min(self.ctx.wprec, self.absprec)
+        prec = self.absprec
         mod = self.ctx.pk(prec)
         f = self.packed[2]
         g = [0, pow(f[1], -1, mod)]

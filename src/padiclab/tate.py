@@ -21,7 +21,7 @@ from .core import (
     teichmuller,
     vp,
 )
-from .series import TruncatedSeries, _extend_power_rows, geometric_inverse, log_one_plus_x
+from .series import TruncatedSeries, geometric_inverse, log_one_plus_x
 from .coleman import TateParameter
 
 
@@ -225,28 +225,22 @@ def formal_log_weierstrass(ctx: PrimeContext, a4, a6, order: int) -> TruncatedSe
 
 
 def multiplicative_parameter_series(ctx, omega: TruncatedSeries, order: int) -> TruncatedSeries:
-    """The series t(X) with lambda(t(X)) = log(1+X), solved from the
-    differential form (1+X) omega(t(X)) t'(X) = 1.
+    """The series t(X) with lambda(t(X)) = log(1+X), lambda the integral of
+    omega, as the compositional inverse of s(T) = exp(lambda(T)) - 1.
 
-    Degree m needs F = omega(t) through X^(m-1).  F is extended by one
-    coefficient per degree from a power table of integer rows
-    (t^j)_k = sum_{a=1}^{k-j+1} t_a (t^(j-1))_(k-a), so that
-    F_k = sum_{j<=k} omega_j (t^j)_k: O(order^3) products in all, where
-    recomposing omega(t) at every degree would cost O(order^4).
+    The curve's formal group is the multiplicative one over Z_p, so s is
+    an integral isomorphism onto it and t is its reversion.  F = exp(lambda)
+    is solved from F' = omega F, m F_m = sum_(j<m) omega_j F_(m-1-j), on
+    integers mod p^A, A the absprec of omega; each division by m is an
+    exact division by p^(v_p(m)).  A remainder means that F_m leaves Z_p,
+    and so does t_m, which is -F_m plus an integer polynomial in
+    F_1..F_(m-1): PropertyFailure names the degree and that valuation.
 
-    omega = lambda' must be integral with constant term 1, and every t_m
-    must stay in Z_p; both are checked.  Then F_0..F_(m-1) are integers
-    known to the uniform precision E_m, the least absprec among
-    omega_0..omega_(m-1) and t_0..t_(m-1), which is the precision a packed
-    composition of the truncations returns.  With g_i = F_i + F_(i-1),
-    the coefficients of (1+X) omega(t), the X^(m-1) coefficient of the
-    identity reads s = sum_{i<m} g_i (m-i) t_(m-i) = -m t_m.  s is summed
-    on integers mod p^E with E = E_m: the i = m-1 term g_(m-1) t_1 is known
-    to exactly E_m and no term to less.  When g_(m-1) vanishes mod p^(E_m),
-    E is the least precision among the terms that remain.  Only the
-    division by the degree sheds precision: t_m is known mod
-    p^(E - v_p(m)).  Integrality of the result is a verified output, not
-    an assumption.
+    By induction an error in F_m has valuation at least A - v_p(m!), so F
+    is claimed mod p^(A - v_p(order!)), and ``reversion`` keeps that claim;
+    that claim must be positive, so every remainder is read from known
+    digits.  omega must be integral with constant term 1; both are
+    checked.
     """
     c0 = omega.coeff(0)
     if c0.is_zero or not (c0 - 1).is_zero:
@@ -255,60 +249,20 @@ def multiplicative_parameter_series(ctx, omega: TruncatedSeries, order: int) -> 
     if not ok:
         raise InvalidInputError(f"omega has a non-integral coefficient (valuation {worst})")
     _, absprec, w = omega.packed
-    # t_j as an integer, and its (min valuation, absprec)
-    ti = [0, 1]
-    tv = [(absprec, absprec), (0, absprec)]
-    # jt[j] = j t_j, the coefficients of X t'(X)
-    jt = [0, 1]
-    prec = absprec
-    # pw[j][k] = (t^j)_k mod p^prec for j >= 1, zero below k = j since
-    # t_0 = 0; row 1 is ti itself, and the row t^0 = 1 only enters
-    # F_0 = omega_0
-    pw = [None, ti]
-    F = [w[0]]
-    g = [None]
-    for m in range(2, order + 1):
-        k = m - 1
-        prec = min(prec, tv[k][1])
-        if prec <= 0:
-            raise PrecisionError("uniformizing series has no remaining precision", achieved=prec)
-        mod = ctx.pk(prec)
-        if k > 1:
-            _extend_power_rows(pw, k, mod)
-        F.append(sum(w[j] * pw[j][k] for j in range(1, min(k, len(w) - 1) + 1)) % mod)
-        g.append(F[k] + F[k - 1])
-        if g[k] % mod:
-            E = prec
-            s = sum(map(mul, g[1:m], jt[k:0:-1]))
-        else:
-            E, s = _sparse_degree_sum(ctx, g, jt, tv, m, prec, absprec)
+    prec = absprec - factorial_valuation(order, ctx.p)
+    if prec <= 0:
+        raise PrecisionError("uniformizing series has no remaining precision", achieved=prec)
+    mod = ctx.pk(absprec)
+    F = [1]
+    for m in range(1, order + 1):
         vm, um = split_p(m, ctx.p)
-        q = ctx.pk(E)
-        r = -s * pow(um, -1, q) % q
-        v = vp(r, ctx.p) - vm if r else E - vm
-        if v < 0:
+        s = sum(map(mul, w[:m], reversed(F))) % mod
+        if s % ctx.pk(vm):
+            v = vp(s, ctx.p) - vm
             raise PropertyFailure(f"uniformizing series leaves Z_p at degree {m} (valuation {v})")
-        tv.append((v, E - vm))
-        ti.append(r // ctx.pk(vm))
-        jt.append(m * ti[m])
-    return TruncatedSeries(ctx, 0, min(a for _, a in tv), ti)
-
-
-def _sparse_degree_sum(ctx, g, jt, tv, m, prec, absprec):
-    """(E, s) for degree m when g_(m-1) vanishes mod p^prec: s sums the
-    terms g_i (m-i) t_(m-i) with g_i nonzero mod p^prec, and E is the least
-    precision among them, v_p(m-i) + min(prec + v(t_(m-i)),
-    absprec(t_(m-i)) + v(g_i)), and at most absprec, omega's least
-    absprec; tv[j] is (v(t_j), absprec(t_j)), a zero's v its absprec."""
-    mod = ctx.pk(prec)
-    E, s = absprec, 0
-    for i in range(1, m):
-        gi = g[i] % mod
-        if gi:
-            v, a = tv[m - i]
-            E = min(E, vp(m - i, ctx.p) + min(prec + v, a + vp(gi, ctx.p)))
-            s += gi * jt[m - i]
-    return E, s
+        F.append(s // ctx.pk(vm) * pow(um, -1, mod) % mod)
+    F[0] = 0
+    return TruncatedSeries(ctx, 0, prec, F).reversion()
 
 
 def _series_residual(a: TruncatedSeries, b: TruncatedSeries):
@@ -326,10 +280,10 @@ def verify_formal_iso(ctx: PrimeContext, q, order: int = 64) -> dict:
     coefficients, inverse composition back to log(1+X), and the
     differential pullback identity d/dX [lambda(t(X))] = 1/(1+X).
 
-    The solve for t divides by each degree m, and the curve log by each
-    index, shedding up to v_p(order!) digits in all, so the parameter is
-    re-embedded with that much headroom for the checks to land at
-    precision N.
+    The solve for exp(lambda) divides by each degree m, and the curve log
+    by each index, shedding up to v_p(order!) digits in all, so the
+    parameter is re-embedded with that much headroom for the checks to
+    land at precision N.
     """
     if order < 1:
         raise InvalidInputError(f"formal iso needs order >= 1, got {order}")
@@ -341,9 +295,9 @@ def verify_formal_iso(ctx: PrimeContext, q, order: int = 64) -> dict:
     q = ctx.scalar(q_int, headroom)
     a4, a6 = a_invariants(q)
     lam, omega = formal_log_weierstrass(ctx, a4, a6, order)
-    # lambda and omega are composed over the final t(X) afresh: the solve's
-    # own power rows enforce (1+X) omega(t) t' = 1 and must not certify
-    # themselves
+    # the solve forms exp(lambda) and its reversion but never lambda(t) or
+    # omega(t): both are composed here over the final t(X), so the
+    # roundtrip and the pullback are not identities the solve enforced
     t_of_x = multiplicative_parameter_series(ctx, omega, order)
     ok, worst = t_of_x.is_integral()
     if not ok:

@@ -1,3 +1,5 @@
+from operator import mul
+
 import pytest
 
 from padiclab import (
@@ -25,6 +27,22 @@ def from_rationals(ctx, values, absprec=None):
     """The series with these exact coefficients, at absprec (wprec by
     default)."""
     return TruncatedSeries.from_scalars(ctx, [ctx.scalar(v, absprec) for v in values])
+
+
+def extend_power_rows(rows, k, mod):
+    """Test-only oracle: append column k of the power table of t = rows[1],
+    mod ``mod``.
+
+    rows[j] holds the integers (t^j)_i for i < k, and row 1 is t itself,
+    known through t_(k-1) (t_0 = 0).  This appends
+    (t^j)_k = sum_{a=1}^{k-j+1} t_a (t^(j-1))_(k-a) for j = 2..k, opening
+    row k; it never reads t_k.
+    """
+    t = rows[1]
+    rows.append([0] * k)
+    for j in range(2, k + 1):
+        prev = rows[j - 1]
+        rows[j].append(sum(map(mul, t[1 : k - j + 2], prev[k - 1 : j - 2 : -1])) % mod)
 
 
 @pytest.fixture(scope="session")

@@ -819,3 +819,11 @@ def test_gamma_log_table_matches_scalar_log_oracle(p, n):
         assert i == _discrete_gamma_log(ctx, gamma_part, tower.kappa_gamma, n)
         assert pow(tower.kappa_gamma, i, mo) == gamma_part
     assert len(tower.gamma_log_table(n)) == p**n
+
+
+def test_gamma_orbit_exponents_refuse_a_level_outside_zero_to_n(tower3n2):
+    assert len(tower3n2.gamma_orbit_exponents(2, 2)) == 1
+    assert len(tower3n2.gamma_orbit_exponents(2, 1)) == 3
+    for m in (-1, 3):
+        with pytest.raises(InvalidInputError, match=f"level 2 over level {m}"):
+            tower3n2.gamma_orbit_exponents(2, m)

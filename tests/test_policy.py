@@ -73,10 +73,22 @@ PACKED = {
     "_product_ints",
     "_block_sums",
     "_compose_ints",
+    "_paterson_stockmeyer",
     "_to_int",
     "_from_int",
 }
 VECTOR_MODULES = {"series.py", "cyclotomic.py"}
+
+
+def test_every_packed_name_is_a_vector_module_kernel():
+    # a deleted or renamed kernel must leave the policy with it
+    defined = {
+        node.name
+        for name in VECTOR_MODULES
+        for node in ast.parse((SRC / name).read_text()).body
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert sorted(PACKED - defined) == []
 
 
 def _packed_uses(tree):

@@ -16,7 +16,7 @@ from padiclab import (
 from padiclab import series
 from padiclab.core import PadicScalar, factorial_valuation
 from padiclab.honda import build_ell, build_iota
-from padiclab.series import _KRONECKER_MIN, _extend_power_rows, _pack, _product_ints, _unpack
+from padiclab.series import _KRONECKER_MIN, _pack, _product_ints, _unpack
 from padiclab.tate import (
     a_invariants,
     default_grid,
@@ -24,7 +24,7 @@ from padiclab.tate import (
     multiplicative_parameter_series,
     verify_formal_iso,
 )
-from conftest import from_rationals
+from conftest import extend_power_rows, from_rationals
 
 
 def binomial_power(a, order):
@@ -149,17 +149,17 @@ def newton_reversion(f):
 
 def row_reversion(f):
     """Test-only oracle: the compositional inverse solved degree by degree
-    from f(g) = X on integers mod p^E, E = min(wprec, absprec of f):
+    from f(g) = X, X exact, on integers mod p^E, E the absprec of f:
     g_m = -g_1 sum_{j>=2} f_j (g^j)_m, the power rows (g^j)_m growing by
     one column per degree."""
     ctx = f.ctx
-    prec = min([ctx.wprec] + [c.absprec for c in f.coeffs])
+    prec = min(c.absprec for c in f.coeffs)
     mod = ctx.pk(prec)
     fi = [c.lift() for c in f.coeffs]
     g1 = pow(fi[1], -1, mod)
     rows = [None, [0, g1]]
     for m in range(2, f.order + 1):
-        _extend_power_rows(rows, m, mod)
+        extend_power_rows(rows, m, mod)
         s = sum(fi[j] * rows[j][m] for j in range(2, m + 1))
         rows[1].append(-g1 * s % mod)
     return TruncatedSeries.from_scalars(ctx, [PadicScalar._make(ctx, 0, c, prec) for c in rows[1]])
@@ -469,6 +469,25 @@ def test_reversion_matches_newton_oracle():
     assert _digits(f.reversion()) == _digits(row_reversion(f))
 
 
+def test_reversion_keeps_an_absprec_above_wprec():
+    # X is exact and each g_m an integer polynomial in f_1^(-1), f_2..f_m,
+    # so f known past wprec gives g to the same absprec, and a change of
+    # f at that precision changes g only there
+    ctx = PrimeContext(5, 12)
+    top = ctx.wprec + 20
+    rng = random.Random(22)
+    ints = [0, 1 + 5 * rng.randrange(5**6)] + [rng.randrange(5**top) for _ in range(18)]
+    f = TruncatedSeries(ctx, 0, top, ints)
+    bumped = TruncatedSeries(
+        ctx, 0, top + 10, [c + 5**top * rng.randrange(1, 5**4) if i else 0 for i, c in enumerate(ints)]
+    )
+    g, h = f.reversion(), bumped.reversion()
+    assert g.absprec == top and h.absprec == top + 10
+    assert h.packed[2] != g.packed[2]
+    assert [c % 5**top for c in h.packed[2]] == g.packed[2]
+    assert series_residual(f.compose(g), TruncatedSeries.x(ctx, f.order, top)) >= top
+
+
 def test_build_iota_never_composes_or_divides(monkeypatch):
     ctx = PrimeContext(3, 16)
     calls = []
@@ -486,14 +505,14 @@ def test_build_iota_never_composes_or_divides(monkeypatch):
 
 
 def test_power_rows_are_reduced_powers():
-    # the shared row extension against plain polynomial powers: every
+    # the oracles' row extension against plain polynomial powers: every
     # entry is the reduced residue of (t^j)_k, so rows never grow
     p, mod = 5, 5**10
     rng = random.Random(11)
     t = [0] + [rng.randrange(mod) for _ in range(9)]
     rows = [None, t]
     for k in range(2, 10):
-        _extend_power_rows(rows, k, mod)
+        extend_power_rows(rows, k, mod)
     power = t
     for j in range(2, 10):
         power = [sum(power[i] * t[k - i] for i in range(k + 1)) for k in range(10)]

@@ -132,11 +132,11 @@ def _reciprocal(f):
 
 def _reversion(f):
     """Test-only oracle: g_m = -(sum_(j>=2) f_j (g^j)_m) / f_1 degree by
-    degree, g_1 = X_1 / f_1 with X at wprec, in PadicScalar arithmetic,
-    reduced to min(wprec, least absprec of f)."""
+    degree, g_1 = X_1 / f_1 with X exact, in PadicScalar arithmetic,
+    reduced to the least absprec of f."""
     ctx = f[0].ctx
     zero = ctx.zero(2 * ctx.wprec)
-    g = [zero, ctx.one() / f[1]]
+    g = [zero, ctx.one(2 * ctx.wprec) / f[1]]
     for m in range(2, len(f)):
         trial = g + [zero]
         power = trial
@@ -145,7 +145,7 @@ def _reversion(f):
             power = _product(power, trial)
             s = s + f[j] * power[m]
         g.append(-s / f[1])
-    return _reduced(g, min([ctx.wprec] + [c.absprec for c in f]))
+    return _reduced(g, min(c.absprec for c in f))
 
 
 def _horner(coeffs, x):
@@ -278,3 +278,13 @@ def test_series_operations_make_no_scalars(p, monkeypatch):
     assert calls == []
     x.coeffs  # the view is where scalars are made
     assert len(calls) == x.order + 1
+
+
+def test_coeff_refuses_a_negative_index():
+    ctx = PrimeContext(3, 12)
+    f = TruncatedSeries(ctx, 0, 20, [1, 2, 3, 4])
+    assert [f.coeff(i).lift() for i in range(4)] == [1, 2, 3, 4]
+    assert f.coeff(4).is_zero
+    for i in (-1, -4, -5):
+        with pytest.raises(InvalidInputError, match=f"no coordinate {i}"):
+            f.coeff(i)

@@ -28,7 +28,7 @@ from padiclab.tate import (
     formal_log_weierstrass,
     multiplicative_parameter_series,
 )
-from conftest import from_rationals
+from conftest import extend_power_rows, from_rationals
 
 
 def compose_oracle_parameter_series(ctx, omega, order):
@@ -50,9 +50,8 @@ def compose_oracle_parameter_series(ctx, omega, order):
 
 def scalar_parameter_series(ctx, omega, order):
     """Test-only oracle: the uniformizing series with the degree-m sum
-    s = sum_i g_i (m-i) t_(m-i) and the division by m done on scalars."""
-    from padiclab.series import _extend_power_rows
-
+    s = sum_i g_i (m-i) t_(m-i) and the division by m done on scalars,
+    omega(t) read off the power table of t."""
     absprec = min(c.absprec for c in omega.coeffs)
     w = [c.lift() for c in omega.coeffs]
     zero = ctx.zero(absprec)
@@ -68,7 +67,7 @@ def scalar_parameter_series(ctx, omega, order):
             raise PrecisionError("uniformizing series has no remaining precision", achieved=prec)
         mod = ctx.pk(prec)
         if k > 1:
-            _extend_power_rows(pw, k, mod)
+            extend_power_rows(pw, k, mod)
         F.append(sum(w[j] * pw[j][k] for j in range(1, min(k, len(w) - 1) + 1)) % mod)
         Fm = [PadicScalar._make(ctx, 0, f, prec) for f in F]
         s = zero
@@ -274,7 +273,8 @@ def test_degenerate_parameter_series_frozen():
 
 def test_parameter_series_matches_compose_oracle(ctx3, ctx5):
     # every coefficient identical in (v, unit, absprec), so reports built
-    # from the power table are the reports the recomposing solver gave
+    # on the reverted exp(lambda) - 1 are the reports the recomposing
+    # solver gave
     order = 24
     omegas = [_grid_omega(ctx, q, order) for ctx in (ctx3, ctx5) for q in default_grid(ctx)[0]]
     zero = ctx3.scalar(0, 80)
@@ -308,6 +308,15 @@ def test_parameter_series_rejects_bad_omega(ctx3):
     omega = from_rationals(ctx3, [1, Fraction(1, 3), 0, 0])
     with pytest.raises(InvalidInputError, match="non-integral"):
         multiplicative_parameter_series(ctx3, omega, 3)
+
+
+def test_parameter_series_refuses_omega_without_headroom(ctx3):
+    # omega = 1/(1-T), so exp(lambda) = 1/(1-T) is integral; v_3(9!) = 4
+    # digits are shed, so omega known to 4 digits leaves none at order 9
+    omega = from_rationals(ctx3, [1] * 9, 4)
+    with pytest.raises(PrecisionError, match="no remaining precision"):
+        multiplicative_parameter_series(ctx3, omega, 9)
+    assert multiplicative_parameter_series(ctx3, omega, 8).absprec == 2
 
 
 def test_parameter_series_leaving_zp_names_the_degree(ctx3):
@@ -428,8 +437,9 @@ ORACLE_GRID = [(p, n) for p in (3, 5, 7) for n in (12, 16, 30, 80)]
 
 def test_parameter_series_matches_scalar_oracle():
     # every t_m identical in (v, unit, absprec) to the scalar recursion,
-    # on the default grid and on the degenerate curve (whose sparse
-    # (1+X) omega(t) takes the least-precision path at every m >= 4)
+    # on the default grid and on the degenerate curve (whose
+    # (1+X) omega(t) = (1+X)^2 vanishes past degree 2, so the oracle's
+    # degree sums lose their least-precision term at every m >= 4)
     for p, n in ORACLE_GRID:
         ctx = PrimeContext(p, n)
         order = 64 if (p, n) == (3, 80) else 24
@@ -491,7 +501,7 @@ def test_sk_value_matches_scalar_oracle():
 
 def test_formal_iso_composes_over_the_final_t(ctx3, monkeypatch):
     # lambda and omega, and only they, are composed over the final t(X)
-    # itself, not over the solve's rows; with every product forced onto
+    # itself (the solve never calls compose); with every product forced onto
     # the schoolbook loop the compositions and the residuals are the same
     from padiclab import series
 
