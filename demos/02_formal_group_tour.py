@@ -7,7 +7,7 @@ element epsilon with ell(epsilon) = p.
 from fractions import Fraction
 
 from padiclab import CycloTower, HondaData, PrimeContext, formal_add
-from padiclab.honda import default_truncation
+from padiclab.honda import default_truncation, inverse_integrality
 
 ctx = PrimeContext(3, prec=14)
 order = default_truncation(ctx, 1)
@@ -32,7 +32,7 @@ print("== the exponential transport iota ==")
 print("iota_2 = -1/2, as an integer mod 27:", honda.iota.coeff(2).lift() % 27)
 print("iota_3 vanishes:", honda.iota.coeff(3).min_valuation() >= ctx.prec)
 print("iota integral:", honda.iota.is_integral()[0],
-      " inverse integral:", honda.iota_inv.is_integral()[0])
+      " inverse integral:", inverse_integrality(honda.iota) == 0)
 
 print()
 print("== epsilon ==")

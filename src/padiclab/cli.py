@@ -75,11 +75,11 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     out = args.out
-    if out is None and os.environ.get(REPORT_DIR_ENV):
-        os.makedirs(os.environ[REPORT_DIR_ENV], exist_ok=True)
-        tag = f"report-p{args.p}-n{args.nmax}-N{args.prec}-s{args.seed}.{args.format}"
-        out = os.path.join(os.environ[REPORT_DIR_ENV], tag)
     try:
+        if out is None and os.environ.get(REPORT_DIR_ENV):
+            os.makedirs(os.environ[REPORT_DIR_ENV], exist_ok=True)
+            tag = f"report-p{args.p}-n{args.nmax}-N{args.prec}-s{args.seed}.{args.format}"
+            out = os.path.join(os.environ[REPORT_DIR_ENV], tag)
         payload = emit_report(report, args.format, out)
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

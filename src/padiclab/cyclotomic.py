@@ -380,6 +380,8 @@ class CycloTower:
 
     def field(self, n: int) -> CycloField:
         if n not in self._fields:
+            if n < 0:
+                raise InvalidInputError(f"no level {n} in the tower")
             self._fields[n] = CycloField(self.ctx, n)
         return self._fields[n]
 
@@ -443,6 +445,8 @@ class CycloTower:
     def restrict(self, x: CycloElement, m: int) -> CycloElement:
         """Extract an element supported on the level-m subfield."""
         n = x.field.n
+        if not 0 <= m <= n:
+            raise InvalidInputError(f"cannot restrict from level {n} to level {m}")
         if m == n:
             return x
         step = self.ctx.p ** (n - m)

@@ -35,10 +35,10 @@ which at most floor(log_p(M/i)) steps m -> pm remain.
 
 ell and iota are built separately, and the checks that tie them assume
 neither construction: `log_at_points` compares ell at three points of
-pZ_p with the defining double sum, without A or phi; ell(iota^(-1)) =
-log(1+X) (the suite's honda.log-of-inverse) ties the two solves to
-each other; `check_honda` reads ell's integral derivative and its
-Frobenius property, which the solve makes hold by construction.
+pZ_p with the defining double sum, without A or phi; ell' (1 + iota) =
+iota' (the suite's honda.log-of-inverse) ties the two solves to each
+other over the whole order; `check_honda` reads ell's integral derivative
+and its Frobenius property, which the solve makes hold by construction.
 """
 
 from __future__ import annotations
@@ -238,12 +238,11 @@ def _square_and_multiply(p: int) -> list:
     return steps
 
 
-def build_iota(ctx: PrimeContext, order: int) -> tuple:
+def build_iota(ctx: PrimeContext, order: int) -> TruncatedSeries:
     """iota = exp(ell) - 1 to degree ``order`` from F^p = F(phi) exp(pA),
-    F = 1 + iota, every coefficient at absprec wprec, with its
-    compositional inverse to order 160.  It reads A and phi only, never
-    ell.  Both are integral by construction: iota's coefficients are
-    solved as integers, and ``reversion`` returns integers.
+    F = 1 + iota, every coefficient at absprec wprec.  It reads A and phi
+    only, never ell, and is integral by construction: its coefficients
+    are solved as integers.
 
     On integers mod p^W, W = _solve_digits, degree by degree: first
     E_m = (p/m) sum_j j A_j E_(m-j) for E = exp(pA), where the division
@@ -298,8 +297,28 @@ def build_iota(ctx: PrimeContext, order: int) -> tuple:
         g.append((acc[m] + fm * pow(p, m, mod)) % mod)
         coeffs.append(fm)
         _push_row(acc, m, fm, next(rows, None))
-    iota = TruncatedSeries(ctx, 0, ctx.wprec, coeffs)
-    return iota, iota.truncate(min(160, iota.order)).reversion()
+    return TruncatedSeries(ctx, 0, ctx.wprec, coeffs)
+
+
+def log_identity_residual(ell: TruncatedSeries, iota: TruncatedSeries) -> int:
+    """The least valuation of ell' (1 + iota) - iota', cut at degree M - 1
+    where ell' stops.  With ell(0) = iota(0) = 0 and 1 + iota a unit, this
+    is log(1 + iota) = ell, differentiated, over the whole order M: one
+    product of two solves that share no data, and no division."""
+    lhs = (ell.derivative() * (iota + 1)).truncate(ell.order - 1)
+    return int((lhs - iota.derivative()).min_valuation())
+
+
+def inverse_integrality(iota: TruncatedSeries) -> int:
+    """0, the least valuation of iota^(-1), derived without reverting iota:
+    for an integral iota with a unit iota_1, each coefficient of the
+    inverse is an integer polynomial in iota_1^(-1), iota_2, ..., and the
+    linear one is a unit.  A failed premise raises PropertyFailure."""
+    if not iota.is_integral()[0]:
+        raise PropertyFailure("iota is not integral")
+    if iota.coeff(1).valuation != 0:
+        raise PropertyFailure("iota_1 is not a unit")
+    return 0
 
 
 def log_at_points(ell: TruncatedSeries) -> int:
@@ -352,24 +371,23 @@ def solve_epsilon(ell: TruncatedSeries, ctx: PrimeContext) -> PadicScalar:
 
 
 class HondaData:
-    """ell, iota, iota^{<-1>} and epsilon at a fixed truncation order, with
-    the ``check_honda`` report that certified ell."""
+    """ell, iota and epsilon at a fixed truncation order, with the
+    ``check_honda`` report that certified ell."""
 
-    def __init__(self, ctx, ell, report, iota, iota_inv, epsilon):
+    def __init__(self, ctx, ell, report, iota, epsilon):
         self.ctx = ctx
         self.ell = ell
         self.report = report
         self.iota = iota
-        self.iota_inv = iota_inv
         self.epsilon = epsilon
 
     @classmethod
     def build(cls, ctx: PrimeContext, order: int) -> "HondaData":
         ell = build_ell(ctx, order)
         report = check_honda(ell)
-        iota, iota_inv = build_iota(ctx, order)
+        iota = build_iota(ctx, order)
         epsilon = solve_epsilon(ell, ctx)
-        return cls(ctx, ell, report, iota, iota_inv, epsilon)
+        return cls(ctx, ell, report, iota, epsilon)
 
 
 def formal_add(x, y, honda: HondaData, tower):

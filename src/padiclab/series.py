@@ -484,9 +484,8 @@ class TruncatedSeries(PackedVector):
         Every coefficient of g is known modulo p^E with E the absprec of
         f, which may exceed wprec: the target X is exact, and each g_m is
         an integer polynomial in f_1^(-1), f_2, ..., f_m, so changing f
-        mod p^E changes g only mod p^E.  iota^(-1) reverts iota at wprec;
-        Tate's t(X) reverts exp(lambda) - 1 at the headroom above wprec
-        that its checks need.
+        mod p^E changes g only mod p^E.  Tate's t(X) reverts exp(lambda) - 1
+        at the headroom above wprec that its checks need.
         """
         if self.packed[2][0]:
             raise InvalidInputError("reversion needs f(0) = 0")

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 
@@ -11,6 +12,7 @@ from padiclab.runner import (
     emit_report,
     run_suite,
 )
+from padiclab import runner
 from padiclab.cli import main
 
 
@@ -74,9 +76,15 @@ def test_millis_zeroed_by_default(small_report):
     assert all(c["millis"] == 0 for c in blob["checks"])
 
 
-def test_timings_opt_in():
-    rep = run_suite(SuiteConfig(**{**SMALL, "timings": True}))
-    assert any(c.millis >= 0 for c in rep.checks)
+def test_timings_opt_in(monkeypatch):
+    # a clock that steps 0.25 s (exact in binary) per reading: every check
+    # spans one step
+    ticks = itertools.count(0, 0.25)
+    monkeypatch.setattr(runner.time, "monotonic", lambda: next(ticks))
+    on = run_suite(SuiteConfig(**{**SMALL, "timings": True}))
+    assert on.checks and {c.millis for c in on.checks} == {250}
+    off = run_suite(SuiteConfig(**SMALL))
+    assert {c.millis for c in off.checks} == {0}
 
 
 def test_negative_control_marked_expected_fail():
@@ -228,6 +236,17 @@ def test_cli_env_var_output_dir(tmp_path, monkeypatch):
     files = list(tmp_path.iterdir())
     assert len(files) == 1
     assert files[0].name.startswith("report-p3-n0-N10")
+
+
+def test_cli_report_dir_that_is_a_file(tmp_path, monkeypatch, capsys):
+    # the directory cannot be made: one io error line and exit 2, no traceback
+    blocker = tmp_path / "reports"
+    blocker.write_text("")
+    monkeypatch.setenv("PADICLAB_REPORT_DIR", str(blocker))
+    assert main(["--nmax", "0", "--prec", "10", "--suite", "mtt"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("io error: ")
+    assert "File exists" in err[0]
 
 
 def test_cli_text_to_stdout(capsys):

@@ -827,3 +827,18 @@ def test_gamma_orbit_exponents_refuse_a_level_outside_zero_to_n(tower3n2):
     for m in (-1, 3):
         with pytest.raises(InvalidInputError, match=f"level 2 over level {m}"):
             tower3n2.gamma_orbit_exponents(2, m)
+
+
+def test_restrict_refuses_a_level_outside_zero_to_n(tower3n2):
+    x = tower3n2.field(1).one()
+    assert tower3n2.restrict(x, 0).field is tower3n2.field(0)
+    for m in (-1, 2):
+        with pytest.raises(InvalidInputError, match=f"from level 1 to level {m}"):
+            tower3n2.restrict(x, m)
+
+
+def test_a_negative_level_is_refused(tower3n2):
+    with pytest.raises(InvalidInputError, match="no level -1"):
+        tower3n2.field(-1)
+    with pytest.raises(InvalidInputError, match="no level -1"):
+        tower3n2.uniformizer(-1)

@@ -10,7 +10,10 @@ suites pins the Tate layer at the formal-tate workload's precision; it
 was recorded before series came to be held as packed integer vectors.
 (7, 1, 12) pins p = 7, whose field product folds the top block onto
 p - 1 = 6 lower ones; it was recorded before the product became one
-multiply and a fold on the packed integers.  The golden (3, 2, 12) run
+multiply and a fold on the packed integers.  (3, 2, 12), (5, 1, 12) and
+(7, 1, 12) were re-recorded when honda.log-of-inverse came to read
+ell' (1 + iota) = iota' over the whole order, its one field that moved
+(to wprec, 36).  The golden (3, 2, 12) run
 also bounds the number of K_n products and of PadicScalar
 normalisations, which no report shows."""
 

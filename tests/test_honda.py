@@ -13,7 +13,14 @@ from padiclab import (
     honda,
 )
 from padiclab.core import _log_floor, factorial_valuation, split_p, vp
-from padiclab.honda import build_ell, build_iota, default_truncation, log_at_points
+from padiclab.honda import (
+    build_ell,
+    build_iota,
+    default_truncation,
+    inverse_integrality,
+    log_at_points,
+    log_identity_residual,
+)
 from padiclab.series import TruncatedSeries, frobenius_substitute, log_one_plus_x
 from conftest import from_rationals
 
@@ -178,21 +185,62 @@ def test_iota_quadratic_vanishes_p5(honda5):
     assert honda5.iota.coeff(2).min_valuation() >= 10
 
 
+def _iota_inverse(honda):
+    """Test-only oracle: iota^(-1) by reverting iota to order 160, the
+    round trip the suite no longer builds."""
+    return honda.iota.truncate(min(160, honda.iota.order)).reversion()
+
+
 def test_iota_and_inverse_integral(honda3):
     ok, worst = honda3.iota.is_integral()
     assert ok and worst >= 0
-    ok_inv, worst_inv = honda3.iota_inv.is_integral()
-    assert ok_inv and worst_inv >= 0
+    # the derived certificate reads what the reverted inverse measures
+    assert inverse_integrality(honda3.iota) == 0
+    assert _iota_inverse(honda3).is_integral() == (True, 0)
 
 
 def test_log_of_iota_inverse_is_multiplicative_log(honda3, ctx3):
-    m = honda3.iota_inv.order
-    composed = honda3.ell.truncate(m).compose(honda3.iota_inv)
+    inv = _iota_inverse(honda3)
+    m = inv.order
+    composed = honda3.ell.truncate(m).compose(inv)
     target = log_one_plus_x(ctx3, m)
     resid = min(
         (a - b).min_valuation() for a, b in zip(composed.coeffs, target.coeffs)
     )
     assert resid >= ctx3.prec - 2
+
+
+def test_log_identity_holds_over_the_whole_order(honda3, honda5):
+    for data in (honda3, honda5):
+        assert log_identity_residual(data.ell, data.iota) >= data.ctx.wprec
+
+
+def test_log_identity_sees_an_error_past_the_round_trip():
+    # at (3, 2, 12), M = 404: an error of 3^5 at degree M - 3 of ell or of
+    # iota lies above the round trip's order 160, and the product reads it
+    ctx = PrimeContext(3, 12)
+    order = default_truncation(ctx, 2)
+    ell, iota = build_ell(ctx, order), build_iota(ctx, order)
+    assert order - 3 > 160 and log_identity_residual(ell, iota) >= ctx.wprec
+
+    def bumped(series):
+        coeffs = list(series.coeffs)
+        coeffs[order - 3] = coeffs[order - 3] + 3**5
+        return TruncatedSeries.from_scalars(ctx, coeffs)
+
+    assert log_identity_residual(bumped(ell), iota) == 5
+    assert log_identity_residual(ell, bumped(iota)) == 5
+
+
+def test_inverse_integrality_names_the_failed_premise(honda3, ctx3):
+    coeffs = list(honda3.iota.coeffs)
+    non_unit = TruncatedSeries.from_scalars(ctx3, coeffs[:1] + [ctx3.scalar(3)] + coeffs[2:])
+    with pytest.raises(PropertyFailure, match="iota_1 is not a unit"):
+        inverse_integrality(non_unit)
+    half = ctx3.scalar(Fraction(1, 3))
+    non_integral = TruncatedSeries.from_scalars(ctx3, coeffs[:2] + [half] + coeffs[3:])
+    with pytest.raises(PropertyFailure, match="iota is not integral"):
+        inverse_integrality(non_integral)
 
 
 def test_iota_eval_agrees_with_scalar_exp(honda3, ctx3):
@@ -275,7 +323,7 @@ def test_functional_equation_solves_match_stirling_and_ode_oracles(p, n, prec):
     order = default_truncation(ctx, n)
     oracle_ell = stirling_ell(ctx, order)
     ell = build_ell(ctx, order)
-    iota, _ = build_iota(ctx, order)
+    iota = build_iota(ctx, order)
     assert ell.order == iota.order == order
     assert _agree_to(ell, oracle_ell, ctx.wprec)
     oracle_iota = ode_iota(oracle_ell)

@@ -72,19 +72,16 @@ def bump_ell(m, k):
     return patch
 
 
-def bump_iota(m, k):
-    """iota_m + p^k, after the solve, with iota^(-1) rebuilt from the
-    perturbed iota, so the two stay consistent with each other."""
+def bump_iota(m, k, scale=1):
+    """iota_m times ``scale``, plus p^k, after the solve."""
 
     def patch(monkeypatch):
         build = honda.build_iota
 
         def bumped(ctx, order):
-            iota, _ = build(ctx, order)
-            coeffs = list(iota.coeffs)
-            coeffs[m] = coeffs[m] + P**k
-            iota = TruncatedSeries.from_scalars(ctx, coeffs)
-            return iota, iota.truncate(min(160, iota.order)).reversion()
+            coeffs = list(build(ctx, order).coeffs)
+            coeffs[m] = coeffs[m] * scale + P**k
+            return TruncatedSeries.from_scalars(ctx, coeffs)
 
         monkeypatch.setattr(honda, "build_iota", bumped)
 
@@ -175,7 +172,7 @@ D2_READERS = {
 # every d_n is built from iota at zeta_n - 1 and at epsilon, the root of
 # ell = p, so a wrong ell or iota moves every point, and with it every
 # log, Hilbert-90 solution and Coleman image; inside the honda suite only
-# ell(iota^(-1)) = log(1+X) reads iota
+# ell' (1 + iota) = iota' reads both
 IOTA_READERS = {
     "honda.log-of-inverse",
     "points.norm-tower",
@@ -211,6 +208,10 @@ EPSILON_READERS = (IOTA_READERS - {"honda.log-of-inverse"}) | {
     "honda.epsilon-residual",
     "coleman.trivial-zero[n=2]",
 }
+# iota_1 = p fails the premise of the inverse's integrality as well as
+# every reader of iota, and moves 1 + iota(epsilon) enough for the level-2
+# trivial zero too
+NON_UNIT_IOTA_1 = IOTA_READERS | {"honda.iota-inverse-integral", "coleman.trivial-zero[n=2]"}
 
 PERTURBATIONS = [
     ("t_3 + p^5", "tate", bump_t(3, 5), {"tate.formal-group-identification"}),
@@ -218,8 +219,13 @@ PERTURBATIONS = [
     ("t_3 + p^(N+4)", "tate", bump_t(3, N + 4), set()),
     ("ell_2 + p^5", "tower", bump_ell(2, 5), ELL_READERS),
     ("iota_2 + p^5", "tower", bump_iota(2, 5), IOTA_READERS),
-    # ell_400 x^400 at the smallest point valuation 1/18 has valuation 25
-    ("ell_400 + p^3", "tower", bump_ell(400, 3), set()),
+    # ell_400 x^400 at the smallest point valuation 1/18 has valuation 25,
+    # so no point sees it, but ell' (1 + iota) = iota' reads it over the
+    # whole order M = 404 (residual 3), as it does iota_400 + p^3
+    ("ell_400 + p^3", "tower", bump_ell(400, 3), {"honda.log-of-inverse"}),
+    ("iota_400 + p^3", "tower", bump_iota(400, 3), {"honda.log-of-inverse"}),
+    # iota_1 = p: the inverse's integrality loses its premise
+    ("iota_1 = p", "tower", bump_iota(1, 1, scale=0), NON_UNIT_IOTA_1),
     ("epsilon + p^5", "tower", bump_epsilon(5), EPSILON_READERS),
     # epsilon is solved to wprec - 2 = 34 digits, so p^30 does move it
     ("epsilon + p^30", "tower", bump_epsilon(30), set()),

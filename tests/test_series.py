@@ -411,11 +411,12 @@ def test_reversion_refuses_non_integral_series():
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_power_rows_match_oracles_on_iota(p):
-    # iota^{<-1>} and ell(iota^{<-1>}) at the order the Honda suite uses,
-    # and the Frobenius substitution of ell
+    # iota^{<-1>} and ell(iota^{<-1>}) at order 160, the round trip kept
+    # here as an oracle, and the Frobenius substitution of ell
     ctx = PrimeContext(p, 16)
     ell = build_ell(ctx, 200)
-    iota, inv = build_iota(ctx, 200)
+    iota = build_iota(ctx, 200)
+    inv = iota.truncate(160).reversion()
     assert _digits(inv) == _digits(newton_reversion(iota.truncate(160)))
     assert _digits(inv) == _digits(row_reversion(iota.truncate(160)))
     truncated = ell.truncate(160)
@@ -491,7 +492,7 @@ def test_reversion_keeps_an_absprec_above_wprec():
 def test_build_iota_never_composes_or_divides(monkeypatch):
     ctx = PrimeContext(3, 16)
     calls = []
-    for name in ("compose", "reciprocal"):
+    for name in ("compose", "reciprocal", "reversion"):
         original = getattr(TruncatedSeries, name)
 
         def counting(self, *args, _name=name, _original=original):
@@ -499,8 +500,7 @@ def test_build_iota_never_composes_or_divides(monkeypatch):
             return _original(self, *args)
 
         monkeypatch.setattr(TruncatedSeries, name, counting)
-    iota, inv = build_iota(ctx, 60)
-    assert inv.order == 60
+    build_iota(ctx, 60)
     assert calls == []
 
 
