@@ -12,6 +12,7 @@ REPORT_DIR_ENV = "PADICLAB_REPORT_DIR"
 
 
 def build_parser() -> argparse.ArgumentParser:
+    d = SuiteConfig()
     ap = argparse.ArgumentParser(
         prog="padiclab",
         description=(
@@ -19,17 +20,21 @@ def build_parser() -> argparse.ArgumentParser:
             " points, the finite-level Coleman maps and the Tate curve"
         ),
     )
-    ap.add_argument("--p", type=int, default=3, help="odd prime (default 3)")
-    ap.add_argument("--nmax", type=int, default=2, help="top tower level (default 2)")
-    ap.add_argument("--prec", type=int, default=30, help="target precision (default 30)")
-    ap.add_argument("--q-ord", type=int, default=1, help="valuation of the Tate parameter")
+    ap.add_argument("--p", type=int, default=d.p, help="odd prime (default %(default)s)")
+    ap.add_argument(
+        "--nmax", type=int, default=d.n_max, help="top tower level (default %(default)s)"
+    )
+    ap.add_argument(
+        "--prec", type=int, default=d.prec, help="target precision (default %(default)s)"
+    )
+    ap.add_argument("--q-ord", type=int, default=d.q_ord, help="valuation of the Tate parameter")
     ap.add_argument(
         "--q-unit", type=int, default=None, help="unit part of the Tate parameter (default 1+p)"
     )
     ap.add_argument(
         "--kappa-gamma", type=int, default=None, help="value of the generator (default 1+p)"
     )
-    ap.add_argument("--seed", type=int, default=0, help="seed for the functional battery")
+    ap.add_argument("--seed", type=int, default=d.seed, help="seed for the functional battery")
     ap.add_argument(
         "--suite",
         action="append",
@@ -38,10 +43,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="suite to run (repeatable; default: all)",
     )
     ap.add_argument(
-        "--functionals", type=int, default=20, help="seeded functionals per level (default 20)"
+        "--functionals",
+        type=int,
+        default=d.n_functionals,
+        help="seeded functionals per level (default %(default)s)",
     )
     ap.add_argument(
-        "--lratio", type=int, default=1, help="input L-value/period ratio for the bookkeeping suite"
+        "--lratio",
+        type=int,
+        default=d.lratio,
+        help="input L-value/period ratio for the bookkeeping suite",
     )
     ap.add_argument("--format", choices=("json", "text"), default="json")
     ap.add_argument("--out", default=None, help="output path (default: stdout)")

@@ -262,69 +262,43 @@ def verify_convolution(w: UnitFunctional, fam: PointFamily, col: GroupRingElemen
 @dataclass(frozen=True)
 class CharacterData:
     """A character of the level-n layer group, trivial on Delta, with
-    chi(gamma) = zeta_{p^j}^a; conductor p^(j+1) when j >= 1."""
+    chi(gamma) = zeta_{p^n}^a: primitive (conductor p^(n+1)) for a prime
+    to p, trivial for a = 0; any other a is refused."""
 
     tower: CycloTower
     n: int
-    j: int
     a: int
 
     def __post_init__(self):
+        if self.a and (self.a % self.tower.ctx.p == 0 or self.n == 0):
+            raise InvalidInputError(
+                f"chi(gamma) = zeta_(p^{self.n})^{self.a} is neither 1 nor of order p^{self.n}"
+            )
+
+    def exponent(self, i: int) -> int:
+        """k with chi(gamma^i) = zeta^k, zeta = zeta_{p^(n+1)}."""
         p = self.tower.ctx.p
-        if self.j > self.n:
-            raise InvalidInputError("character order exceeds the layer")
-        if self.j > 0 and self.a % p == 0:
-            raise InvalidInputError("chi(gamma) must have exact order p^j")
-
-    @property
-    def order(self) -> int:
-        return self.tower.ctx.p**self.j
-
-    @property
-    def conductor_exponent(self) -> int:
-        return self.j + 1 if self.j >= 1 else 0
-
-    def is_trivial(self) -> bool:
-        return self.j == 0
-
-    def value_on_gamma_power(self, i: int) -> CycloElement:
-        """chi(gamma^i) as an element of K_n."""
-        f = self.tower.field(self.n)
-        p = self.tower.ctx.p
-        if self.j == 0:
-            return f.one()
-        step = p ** (self.n + 1 - self.j)  # zeta_{p^j} = zeta^(step)
-        return f.zeta_power(step * (self.a * i % p**self.j))
-
-    def value_on_exponent(self, b: int) -> CycloElement:
-        """chi(sigma_b) through the Delta-Gamma factorisation."""
-        return self.value_on_gamma_power(self.tower.gamma_index(self.n, b))
+        return p * (self.a * i % p**self.n)
 
     def conjugate(self) -> "CharacterData":
-        return CharacterData(self.tower, self.n, self.j, (-self.a) % self.order if self.j else 0)
+        return CharacterData(self.tower, self.n, -self.a)
 
 
 def gauss_sum(chi: CharacterData) -> CycloElement:
-    """tau(chi) = sum over the full level group of chi(sigma) zeta^sigma;
-    the character must have exact conductor p^(n+1).  Each sum is built
-    once per tower, keyed by (n, j, a)."""
-    if chi.j != chi.n:
-        raise InvalidInputError(
-            f"conductor p^{chi.conductor_exponent} does not match level {chi.n}"
-        )
-    tower = chi.tower
-    memo = tower.gauss_sums
-    key = (chi.n, chi.j, chi.a)
-    if key not in memo:
-        f = tower.field(chi.n)
-        acc = f.zero()
-        p = tower.ctx.p
-        for b in range(1, f.modulus_order):
-            if b % p == 0:
-                continue
-            acc = acc + chi.value_on_exponent(b) * f.zeta_power(b)
-        memo[key] = acc
-    return memo[key]
+    """tau(chi) = sum over the level group of chi(sigma_b) zeta^b for a
+    primitive chi.  sigma_b runs forward over b = delta kappa(gamma)^i, so
+    each term is the root of unity zeta^(b + chi.exponent(i)) and the sum
+    takes no product in K_n."""
+    if chi.a == 0:
+        raise InvalidInputError(f"the trivial character has no Gauss sum at level {chi.n}")
+    f = chi.tower.field(chi.n)
+    deltas = f.delta_exponents()
+    acc = f.zero()
+    for i, g in enumerate(chi.tower.gamma_orbit_exponents(chi.n)):
+        k = chi.exponent(i)
+        for delta in deltas:
+            acc = acc + f.zeta_power(delta * g + k)
+    return acc
 
 
 def verify_gauss_product(chi: CharacterData) -> Fraction:
@@ -345,8 +319,8 @@ def verify_char_sum(fam: PointFamily, chi: CharacterData) -> Fraction:
     f = tower.field(n)
     acc = f.zero()
     for i, conj in enumerate(fam.log_d_conjugates(n)):
-        acc = acc + conj * chi.value_on_gamma_power(i)
-    if chi.is_trivial():
+        acc = acc + conj * f.zeta_power(chi.exponent(i))
+    if chi.a == 0:
         resid = acc.min_valuation()
         label = "trivial-character sum"
     else:
@@ -359,7 +333,7 @@ def primitive_characters(tower: CycloTower, n: int):
     """All characters of exact conductor p^(n+1), trivial on Delta."""
     p = tower.ctx.p
     return [
-        CharacterData(tower, n, n, a)
+        CharacterData(tower, n, a)
         for a in range(1, p**n)
         if a % p != 0
     ]

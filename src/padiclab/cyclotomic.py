@@ -365,9 +365,6 @@ class CycloTower:
         self._pi_reduction = {}
         self._gamma_reduction = {}
         self._log_cache = {}
-        self._gamma_log = {}
-        # coleman.gauss_sum's memo: (n, j, a) -> tau(chi)
-        self.gauss_sums = {}
         self._int_logs = {}
 
     def log_int(self, a: int) -> PadicScalar:
@@ -407,21 +404,6 @@ class CycloTower:
             out.append(a)
             a = a * g % mo
         return out
-
-    def gamma_log_table(self, n: int) -> dict:
-        """The discrete log on Gamma_n: kappa(gamma)^i mod p^(n+1) -> i."""
-        if n not in self._gamma_log:
-            self._gamma_log[n] = {
-                b: i for i, b in enumerate(self.gamma_orbit_exponents(n))
-            }
-        return self._gamma_log[n]
-
-    def gamma_index(self, n: int, b: int) -> int:
-        """i with sigma_b = delta gamma^i, delta in Delta: the discrete log
-        of b omega(b)^(-1) mod p^(n+1) on Gamma_n."""
-        mo = self.field(n).modulus_order
-        omega = self.ctx.teichmuller_int(b, n + 1)
-        return self.gamma_log_table(n)[b * pow(omega, -1, mo) % mo]
 
     def gamma_conjugates(self, x: CycloElement, m: int = 0):
         """The conjugates of x over K_m, x^(gamma^(i p^m)) for i = 0..p^(n-m)

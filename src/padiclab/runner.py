@@ -269,7 +269,7 @@ def _run_honda(s: _Session, report: Report):
         report,
         "honda.iota-integral",
         "honda:integral-isomorphism",
-        lambda: s.honda.iota.is_integral()[1],
+        lambda: ctx.require(s.honda.iota.is_integral()[1], "iota is not integral", 0),
     )
     _check(
         report,
@@ -456,7 +456,7 @@ def _run_coleman(s: _Session, report: Report):
             ),
         )
 
-        if n >= 2 or (n == 1 and s.cfg["n_max"] >= 2):
+        if s.cfg["n_max"] >= 2:
             _check(
                 report,
                 f"coleman.level-compatibility[{n}->{n-1}]",
@@ -471,7 +471,7 @@ def _run_coleman(s: _Session, report: Report):
                 cm.verify_char_sum(s.fam, chi)
                 for chi in [
                     *cm.primitive_characters(s.tower, n),
-                    cm.CharacterData(s.tower, n, 0, 0),
+                    cm.CharacterData(s.tower, n, 0),
                 ]
             ),
         )

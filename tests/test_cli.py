@@ -227,6 +227,21 @@ def test_cli_validates_the_config_once(monkeypatch, capsys):
     )
 
 
+def test_cli_defaults_are_the_config_defaults(monkeypatch):
+    # padiclab with no flags runs exactly SuiteConfig()
+    from padiclab import cli
+
+    seen = []
+
+    def captured(config):
+        seen.append(config)
+        raise ConfigError("captured")
+
+    monkeypatch.setattr(cli, "run_suite", captured)
+    assert main([]) == 2
+    assert seen == [SuiteConfig()]
+
+
 def test_cli_env_var_output_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("PADICLAB_REPORT_DIR", str(tmp_path))
     code = main(

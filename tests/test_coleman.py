@@ -178,9 +178,56 @@ def test_level_compatibility(fam3n2, tower3n2):
 
 
 def test_gauss_sum_wrong_conductor_rejected(tower3):
-    chi = CharacterData(tower3, 1, 0, 0)
-    with pytest.raises(InvalidInputError):
+    chi = CharacterData(tower3, 1, 0)
+    with pytest.raises(InvalidInputError, match="trivial character"):
         gauss_sum(chi)
+
+
+@pytest.mark.parametrize("n, a", [(1, 3), (1, -6), (2, 3), (0, 1)])
+def test_character_is_trivial_or_primitive(tower3n2, n, a):
+    # chi(gamma) = zeta_(p^n)^a is 1 (a = 0) or of exact order p^n (a prime
+    # to p); at level 0 only the trivial character exists
+    with pytest.raises(InvalidInputError, match="neither 1 nor of order"):
+        CharacterData(tower3n2, n, a)
+    assert CharacterData(tower3n2, n, 0).exponent(1) == 0
+
+
+def _discrete_gamma_log(ctx, b, g, n):
+    """Test-only oracle: i with g^i = b in (1 + pZ)/(1 + p^(n+1)Z), via the
+    scalar logarithm."""
+    if n == 0:
+        return 0
+    absprec = n + 4
+    lb = iwasawa_log(ctx.scalar(b, absprec + 2))
+    lg = iwasawa_log(ctx.scalar(g, absprec + 2))
+    return (lb / lg).lift() % ctx.p**n
+
+
+def _gauss_sum_by_discrete_log(chi):
+    """Test-only oracle: tau(chi) over the units b mod p^(n+1), each
+    chi(sigma_b) read through the discrete log of b omega(b)^(-1) on
+    Gamma_n and multiplied onto zeta^b in K_n."""
+    tower, n = chi.tower, chi.n
+    ctx, f = tower.ctx, tower.field(n)
+    mo = f.modulus_order
+    acc = f.zero()
+    for b in range(1, mo):
+        if b % ctx.p == 0:
+            continue
+        gamma_part = b * pow(ctx.teichmuller_int(b, n + 1), -1, mo) % mo
+        i = _discrete_gamma_log(ctx, gamma_part, tower.kappa_gamma, n)
+        assert pow(tower.kappa_gamma, i, mo) == gamma_part
+        acc = acc + f.zeta_power(ctx.p * (chi.a * i % ctx.p**n)) * f.zeta_power(b)
+    return acc
+
+
+@pytest.mark.parametrize("p, n", [(3, 1), (3, 2), (5, 1), (7, 1)])
+def test_gauss_sum_matches_discrete_log_oracle(p, n):
+    from padiclab import CycloTower, PrimeContext
+
+    tower = CycloTower(PrimeContext(p, 12), n)
+    for chi in primitive_characters(tower, n):
+        assert gauss_sum(chi).packed == _gauss_sum_by_discrete_log(chi).packed
 
 
 def test_gauss_product(tower3):
@@ -199,7 +246,7 @@ def test_gauss_sum_deterministic_across_precision(tower3):
     chi = primitive_characters(tower3, 1)[0]
     t1 = gauss_sum(chi)
     hi = CycloTower(PrimeContext(3, 18), 1)
-    chi_hi = CharacterData(hi, 1, 1, chi.a)
+    chi_hi = CharacterData(hi, 1, chi.a)
     t2 = gauss_sum(chi_hi)
     resid = min(
         (a - b.reduce_absprec(a.absprec)).min_valuation()
@@ -211,7 +258,7 @@ def test_gauss_sum_deterministic_across_precision(tower3):
 def test_char_sums(fam3, tower3):
     for chi in primitive_characters(tower3, 1):
         assert verify_char_sum(fam3, chi) >= tower3.ctx.prec - 2
-    trivial = CharacterData(tower3, 1, 0, 0)
+    trivial = CharacterData(tower3, 1, 0)
     assert verify_char_sum(fam3, trivial) >= tower3.ctx.prec - 2
 
 
@@ -343,10 +390,10 @@ def test_trace_type_family_is_compatible_but_not_global(fam3n2, tower3n2):
 
 def test_level_inputs_are_computed_once(monkeypatch):
     # the abel and dcol batteries read log x_n and N(x_n) from the solution;
-    # each is computed once per level, and each Gauss sum is built once
-    from padiclab import points
-    from padiclab.coleman import CharacterData
-    from padiclab.cyclotomic import CycloTower
+    # each is computed once per level; a Gauss sum is a sum of roots of
+    # unity and takes no product in K_n
+    from padiclab import coleman, points
+    from padiclab.cyclotomic import CycloField, CycloTower
     from padiclab.runner import SuiteConfig, run_suite
 
     args = {"log_element": [], "norm_kn_to_qp": []}
@@ -366,15 +413,25 @@ def test_level_inputs_are_computed_once(monkeypatch):
         return sols[-1]
 
     monkeypatch.setattr(points, "solve_h90", captured)
-    builds = {}
-    value = CharacterData.value_on_exponent
+    products = {"gauss_sum": 0, "calls": 0}
+    inside = []
+    product, tau = CycloField._product, coleman.gauss_sum
 
-    def counted_value(chi, b):
-        key = (chi.n, chi.a)
-        builds[key] = builds.get(key, 0) + 1
-        return value(chi, b)
+    def counted_product(self, A, B):
+        if inside:
+            products["gauss_sum"] += 1
+        return product(self, A, B)
 
-    monkeypatch.setattr(CharacterData, "value_on_exponent", counted_value)
+    def counted_tau(chi):
+        products["calls"] += 1
+        inside.append(chi)
+        try:
+            return tau(chi)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(CycloField, "_product", counted_product)
+    monkeypatch.setattr(coleman, "gauss_sum", counted_tau)
     report = run_suite(
         SuiteConfig(p=3, n_max=2, prec=12, n_functionals=4, suites=("coleman",))
     )
@@ -387,8 +444,9 @@ def test_level_inputs_are_computed_once(monkeypatch):
         norms = args["norm_kn_to_qp"]
         assert sum(x is sol.u_n for x in norms) == 2
         assert not any(x is sol.x_n for x in norms)
-    primitive = {(n, a) for n in (1, 2) for a in range(1, 3**n) if a % 3}
-    assert builds == {(n, a): 2 * 3**n for n, a in primitive}
+    # each primitive character's sum is read by its character-sum check
+    # and twice by the Gauss products (as chi and as chi-bar)
+    assert products == {"gauss_sum": 0, "calls": 3 * (2 + 6)}
 
 
 def test_fresh_h90_solution_gives_same_derivative(tower3n2, fam3n2, sol3n2):

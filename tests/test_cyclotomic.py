@@ -13,7 +13,6 @@ from padiclab import (
     PrecisionError,
     PrimeContext,
     build_points,
-    iwasawa_log,
 )
 from padiclab import cyclotomic
 from padiclab.core import _log_floor, factorial_valuation
@@ -791,34 +790,6 @@ def test_log_element_matches_series_oracle(p, n):
     for y in _log_inputs(tower, n, rng)[:4]:
         for x in (y * z1 ** rng.randrange(1, f.degree), y.scale(p), tower.uniformizer(n)):
             assert _triples(tower.log_element(x)) == _triples(oracle.log_element(x))
-
-
-# -- the discrete log on Gamma_n against the scalar-logarithm route ----------
-
-
-def _discrete_gamma_log(ctx, b, g, n):
-    """Test-only oracle: i with g^i = b in (1 + pZ)/(1 + p^(n+1)Z), via the
-    scalar logarithm."""
-    if n == 0:
-        return 0
-    absprec = n + 4
-    lb = iwasawa_log(ctx.scalar(b, absprec + 2))
-    lg = iwasawa_log(ctx.scalar(g, absprec + 2))
-    return (lb / lg).lift() % ctx.p**n
-
-
-@pytest.mark.parametrize("p, n", [(3, 1), (3, 2), (5, 1), (7, 1)])
-def test_gamma_log_table_matches_scalar_log_oracle(p, n):
-    ctx = PrimeContext(p, 12)
-    tower = CycloTower(ctx, n)
-    mo = p ** (n + 1)
-    units = [b for b in range(1, mo) if b % p]
-    for b in units:
-        gamma_part = b * pow(ctx.teichmuller_int(b, n + 1), -1, mo) % mo
-        i = tower.gamma_index(n, b)
-        assert i == _discrete_gamma_log(ctx, gamma_part, tower.kappa_gamma, n)
-        assert pow(tower.kappa_gamma, i, mo) == gamma_part
-    assert len(tower.gamma_log_table(n)) == p**n
 
 
 def test_gamma_orbit_exponents_refuse_a_level_outside_zero_to_n(tower3n2):

@@ -6,8 +6,10 @@ configuration; every other check keeps its status.  An entry with k above
 every claimed precision must change no status.  The tate entries run the
 tate suite at p = 3, N = 20; the ell, iota, epsilon, d_n and Hilbert-90
 entries run every suite at (p, n_max, N) = (3, 2, 12) with four
-functionals.
+functionals, and the honda entries the honda suite there.
 """
+
+from fractions import Fraction
 
 import pytest
 
@@ -20,6 +22,7 @@ P, N = 3, 20
 CONFIGS = {
     "tate": SuiteConfig(p=P, n_max=0, prec=N, suites=("tate",)),
     "tower": SuiteConfig(p=P, n_max=2, prec=12, n_functionals=4),
+    "honda": SuiteConfig(p=P, n_max=2, prec=12, n_functionals=4, suites=("honda",)),
 }
 NEGATIVE_CONTROL = "coleman.negative-control"
 
@@ -80,7 +83,7 @@ def bump_iota(m, k, scale=1):
 
         def bumped(ctx, order):
             coeffs = list(build(ctx, order).coeffs)
-            coeffs[m] = coeffs[m] * scale + P**k
+            coeffs[m] = coeffs[m] * scale + Fraction(P) ** k
             return TruncatedSeries.from_scalars(ctx, coeffs)
 
         monkeypatch.setattr(honda, "build_iota", bumped)
@@ -226,6 +229,16 @@ PERTURBATIONS = [
     ("iota_400 + p^3", "tower", bump_iota(400, 3), {"honda.log-of-inverse"}),
     # iota_1 = p: the inverse's integrality loses its premise
     ("iota_1 = p", "tower", bump_iota(1, 1, scale=0), NON_UNIT_IOTA_1),
+    # iota_5 + 1/p: iota is not integral, so neither premise of the inverse's
+    # integrality holds and ell' (1 + iota) = iota' misses at valuation -1;
+    # the honda suite only, since d_n's root is a power with an exponent of
+    # about wprec digits, whose squarings compound the denominator
+    (
+        "iota_5 + 1/p",
+        "honda",
+        bump_iota(5, -1),
+        {"honda.iota-integral", "honda.iota-inverse-integral", "honda.log-of-inverse"},
+    ),
     ("epsilon + p^5", "tower", bump_epsilon(5), EPSILON_READERS),
     # epsilon is solved to wprec - 2 = 34 digits, so p^30 does move it
     ("epsilon + p^30", "tower", bump_epsilon(30), set()),
