@@ -361,9 +361,8 @@ class CycloTower:
         self._fields = {}
         self._pi = {}
         self._pi_powers = {}
-        # each level's pi-basis and (gamma - 1) pi^i columns, reduced once
+        # each level's pi-basis, reduced once
         self._pi_reduction = {}
-        self._gamma_reduction = {}
         self._log_cache = {}
         self._int_logs = {}
 
@@ -606,24 +605,24 @@ class CycloTower:
     # -- Gamma-equivariant linear solving ---------------------------------------------------
 
     def gamma_solve(self, v: CycloElement) -> CycloElement:
-        """Solve (gamma - 1) y = v in k_n; needs Tr_{k_n/Q_p}(v) = 0.
+        """The trace-zero y with (gamma - 1) y = v in k_n; needs Tr(v) = 0.
 
-        The kernel of gamma - 1 is Q_p, so the solution is normalised to
-        have zero coefficient on pi^0: y = sum_i c_i pi^i, with the c_i
-        read off the columns (gamma - 1) pi^i, reduced once per level (the
-        zero column i = 0 never pivots, so c_0 = 0).  A residual below
-        identity_floor raises PrecisionError.
-        """
-        n = v.field.n
+        y = p^(-n) sum_(i < p^n) (i - m) gamma^i(v), m = (p^n - 1)/2: as
+        gamma^(p^n) fixes K_n, the sum telescopes to (gamma - 1) sum_i (i - m)
+        gamma^i(v) = p^n v - Tr(v).  The weights sum to 0, so Tr(y) = 0 even
+        where Tr(v) vanishes only to identity_floor.  They are exact integers
+        and Galois keeps v's scale (it is an automorphism of Z[zeta]), so for
+        v known to p^A, y is known to p^(A - n)."""
         tr = self.trace_kn_to_qp(v)
         if not tr.is_zero and tr.v < self.ctx.identity_floor:
             raise InvalidInputError(
                 f"gamma_solve needs trace zero; got valuation {tr.min_valuation()}"
             )
-        if n not in self._gamma_reduction:
-            cols = [self.gamma_apply(b) - b for b in self.pi_basis(n)]
-            self._gamma_reduction[n] = solve_columns(self.ctx, cols, self.ctx.identity_floor)
-        return self.from_pi_coords(n, self._gamma_reduction[n].coords(v))
+        conj = [x.packed[2] for x in self.gamma_conjugates(v)]
+        m = (len(conj) - 1) // 2
+        ints = [sum((i - m) * c for i, c in enumerate(col)) for col in zip(*conj)]
+        denom, e, _ = v.packed
+        return CycloElement(v.field, denom + v.field.n, e, ints)
 
 
 class ColumnReduction:

@@ -35,7 +35,8 @@ class PointFamily:
 
     That root is the integer power prod^a, a = (p-1)^(-1) mod p^(wprec+n):
     for x in U^1_n, x^(p^K) = 1 mod p^(K-n), so exponents that agree mod
-    p^(wprec+n) give roots that agree mod p^wprec.
+    p^(wprec+n) give roots that agree mod p^wprec.  A product with a
+    denominator (iota not integral) is refused before the power.
     """
 
     def __init__(self, honda: HondaData, tower: CycloTower, n_max: int):
@@ -61,6 +62,8 @@ class PointFamily:
             for a in f.delta_exponents():
                 t = raw.galois(a) if a != 1 else raw
                 prod = t if prod is None else prod * t
+            if prod.packed[0]:
+                raise PropertyFailure(f"the Delta-product of d_{n} is not integral")
             d = prod ** pow(ctx.p - 1, -1, ctx.pk(ctx.wprec + n))
             self.d.append(d)
             self.c.append(d - f.one())
@@ -345,7 +348,7 @@ def solve_h90(fam: PointFamily, n: int) -> H90Solution:
     """Find e in {0..p^n-1} and a norm-one principal unit u_n with
     d_n = (pi_n^e u_n)^(gamma-1).
 
-    The trace-normalised solution y(e) of (gamma - 1) y = log d_n +
+    The trace-zero solution y(e) of (gamma - 1) y = log d_n +
     e log pi^(1-gamma) is linear in e, and so are its lattice coordinates:
     two solves give c(e) = c_0 + e (c_1 - c_0).  The class test is here:
     e in range(p^n) qualifies when c(e) is integral (p^n packed vector
@@ -357,24 +360,18 @@ def solve_h90(fam: PointFamily, n: int) -> H90Solution:
     """
     tower = fam.tower
     ctx = tower.ctx
-    p = ctx.p
     if n == 0:
         one = tower.field(0).one()
         return _certified(fam, 0, 0, one, one, ())
     lattice = fam.lattice(n)
-    f = tower.field(n)
     pi = tower.uniformizer(n)
     ratio = pi / tower.gamma_apply(pi)  # pi^(1 - gamma)
     if ratio.residue() != 1:
         raise PropertyFailure("pi^(1-gamma) is not a principal unit")
     log_ratio = tower.log_element(ratio)
-    pn = p**n
-
-    def normalised_solve(e):
-        y = tower.gamma_solve(fam.log_d(n) + log_ratio.scale(e))
-        return y - f.from_scalar(tower.trace_kn_to_qp(y) / pn)
-
-    y0, y1 = normalised_solve(0), normalised_solve(1)
+    pn = ctx.p**n
+    y0 = tower.gamma_solve(fam.log_d(n))
+    y1 = tower.gamma_solve(fam.log_d(n) + log_ratio)
     c0, c1 = (lattice.coords(tower.to_pi_coords(y)) for y in (y0, y1))
     dc = c1 - c0
     hits = [e for e in range(pn) if (c0 + dc.scale(e)).min_valuation() >= 0]

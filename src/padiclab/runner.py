@@ -63,6 +63,8 @@ class SuiteConfig:
             raise ConfigError("q must have positive valuation (split multiplicative)")
         if self.n_functionals < 1:
             raise ConfigError("need at least one functional per level")
+        if self.lratio == 0:
+            raise ConfigError("need a nonzero lratio (0 makes both mtt checks compare 0 with 0)")
         unknown = [s for s in self.suites if s not in ALL_SUITES]
         if unknown:
             raise ConfigError(f"unknown suites: {unknown}")

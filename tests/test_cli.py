@@ -207,6 +207,8 @@ def test_cli_config_error_exit_two():
     assert main(["--q-ord", "0"]) == 2
     assert main(["--p", "3", "--kappa-gamma", "10"]) == 2
     assert main(["--functionals", "0"]) == 2
+    # lratio = 0 would pass both mtt checks by comparing 0 with 0
+    assert main(["--nmax", "0", "--prec", "10", "--suite", "mtt", "--lratio", "0"]) == 2
 
 
 def test_cli_validates_the_config_once(monkeypatch, capsys):

@@ -15,7 +15,7 @@ from padiclab import (
     build_points,
 )
 from padiclab import cyclotomic
-from padiclab.core import _log_floor, factorial_valuation
+from padiclab.core import _log_floor, factorial_valuation, vp
 from padiclab.honda import default_truncation
 from padiclab.points import UnitLogLattice
 from padiclab.series import PackedVector, TruncatedSeries, log_one_plus_x
@@ -262,9 +262,15 @@ def test_gamma_solve_requires_trace_zero(tower3):
 def _seeded_kn(tower, n, rng):
     """A seeded element of O_{k_n}: the Delta-trace of random integer
     coordinates in K_n, built without the pi-basis."""
+    span = tower.ctx.p**tower.ctx.prec
+    return _kn_from_ints(tower, n, [rng.randrange(span) for _ in range(tower.field(n).degree)])
+
+
+def _kn_from_ints(tower, n, ints):
+    """The Delta-trace of the integer coordinates ints in K_n."""
     ctx = tower.ctx
     f = tower.field(n)
-    z = from_coords(f, [ctx.scalar(rng.randrange(ctx.p**ctx.prec)) for _ in range(f.degree)])
+    z = from_coords(f, [ctx.scalar(c) for c in ints])
     acc = f.zero()
     for a in f.delta_exponents():
         acc = acc + (z.galois(a) if a != 1 else z)
@@ -284,6 +290,57 @@ def test_pi_coords_and_gamma_solve_leave_no_residual(p, n):
         v = w - tower.field(n).from_scalar(tower.trace_kn_to_qp(w) / p**n)
         y = tower.gamma_solve(v)
         assert (tower.gamma_apply(y) - y - v).min_valuation() >= ctx.identity_floor
+
+
+def column_gamma_solve(tower, v):
+    """(gamma - 1) y = v by column reduction: y = sum_i c_i pi^i, with the
+    c_i read off the reduced columns (gamma - 1) pi^i, whose zero column
+    i = 0 never pivots, so c_0 = 0.  The oracle for the closed form."""
+    n = v.field.n
+    cols = [tower.gamma_apply(b) - b for b in tower.pi_basis(n)]
+    reduction = cyclotomic.solve_columns(tower.ctx, cols, tower.ctx.identity_floor)
+    return tower.from_pi_coords(n, reduction.coords(v))
+
+
+def _trace_zero_kn(tower, n, ints):
+    """x - Tr_{k_n/Q_p}(x)/p^n for x = ``_kn_from_ints``: the same exact
+    element at any precision."""
+    x = _kn_from_ints(tower, n, ints)
+    return x - tower.field(n).from_scalar(tower.trace_kn_to_qp(x) / tower.ctx.p**n)
+
+
+def _agreement(a, b):
+    """The least valuation of a - b for elements of two towers over the
+    same p, their packed ints read as exact rationals."""
+    p = a.ctx.p
+    (da, _, ai), (db, _, bi) = a.packed, b.packed
+    d = max(da, db)
+    diffs = [x * p ** (d - da) - y * p ** (d - db) for x, y in zip(ai, bi)]
+    return min((vp(c, p) - d for c in diffs if c), default=None)
+
+
+@pytest.mark.parametrize("p, n", [(3, 1), (5, 1), (7, 1), (3, 2)])
+def test_closed_form_gamma_solve_against_the_column_reduction(p, n):
+    N, K = 12, 8
+    tower, wide = (CycloTower(PrimeContext(p, prec), n) for prec in (N, N + K))
+    ctx = tower.ctx
+    rng = random.Random(200 * p + n)
+    for _ in range(3):
+        ints = [rng.randrange(p**N) for _ in range(tower.field(n).degree)]
+        v = _trace_zero_kn(tower, n, ints)
+        y = tower.gamma_solve(v)
+        # the two solutions differ by a Q_p constant only
+        diff = tower.to_pi_coords(y - column_gamma_solve(tower, v))
+        assert min(diff.valuations()[1:]) >= ctx.identity_floor
+        assert y.absprec == v.absprec - n
+        # the weights sum to 0, so Tr(y) vanishes at y's precision even when
+        # Tr(v) only reaches identity_floor
+        for w in (v, v + tower.field(n).from_scalar(ctx.p**ctx.identity_floor)):
+            y_w = tower.gamma_solve(w)
+            assert tower.trace_kn_to_qp(y_w).min_valuation() >= y_w.absprec
+        # the same exact v, solved at N + K, agrees to y's claimed absprec
+        agree = _agreement(y, wide.gamma_solve(_trace_zero_kn(wide, n, ints)))
+        assert agree is None or agree >= y.absprec
 
 
 def test_pi_coords_refuse_an_element_outside_kn(tower3):

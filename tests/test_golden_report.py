@@ -13,8 +13,10 @@ p - 1 = 6 lower ones; it was recorded before the product became one
 multiply and a fold on the packed integers.  (3, 2, 12), (5, 1, 12) and
 (7, 1, 12) were re-recorded when honda.log-of-inverse came to read
 ell' (1 + iota) = iota' over the whole order, its one field that moved
-(to wprec, 36).  The golden (3, 2, 12) run
-also bounds the number of K_n products and of PadicScalar
+(to wprec, 36).  (3, 2, 12) was re-recorded when the Hilbert-90 solve of
+(gamma - 1) y = v became a closed form; its one field that moved was
+prop2.h90-certificate[n=1] (29 to 30).  The golden (3, 2, 12) run also
+bounds the number of K_n products and of PadicScalar
 normalisations, which no report shows."""
 
 from pathlib import Path
