@@ -207,10 +207,7 @@ class GroupRingElement:
 def coleman_level(w: UnitFunctional, fam: PointFamily, n: int) -> GroupRingElement:
     """sum_sigma (d_n^sigma, w) sigma over Gamma_n."""
     tower = w.tower
-    dens = w.density(n)
-    coeffs = [
-        tower.trace_kn_to_qp(conj * dens) for conj in fam.log_d_conjugates(n)
-    ]
+    coeffs = tower.trace_pairings(fam.log_d_conjugates(n), w.density(n))
     return GroupRingElement(tower, n, coeffs)
 
 
@@ -235,24 +232,20 @@ def verify_level_compatibility(
 
 def verify_convolution(w: UnitFunctional, fam: PointFamily, col: GroupRingElement) -> Fraction:
     """The level-n image col of w equals the convolution of
-    sum log(d^sigma) sigma with sum sigma(E_n) sigma^(-1): each product
-    coefficient collapses to the corresponding trace value."""
+    sum log(d^sigma) sigma with sum sigma(E_n) sigma^(-1): each
+    coefficient of the product in K_n[Gamma_n], one group-ring product,
+    collapses to the corresponding trace value."""
     tower = w.tower
     ctx = tower.ctx
     n = col.n
     pn = ctx.p**n
-    A = fam.log_d_conjugates(n)
     B = tower.gamma_conjugates(w.density(n))
     f = tower.field(n)
-
-    def residual(i):
-        acc = f.zero()
-        for j in range(pn):
-            acc = acc + A[j] * B[(j - i) % pn]
-        return (acc - f.from_scalar(col.coeffs[i])).min_valuation()
-
+    # sum sigma(E_n) sigma^(-1) has coefficient B[-i] at gamma^i
+    conv = f.group_product(fam.log_d_conjugates(n), [B[-i % pn] for i in range(pn)])
     return ctx.require(
-        min(residual(i) for i in range(pn)), f"convolution identity fails at level {n}"
+        min((c - f.from_scalar(x)).min_valuation() for c, x in zip(conv, col.coeffs)),
+        f"convolution identity fails at level {n}",
     )
 
 
@@ -292,13 +285,12 @@ def gauss_sum(chi: CharacterData) -> CycloElement:
     if chi.a == 0:
         raise InvalidInputError(f"the trivial character has no Gauss sum at level {chi.n}")
     f = chi.tower.field(chi.n)
-    deltas = f.delta_exponents()
-    acc = f.zero()
-    for i, g in enumerate(chi.tower.gamma_orbit_exponents(chi.n)):
-        k = chi.exponent(i)
-        for delta in deltas:
-            acc = acc + f.zeta_power(delta * g + k)
-    return acc
+    ks = [
+        delta * g + chi.exponent(i)
+        for i, g in enumerate(chi.tower.gamma_orbit_exponents(chi.n))
+        for delta in f.delta_exponents()
+    ]
+    return f.root_weighted_sum([f.one()] * len(ks), ks)
 
 
 def verify_gauss_product(chi: CharacterData) -> Fraction:
@@ -316,10 +308,8 @@ def verify_char_sum(fam: PointFamily, chi: CharacterData) -> Fraction:
     tower = fam.tower
     ctx = tower.ctx
     n = chi.n
-    f = tower.field(n)
-    acc = f.zero()
-    for i, conj in enumerate(fam.log_d_conjugates(n)):
-        acc = acc + conj * f.zeta_power(chi.exponent(i))
+    conj = fam.log_d_conjugates(n)
+    acc = tower.field(n).root_weighted_sum(conj, [chi.exponent(i) for i in range(len(conj))])
     if chi.a == 0:
         resid = acc.min_valuation()
         label = "trivial-character sum"
@@ -360,12 +350,8 @@ def derivative_rep(w: UnitFunctional, sol: H90Solution, col: GroupRingElement):
     ctx = tower.ctx
     n = sol.n
     pn = ctx.p**n
-    dens = w.density(n)
     alpha_v = w.alpha * ctx.scalar(sol.valuation_x)
-    S = [
-        tower.trace_kn_to_qp(conj * dens) + alpha_v
-        for conj in sol.log_x_conjugates
-    ]
+    S = [t + alpha_v for t in tower.trace_pairings(sol.log_x_conjugates, w.density(n))]
     rhs = GroupRingElement(
         tower, n, [S[(i + 1) % pn] - S[i] for i in range(pn)]
     )

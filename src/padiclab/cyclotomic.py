@@ -4,9 +4,14 @@ An element is one integer vector over the power basis zeta^0..zeta^(d-1),
 d = p^n (p-1), with one denominator exponent and one absolute precision;
 each operation follows the per-coordinate ``PadicScalar`` rule, cut to the
 least coordinate precision.  Its coordinates are a view.  Every product
-in K_n is one ``CycloField._product``: one multiply of the packed
-integers and the fold by zeta^(p^(n+1)) = 1 and the cyclotomic relation
-on the product int.  Power series are summed at an element by baby steps
+of two elements is one ``CycloField._product``: one multiply of the
+packed integers and the fold by zeta^(p^(n+1)) = 1 and the cyclotomic
+relation on the product int.  The sums of products that the Coleman
+layer takes have kernels of their own: a trace pairing Tr(x w) is a dot
+product with w's trace form (``_trace_form``), a product in the group
+ring K_n[Z/m] is one 2-D Kronecker product (``_group_product``), and
+zeta^k x moves the coordinates of x along the reduction table
+(``_fold``).  Power series are summed at an element by baby steps
 and giant steps (``CycloField._evaluate``), about 2 sqrt(M) products for
 M terms; inverses are Newton's iteration, about 2 log2(d A) products at
 absprec A.  The n-th layer k_n of the Z_p-extension is the subspace fixed
@@ -159,15 +164,51 @@ class CycloField:
             coeffs, x, one, lambda a, b: self._product((0, e, a), (0, e, b))[2], self.ctx.pk(e)
         )
 
-    def _fold(self, ints, a: int):
-        """sum_j ints[j] zeta^(a j) in the power basis, unreduced."""
-        out = [0] * self.degree
-        red = self._reduction
-        mo = self.modulus_order
-        for j, c in enumerate(ints):
-            if c:
-                for idx, sign in red[a * j % mo]:
-                    out[idx] += c if sign > 0 else -c
+    def _own(self, xs):
+        """Refuse an element of another level, as a product in K_n does."""
+        if any(x.field.level != self.level for x in xs):
+            raise InvalidInputError("level mismatch between cyclotomic elements")
+
+    def _common_scale(self, xs):
+        """(D, ints): the ints of each element of this field in xs over
+        their largest denominator exponent D."""
+        self._own(xs)
+        denom = max(x.packed[0] for x in xs)
+        scales = [self.ctx.pk(denom - x.packed[0]) for x in xs]
+        return denom, [[c * q for c in x.packed[2]] for x, q in zip(xs, scales)]
+
+    def root_weighted_sum(self, xs, ks) -> "CycloElement":
+        """sum_i xs[i] zeta^(ks[i]) with no product in K_n: zeta^k x moves
+        x's coordinates along the reduction table (``_fold``), so the terms
+        are summed on integers over their common denominator.  Each term
+        is claimed as its product with ``zeta_power(k)``, held at wprec,
+        is, and the sum at the least claim, as the loop over those
+        products from zero at wprec claims it."""
+        wprec = self.ctx.wprec
+        denom, scaled = self._common_scale(xs)
+        prec, out = wprec, [0] * self.degree
+        for x, ints, k in zip(xs, scaled, ks):
+            d, e = _product_scale(x.packed, (0, wprec, None))
+            prec = min(prec, e - d)
+            out = list(map(add, out, _fold(self, ints, 1, k)))
+        return CycloElement(self, denom, prec + denom, out)
+
+    def group_product(self, xs, ys):
+        """The coefficients c_i = sum_(j + k = i mod m) xs[j] ys[k], i < m,
+        of (sum_j xs[j] g^j)(sum_k ys[k] g^k) in K_n[Z/m], m = len(xs) =
+        len(ys): one ``_group_product`` over the common denominators of
+        xs and of ys.  c_i is claimed at the least ``_product_scale``
+        precision of its m products, as the sum of those K_n products
+        is."""
+        m = len(xs)
+        if len(ys) != m:
+            raise InvalidInputError(f"cannot multiply {m} group coefficients by {len(ys)}")
+        (dx, a), (dy, b) = self._common_scale(xs), self._common_scale(ys)
+        out = []
+        for i, c in enumerate(_group_product(self, a, b)):
+            scales = (_product_scale(xs[j].packed, ys[(i - j) % m].packed) for j in range(m))
+            prec = min(e - d for d, e in scales)
+            out.append(CycloElement(self, dx + dy, prec + dx + dy, c))
         return out
 
 
@@ -277,7 +318,7 @@ class CycloElement(PackedVector):
         if a % self.ctx.p == 0:
             raise InvalidInputError("Galois exponent must be prime to p")
         denom, e, ints = self.packed
-        return CycloElement(self.field, denom, e, self.field._fold(ints, a))
+        return CycloElement(self.field, denom, e, _fold(self.field, ints, a))
 
     # -- invariants ------------------------------------------------------------------
 
@@ -454,6 +495,23 @@ class CycloTower:
         """Tr_{k_n/Q_p} for Delta-fixed x: absolute trace divided by p-1."""
         return x.trace_to_qp() / (self.ctx.p - 1)
 
+    def trace_pairings(self, xs, w: CycloElement):
+        """Tr_{k_n/Q_p}(x w) for each x in xs, as ``trace_kn_to_qp(x * w)``
+        but with no product in K_n: Tr(x w) = sum_k x_k t[k] for w's trace
+        form t (``_trace_form``), one length-d dot product per x.  It is
+        claimed at the product's ``_product_scale`` (D, e): the dot
+        product times 1/(p-1) mod p^e, reduced mod p^e by
+        ``PadicScalar._make``, is the scalar ``trace_kn_to_qp`` reads
+        off the product reduced mod p^e."""
+        w.field._own(xs)
+        t = _trace_form(w.field, w.packed[2])
+        out = []
+        for x in xs:
+            d, e = _product_scale(x.packed, w.packed)
+            raw = sum(map(mul, x.packed[2], t)) * pow(self.ctx.p - 1, -1, self.ctx.pk(e))
+            out.append(PadicScalar._make(self.ctx, -d, raw, e - d))
+        return out
+
     def norm_kn_to_qp(self, x: CycloElement) -> PadicScalar:
         """N_{k_n/Q_p} for Delta-fixed x: N_{K_n/K_0}(x), which lies in Q_p."""
         return self.norm(x, 0).scalar_part()
@@ -496,7 +554,7 @@ class CycloTower:
         basis = self.pi_basis(n)
         denom, e, cs = coeffs.packed
         terms = zip(basis, coeffs.valuations())
-        absprec = min(min(b.absprec + v, b.min_valuation() + e - denom) for b, v in terms)
+        absprec = min(min(b.absprec + v, int(b.min_valuation()) + e - denom) for b, v in terms)
         ints = [sum(map(mul, cs, row)) for row in zip(*(b.packed[2] for b in basis))]
         return CycloElement(self.field(n), denom, absprec + denom, ints)
 
@@ -623,6 +681,72 @@ class CycloTower:
         ints = [sum((i - m) * c for i, c in enumerate(col)) for col in zip(*conj)]
         denom, e, _ = v.packed
         return CycloElement(v.field, denom + v.field.n, e, ints)
+
+
+def _fold(field, ints, a: int, k: int = 0):
+    """sum_j ints[j] zeta^(a j + k) in the power basis, unreduced: the
+    Galois map zeta -> zeta^a for k = 0, and for a = 1 the product with
+    zeta^k.  Each coordinate moves to one basis monomial, or with its
+    sign flipped to p - 1 of them (a row of the reduction table), so no
+    product is taken."""
+    out = [0] * field.degree
+    red = field._reduction
+    mo = field.modulus_order
+    for j, c in enumerate(ints):
+        if c:
+            for idx, sign in red[(a * j + k) % mo]:
+                out[idx] += c if sign > 0 else -c
+    return out
+
+
+def _trace_form(field, ints):
+    """t[k] = Tr_{K_n/Q_p}(zeta^k w), k < d, for the ints of w, so that
+    Tr(x w) = sum_k x_k t[k].  Tr(zeta^m) is d at m = 0 mod p^(n+1),
+    -p^n at the other multiples of p^n and 0 elsewhere, so
+    t[k] = d w[-k] - p^n sum_(0<r<p) w[r p^n - k], indices mod p^(n+1)
+    and w_j = 0 for j >= d: O(d p) from the trace table."""
+    mo, d = field.modulus_order, field.degree
+    pn = mo - d
+    w = list(ints) + [0] * pn
+    return [
+        d * w[-k % mo] - pn * sum(w[(r - k) % mo] for r in range(pn, mo, pn))
+        for k in range(d)
+    ]
+
+
+def _group_product(field, xs, ys):
+    """The ints of sum_(j + k = i mod m) xs[j] ys[k] in K_n, i < m, for
+    two lists of m vectors of d non-negative ints, unreduced: the product
+    in K_n[Z/m] as one 2-D Kronecker substitution (D. Harvey,
+    J. Symbolic Comput. 44, 2009), the group index outer and the field
+    coordinate inner.  Each vector fills L = 2d - 1 slots of w bytes, so
+    a product of two vectors stays inside its block; the two ints are
+    multiplied once; the blocks at and past m are added onto the m low
+    ones (g^m = 1) on the product int; each of the m blocks read back is
+    folded by zeta^(p^(n+1)) = 1 and the cyclotomic relation
+    zeta^(d+r) = -sum_(0<=t<p-1) zeta^(r + t p^n).  A slot sums at most
+    m d products of two entries, which w holds."""
+    m, d, mo = len(xs), field.degree, field.modulus_order
+    pn, span = mo - d, 2 * d - 1
+    bound = max(map(max, xs)).bit_length() + max(map(max, ys)).bit_length()
+    w = (bound + (m * d).bit_length() + 7) // 8
+    gap = [0] * (span - d)
+
+    def pack(vs):
+        return _to_int([c for v in vs for c in (*v, *gap)], w)
+
+    x = pack(xs) * pack(ys)
+    cut = 8 * w * span * m
+    x = (x & ((1 << cut) - 1)) + (x >> cut)
+    slots = _from_int(x, w, span * m)
+    out = []
+    for i in range(0, span * m, span):
+        low = slots[i : i + mo]  # span >= p^(n+1) for odd p
+        for u, c in enumerate(slots[i + mo : i + span]):
+            low[u] += c
+        top = low[d:]
+        out.append([c - top[j % pn] for j, c in enumerate(low[:d])])
+    return out
 
 
 class ColumnReduction:

@@ -63,8 +63,6 @@ class SuiteConfig:
             raise ConfigError("q must have positive valuation (split multiplicative)")
         if self.n_functionals < 1:
             raise ConfigError("need at least one functional per level")
-        if self.lratio == 0:
-            raise ConfigError("need a nonzero lratio (0 makes both mtt checks compare 0 with 0)")
         unknown = [s for s in self.suites if s not in ALL_SUITES]
         if unknown:
             raise ConfigError(f"unknown suites: {unknown}")
@@ -73,6 +71,11 @@ class SuiteConfig:
             tower = CycloTower(ctx, self.n_max, self.kappa_gamma)
         except InvalidInputError as exc:
             raise ConfigError(str(exc)) from None
+        if self.lratio % ctx.pk(self.prec) == 0:
+            raise ConfigError(
+                f"need an lratio that is nonzero mod p^{self.prec}"
+                " (one that vanishes makes both mtt checks compare 0 with 0)"
+            )
         q_unit = (1 + self.p) if self.q_unit is None else self.q_unit
         if q_unit % self.p == 0:
             raise ConfigError("q unit part must be prime to p")

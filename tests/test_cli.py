@@ -211,6 +211,19 @@ def test_cli_config_error_exit_two():
     assert main(["--nmax", "0", "--prec", "10", "--suite", "mtt", "--lratio", "0"]) == 2
 
 
+def test_cli_refuses_an_lratio_that_vanishes_at_the_precision(capsys):
+    # 3^60 = 0 mod 3^30: both mtt checks would again compare 0 with 0
+    for lratio in (3**60, 3**30, -(3**30)):
+        args = ["--nmax", "0", "--prec", "30", "--suite", "mtt", "--lratio", str(lratio)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: need an lratio that is nonzero mod p^30 (")
+        assert err.count("\n") == 1
+    # 3^29 is nonzero mod 3^30, so the configuration stands
+    cfg = SuiteConfig(p=3, n_max=0, prec=30, suites=("mtt",), lratio=3**29)
+    assert cfg.resolved()["lratio"] == 3**29
+
+
 def test_cli_validates_the_config_once(monkeypatch, capsys):
     calls = []
     resolved = SuiteConfig.resolved

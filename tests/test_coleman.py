@@ -1,5 +1,8 @@
+import random
 from fractions import Fraction
+from functools import reduce
 from math import comb
+from operator import add
 
 import pytest
 
@@ -23,6 +26,7 @@ from padiclab import (
     verify_trivial_zero,
 )
 from padiclab.coleman import GroupRingElement, _pair_log, verify_gauss_product
+from padiclab.cyclotomic import CycloElement
 
 
 def pair_qp(y, w):
@@ -567,3 +571,192 @@ def test_suite_takes_each_logarithm_once(monkeypatch):
     )
     assert report.summary()["fail"] == 0
     assert len(args) <= 8
+
+
+# -- the packed Coleman kernels against the per-coefficient loops ---------------------
+
+
+def _scalar_triple(s):
+    return (s.v, s.unit, s.absprec)
+
+
+def _trace_pairings_by_products(tower, xs, w):
+    """Test-only oracle: one K_n product and one trace per x, the loop
+    ``coleman_level`` and ``derivative_rep`` ran."""
+    return [tower.trace_kn_to_qp(x * w) for x in xs]
+
+
+def _group_product_by_products(xs, ys):
+    """Test-only oracle: c_i = sum_(j+k = i mod m) xs[j] ys[k], one K_n
+    product per term."""
+    m = len(xs)
+    return [reduce(add, (xs[j] * ys[(i - j) % m] for j in range(m))) for i in range(m)]
+
+
+def _root_weighted_sum_by_products(xs, ks):
+    """Test-only oracle: the loop ``verify_char_sum`` ran, from zero at
+    wprec, one product with zeta_power(k) per term."""
+    f = xs[0].field
+    acc = f.zero()
+    for x, k in zip(xs, ks):
+        acc = acc + x * f.zeta_power(k)
+    return acc
+
+
+def _convolution_residual_by_products(w, fam, col):
+    """Test-only oracle: ``verify_convolution``'s residual as the p^(2n)
+    K_n products it took before the group-ring product."""
+    tower = w.tower
+    n = col.n
+    pn = tower.ctx.p**n
+    A = fam.log_d_conjugates(n)
+    B = tower.gamma_conjugates(w.density(n))
+    f = tower.field(n)
+
+    def residual(i):
+        acc = f.zero()
+        for j in range(pn):
+            acc = acc + A[j] * B[(j - i) % pn]
+        return (acc - f.from_scalar(col.coeffs[i])).min_valuation()
+
+    return min(residual(i) for i in range(pn))
+
+
+def _random_elements(f, rng, count):
+    """count elements of K_n over random denominators 0..2 and random
+    absprecs, so the operands of one call sit at different scales."""
+    ctx = f.ctx
+    out = []
+    for _ in range(count):
+        denom = rng.randrange(3)
+        e = rng.randrange(ctx.prec, ctx.wprec) + denom
+        m = ctx.pk(e)
+        out.append(CycloElement(f, denom, e, [rng.randrange(m) for _ in range(f.degree)]))
+    return out
+
+
+KERNEL_FIELDS = [(3, 1), (3, 2), (5, 1), (7, 1)]
+
+
+@pytest.mark.parametrize("p, n", KERNEL_FIELDS)
+def test_trace_pairings_match_the_product_loop(p, n):
+    from padiclab import CycloTower, PrimeContext
+
+    tower = CycloTower(PrimeContext(p, 8), n)
+    f = tower.field(n)
+    rng = random.Random(p * 10 + n)
+    xs = _random_elements(f, rng, 6)
+    assert any(x.packed[0] for x in xs)  # a nonzero denominator is covered
+    for w in _random_elements(f, rng, 3) + [f.zero(), f.from_scalar(Fraction(1, p))]:
+        got = tower.trace_pairings(xs, w)
+        expected = _trace_pairings_by_products(tower, xs, w)
+        assert list(map(_scalar_triple, got)) == list(map(_scalar_triple, expected))
+
+
+def _root_trace(f, m):
+    """Test-only: Tr_{K_n/Q_p}(zeta^m), d at m = 0 mod p^(n+1), -p^n at
+    the other multiples of p^n, else 0."""
+    pn = f.modulus_order // f.ctx.p
+    if m % f.modulus_order == 0:
+        return f.degree
+    return -pn if m % pn == 0 else 0
+
+
+@pytest.mark.parametrize("p, n", KERNEL_FIELDS)
+def test_trace_form_is_the_trace_of_each_root_multiple(p, n):
+    from padiclab import CycloTower, PrimeContext
+    from padiclab.cyclotomic import _trace_form
+
+    f = CycloTower(PrimeContext(p, 8), n).field(n)
+    w = _random_elements(f, random.Random(p + n), 1)[0].packed[2]
+    expected = [
+        sum(c * _root_trace(f, k + j) for j, c in enumerate(w)) for k in range(f.degree)
+    ]
+    assert _trace_form(f, w) == expected
+
+
+@pytest.mark.parametrize("p, n", KERNEL_FIELDS)
+def test_group_product_matches_the_product_loop(p, n):
+    from padiclab import CycloTower, PrimeContext
+
+    f = CycloTower(PrimeContext(p, 8), n).field(n)
+    rng = random.Random(100 + p * 10 + n)
+    m = p**n
+    xs, ys = _random_elements(f, rng, m), _random_elements(f, rng, m)
+    assert any(x.packed[0] for x in xs + ys)
+    got = f.group_product(xs, ys)
+    assert [c.packed for c in got] == [c.packed for c in _group_product_by_products(xs, ys)]
+    # a zero operand and a one-element group
+    zeros = [f.zero()] * m
+    assert [c.packed for c in f.group_product(xs, zeros)] == [
+        c.packed for c in _group_product_by_products(xs, zeros)
+    ]
+    assert [c.packed for c in f.group_product(xs[:1], ys[:1])] == [(xs[0] * ys[0]).packed]
+
+
+@pytest.mark.parametrize("p, n", KERNEL_FIELDS)
+def test_root_weighted_sum_matches_the_product_loop(p, n):
+    from padiclab import CycloTower, PrimeContext
+
+    f = CycloTower(PrimeContext(p, 8), n).field(n)
+    rng = random.Random(200 + p * 10 + n)
+    xs = _random_elements(f, rng, 5)
+    assert any(x.packed[0] for x in xs)
+    ks = [rng.randrange(3 * f.modulus_order) for _ in xs]
+    got = f.root_weighted_sum(xs, ks)
+    assert got.packed == _root_weighted_sum_by_products(xs, ks).packed
+    # zeta^k is held at wprec: a term over p^2 known past wprec - 2 is
+    # claimed to wprec - 2, as its product with zeta_power(k) is
+    wprec = f.ctx.wprec
+    ints = [1] + [rng.randrange(f.ctx.pk(wprec)) for _ in range(f.degree - 1)]
+    x = CycloElement(f, 2, wprec + 1, ints)
+    assert x.absprec == wprec - 1
+    got = f.root_weighted_sum([x], ks[:1])
+    assert got.absprec == wprec - 2
+    assert got.packed == _root_weighted_sum_by_products([x], ks[:1]).packed
+
+
+def _level_cases(request):
+    """(tower, fam, sol, q, n) for p = 3 at levels 1 and 2 and p = 5 at
+    level 1."""
+    cases = []
+    for tower, fam, sol in (
+        ("tower3", "fam3", "sol3"),
+        ("tower3n2", "fam3n2", "sol3n2"),
+        ("tower5", "fam5", "sol5"),
+    ):
+        t, fm, s = (request.getfixturevalue(x) for x in (tower, fam, sol))
+        q = TateParameter.make(t.ctx, 1, 4 if t.ctx.p == 3 else 6)
+        cases.append((t, fm, s, q, s.n))
+    return cases
+
+
+def test_coleman_functions_match_their_product_loops(request):
+    for tower, fam, sol, q, n in _level_cases(request):
+        for seed in (0, 1):
+            w = UnitFunctional.seeded(tower, n, q, seed)
+            col = coleman_level(w, fam, n)
+            expected = _trace_pairings_by_products(tower, fam.log_d_conjugates(n), w.density(n))
+            assert list(map(_scalar_triple, col.coeffs)) == list(map(_scalar_triple, expected))
+            # the Abel sums S_i pair the conjugates of log x_n the same way
+            S = tower.trace_pairings(sol.log_x_conjugates, w.density(n))
+            S_loop = _trace_pairings_by_products(tower, sol.log_x_conjugates, w.density(n))
+            assert list(map(_scalar_triple, S)) == list(map(_scalar_triple, S_loop))
+            assert verify_convolution(w, fam, col) == _convolution_residual_by_products(w, fam, col)
+        conj = fam.log_d_conjugates(n)
+        for chi in [*primitive_characters(tower, n), CharacterData(tower, n, 0)]:
+            ks = [chi.exponent(i) for i in range(len(conj))]
+            got = tower.field(n).root_weighted_sum(conj, ks)
+            assert got.packed == _root_weighted_sum_by_products(conj, ks).packed
+
+
+def test_packed_kernels_refuse_another_level(tower3n2):
+    f1, f2 = tower3n2.field(1), tower3n2.field(2)
+    with pytest.raises(InvalidInputError, match="level mismatch"):
+        tower3n2.trace_pairings([f1.one()], f2.one())
+    with pytest.raises(InvalidInputError, match="level mismatch"):
+        f2.group_product([f2.one()], [f1.one()])
+    with pytest.raises(InvalidInputError, match="level mismatch"):
+        f2.root_weighted_sum([f1.one()], [1])
+    with pytest.raises(InvalidInputError, match="3 group coefficients by 2"):
+        f1.group_product([f1.one()] * 3, [f1.one()] * 2)

@@ -58,14 +58,16 @@ def test_report_matches_golden_bytes_p7():
 
 def test_golden_config_product_count(monkeypatch):
     # 5233 K_n products before the evaluator, the shared squarings of u_n
-    # and the Newton inverse; Horner in eval_series alone would pass 2616
+    # and the Newton inverse; 2057 before the Coleman layer's trace
+    # pairings, group-ring product and root sums, 1495 after: one product
+    # per image coefficient, Abel term or convolution term would add 562
     calls = []
     product = cyclotomic.CycloField._product
     monkeypatch.setattr(
         cyclotomic.CycloField, "_product", lambda self, a, b: calls.append(1) or product(self, a, b)
     )
     run_suite(SuiteConfig(p=3, n_max=2, prec=12, n_functionals=4))
-    assert len(calls) <= 2616
+    assert len(calls) <= 1495
 
 
 def test_golden_config_scalar_count(monkeypatch):

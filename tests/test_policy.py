@@ -76,6 +76,9 @@ PACKED = {
     "_paterson_stockmeyer",
     "_to_int",
     "_from_int",
+    "_fold",
+    "_trace_form",
+    "_group_product",
 }
 VECTOR_MODULES = {"series.py", "cyclotomic.py"}
 

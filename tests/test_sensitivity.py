@@ -4,16 +4,16 @@ Each entry adds p^k at one place in one construction, by monkeypatching
 the constructor, and names the checks that must then fail under its
 configuration; every other check keeps its status.  An entry with k above
 every claimed precision must change no status.  The tate entries run the
-tate suite at p = 3, N = 20; the ell, iota, epsilon, d_n and Hilbert-90
-entries run every suite at (p, n_max, N) = (3, 2, 12) with four
-functionals.
+tate suite at p = 3, N = 20; the ell, iota, epsilon, d_n, Hilbert-90 and
+Coleman-image entries run every suite at (p, n_max, N) = (3, 2, 12) with
+four functionals.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from padiclab import honda, points, tate
+from padiclab import coleman, honda, points, tate
 from padiclab.runner import SuiteConfig, run_suite
 from padiclab.series import TruncatedSeries
 from conftest import from_coords
@@ -142,6 +142,25 @@ def bump_h90(n, shift_e=0, j=0, k=None):
     return patch
 
 
+def bump_image(n, i, k):
+    """Coefficient i of every level-n Coleman image + p^k, after the
+    trace pairings: the convolution and the Abel sums recompute the image
+    their own way, and the trivial zero and the projection read it."""
+
+    def patch(monkeypatch):
+        build = coleman.coleman_level
+
+        def bumped(w, fam, m):
+            col = build(w, fam, m)
+            if m == n:
+                col.coeffs[i] = col.coeffs[i] + P**k
+            return col
+
+        monkeypatch.setattr(coleman, "coleman_level", bumped)
+
+    return patch
+
+
 # the class e_1 is read by the exponent congruences and, through
 # N(x_1) = N(u_1) N(pi_1)^(e_1), by the derivative congruence
 E1_READERS = {"prop2.congruence[n=1]", "prop2.e1-class", "coleman.derivative-congruence[n=1]"}
@@ -227,6 +246,18 @@ NON_INTEGRAL_IOTA = NON_UNIT_IOTA_1 | {
     "coleman.convolution[n=2]",
 }
 
+# a level-2 Coleman image is read by its trivial zero and by the Abel
+# identity, recomputed as a group-ring product by the convolution check,
+# projected by the level compatibility, and, for the trace-type
+# functional, checked to vanish by the negative control
+IMAGE_2_READERS = {
+    "coleman.trivial-zero[n=2]",
+    "coleman.convolution[n=2]",
+    "coleman.abel-identity[n=2]",
+    "coleman.level-compatibility[2->1]",
+    NEGATIVE_CONTROL,
+}
+
 PERTURBATIONS = [
     ("t_3 + p^5", "tate", bump_t(3, 5), {"tate.formal-group-identification"}),
     ("a4(q = p(1+p)) + p^5", "tate", bump_a4(P * (1 + P), 5), {"tate.weierstrass-residual-grid"}),
@@ -252,6 +283,8 @@ PERTURBATIONS = [
     ("e_1 + 1", "tower", bump_h90(1, shift_e=1), E1_READERS),
     ("u_1[0] + p^5", "tower", bump_h90(1, k=5), H90_1_READERS),
     ("u_1[0] + p^30", "tower", bump_h90(1, k=30), set()),
+    ("col_2[1] + p^5", "tower", bump_image(2, 1, 5), IMAGE_2_READERS),
+    ("col_2[1] + p^30", "tower", bump_image(2, 1, 30), set()),
 ]
 
 
