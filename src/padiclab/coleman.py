@@ -190,7 +190,7 @@ class GroupRingElement:
         """P'(0) for the canonical polynomial lift: sum_i i c_i."""
         acc = self.tower.ctx.zero()
         for i, c in enumerate(self.coeffs):
-            if i and not c.is_zero:
+            if i:
                 acc = acc + c * i
         return acc
 

@@ -3,27 +3,27 @@
 An element is one integer vector over the power basis zeta^0..zeta^(d-1),
 d = p^n (p-1), with one denominator exponent and one absolute precision;
 each operation follows the per-coordinate ``PadicScalar`` rule, cut to the
-least coordinate precision.  Its coordinates are a view.  Every product
-of two elements is one ``CycloField._product``: one multiply of the
-packed integers and the fold by zeta^(p^(n+1)) = 1 and the cyclotomic
-relation on the product int.  The sums of products that the Coleman
-layer takes have kernels of their own: a trace pairing Tr(x w) is a dot
-product with w's trace form (``_trace_form``), a product in the group
-ring K_n[Z/m] is one 2-D Kronecker product (``_group_product``), and
-zeta^k x moves the coordinates of x along the reduction table
-(``_fold``).  Power series are summed at an element by baby steps
-and giant steps (``CycloField._evaluate``), about 2 sqrt(M) products for
-M terms; inverses are Newton's iteration, about 2 log2(d A) products at
-absprec A.  The n-th layer k_n of the Z_p-extension is the subspace fixed
-by Delta = mu_{p-1}, coordinatised by powers of the canonical uniformizer
-pi_n.
+least coordinate precision.  Its coordinates are a view.  The cyclotomic
+relation is applied in one place, ``_reduce``.  Every product of two
+elements is one ``CycloField._product``: one multiply of the packed
+integers, wrapped at p^(n+1) and folded by ``_reduce``.  The sums of
+products that the Coleman layer takes have kernels of their own: a trace
+pairing Tr(x w) is a dot product with w's trace form (``_trace_form``), a
+product in the group ring K_n[Z/m] is one 2-D Kronecker product
+(``_group_product``), and zeta^k x moves each coordinate of x to its slot
+before the fold (``_fold``).  Power series are summed at an element by
+baby steps and giant steps (``CycloField._evaluate``), about 2 sqrt(M)
+products for M terms; inverses are Newton's iteration, about 2 log2(d A)
+products at absprec A.  The n-th layer k_n of the Z_p-extension is the
+subspace fixed by Delta = mu_{p-1}, coordinatised by powers of the
+canonical uniformizer pi_n.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from operator import add, mul
+from operator import add, mul, sub
 
 from .core import (
     ConvergenceError,
@@ -56,33 +56,7 @@ class CycloField:
         p = ctx.p
         self.modulus_order = p**self.level
         self.degree = p**n * (p - 1)
-        self._reduction = self._build_reduction()
-        self._trace_table = self._build_trace_table()
-
-    def _build_reduction(self):
-        """zeta^k as a signed sum of basis monomials, k in [0, p^(level))."""
-        p, d = self.ctx.p, self.degree
-        pn = p**self.n
-        rows = []
-        for k in range(self.modulus_order):
-            if k < d:
-                rows.append(((k, 1),))
-            else:
-                # zeta^((p-1)p^n) = -(1 + zeta^(p^n) + ... + zeta^((p-2)p^n))
-                r = k - d
-                rows.append(tuple((r + j * pn, -1) for j in range(p - 1)))
-        return rows
-
-    def _build_trace_table(self):
-        """Tr_{K_n/Q_p}(zeta^j): d at j=0, -p^n on exact order p, else 0."""
-        p, d = self.ctx.p, self.degree
-        pn = p**self.n
-        table = [0] * d
-        table[0] = d
-        for j in range(pn, d, pn):
-            # zeta^j has exact order p iff p^n | j (and j != 0 in range)
-            table[j] = -(p**self.n)
-        return table
+        self._trace_table = _trace_form(self, [1] + [0] * (self.degree - 1))
 
     # -- constructors -------------------------------------------------------
 
@@ -103,11 +77,8 @@ class CycloField:
         return self.zeta_power(1, absprec)
 
     def zeta_power(self, k: int, absprec=None) -> "CycloElement":
-        ints = [0] * self.degree
-        for idx, sign in self._reduction[k % self.modulus_order]:
-            ints[idx] = sign
         a = self.ctx.wprec if absprec is None else absprec
-        return CycloElement(self, 0, a, ints)
+        return CycloElement(self, 0, a, _fold(self, [1], 1, k))
 
     def delta_exponents(self):
         """Teichmuller lifts of 1..p-1 reduced mod p^level."""
@@ -120,40 +91,21 @@ class CycloField:
     def _product(self, A, B):
         """The packed product of two triples, reduced mod p^e, at
         ``series._product_scale``'s scale and precision: the one kernel of
-        every product in K_n.
-
-        One multiply and a fold on the product int.  Both operands are
-        packed into w-byte slots (a squaring packs once) and multiplied.
-        The slots at and past p^(n+1) are added onto the low ones
-        (zeta^(p^(n+1)) = 1), so each of the p^(n+1) slots left sums at
-        most min(len) products of two entries, below 2^B.  The top p^n
-        slots T stand for zeta^(d+r) = -(zeta^r + zeta^(r+p^n) + ... +
-        zeta^(r+(p-2)p^n)): the bytes of T, repeated p - 1 times, are
-        subtracted from the d low slots, after one multiple of p^e at or
-        above 2^B is added to every slot, so that none goes negative and
-        none reaches 2^(8w) (w is sized for 2^(B+1) + p^e).  Then d slots
-        are read back and reduced mod p^e: the residues of the schoolbook
-        product folded by the cyclotomic relation.
-        """
+        every product in K_n.  Both operands are packed into w-byte slots
+        (a squaring packs once) and multiplied once; the slots at and past
+        p^(n+1) are added onto the low ones on the product int, so each of
+        the p^(n+1) slots sums at most d products of two entries, which w
+        holds; they are read back, folded by ``_reduce`` and reduced mod
+        p^e."""
         D, e = _product_scale(A, B)
         m = self.ctx.pk(e)
         a, b = A[2], B[2]
-        p, deg = self.ctx.p, self.degree
-        bound = max(a).bit_length() + max(b).bit_length() + min(len(a), len(b)).bit_length()
-        w = (max(bound + 2, m.bit_length() + 1) + 7) // 8
+        w = (max(a).bit_length() + max(b).bit_length() + self.degree.bit_length() + 7) // 8
         x = _to_int(a, w)
         x *= x if a is b else _to_int(b, w)
         cut = 8 * w * self.modulus_order
         x = (x & ((1 << cut) - 1)) + (x >> cut)
-        cut = 8 * w * deg
-        offset = (m << max(0, bound + 1 - m.bit_length())).to_bytes(w, "little")
-        top = (x >> cut).to_bytes(w * p**self.n, "little")
-        x = (
-            (x & ((1 << cut) - 1))
-            + int.from_bytes(offset * deg, "little")
-            - int.from_bytes(top * (p - 1), "little")
-        )
-        return D, e, [c % m for c in _from_int(x, w, deg)]
+        return D, e, [c % m for c in _reduce(self, _from_int(x, w, self.modulus_order))]
 
     def _evaluate(self, coeffs, x, e):
         """sum coeffs[i] x^i mod p^e, for the ints x of an integral
@@ -179,11 +131,11 @@ class CycloField:
 
     def root_weighted_sum(self, xs, ks) -> "CycloElement":
         """sum_i xs[i] zeta^(ks[i]) with no product in K_n: zeta^k x moves
-        x's coordinates along the reduction table (``_fold``), so the terms
-        are summed on integers over their common denominator.  Each term
-        is claimed as its product with ``zeta_power(k)``, held at wprec,
-        is, and the sum at the least claim, as the loop over those
-        products from zero at wprec claims it."""
+        x's coordinate j to the slot j + k before the fold (``_fold``), so
+        the terms are summed on integers over their common denominator.
+        Each term is claimed as its product with ``zeta_power(k)``, held
+        at wprec, is, and the sum at the least claim, as the loop over
+        those products from zero at wprec claims it."""
         wprec = self.ctx.wprec
         denom, scaled = self._common_scale(xs)
         prec, out = wprec, [0] * self.degree
@@ -228,8 +180,7 @@ class CycloElement(PackedVector):
 
     def _coerce(self, other):
         if isinstance(other, CycloElement):
-            if other.field.level != self.field.level:
-                raise InvalidInputError("level mismatch between cyclotomic elements")
+            self.field._own([other])
             return other
         return self.field.from_scalar(other)
 
@@ -323,7 +274,9 @@ class CycloElement(PackedVector):
     # -- invariants ------------------------------------------------------------------
 
     def trace_to_qp(self) -> PadicScalar:
-        """Absolute trace from K_n, by the exact basis trace table."""
+        """Absolute trace from K_n: the dot product of the coordinates
+        with the trace table Tr(zeta^j), which is the trace form of 1
+        (``_trace_form``)."""
         denom, e, ints = self.packed
         raw = sum(c * t for c, t in zip(ints, self.field._trace_table) if t)
         return PadicScalar._make(self.ctx, -denom, raw, e - denom)
@@ -683,20 +636,29 @@ class CycloTower:
         return CycloElement(v.field, denom + v.field.n, e, ints)
 
 
+def _reduce(field, slots):
+    """The ints of sum_j slots[j] zeta^j in the power basis, unreduced, for
+    p^(n+1) <= len(slots) <= 2 p^(n+1): the slots at and past p^(n+1) are
+    added onto the low ones (zeta^(p^(n+1)) = 1), then each top slot d + r
+    is subtracted from the slots r + t p^n, t < p - 1, by the cyclotomic
+    relation zeta^(d+r) = -sum_(t<p-1) zeta^(r + t p^n)."""
+    mo, d = field.modulus_order, field.degree
+    low = slots[:mo]
+    for u, c in enumerate(slots[mo:]):
+        low[u] += c
+    return list(map(sub, low[:d], low[d:] * (field.ctx.p - 1)))
+
+
 def _fold(field, ints, a: int, k: int = 0):
     """sum_j ints[j] zeta^(a j + k) in the power basis, unreduced: the
     Galois map zeta -> zeta^a for k = 0, and for a = 1 the product with
-    zeta^k.  Each coordinate moves to one basis monomial, or with its
-    sign flipped to p - 1 of them (a row of the reduction table), so no
-    product is taken."""
-    out = [0] * field.degree
-    red = field._reduction
+    zeta^k.  Each coordinate moves to its slot (a j + k) mod p^(n+1) and
+    ``_reduce`` folds the slots, so no product is taken."""
     mo = field.modulus_order
+    slots = [0] * mo
     for j, c in enumerate(ints):
-        if c:
-            for idx, sign in red[(a * j + k) % mo]:
-                out[idx] += c if sign > 0 else -c
-    return out
+        slots[(a * j + k) % mo] += c
+    return _reduce(field, slots)
 
 
 def _trace_form(field, ints):
@@ -704,7 +666,8 @@ def _trace_form(field, ints):
     Tr(x w) = sum_k x_k t[k].  Tr(zeta^m) is d at m = 0 mod p^(n+1),
     -p^n at the other multiples of p^n and 0 elsewhere, so
     t[k] = d w[-k] - p^n sum_(0<r<p) w[r p^n - k], indices mod p^(n+1)
-    and w_j = 0 for j >= d: O(d p) from the trace table."""
+    and w_j = 0 for j >= d: O(d p).  The trace table Tr(zeta^k) is the
+    trace form of 1."""
     mo, d = field.modulus_order, field.degree
     pn = mo - d
     w = list(ints) + [0] * pn
@@ -723,11 +686,10 @@ def _group_product(field, xs, ys):
     a product of two vectors stays inside its block; the two ints are
     multiplied once; the blocks at and past m are added onto the m low
     ones (g^m = 1) on the product int; each of the m blocks read back is
-    folded by zeta^(p^(n+1)) = 1 and the cyclotomic relation
-    zeta^(d+r) = -sum_(0<=t<p-1) zeta^(r + t p^n).  A slot sums at most
-    m d products of two entries, which w holds."""
-    m, d, mo = len(xs), field.degree, field.modulus_order
-    pn, span = mo - d, 2 * d - 1
+    folded by ``_reduce``.  A slot sums at most m d products of two
+    entries, which w holds."""
+    m, d = len(xs), field.degree
+    span = 2 * d - 1
     bound = max(map(max, xs)).bit_length() + max(map(max, ys)).bit_length()
     w = (bound + (m * d).bit_length() + 7) // 8
     gap = [0] * (span - d)
@@ -739,14 +701,8 @@ def _group_product(field, xs, ys):
     cut = 8 * w * span * m
     x = (x & ((1 << cut) - 1)) + (x >> cut)
     slots = _from_int(x, w, span * m)
-    out = []
-    for i in range(0, span * m, span):
-        low = slots[i : i + mo]  # span >= p^(n+1) for odd p
-        for u, c in enumerate(slots[i + mo : i + span]):
-            low[u] += c
-        top = low[d:]
-        out.append([c - top[j % pn] for j, c in enumerate(low[:d])])
-    return out
+    # p^(n+1) <= span < 2 p^(n+1) for odd p
+    return [_reduce(field, slots[i : i + span]) for i in range(0, span * m, span)]
 
 
 class ColumnReduction:

@@ -8,7 +8,9 @@ import pytest
 
 from padiclab import (
     CharacterData,
+    CycloTower,
     InvalidInputError,
+    PrimeContext,
     TateParameter,
     UnitFunctional,
     coleman_level,
@@ -291,6 +293,16 @@ def test_group_ring_element_refuses_a_wrong_length(tower3):
     ctx = tower3.ctx
     with pytest.raises(InvalidInputError, match="has 3 coefficients, not 2"):
         GroupRingElement(tower3, 1, [ctx.one(), ctx.zero()])
+
+
+def test_polynomial_derivative_is_bounded_by_a_zero_coefficient():
+    # 1 * O(3^5) is a term of sum_i i c_i, so it bounds the claim
+    ctx = PrimeContext(3, 12)
+    elt = GroupRingElement(CycloTower(ctx, 1), 1, [ctx.one(), ctx.zero(5), ctx.one()])
+    der, aug = elt.polynomial_derivative_at_zero(), elt.augmentation()
+    assert aug.absprec == 5
+    assert der.absprec == 5
+    assert (der - 2).is_zero
 
 
 def test_to_polynomial_delta_at_identity(tower3):

@@ -19,7 +19,7 @@ import pytest
 
 from padiclab import CycloTower, InvalidInputError, PrecisionError, PrimeContext, TruncatedSeries
 from padiclab.core import PadicScalar, _log_floor, split_p, vp
-from padiclab.cyclotomic import CycloElement
+from padiclab.cyclotomic import CycloElement, _reduce
 from padiclab.series import _pack, _unpack
 from conftest import from_coords
 
@@ -199,6 +199,22 @@ def test_products_powers_and_galois_match_the_packed_rule(p, n):
             d, e, ints = _pack(x.coords)
             expected = _unpack(f.ctx, d, e, [c % f.ctx.pk(e) for c in _fold(f, ints, a)])
             assert _triples(x.galois(a).coords) == _triples(expected)
+
+
+@pytest.mark.parametrize("p, n", CONFIGS)
+def test_root_powers_and_trace_table_match_the_relation(p, n):
+    f = CycloTower(PrimeContext(p, 12), n).field(n)
+    mo, d, pn = f.modulus_order, f.degree, p**n
+    m = f.ctx.pk(f.ctx.wprec)
+    for k in range(mo):
+        expected = [c % m for c in _fold(f, [0] * k + [1])]
+        assert f.zeta_power(k).packed == (0, f.ctx.wprec, expected)
+    # past p^(n+1) the slots wrap, as a product's do
+    for k in range(2 * mo - 1):
+        slots = [0] * (2 * mo - 1)
+        slots[k] = 1
+        assert _reduce(f, slots) == _fold(f, [0] * (k % mo) + [1])
+    assert f._trace_table == [d if j == 0 else -pn if j % pn == 0 else 0 for j in range(d)]
 
 
 @pytest.mark.parametrize("p, n", CONFIGS)

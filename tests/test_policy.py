@@ -76,6 +76,7 @@ PACKED = {
     "_paterson_stockmeyer",
     "_to_int",
     "_from_int",
+    "_reduce",
     "_fold",
     "_trace_form",
     "_group_product",
