@@ -92,29 +92,33 @@ class CycloField:
         """The packed product of two triples, reduced mod p^e, at
         ``series._product_scale``'s scale and precision: the one kernel of
         every product in K_n.  Both operands are packed into w-byte slots
-        (a squaring packs once) and multiplied once; the slots at and past
-        p^(n+1) are added onto the low ones on the product int, so each of
-        the p^(n+1) slots sums at most d products of two entries, which w
-        holds; they are read back, folded by ``_reduce`` and reduced mod
-        p^e."""
+        (a squaring packs once), multiplied once and read back by
+        ``_read``; each of the p^(n+1) slots it folds sums at most d
+        products of two entries, which w holds."""
         D, e = _product_scale(A, B)
         m = self.ctx.pk(e)
         a, b = A[2], B[2]
         w = (max(a).bit_length() + max(b).bit_length() + self.degree.bit_length() + 7) // 8
         x = _to_int(a, w)
         x *= x if a is b else _to_int(b, w)
+        return D, e, [c % m for c in self._read(x, w)]
+
+    def _read(self, x, w, count=None):
+        """The d coordinates, unreduced, of the packed int x with w-byte
+        slots, a product of two d-slot vectors plus at most d more slots:
+        the slots at and past p^(n+1) are added onto the low ones on the
+        int, and the p^(n+1) slots read back are folded by ``_reduce``.
+        ``count`` is ``series._paterson_stockmeyer``'s, always d here."""
         cut = 8 * w * self.modulus_order
         x = (x & ((1 << cut) - 1)) + (x >> cut)
-        return D, e, [c % m for c in _reduce(self, _from_int(x, w, self.modulus_order))]
+        return _reduce(self, _from_int(x, w, self.modulus_order))
 
     def _evaluate(self, coeffs, x, e):
         """sum coeffs[i] x^i mod p^e, for the ints x of an integral
         element and non-negative coeffs, by ``series._paterson_stockmeyer``
-        over ``_product``: about 2 sqrt(len(coeffs)) products."""
-        one = [1] + [0] * (self.degree - 1)
-        return _paterson_stockmeyer(
-            coeffs, x, one, lambda a, b: self._product((0, e, a), (0, e, b))[2], self.ctx.pk(e)
-        )
+        reading its packed steps with ``_read``: about 2 sqrt(len(coeffs))
+        products, each Horner step one multiply-add, untruncated."""
+        return _paterson_stockmeyer(coeffs, x, self.ctx.pk(e), self._read, self.degree)
 
     def _own(self, xs):
         """Refuse an element of another level, as a product in K_n does."""

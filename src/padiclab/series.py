@@ -7,11 +7,13 @@ the linear operations for both ``TruncatedSeries`` and
 ``cyclotomic.CycloElement``; each follows the per-coefficient
 ``PadicScalar`` rule, cut to the least coefficient precision.  The
 ``PadicScalar`` coefficients are a view, built afresh at every read.
-Multiplication, composition and reversion run through one product kernel
-(``_product_ints``: a schoolbook loop for a short operand, Kronecker
-substitution otherwise), which keeps the hot loops in plain bigint
-arithmetic.  Composition is Brent-Kung's baby-step/giant-step scheme
-over that kernel, and reversion is Newton doubling over composition.
+Multiplication runs through one product kernel (``_product_ints``: a
+schoolbook loop for a short operand, Kronecker substitution otherwise),
+which keeps the hot loops in plain bigint arithmetic.  Composition is
+Brent-Kung's baby-step/giant-step scheme on packed ints
+(``_paterson_stockmeyer``): each Horner step is one packed multiply-add,
+cut to the terms that the inner series' X-adic valuation leaves of it.
+Reversion is Newton doubling over composition.
 """
 
 from __future__ import annotations
@@ -55,8 +57,8 @@ def _unpack(ctx, denom, e, ints):
 # 0.99 at length 6 and 1.30 at length 8 for p = 3, and 0.79 and 1.02 for
 # p = 7; with the other operand 200 long it is 1.9 (p = 3) and 1.4 (p = 7)
 # at length 8.  Below it, packing and unpacking every slot costs more than
-# the loop saves: the Frobenius inner series 3X + 3X^2 + X^3 stays on the
-# loop.
+# the loop saves: the first, few-term Newton corrections of ``reversion``
+# stay on the loop.
 _KRONECKER_MIN = 8
 
 
@@ -139,59 +141,64 @@ def _convolve(a, b, order):
     return d, e, _product_ints(a[2], b[2], n)
 
 
-def _block_sums(f, rows, mod, slots):
-    """sum_(j<k) f_(ik+j) rows[j] mod ``mod`` for each block i of
-    k = len(rows) coefficients of f, on big ints: every row is packed into
-    one int once, so a block costs k int-by-packed products and one
-    unpack of ``slots`` slots.  f and rows hold residues mod ``mod``, so a
-    slot holds at most k products of two residues."""
-    k = len(rows)
-    w = (2 * (mod - 1).bit_length() + k.bit_length() + 7) // 8
-    packed = [_to_int(row, w) for row in rows]
-    blocks = []
-    for i in range(0, len(f), k):
-        block = sum(c * row for c, row in zip(f[i : i + k], packed) if c)
-        blocks.append([c % mod for c in _from_int(block, w, slots)])
-    return blocks
-
-
-def _paterson_stockmeyer(f, x, one, product, mod):
-    """sum_i f_i x^i mod ``mod`` for ints f and x, by Paterson and
+def _paterson_stockmeyer(f, x, mod, read, n, v=0):
+    """sum_j f_j x^j mod ``mod`` for ints f and x, by Paterson and
     Stockmeyer's baby steps and giant steps (SIAM J. Comput. 2, 1973):
     the one evaluator of series composition and of K_n series sums.
 
-    ``one`` and x are the ints of 1 and x, and product(a, b) returns the
-    residues mod ``mod`` of the ring's product a b, no shorter than a (so
-    the last baby step is the longest).  With L = len(f) and
-    k = isqrt(L): the baby steps x^2 .. x^k cost k - 1 products, the
-    block sums sum_(j<k) f_(ik+j) x^j are formed on big ints by
-    ``_block_sums``, and Horner in x^k costs ceil(L/k) - 1 products:
-    about 2 sqrt(L) in all, against L for Horner in x.  Every step is
-    reduced mod ``mod``, which is exact for residues: the result is the
-    term-by-term sum's.
+    Vectors are packed into one int with w-byte slots (``_to_int``), and
+    read(y, w, count) returns the first ``count`` coordinates, unreduced,
+    of a packed product y: for series its slots, for K_n its slots folded
+    by the cyclotomic relation (count is then always the degree n).  With
+    L = len(f) and k = isqrt(L), the baby steps x^2 .. x^k are k - 1
+    products, x^(2i) a square; each block sum
+    P_i = sum_(j<k) f_(ik+j) x^j is k int-by-packed products, held at
+    the slot width w of a product; and Horner in G = x^k,
+    acc_i = P_i + G acc_(i+1), is one packed multiply-add, one read and
+    one reduction per block: about 2 sqrt(L) products, against L for
+    Horner in x.
+
+    For a series x of X-adic valuation v >= 1, acc_i enters the result
+    times G^i, of valuation v k i, so it is needed only mod X^(n - v k i):
+    P_i is summed on those slots, and step i multiplies acc_(i+1) by
+    G / X^(v k), both n - v k (i + 1) long, instead of n.  K_n passes
+    v = 0: no truncation.  Every step is reduced mod ``mod``, exact for
+    residues, so the result is the term-by-term sum's.
     """
+    if v:
+        f = f[: -(-n // v)]  # f_j x^j = 0 mod X^n once v j >= n
     k = max(1, isqrt(len(f)))
-    baby = [one, [c % mod for c in x]]
-    for _ in range(k - 1):
-        baby.append(product(baby[-1], baby[1]))
-    giant = baby.pop()
-    blocks = _block_sums([c % mod for c in f], baby, mod, len(baby[-1]))
-    acc = blocks.pop()
-    while blocks:
-        terms = zip_longest(product(acc, giant), blocks.pop(), fillvalue=0)
-        acc = [(c + t) % mod for c, t in terms]
+    # a slot sums at most n products of two residues, and P_i k more
+    w = (2 * (mod - 1).bit_length() + (n + k).bit_length() + 7) // 8
+
+    def product(a, b):
+        y = _to_int(a, w)
+        y *= y if a is b else _to_int(b, w)
+        return [c % mod for c in read(y, w, min(n, len(a) + len(b) - 1))]
+
+    powers = [[1], [c % mod for c in x]]
+    for j in range(2, k + 1):
+        half = powers[j // 2]
+        powers.append(product(half, half) if j % 2 == 0 else product(powers[-1], powers[1]))
+    rows = [_to_int(row, w) for row in powers[:k]]
+    giant, head = _to_int(powers[k][v * k :], w), 8 * w * v * k
+    acc = None
+    for j in reversed(range(0, len(f), k)):  # block i = j / k
+        mask = (1 << 8 * w * (n - v * j)) - 1
+        y = sum(c % mod * (row & mask) for c, row in zip(f[j : j + k], rows))
+        if acc is not None:
+            y += (_to_int(acc, w) * (giant & (mask >> head))) << head
+        acc = [c % mod for c in read(y, w, n - v * j)]
     return acc
 
 
 def _compose_ints(f, g, n, mod):
     """f(g) mod (mod, X^n) for lists of non-negative ints with g[0] = 0;
-    see ``TruncatedSeries.compose``.  Returns n residues."""
-
-    def product(a, b):
-        return [c % mod for c in _product_ints(a, b, min(n, len(a) + len(b) - 1))]
-
-    acc = _paterson_stockmeyer(f, g[:n], [1], product, mod)
-    return acc + [0] * (n - len(acc))
+    see ``TruncatedSeries.compose``.  Returns n residues: g is cut to its
+    degree and its X-adic valuation v (n for a zero g) is passed on."""
+    g = [c % mod for c in g[:n]]
+    support = [i for i, c in enumerate(g) if c] or [n]
+    return _paterson_stockmeyer(f, g[: support[-1] + 1], mod, _from_int, n, support[0])
 
 
 def _normalise(ctx, denom, e, ints):
@@ -426,15 +433,19 @@ class TruncatedSeries(PackedVector):
         denominator 0; a non-integral g is refused, naming its worst
         valuation.
 
-        Algorithm, with L = len(f) and k = floor(sqrt(L)): the baby steps
-        g^0, ..., g^k cost k - 1 products.  f splits into blocks of k
-        coefficients, and each block sum P_i = sum_(j<k) f_(ik+j) g^j is
-        formed on big ints: every baby power is packed into one int once,
-        a block costs k int-by-packed products and one unpack.  The giant
-        steps are Horner in g^k, P_i + g^k (P_(i+1) + ...), one product
-        and one reduction per block.  So about 2 sqrt(L) products of
-        length order + 1 through ``_product_ints``, against L such
-        products for one power row per degree.
+        Algorithm (``_paterson_stockmeyer``), with n = order + 1, v the
+        X-adic valuation of g, L the number of f_j with v j < n (the rest
+        vanish mod X^n) and k = isqrt(L): the baby steps g^2, ..., g^k are
+        k - 1 packed products, g^(2i) a square, each g^j kept to its true
+        length min(n, deg(g) j + 1).  f splits into blocks of k
+        coefficients, and each block sum P_i = sum_(j<k) f_(ik+j) g^j is k
+        int-by-packed products.  Horner in G = g^k,
+        acc_i = P_i + G acc_(i+1), needs acc_i only mod X^(n - v k i), as
+        it enters f(g) times G^i: step i is one packed multiply-add of
+        acc_(i+1) by G / X^(v k), both n - v k (i + 1) long, and one
+        reduction.  So about 2 sqrt(L) products, the giant steps
+        shrinking by v k terms each, against L full-length products for
+        one power row per degree.
 
         Precision: with E the absprec of a series and D_j the
         denominator exponent of f_j alone, the uncertainty p^E_g of g
@@ -475,7 +486,8 @@ class TruncatedSeries(PackedVector):
         through degree r gives g - (f(g) - X) g', right through degree 2r.
         g' stands in for 1/f'(g): both agree with the inverse's
         1/f'(f^(-1)) through degree r - 1, and f(g) - X starts at degree
-        r + 1.  Each step is one composition (``_compose_ints``) and one
+        r + 1.  Each step is one composition (``_compose_ints``, whose
+        giant steps shrink by k terms each, as g has valuation 1) and one
         product, so the whole costs about two compositions at the full
         order.  The inverse of f mod (p^E, X^(M+1)) is unique when f_1 is
         a unit, so these are the integers of the degree-by-degree

@@ -12,7 +12,7 @@ from padiclab import (
 )
 from padiclab.cyclotomic import CycloElement
 from padiclab.honda import default_truncation
-from padiclab.series import TruncatedSeries, _pack
+from padiclab.series import TruncatedSeries, _pack, _unpack
 
 
 def from_coords(field, coords):
@@ -43,6 +43,51 @@ def extend_power_rows(rows, k, mod):
     for j in range(2, k + 1):
         prev = rows[j - 1]
         rows[j].append(sum(map(mul, t[1 : k - j + 2], prev[k - 1 : j - 2 : -1])) % mod)
+
+
+def schoolbook_ints(a, b, n):
+    """Test-only oracle: the first n coefficients of a(X) b(X), unreduced,
+    by the double loop over every pair of entries."""
+    out = [0] * n
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j < n:
+                out[i + j] += x * y
+    return out
+
+
+def schoolbook_convolve(ctx, a, b, order):
+    """Test-only oracle: the packed product of two triples truncated at
+    ``order``, by the double loop, at the precision of the packed rule:
+    value precision min(E_a - D_a - D_b, E_b - D_b - D_a) at scale
+    D_a + D_b."""
+    da, ea, ia = a
+    db, eb, ib = b
+    d = da + db
+    e = min(ea - da - db, eb - db - da) + d
+    n = min(order + 1, len(ia) + len(ib) - 1)
+    return d, e, [c % ctx.pk(e) for c in schoolbook_ints(ia, ib, n)]
+
+
+def horner_compose(f, g):
+    """Test-only oracle: f(g) by packed Horner steps from the top
+    coefficient down, paying f's running denominator at every step."""
+    order = max(f.order, g.order)
+    ctx = f.ctx
+    gp = _pack(g.truncate(order).coeffs)
+    acc = _pack((f.coeffs[-1],))
+    for i in range(f.order - 1, -1, -1):
+        acc = schoolbook_convolve(ctx, acc, gp, order)
+        ci = _pack((f.coeffs[i],))
+        d = max(acc[0], ci[0])
+        e = min(acc[1] - acc[0], ci[1] - ci[0]) + d
+        m = ctx.pk(e)
+        ints = [c * ctx.pk(d - acc[0]) % m for c in acc[2]]
+        ints[0] = (ints[0] + ci[2][0] * ctx.pk(d - ci[0])) % m
+        acc = (d, e, ints)
+    d, e, ints = acc
+    ints += [0] * (order + 1 - len(ints))
+    return TruncatedSeries.from_scalars(ctx, _unpack(ctx, d, e, ints[: order + 1]))
 
 
 @pytest.fixture(scope="session")

@@ -71,7 +71,6 @@ PACKED = {
     "_convolve",
     "_product_scale",
     "_product_ints",
-    "_block_sums",
     "_compose_ints",
     "_paterson_stockmeyer",
     "_to_int",

@@ -9,6 +9,7 @@ Coleman-image entries run every suite at (p, n_max, N) = (3, 2, 12) with
 four functionals.
 """
 
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,8 @@ CONFIGS = {
     "tower": SuiteConfig(p=P, n_max=2, prec=12, n_functionals=4),
 }
 NEGATIVE_CONTROL = "coleman.negative-control"
+# the truncation order of the tate suite's series
+TATE_ORDER = inspect.signature(tate.verify_formal_iso).parameters["order"].default
 
 
 def bump_t(m, k):
@@ -262,6 +265,10 @@ PERTURBATIONS = [
     ("t_3 + p^5", "tate", bump_t(3, 5), {"tate.formal-group-identification"}),
     ("a4(q = p(1+p)) + p^5", "tate", bump_a4(P * (1 + P), 5), {"tate.weierstrass-residual-grid"}),
     ("t_3 + p^(N+4)", "tate", bump_t(3, N + 4), set()),
+    # the last giant steps of lambda(t) and omega(t) are the shortest, yet
+    # they still read t's top coefficients
+    ("t_(order-2) + p^5", "tate", bump_t(TATE_ORDER - 2, 5), {"tate.formal-group-identification"}),
+    ("t_(order-2) + p^(N+4)", "tate", bump_t(TATE_ORDER - 2, N + 4), set()),
     ("ell_2 + p^5", "tower", bump_ell(2, 5), ELL_READERS),
     ("iota_2 + p^5", "tower", bump_iota(2, 5), IOTA_READERS),
     # ell_400 x^400 at the smallest point valuation 1/18 has valuation 25,

@@ -16,7 +16,7 @@ from padiclab import (
 from padiclab import series
 from padiclab.core import PadicScalar, factorial_valuation
 from padiclab.honda import build_ell, build_iota
-from padiclab.series import _KRONECKER_MIN, _pack, _product_ints, _unpack
+from padiclab.series import _KRONECKER_MIN, _compose_ints, _pack, _product_ints, _unpack
 from padiclab.tate import (
     a_invariants,
     default_grid,
@@ -24,7 +24,13 @@ from padiclab.tate import (
     multiplicative_parameter_series,
     verify_formal_iso,
 )
-from conftest import extend_power_rows, from_rationals
+from conftest import (
+    extend_power_rows,
+    from_rationals,
+    horner_compose,
+    schoolbook_convolve,
+    schoolbook_ints,
+)
 
 
 def binomial_power(a, order):
@@ -76,57 +82,12 @@ def series_exp(f):
     return TruncatedSeries.from_scalars(ctx, out)
 
 
-def schoolbook_ints(a, b, n):
-    """Test-only oracle: the first n coefficients of a(X) b(X), unreduced,
-    by the double loop over every pair of entries."""
-    out = [0] * n
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            if i + j < n:
-                out[i + j] += x * y
-    return out
-
-
-def schoolbook_convolve(ctx, a, b, order):
-    """Test-only oracle: the packed product of two triples truncated at
-    ``order``, by the double loop, at the precision of the packed rule:
-    value precision min(E_a - D_a - D_b, E_b - D_b - D_a) at scale
-    D_a + D_b."""
-    da, ea, ia = a
-    db, eb, ib = b
-    d = da + db
-    e = min(ea - da - db, eb - db - da) + d
-    n = min(order + 1, len(ia) + len(ib) - 1)
-    return d, e, [c % ctx.pk(e) for c in schoolbook_ints(ia, ib, n)]
-
-
 def schoolbook_mul(f, g):
     """Test-only oracle: f * g through ``schoolbook_convolve``."""
     order = max(f.order, g.order)
     d, e, ints = schoolbook_convolve(f.ctx, _pack(f.coeffs), _pack(g.coeffs), order)
     ints += [0] * (order + 1 - len(ints))
     return TruncatedSeries.from_scalars(f.ctx, _unpack(f.ctx, d, e, ints))
-
-
-def horner_compose(f, g):
-    """Test-only oracle: f(g) by packed Horner steps from the top
-    coefficient down, paying f's running denominator at every step."""
-    order = max(f.order, g.order)
-    ctx = f.ctx
-    gp = _pack(g.truncate(order).coeffs)
-    acc = _pack((f.coeffs[-1],))
-    for i in range(f.order - 1, -1, -1):
-        acc = schoolbook_convolve(ctx, acc, gp, order)
-        ci = _pack((f.coeffs[i],))
-        d = max(acc[0], ci[0])
-        e = min(acc[1] - acc[0], ci[1] - ci[0]) + d
-        m = ctx.pk(e)
-        ints = [c * ctx.pk(d - acc[0]) % m for c in acc[2]]
-        ints[0] = (ints[0] + ci[2][0] * ctx.pk(d - ci[0])) % m
-        acc = (d, e, ints)
-    d, e, ints = acc
-    ints += [0] * (order + 1 - len(ints))
-    return TruncatedSeries.from_scalars(ctx, _unpack(ctx, d, e, ints[: order + 1]))
 
 
 def newton_reversion(f):
@@ -560,6 +521,86 @@ def test_compose_matches_horner_around_the_block_size(p):
     for f in (from_rationals(ctx, [Fraction(2, p**2)]), _seeded_series(ctx, rng, 0)):
         g = _seeded_series(ctx, rng, 30, inner=True)
         assert _digits(f.compose(g)) == _digits(horner_compose(f, g))
+
+
+def _inner_of_valuation(ctx, rng, order, v, scale=1):
+    """An integral inner series of X-adic valuation v: dense from X^v on,
+    every coefficient a multiple of ``scale``."""
+    p = ctx.p
+    ints = [0] * v + [scale * rng.randrange(1, p**12) for _ in range(order + 1 - v)]
+    ints[v] = scale * (1 + p * rng.randrange(p**11))
+    return TruncatedSeries(ctx, 0, ctx.wprec - rng.randint(0, 8), ints)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_compose_matches_horner_at_each_inner_valuation(p):
+    # giant step i is n - v k (i + 1) long, for inner series of X-adic
+    # valuation 1, 2 and 3; scaled by p^2 their p-adic valuation exceeds
+    # the X-adic one at v = 1.  f is as long as the truncation (so for
+    # v > 1 its tail vanishes mod X^n), or a single short block
+    ctx = PrimeContext(p, 12)
+    rng = random.Random(50 + p)
+    order = 40
+    outers = (
+        _seeded_series(ctx, rng, order),
+        _seeded_series(ctx, rng, order, denominators={order // 2: 1, order: 2}),
+        _seeded_series(ctx, rng, 29),
+        _seeded_series(ctx, rng, 2),
+        _seeded_series(ctx, rng, 1),
+    )
+    for v in (1, 2, 3):
+        for scale in (1, p**2):
+            g = _inner_of_valuation(ctx, rng, order, v, scale)
+            for f in outers:
+                assert _digits(f.compose(g)) == _digits(horner_compose(f, g)), (v, scale, f.order)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_compose_matches_horner_over_the_frobenius_series(p):
+    # (1+X)^p - 1 = pX + ... + X^p: its linear coefficient is divisible by
+    # p, its X-adic valuation is 1, and it is p + 1 terms long
+    ctx = PrimeContext(p, 12)
+    rng = random.Random(60 + p)
+    for order in (1, p, 40, 120):
+        f = _seeded_series(ctx, rng, order, denominators={order: 1})
+        inner = [comb(p, j) if j else 0 for j in range(min(p, order) + 1)]
+        frob = TruncatedSeries(ctx, 0, f.absprec, inner)
+        want = _digits(horner_compose(f, frob))
+        assert _digits(f.compose(frob)) == want
+        assert _digits(frobenius_substitute(f)) == want
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_compose_over_a_zero_inner_series_is_the_constant_term(p):
+    # g = 0, and g = p^11 X at absprec 30 under an f known to 10 digits, so
+    # that g vanishes modulo the result's precision only
+    ctx = PrimeContext(p, 12)
+    rng = random.Random(70 + p)
+    f = _seeded_series(ctx, rng, 20, denominators={0: 1, 5: 1})
+    short = TruncatedSeries(ctx, 0, 10, [rng.randrange(1, p**10) for _ in range(21)])
+    for f, g in (
+        (f, TruncatedSeries.zero(ctx, 20)),
+        (f, TruncatedSeries.zero(ctx, 3)),
+        (short, TruncatedSeries(ctx, 0, 30, [0, p**11] + [0] * 19)),
+    ):
+        out = f.compose(g)
+        assert _digits(out) == _digits(horner_compose(f, g))
+        assert out.packed[2][1:] == [0] * 20 and (out.coeff(0) - f.coeff(0)).is_zero
+
+
+def test_compose_ints_drops_the_terms_past_the_truncation():
+    # f longer than the truncation n: f_j g^j vanishes mod X^n once v j >= n
+    mod, n = 3**30, 12
+    rng = random.Random(80)
+    for v in (1, 2, 3, 5, 11, 12):
+        g = [0] * v + [rng.randrange(1, mod) for _ in range(n - v)]
+        for length in (1, 4, n, 3 * n):
+            f = [rng.randrange(mod) for _ in range(length)]
+            want = [f[-1]] + [0] * (n - 1)
+            for c in reversed(f[:-1]):
+                want = schoolbook_ints(want, g, n)
+                want[0] += c
+            assert _compose_ints(f, g, n, mod) == [c % mod for c in want], (v, length)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

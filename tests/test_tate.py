@@ -28,7 +28,7 @@ from padiclab.tate import (
     formal_log_weierstrass,
     multiplicative_parameter_series,
 )
-from conftest import extend_power_rows, from_rationals
+from conftest import extend_power_rows, from_rationals, horner_compose
 
 
 def compose_oracle_parameter_series(ctx, omega, order):
@@ -501,10 +501,8 @@ def test_sk_value_matches_scalar_oracle():
 
 def test_formal_iso_composes_over_the_final_t(ctx3, monkeypatch):
     # lambda and omega, and only they, are composed over the final t(X)
-    # itself (the solve never calls compose); with every product forced onto
-    # the schoolbook loop the compositions and the residuals are the same
-    from padiclab import series
-
+    # itself (the solve never calls compose), and each composition agrees
+    # with the packed Horner oracle, which runs every step at full length
     order = 40
     seen = []
     original = TruncatedSeries.compose
@@ -517,19 +515,16 @@ def test_formal_iso_composes_over_the_final_t(ctx3, monkeypatch):
     monkeypatch.setattr(TruncatedSeries, "compose", recorded)
     for q in default_grid(ctx3)[0]:
         seen.clear()
-        result = verify_formal_iso(ctx3, q, order)
+        verify_formal_iso(ctx3, q, order)
         headroom = ctx3.wprec + factorial_valuation(order, ctx3.p) + 8
         a4, a6 = a_invariants(ctx3.scalar(q.unit * ctx3.p**q.ord, headroom))
         lam, omega = formal_log_weierstrass(ctx3, a4, a6, order)
         t = multiplicative_parameter_series(ctx3, omega, order)
         assert [_digits(f) for f, _, _ in seen] == [_digits(lam), _digits(omega)]
         assert [_digits(g) for _, g, _ in seen] == [_digits(t)] * 2
-        composed = [_digits(out) for _, _, out in seen]
-        with monkeypatch.context() as mp:
-            mp.setattr(series, "_KRONECKER_MIN", order + 2)
-            seen.clear()
-            assert verify_formal_iso(ctx3, q, order) == result
-        assert [_digits(out) for _, _, out in seen] == composed
+        assert [_digits(out) for _, _, out in seen] == [
+            _digits(horner_compose(f, g)) for f, g, _ in seen
+        ]
 
 
 def _count_scalar_ops(monkeypatch):
