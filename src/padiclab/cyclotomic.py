@@ -5,11 +5,13 @@ d = p^n (p-1), with one denominator exponent and one absolute precision;
 each operation follows the per-coordinate ``PadicScalar`` rule, cut to the
 least coordinate precision.  Its coordinates are a view.  The cyclotomic
 relation is applied in one place, ``_reduce``.  Every product of two
-elements is one ``CycloField._product``: one multiply of the packed
-integers, wrapped at p^(n+1) and folded by ``_reduce``.  The sums of
-products that the Coleman layer takes have kernels of their own: a trace
-pairing Tr(x w) is a dot product with w's trace form (``_trace_form``), a
-product in the group ring K_n[Z/m] is one 2-D Kronecker product
+elements is one ``CycloField._product``: one ``series._kronecker``
+multiply of the packed integers, wrapped at p^(n+1) and folded by
+``_reduce``; every power, and every product of powers, is one Straus loop
+over it (``CycloField.power_product``).  The sums of products that the
+Coleman layer takes have kernels of their own: a trace pairing Tr(x w) is
+a dot product with w's trace form (``_trace_form``), a product in the
+group ring K_n[Z/m] is one 2-D ``_kronecker`` product
 (``_group_product``), and zeta^k x moves each coordinate of x to its slot
 before the fold (``_fold``).  Power series are summed at an element by
 baby steps and giant steps (``CycloField._evaluate``), about 2 sqrt(M)
@@ -40,9 +42,9 @@ from .series import (
     PackedVector,
     TruncatedSeries,
     _from_int,
+    _kronecker,
     _paterson_stockmeyer,
     _product_scale,
-    _to_int,
 )
 
 
@@ -91,24 +93,21 @@ class CycloField:
     def _product(self, A, B):
         """The packed product of two triples, reduced mod p^e, at
         ``series._product_scale``'s scale and precision: the one kernel of
-        every product in K_n.  Both operands are packed into w-byte slots
-        (a squaring packs once), multiplied once and read back by
-        ``_read``; each of the p^(n+1) slots it folds sums at most d
-        products of two entries, which w holds."""
+        every product in K_n, one ``series._kronecker`` read by ``_read``
+        (a squaring packs once).  Each of the p^(n+1) slots that ``_read``
+        folds sums at most d products of two entries."""
         D, e = _product_scale(A, B)
         m = self.ctx.pk(e)
-        a, b = A[2], B[2]
-        w = (max(a).bit_length() + max(b).bit_length() + self.degree.bit_length() + 7) // 8
-        x = _to_int(a, w)
-        x *= x if a is b else _to_int(b, w)
-        return D, e, [c % m for c in self._read(x, w)]
+        ints = _kronecker(A[2], B[2], self.degree, self._read, self.degree)
+        return D, e, [c % m for c in ints]
 
-    def _read(self, x, w, count=None):
+    def _read(self, x, w, count):
         """The d coordinates, unreduced, of the packed int x with w-byte
         slots, a product of two d-slot vectors plus at most d more slots:
         the slots at and past p^(n+1) are added onto the low ones on the
         int, and the p^(n+1) slots read back are folded by ``_reduce``.
-        ``count`` is ``series._paterson_stockmeyer``'s, always d here."""
+        ``count``, the read's length in ``series._kronecker`` and
+        ``series._paterson_stockmeyer``, is always d here."""
         cut = 8 * w * self.modulus_order
         x = (x & ((1 << cut) - 1)) + (x >> cut)
         return _reduce(self, _from_int(x, w, self.modulus_order))
@@ -119,6 +118,27 @@ class CycloField:
         reading its packed steps with ``_read``: about 2 sqrt(len(coeffs))
         products, each Horner step one multiply-add, untruncated."""
         return _paterson_stockmeyer(coeffs, x, self.ctx.pk(e), self._read, self.degree)
+
+    def power_product(self, terms, absprec) -> "CycloElement":
+        """prod x^k over the (x, k) in terms, every k >= 0, cut to absprec:
+        the one exponentiation in K_n, by Straus's multi-exponentiation
+        (Amer. Math. Monthly 71, 1964) on the packed triples.  From the
+        top bit down, one squaring of the running product and one
+        ``_product`` per x whose k has that bit, so the squarings are
+        shared: max bit_length(k) - 1 of them in all.  Each product is
+        claimed at ``_product_scale``'s precision; the empty product, and
+        every k = 0, is one at absprec."""
+        self._own([x for x, _ in terms])
+        acc = None
+        for bit in reversed(range(max((k.bit_length() for _, k in terms), default=0))):
+            if acc is not None:
+                acc = self._product(acc, acc)
+            for x, k in terms:
+                if k >> bit & 1:
+                    acc = x.packed if acc is None else self._product(acc, x.packed)
+        if acc is None:
+            return self.one(absprec)
+        return CycloElement(self, *acc).reduce_absprec(absprec)
 
     def _own(self, xs):
         """Refuse an element of another level, as a product in K_n does."""
@@ -195,21 +215,11 @@ class CycloElement(PackedVector):
         return CycloElement(self.field, *self.field._product(self.packed, other.packed))
 
     def __pow__(self, k: int):
-        """x^k by square-and-multiply on the packed triple; for k < 0, the
-        one inverse of x^(-k)."""
+        """x^k by ``CycloField.power_product``; for k < 0, the one inverse
+        of x^(-k)."""
         if k < 0:
             return (self ** (-k)).inverse()
-        f = self.field
-        if k == 0:
-            return f.one(self.absprec)
-        base, result = self.packed, None
-        while k:
-            if k & 1:
-                result = base if result is None else f._product(result, base)
-            k >>= 1
-            if k:
-                base = f._product(base, base)
-        return CycloElement(f, *result)
+        return self.field.power_product([(self, k)], self.absprec)
 
     def peel(self):
         """(u, s, m) with x = u p^m / (zeta-1)^s, u a unit, 0 <= s < d.
@@ -684,29 +694,24 @@ def _trace_form(field, ints):
 def _group_product(field, xs, ys):
     """The ints of sum_(j + k = i mod m) xs[j] ys[k] in K_n, i < m, for
     two lists of m vectors of d non-negative ints, unreduced: the product
-    in K_n[Z/m] as one 2-D Kronecker substitution (D. Harvey,
-    J. Symbolic Comput. 44, 2009), the group index outer and the field
-    coordinate inner.  Each vector fills L = 2d - 1 slots of w bytes, so
-    a product of two vectors stays inside its block; the two ints are
-    multiplied once; the blocks at and past m are added onto the m low
-    ones (g^m = 1) on the product int; each of the m blocks read back is
-    folded by ``_reduce``.  A slot sums at most m d products of two
-    entries, which w holds."""
+    in K_n[Z/m] as one 2-D ``series._kronecker`` product, the group index
+    outer and the field coordinate inner.  Each vector fills L = 2d - 1
+    slots, so a product of two vectors stays inside its block; the blocks
+    at and past m are added onto the m low ones (g^m = 1) on the product
+    int; each of the m blocks read back is folded by ``_reduce``.  A slot
+    sums at most m d products of two entries."""
     m, d = len(xs), field.degree
     span = 2 * d - 1
-    bound = max(map(max, xs)).bit_length() + max(map(max, ys)).bit_length()
-    w = (bound + (m * d).bit_length() + 7) // 8
     gap = [0] * (span - d)
 
-    def pack(vs):
-        return _to_int([c for v in vs for c in (*v, *gap)], w)
+    def read(y, w, count):
+        cut = 8 * w * count
+        slots = _from_int((y & ((1 << cut) - 1)) + (y >> cut), w, count)
+        # p^(n+1) <= span < 2 p^(n+1) for odd p
+        return [_reduce(field, slots[i : i + span]) for i in range(0, count, span)]
 
-    x = pack(xs) * pack(ys)
-    cut = 8 * w * span * m
-    x = (x & ((1 << cut) - 1)) + (x >> cut)
-    slots = _from_int(x, w, span * m)
-    # p^(n+1) <= span < 2 p^(n+1) for odd p
-    return [_reduce(field, slots[i : i + span]) for i in range(0, span * m, span)]
+    a, b = ([c for v in vs for c in (*v, *gap)] for vs in (xs, ys))
+    return _kronecker(a, b, m * d, read, span * m)
 
 
 class ColumnReduction:

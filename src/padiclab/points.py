@@ -233,11 +233,9 @@ class UnitLogLattice:
 
         Exponents are truncated modulo p^wprec; the discarded part moves
         the unit by a p^(wprec - n - 1)-th power of a principal unit,
-        which is below every claimed precision.  Straus's multi-
-        exponentiation (Amer. Math. Monthly 71, 1964) shares the squarings:
-        from the top bit down, one squaring of the running product and one
-        product per generator whose exponent has that bit, so about
-        wprec log2(p) squarings in all instead of per generator.
+        which is below every claimed precision.  The product is one
+        ``CycloField.power_product``, Straus's multi-exponentiation, so the
+        about wprec log2(p) squarings are shared by every generator.
 
         Precision: the exponents are exact, and the generators integral,
         so every product is known to the least absprec of its factors: the
@@ -249,24 +247,14 @@ class UnitLogLattice:
         ctx = tower.ctx
         f = tower.field(self.n)
         cap = ctx.pk(ctx.wprec)
-        absprec = ctx.wprec
         terms = []
         for i, e in zip(self.generators, exps):
             if not e:
                 continue
             if e.denominator != 1:
                 raise InvalidInputError("unit reconstruction needs integral exponents")
-            g = f.one() + self._pi_powers[i]
-            absprec = min(absprec, g.absprec)
-            terms.append((g, e.numerator % cap))
-        acc = None
-        for bit in range(max((k.bit_length() for _, k in terms), default=0) - 1, -1, -1):
-            if acc is not None:
-                acc = acc * acc
-            for g, k in terms:
-                if k >> bit & 1:
-                    acc = g if acc is None else acc * g
-        return f.one(absprec) if acc is None else acc.reduce_absprec(absprec)
+            terms.append((f.one() + self._pi_powers[i], e.numerator % cap))
+        return f.power_product(terms, min([ctx.wprec] + [g.absprec for g, _ in terms]))
 
 
 def verify_generation(fam: PointFamily, n: int) -> dict:

@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field, asdict
 from fractions import Fraction
 
-from .core import InvalidInputError, PadicError, PadicScalar, PrimeContext
+from .core import InvalidInputError, PadicError, PrimeContext
 from .cyclotomic import CycloTower
 from .honda import HondaData, default_truncation, inverse_integrality, log_at_points, log_identity_residual
 from . import coleman as cm
@@ -160,8 +160,6 @@ def _residual_repr(v):
         return None
     if isinstance(v, Fraction):
         return v.numerator if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-    if isinstance(v, PadicScalar):
-        return _residual_repr(Fraction(v.min_valuation()))
     return v
 
 

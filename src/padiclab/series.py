@@ -7,13 +7,14 @@ the linear operations for both ``TruncatedSeries`` and
 ``cyclotomic.CycloElement``; each follows the per-coefficient
 ``PadicScalar`` rule, cut to the least coefficient precision.  The
 ``PadicScalar`` coefficients are a view, built afresh at every read.
-Multiplication runs through one product kernel (``_product_ints``: a
-schoolbook loop for a short operand, Kronecker substitution otherwise),
-which keeps the hot loops in plain bigint arithmetic.  Composition is
-Brent-Kung's baby-step/giant-step scheme on packed ints
-(``_paterson_stockmeyer``): each Horner step is one packed multiply-add,
-cut to the terms that the inner series' X-adic valuation leaves of it.
-Reversion is Newton doubling over composition.
+Every vector product, of series here and of K_n elements in
+``cyclotomic``, is one ``_kronecker``: Kronecker substitution, one
+multiply of two packed ints, which keeps the hot loops in plain bigint
+arithmetic; series products trim their zero head and tail first
+(``_product_ints``).  Composition is Brent-Kung's baby-step/giant-step
+scheme on packed ints (``_paterson_stockmeyer``): each Horner step is one
+packed multiply-add, cut to the terms that the inner series' X-adic
+valuation leaves of it.  Reversion is Newton doubling over composition.
 """
 
 from __future__ import annotations
@@ -51,30 +52,14 @@ def _unpack(ctx, denom, e, ints):
     return tuple(PadicScalar._make(ctx, -denom, c, e - denom) for c in ints)
 
 
-# The shortest operand, cut to its nonzero span, that the product kernel
-# packs by Kronecker substitution.  Measured at 40 digits on plain
-# Python ints, schoolbook time over Kronecker time on square products is
-# 0.99 at length 6 and 1.30 at length 8 for p = 3, and 0.79 and 1.02 for
-# p = 7; with the other operand 200 long it is 1.9 (p = 3) and 1.4 (p = 7)
-# at length 8.  Below it, packing and unpacking every slot costs more than
-# the loop saves: the first, few-term Newton corrections of ``reversion``
-# stay on the loop.
-_KRONECKER_MIN = 8
-
-
 def _product_ints(a, b, n):
     """The first n coefficients of a(X) b(X), unreduced, for lists of
-    non-negative ints.
+    non-negative ints, by one ``_kronecker`` product.
 
     Both operands are cut to their nonzero span first: a zero tail costs
     nothing, and a zero head (g^j starts at X^j) shifts the product and
-    shortens what is needed of it.  If the shorter operand then has fewer
-    than _KRONECKER_MIN entries, a schoolbook loop runs over its nonzero
-    entries.  Otherwise Kronecker substitution: each operand is written
-    little-endian into one int with w-byte slots, w wide enough for any
-    coefficient of the product, the two ints are multiplied once, and the
-    slots that are needed are read back.  A negative entry would borrow
-    across slots, so it raises ValueError on either path.
+    shortens what is needed of it.  A negative entry would borrow across
+    slots, so it raises ValueError.
     """
     la, lb = min(len(a), n), min(len(b), n)
     while la and not a[la - 1]:
@@ -91,21 +76,25 @@ def _product_ints(a, b, n):
         return [0] * n
     k = n - shift
     a, b = a[sa : min(la, sa + k)], b[sb : min(lb, sb + k)]
-    if len(a) > len(b):
-        a, b = b, a
     if min(a) < 0 or min(b) < 0:
         raise ValueError("packed products need non-negative entries")
     out = [0] * n
-    if len(a) < _KRONECKER_MIN:
-        for i, c in enumerate(a, shift):
-            if c:
-                for j, x in enumerate(b[: n - i], i):
-                    out[j] += c * x
-        return out
-    w = (max(a).bit_length() + max(b).bit_length() + len(a).bit_length() + 7) // 8
     m = min(k, len(a) + len(b) - 1)
-    out[shift : shift + m] = _from_int(_to_int(a, w) * _to_int(b, w), w, m)
+    out[shift : shift + m] = _kronecker(a, b, min(len(a), len(b)), _from_int, m)
     return out
+
+
+def _kronecker(a, b, terms, read, count):
+    """read(y, w, count) for the product y of the lists a and b of
+    non-negative ints, each written little-endian into one int with
+    w-byte slots: Kronecker substitution (D. Harvey, J. Symbolic Comput.
+    44, 2009), the one pack-and-multiply of every vector product.  A slot
+    of y that ``read`` folds sums at most ``terms`` products of an entry
+    of a by one of b, so w holds it; a square (a is b) packs once."""
+    w = (max(a).bit_length() + max(b).bit_length() + terms.bit_length() + 7) // 8
+    y = _to_int(a, w)
+    y *= y if a is b else _to_int(b, w)
+    return read(y, w, count)
 
 
 def _to_int(ints, w):
@@ -133,30 +122,22 @@ def _product_scale(a, b):
     return d, value_prec + d
 
 
-def _convolve(a, b, order):
-    """Packed product truncated at ``order``, its ints not yet reduced
-    mod p^e: each caller reduces once, after its own last step."""
-    d, e = _product_scale(a, b)
-    n = min(order + 1, len(a[2]) + len(b[2]) - 1)
-    return d, e, _product_ints(a[2], b[2], n)
-
-
 def _paterson_stockmeyer(f, x, mod, read, n, v=0):
     """sum_j f_j x^j mod ``mod`` for ints f and x, by Paterson and
     Stockmeyer's baby steps and giant steps (SIAM J. Comput. 2, 1973):
     the one evaluator of series composition and of K_n series sums.
 
-    Vectors are packed into one int with w-byte slots (``_to_int``), and
     read(y, w, count) returns the first ``count`` coordinates, unreduced,
-    of a packed product y: for series its slots, for K_n its slots folded
-    by the cyclotomic relation (count is then always the degree n).  With
-    L = len(f) and k = isqrt(L), the baby steps x^2 .. x^k are k - 1
-    products, x^(2i) a square; each block sum
-    P_i = sum_(j<k) f_(ik+j) x^j is k int-by-packed products, held at
-    the slot width w of a product; and Horner in G = x^k,
-    acc_i = P_i + G acc_(i+1), is one packed multiply-add, one read and
-    one reduction per block: about 2 sqrt(L) products, against L for
-    Horner in x.
+    of a product y packed into w-byte slots: for series its slots, for K_n
+    its slots folded by the cyclotomic relation (count is then always the
+    degree n).  With L = len(f) and k = isqrt(L), the baby steps
+    x^2 .. x^k are k - 1 ``_kronecker`` products, x^(2i) a square.  The
+    rest is packed (``_to_int``) at one slot width w, that of a product
+    plus k more terms: each block sum P_i = sum_(j<k) f_(ik+j) x^j is k
+    int-by-packed products, and Horner in G = x^k,
+    acc_i = P_i + G acc_(i+1), is one packed multiply-add by G, packed
+    once, then one read and one reduction per block: about 2 sqrt(L)
+    products, against L for Horner in x.
 
     For a series x of X-adic valuation v >= 1, acc_i enters the result
     times G^i, of valuation v k i, so it is needed only mod X^(n - v k i):
@@ -172,9 +153,8 @@ def _paterson_stockmeyer(f, x, mod, read, n, v=0):
     w = (2 * (mod - 1).bit_length() + (n + k).bit_length() + 7) // 8
 
     def product(a, b):
-        y = _to_int(a, w)
-        y *= y if a is b else _to_int(b, w)
-        return [c % mod for c in read(y, w, min(n, len(a) + len(b) - 1))]
+        count = min(n, len(a) + len(b) - 1)
+        return [c % mod for c in _kronecker(a, b, min(len(a), len(b)), read, count)]
 
     powers = [[1], [c % mod for c in x]]
     for j in range(2, k + 1):
@@ -376,8 +356,8 @@ class TruncatedSeries(PackedVector):
     def __mul__(self, other):
         other = self._coerce(other)
         order = max(self.order, other.order)
-        d, e, ints = _convolve(self.packed, other.packed, order)
-        return self._new(d, e, ints + [0] * (order + 1 - len(ints)))
+        d, e = _product_scale(self.packed, other.packed)
+        return self._new(d, e, _product_ints(self.packed[2], other.packed[2], order + 1))
 
     def reciprocal(self) -> "TruncatedSeries":
         """1/f for an integral f with unit constant term, by the recursion

@@ -19,9 +19,9 @@ import pytest
 
 from padiclab import CycloTower, InvalidInputError, PrecisionError, PrimeContext, TruncatedSeries
 from padiclab.core import PadicScalar, _log_floor, split_p, vp
-from padiclab.cyclotomic import CycloElement, _reduce
-from padiclab.series import _pack, _unpack
-from conftest import from_coords
+from padiclab.cyclotomic import CycloElement, _group_product, _reduce
+from padiclab.series import _pack, _product_ints, _unpack
+from conftest import from_coords, schoolbook_ints
 
 CONFIGS = [(3, 0), (3, 1), (5, 1), (7, 1), (3, 2)]
 
@@ -199,6 +199,104 @@ def test_products_powers_and_galois_match_the_packed_rule(p, n):
             d, e, ints = _pack(x.coords)
             expected = _unpack(f.ctx, d, e, [c % f.ctx.pk(e) for c in _fold(f, ints, a)])
             assert _triples(x.galois(a).coords) == _triples(expected)
+
+
+@pytest.mark.parametrize("caller", ["series", "product", "group_product"])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_kronecker_slots_hold_their_widest_sums(p, caller):
+    # every entry p^e - 1, so the middle slot of each product sums its
+    # bound of products, each the largest: a series product of two length-18
+    # operands sums 18, a K_n product d and a group-ring product m d.  Over
+    # e = 20..27 the bits those sums need fall on most residues mod 8, so a
+    # slot one byte narrower than the kernel's overflows at some e.
+    f = CycloTower(PrimeContext(p, 12), 1).field(1)
+    d, m = f.degree, 3
+    for e in range(20, 28):
+        top = p**e - 1
+        if caller == "series":
+            a, b = [top] * 18, [top] * 18
+            assert _product_ints(a, b, 35) == schoolbook_ints(a, b, 35), e
+        elif caller == "product":
+            a = [top] * d
+            expected = [c % p**e for c in _fold(f, schoolbook_ints(a, a, 2 * d - 1))]
+            assert f._product((0, e, a), (0, e, a))[2] == expected, e
+        else:
+            xs, ys = [[top] * d for _ in range(m)], [[top] * d for _ in range(m)]
+            expected = []
+            for i in range(m):
+                convs = [schoolbook_ints(xs[j], ys[(i - j) % m], 2 * d - 1) for j in range(m)]
+                expected.append(_fold(f, list(map(sum, zip(*convs)))))
+            assert _group_product(f, xs, ys) == expected, e
+
+
+def _power_by_products(terms):
+    """Test-only oracle: prod x^k, each power by k - 1 products
+    ``CycloElement.__mul__`` from the left, the powers multiplied in
+    order."""
+    acc = None
+    for x, k in terms:
+        if k:
+            power = x
+            for _ in range(k - 1):
+                power = power * x
+            acc = power if acc is None else acc * power
+    return acc
+
+
+def _power_by_squares(x, k):
+    """Test-only oracle: x^k by square-and-multiply over
+    ``CycloElement.__mul__``, from the low bit up."""
+    base, acc = x, None
+    while k:
+        if k & 1:
+            acc = base if acc is None else acc * base
+        k >>= 1
+        if k:
+            base = base * base
+    return acc
+
+
+@pytest.mark.parametrize("p, n", CONFIGS)
+def test_power_product_matches_the_products(p, n):
+    tower, f, rng, xs = _elements(p, n)
+    ctx = tower.ctx
+    z1 = f.zeta() - f.one()
+    units = [f.one() + z1.scale(p) * x for x in xs[:4] if x.min_valuation() >= 0] + [
+        f.one() + z1,
+        f.zeta(30),
+    ]
+    # (zeta-1)^(d-1)/p^2, whose square (zeta-1)^(2d-2)/p^4 has every
+    # coordinate divisible by p: every power and product renormalises
+    skew = xs[-1]
+    for a in (7, 30, 60):
+        assert f.power_product([], a).packed == f.one(a).packed
+        assert f.power_product([(units[0], 0), (skew, 0)], a).packed == f.one(a).packed
+    for x in units + [skew, z1, z1.scale(Fraction(1, p**2))]:
+        for k in range(1, 10):
+            got = f.power_product([(x, k)], x.absprec)
+            assert got.packed == _power_by_products([(x, k)]).packed, k
+    # exponents that share bits: 13 = 0b1101, 11 = 0b1011, 6 = 0b110
+    for terms in (
+        [(units[0], 13), (units[1], 11), (units[-1], 6)],
+        [(units[1], 4), (units[1], 3)],
+    ):
+        got = f.power_product(terms, min(x.absprec for x, _ in terms))
+        assert got.packed == _power_by_products(terms).packed
+    # beside a non-integral base each product's claim depends on the order
+    # of the products, so only the value is compared
+    terms = [(skew, 5), (units[0], 3), (units[1], 6)]
+    got = f.power_product(terms, skew.absprec)
+    assert (got - _power_by_products(terms)).min_valuation() >= got.absprec
+    # exponents wprec log2(p) bits long, as the unit reconstruction's
+    cap = ctx.pk(ctx.wprec)
+    ks = [rng.randrange(cap // p, cap) for _ in units]
+    terms = list(zip(units, ks))
+    got = f.power_product(terms, ctx.wprec)
+    expected = None
+    for x, k in terms:
+        power = _power_by_squares(x, k)
+        expected = power if expected is None else expected * power
+    assert got.packed == expected.packed
 
 
 @pytest.mark.parametrize("p, n", CONFIGS)

@@ -331,6 +331,32 @@ def _power_per_generator(lattice, exps):
     return acc
 
 
+def _straus_by_products(lattice, exps):
+    """Test-only oracle: the reconstruction by Straus's
+    multi-exponentiation over ``CycloElement.__mul__``, cut to the least
+    absprec of wprec and of the generators with a nonzero exponent."""
+    tower = lattice.tower
+    ctx = tower.ctx
+    f = tower.field(lattice.n)
+    cap = ctx.pk(ctx.wprec)
+    absprec = ctx.wprec
+    terms = []
+    for i, e in zip(lattice.generators, exps):
+        if not e:
+            continue
+        g = f.one() + lattice._pi_powers[i]
+        absprec = min(absprec, g.absprec)
+        terms.append((g, int(e) % cap))
+    acc = None
+    for bit in range(max((k.bit_length() for _, k in terms), default=0) - 1, -1, -1):
+        if acc is not None:
+            acc = acc * acc
+        for g, k in terms:
+            if k >> bit & 1:
+                acc = g if acc is None else acc * g
+    return f.one(absprec) if acc is None else acc.reduce_absprec(absprec)
+
+
 @pytest.mark.parametrize("level", [1, 2])
 def test_unit_from_exponents_matches_one_power_per_generator(fam3n2, level):
     lattice = fam3n2.lattice(level)
@@ -354,8 +380,8 @@ def test_unit_from_exponents_matches_one_power_per_generator(fam3n2, level):
     ]
     for exps in cases:
         got = lattice.unit_from_exponents(exps)
-        expected = _power_per_generator(lattice, exps)
-        assert got.packed == expected.packed
+        assert got.packed == _power_per_generator(lattice, exps).packed
+        assert got.packed == _straus_by_products(lattice, exps).packed
     with pytest.raises(InvalidInputError):
         lattice.unit_from_exponents([Fraction(1, 3)] + zeros[1:])
 

@@ -68,9 +68,9 @@ PACKED = {
     "_pack",
     "_unpack",
     "_normalise",
-    "_convolve",
     "_product_scale",
     "_product_ints",
+    "_kronecker",
     "_compose_ints",
     "_paterson_stockmeyer",
     "_to_int",
@@ -122,9 +122,60 @@ def test_scan_finds_a_packed_import():
     tree = ast.parse(
         "from .series import TruncatedSeries, _pack\n"
         "from . import series\n"
-        "triple = series._convolve(ctx, a, b, 4)\n"
+        "ints = series._product_ints(a, b, 4)\n"
     )
-    assert _packed_uses(tree) == ["_convolve", "_pack"]
+    assert _packed_uses(tree) == ["_pack", "_product_ints"]
+
+
+# the one pack-and-multiply, and the Horner step of the baby-step/giant-step
+# evaluator, which packs its giant step once and multiplies by it at every
+# step
+PACKERS = {"_kronecker", "_paterson_stockmeyer"}
+
+
+def _packers(tree):
+    """The module functions and methods, by qualified name, that call
+    ``_to_int`` anywhere in their bodies."""
+    defs = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+    defs += [
+        (f"{cls.name}.{fn.name}", fn)
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef)
+    ]
+    return sorted(
+        name
+        for name, fn in defs
+        if any(
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_to_int"
+            for node in ast.walk(fn)
+        )
+    )
+
+
+def test_every_vector_product_goes_through_one_kernel():
+    # a fifth copy of pack-and-multiply, with its own slot width, fails here
+    found = {name for path in SRC.glob("*.py") for name in _packers(ast.parse(path.read_text()))}
+    assert found == PACKERS
+
+
+def test_scan_finds_a_planted_pack_and_multiply():
+    tree = ast.parse(
+        "from . import series\n"
+        "from .series import _to_int\n"
+        "class Field:\n"
+        "    def _product(self, a, b):\n"
+        "        def pack(v):\n"
+        "            return series._to_int(v, 9)\n"
+        "        return pack(a) * pack(b)\n"
+        "def _kronecker(a, b, terms, read, count):\n"
+        "    return read(_to_int(a, 9) * _to_int(b, 9), 9, count)\n"
+        "def _to_int(ints, w):\n"
+        "    return 0\n"
+    )
+    assert _packers(tree) == ["Field._product", "_kronecker"]
 
 
 def test_require_returns_or_names_the_failure():

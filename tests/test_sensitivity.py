@@ -4,9 +4,9 @@ Each entry adds p^k at one place in one construction, by monkeypatching
 the constructor, and names the checks that must then fail under its
 configuration; every other check keeps its status.  An entry with k above
 every claimed precision must change no status.  The tate entries run the
-tate suite at p = 3, N = 20; the ell, iota, epsilon, d_n, Hilbert-90 and
-Coleman-image entries run every suite at (p, n_max, N) = (3, 2, 12) with
-four functionals.
+tate suite at p = 3, N = 20; the ell, iota, epsilon, d_n, Hilbert-90,
+density and Coleman-image entries run every suite at
+(p, n_max, N) = (3, 2, 12) with four functionals.
 """
 
 import inspect
@@ -145,6 +145,45 @@ def bump_h90(n, shift_e=0, j=0, k=None):
     return patch
 
 
+def bump_x(n, j, k):
+    """Coordinate j of the Hilbert-90 solution x_n + p^k, before its
+    certificates are measured; e_n and u_n are kept."""
+
+    def patch(monkeypatch):
+        certified = points._certified
+
+        def bumped(fam, m, e, u_n, x_n, searched):
+            if m == n:
+                coords = list(x_n.coords)
+                coords[j] = coords[j] + P**k
+                x_n = from_coords(x_n.field, coords)
+            return certified(fam, m, e, u_n, x_n, searched)
+
+        monkeypatch.setattr(points, "_certified", bumped)
+
+    return patch
+
+
+def bump_density(n, j, k):
+    """Coordinate j of the level-n density of every seeded functional
+    + p^k, after its traces to the lower levels are taken."""
+
+    def patch(monkeypatch):
+        seeded = coleman.UnitFunctional.seeded
+
+        def bumped(cls, tower, top, q, seed):
+            w = seeded(tower, top, q, seed)
+            if top >= n:
+                coords = list(w.densities[n].coords)
+                coords[j] = coords[j] + P**k
+                w.densities[n] = from_coords(w.densities[n].field, coords)
+            return w
+
+        monkeypatch.setattr(coleman.UnitFunctional, "seeded", classmethod(bumped))
+
+    return patch
+
+
 def bump_image(n, i, k):
     """Coefficient i of every level-n Coleman image + p^k, after the
     trace pairings: the convolution and the Abel sums recompute the image
@@ -249,6 +288,25 @@ NON_INTEGRAL_IOTA = NON_UNIT_IOTA_1 | {
     "coleman.convolution[n=2]",
 }
 
+# a wrong x_2 fails its certificate, so the level-2 solve raises and every
+# reader of that solution fails with it, the negative control included (a
+# fail, not its expected-fail)
+H90_2_READERS = {
+    "prop2.h90-certificate[n=2]",
+    "prop2.congruence[n=2]",
+    "coleman.abel-identity[n=2]",
+    "coleman.derivative-congruence[n=2]",
+    NEGATIVE_CONTROL,
+}
+# the trace pairings read a level-2 density only through Tr(x E_2), so the
+# image, its Abel identity and its trivial zero move together and agree;
+# the group-ring convolution collapses to those traces only for E_2 fixed
+# by Delta, which E_2 + p^5 zeta^3 is not, and the projection to level 1
+# meets E_1, no longer the trace of E_2 (zeta^3 is zeta_9, of nonzero
+# trace to K_1).  A constant c added to E_2 moves no check: every d_2 has
+# norm one, so Tr(c log d^sigma) = 0 and the image does not move.
+DENSITY_2_READERS = {"coleman.convolution[n=2]", "coleman.level-compatibility[2->1]"}
+
 # a level-2 Coleman image is read by its trivial zero and by the Abel
 # identity, recomputed as a group-ring product by the convolution check,
 # projected by the level compatibility, and, for the trace-type
@@ -290,6 +348,11 @@ PERTURBATIONS = [
     ("e_1 + 1", "tower", bump_h90(1, shift_e=1), E1_READERS),
     ("u_1[0] + p^5", "tower", bump_h90(1, k=5), H90_1_READERS),
     ("u_1[0] + p^30", "tower", bump_h90(1, k=30), set()),
+    # x_2 = pi_2^(e_2) u_2 is one power_product
+    ("x_2[1] + p^5", "tower", bump_x(2, 1, 5), H90_2_READERS),
+    ("x_2[1] + p^30", "tower", bump_x(2, 1, 30), set()),
+    ("E_2[3] + p^5", "tower", bump_density(2, 3, 5), DENSITY_2_READERS),
+    ("E_2[3] + p^30", "tower", bump_density(2, 3, 30), set()),
     ("col_2[1] + p^5", "tower", bump_image(2, 1, 5), IMAGE_2_READERS),
     ("col_2[1] + p^30", "tower", bump_image(2, 1, 30), set()),
 ]

@@ -16,7 +16,7 @@ from padiclab import (
 from padiclab import series
 from padiclab.core import PadicScalar, factorial_valuation
 from padiclab.honda import build_ell, build_iota
-from padiclab.series import _KRONECKER_MIN, _compose_ints, _pack, _product_ints, _unpack
+from padiclab.series import _compose_ints, _pack, _product_ints, _unpack
 from padiclab.tate import (
     a_invariants,
     default_grid,
@@ -603,17 +603,20 @@ def test_compose_ints_drops_the_terms_past_the_truncation():
             assert _compose_ints(f, g, n, mod) == [c % mod for c in want], (v, length)
 
 
+# operand lengths of the product kernel: one entry, the few-term Newton
+# corrections of ``reversion``, and long series
+KERNEL_LENGTHS = (1, 2, 7, 8, 18, 100)
+
+
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_product_kernel_matches_schoolbook(p):
-    # both sides of the Kronecker cutoff, zero tails and an all-zero
-    # operand, truncation below both lengths, and entries p^e - 1 (the
-    # widest slots)
+    # short and long operands, zero tails and an all-zero operand,
+    # truncation below both lengths, and entries p^e - 1 (the widest slots)
     e = 40
     mod = p**e
     rng = random.Random(40 + p)
-    lengths = (1, _KRONECKER_MIN - 1, _KRONECKER_MIN, 18, 100)
-    for la in lengths:
-        for lb in lengths:
+    for la in KERNEL_LENGTHS:
+        for lb in KERNEL_LENGTHS:
             operands = [
                 ([rng.randrange(mod) for _ in range(la)], [rng.randrange(mod) for _ in range(lb)]),
                 ([mod - 1] * la, [mod - 1] * lb),
@@ -630,11 +633,11 @@ def test_product_kernel_matches_schoolbook(p):
 
 
 def test_product_kernel_refuses_negative_entries():
-    # a negative entry would borrow across Kronecker slots; neither path
-    # returns digits for it
+    # a negative entry would borrow across Kronecker slots, so the kernel
+    # returns no digits for it
     mod = 3**40
     rng = random.Random(7)
-    for length in (2, _KRONECKER_MIN - 1, _KRONECKER_MIN, 30):
+    for length in KERNEL_LENGTHS:
         a = [rng.randrange(mod) for _ in range(length)]
         b = [rng.randrange(mod) for _ in range(length)]
         a[length // 2] = -1
@@ -643,10 +646,9 @@ def test_product_kernel_refuses_negative_entries():
                 _product_ints(x, y, 2 * length - 1)
 
 
-def test_products_route_by_the_shorter_trimmed_operand(monkeypatch):
-    # zeta - 1 and the Frobenius inner series 3X + 3X^2 + X^3, their zero
-    # tails trimmed, stay on the loop; a dense operand of the cutoff's
-    # length is packed, and so is the other operand
+def test_products_pack_only_the_nonzero_span(monkeypatch):
+    # zeta - 1 and the Frobenius inner series 3X + 3X^2 + X^3 pack 2 and
+    # 3 entries, their zero head and tail trimmed, beside a dense operand
     calls = []
     original = series._to_int
 
@@ -659,6 +661,4 @@ def test_products_route_by_the_shorter_trimmed_operand(monkeypatch):
     dense = list(range(1, 30))
     _product_ints([mod - 1, 1] + [0] * 16, dense, 60)
     _product_ints([0, 3, 3, 1] + [0] * 40, dense, 60)
-    assert calls == []
-    _product_ints(dense[:_KRONECKER_MIN], dense, 60)
-    assert calls == [_KRONECKER_MIN, len(dense)]
+    assert calls == [2, len(dense), 3, len(dense)]
