@@ -19,7 +19,9 @@ where exp(pA) is integral since p^m/m! is (Dwork's lemma makes F
 integral too).  Both are solved degree by degree on integers mod p^W.
 Since (phi^j)_j = p^j, the unknown of degree m stands alone on the left,
 as ell_m (1 - p^(m-1)) and as F_m (p - p^m), and everything else reads
-lower degrees.
+lower degrees.  iota's online products are `series._online_product`'s
+windowed sums: per B = 4 degrees one dot product against ints of B slots
+of 2 bits(p^W - 1) + bits(M + 1) bits, about M^2/B multiply-adds each.
 
 Loss bound: phi = X^p mod p, so (phi^j)_m is divisible by p except at
 m = pj.  An error at degree j therefore comes back divided by p only at
@@ -44,7 +46,7 @@ and its Frobenius property, which the solve makes hold by construction.
 from __future__ import annotations
 
 from math import comb
-from operator import add, mul
+from operator import add
 
 from .core import (
     ConvergenceError,
@@ -59,7 +61,7 @@ from .core import (
     split_p,
     vp,
 )
-from .series import TruncatedSeries, frobenius_substitute
+from .series import TruncatedSeries, _online_product, frobenius_substitute
 
 
 def default_truncation(ctx: PrimeContext, n_max: int) -> int:
@@ -252,9 +254,10 @@ def build_iota(ctx: PrimeContext, order: int) -> TruncatedSeries:
         F_m (p - p^m) = sum_{j<m} F_j (phi^j)_m + sum_{i>=1} E_i F(phi)_(m-i)
                         - [(F^p)_m - p F_m].
 
-    The bracket is read off the online products of a square-and-multiply
-    chain from F to F^p before F_m is known: each power F^c has
-    (F^c)_m = c F_m + (terms of lower degree).  A remainder in either
+    The bracket is read off a square-and-multiply chain from F to F^p
+    before F_m is known: (F^c)_m = c F_m + (terms of lower degree).  Every
+    online product (j A_j E, each chain step, F(phi) E) is windowed by
+    ``_online_product``, E's windows serving two.  A remainder in either
     exact division raises PropertyFailure naming the degree.
     """
     p = ctx.p
@@ -262,42 +265,32 @@ def build_iota(ctx: PrimeContext, order: int) -> TruncatedSeries:
     mod = ctx.pk(digits)
     ja = [j * a % mod for j, a in enumerate(_averaged_binomials(ctx, order, digits))]
     chain = _square_and_multiply(p)
-    powers = {1: [1], **{a + b: [1] for a, b in chain}}  # F^c below degree m
-    e = [1]  # exp(pA) through degree m
-    g = [1]  # F(phi) below degree m
+    # F^c below degree m; of F^p only the bracket is read
+    powers = {c: [1] for c in {1, *(a + b for a, b in chain[:-1])}}
+    e, g = [1], [1]  # exp(pA) through degree m, F(phi) below it
+    e_win, wins = [], {b: [] for _, b in chain}  # windows of exp(pA) and of each F^b
+    exps, lifts = (_online_product(x, e, e_win, mod, order) for x in (ja, g))
+    steps = [(a, b, _online_product(powers[a], powers[b], wins[b], mod, order)) for a, b in chain]
     acc = [0] * (order + 1)
     rows = _phi_rows(p, mod, order)
-    coeffs = [0]
     for m in range(1, order + 1):
         v, u = split_p(m, p)
-        s = sum(map(mul, ja[1 : m + 1], reversed(e))) % mod
+        s = next(exps) % mod
         if v and s % ctx.pk(v - 1):
             raise PropertyFailure(f"exp(pA) has a non-integral coefficient at degree {m}")
         e.append(s * p // ctx.pk(v) * pow(u, -1, mod) % mod)
         rest = {1: 0}
-        for a, b in chain:
-            fa = powers[a]
-            if a == b:
-                h = (m - 1) // 2
-                mid = 2 * sum(map(mul, fa[1 : h + 1], fa[m - 1 : m - 1 - h : -1]))
-                if m % 2 == 0:
-                    mid += fa[m // 2] ** 2
-            else:
-                mid = sum(map(mul, fa[1:m], powers[b][m - 1 : 0 : -1]))
-            rest[a + b] = (rest[a] + rest[b] + mid) % mod
-        if m == 1:
-            fm = 1
-        else:
-            rhs = (acc[m] + sum(map(mul, e[1:], reversed(g))) - rest[p]) % mod
-            if rhs % p:
-                raise PropertyFailure(f"iota has a non-integral coefficient at degree {m}")
-            fm = rhs // p * pow(1 - pow(p, m - 1, mod), -1, mod) % mod
+        for a, b, sums in steps:
+            rest[a + b] = (rest[a] + rest[b] + next(sums)) % mod
+        rhs = (acc[m] + next(lifts) - rest[p]) % mod
+        if m > 1 and rhs % p:
+            raise PropertyFailure(f"iota has a non-integral coefficient at degree {m}")
+        fm = rhs // p * pow(1 - pow(p, m - 1, mod), -1, mod) % mod if m > 1 else 1
         for c, fc in powers.items():
             fc.append((c * fm + rest[c]) % mod)
         g.append((acc[m] + fm * pow(p, m, mod)) % mod)
-        coeffs.append(fm)
         _push_row(acc, m, fm, next(rows, None))
-    return TruncatedSeries(ctx, 0, ctx.wprec, coeffs)
+    return TruncatedSeries(ctx, 0, ctx.wprec, [0] + powers[1][1:])
 
 
 def log_identity_residual(ell: TruncatedSeries, iota: TruncatedSeries) -> int:
@@ -321,37 +314,38 @@ def inverse_integrality(iota: TruncatedSeries) -> int:
     return 0
 
 
-def log_at_points(ell: TruncatedSeries) -> int:
-    """The least valuation of ell(x) minus the defining double sum
-    log(1+x) + sum_k sum_delta ((1+x)^(p^k delta) - 1)/p^k over
-    x in {p, p(1+p), p^2}: a certificate of ell that reads neither A nor
-    phi.
+def _defining_sum(ctx: PrimeContext, x: int, target: int) -> PadicScalar:
+    """log(1+x) + sum_k sum_delta ((1+x)^(p^k delta) - 1)/p^k at absprec
+    T = ``target``, for an integer x in pZ_p.
 
-    Each power is one integer pow mod p^(T+k), T = wprec + 2, with
-    delta's Teichmuller lift as an integer.  The k-sum stops at the first
-    k with (p-1)(v(x)+k) - k >= T: with L = log(1+x), v(L) = v(x),
-    sum_delta ((1+x)^(p^k delta) - 1) = (p-1) sum_{(p-1)|j} (p^k L)^j/j!
-    has valuation >= (p-1)(v(x)+k), and that bound less k grows with k.
+    y_0 = (1+x)^delta mod p^T, delta's Teichmuller lift, and
+    y_(k+1) = y_k^p mod p^(T+k+1) give (1+x)^(p^k delta) mod p^(T+k): for u
+    in 1 + pZ_p, u^(p^k delta) mod p^(T+k) reads delta mod p^(T-1) only,
+    and (y + p^j e)^p = y^p mod p^(j+1).  The k-sum stops at the first k
+    with (p-1)(v(x)+k) - k >= T: with L = log(1+x), the inner sum is
+    (p-1) sum_{(p-1)|j} (p^k L)^j/j!, of valuation >= (p-1)(v(x)+k).
     """
+    p, vx = ctx.p, vp(x, ctx.p)
+    total = iwasawa_log(ctx.scalar(1 + x, target + 8))
+    ys = [pow(1 + x, ctx.teichmuller_int(r, target), ctx.pk(target)) for r in range(1, p)]
+    k = 0
+    while (p - 1) * (vx + k) - k < target:
+        total = total + PadicScalar._make(ctx, -k, sum(ys) - (p - 1), target)
+        k += 1
+        ys = [pow(y, p, ctx.pk(target + k)) for y in ys]
+    return total
+
+
+def log_at_points(ell: TruncatedSeries) -> int:
+    """The least valuation of ell(x) - ``_defining_sum`` at absprec
+    wprec + 2 over x in {p, p(1+p), p^2}: a certificate of ell that reads
+    neither A nor phi."""
     ctx = ell.ctx
-    p, target = ctx.p, ctx.wprec + 2
-    worst = None
-    for x in (p, p * (1 + p), p * p):
-        vx = vp(x, p)
-        total = iwasawa_log(ctx.scalar(1 + x, target + 8))
-        k = 0
-        while (p - 1) * (vx + k) - k < target:
-            digits = target + k
-            mod = ctx.pk(digits)
-            s = sum(
-                pow(1 + x, ctx.pk(k) * ctx.teichmuller_int(r, digits), mod) - 1
-                for r in range(1, p)
-            )
-            total = total + PadicScalar._make(ctx, -k, s, target)
-            k += 1
-        r = (ell.eval_scalar(ctx.scalar(x, target)) - total).min_valuation()
-        worst = r if worst is None else min(worst, r)
-    return worst
+    target = ctx.wprec + 2
+    return min(
+        (ell.eval_scalar(ctx.scalar(x, target)) - _defining_sum(ctx, x, target)).min_valuation()
+        for x in (ctx.p, ctx.p * (1 + ctx.p), ctx.p**2)
+    )
 
 
 def solve_epsilon(ell: TruncatedSeries, ctx: PrimeContext) -> PadicScalar:

@@ -11,10 +11,12 @@ Every vector product, of series here and of K_n elements in
 ``cyclotomic``, is one ``_kronecker``: Kronecker substitution, one
 multiply of two packed ints, which keeps the hot loops in plain bigint
 arithmetic; series products trim their zero head and tail first
-(``_product_ints``).  Composition is Brent-Kung's baby-step/giant-step
-scheme on packed ints (``_paterson_stockmeyer``): each Horner step is one
-packed multiply-add, cut to the terms that the inner series' X-adic
-valuation leaves of it.  Reversion is Newton doubling over composition.
+(``_product_ints``).  An online product of growing residue lists is
+windowed dot products (``_online_product``).  Composition is Brent-Kung's
+baby-step/giant-step scheme on packed ints (``_paterson_stockmeyer``):
+each Horner step is one packed multiply-add, cut to the terms that the
+inner series' X-adic valuation leaves of it.  Reversion is Newton
+doubling over composition.
 """
 
 from __future__ import annotations
@@ -106,6 +108,40 @@ def _from_int(x, w, count):
     """The first ``count`` w-byte little-endian slots of the int x >= 0."""
     buf = (x & ((1 << 8 * w * count) - 1)).to_bytes(w * count, "little")
     return [int.from_bytes(buf[i : i + w], "little") for i in range(0, w * count, w)]
+
+
+_WINDOW = 4  # B: 4 to 16 time iota at (p, N, n) = (3, 16, 2) within 5%; 4 uses least memory
+
+
+def _online_product(a, b, win, mod, order):
+    """Yield c_m = sum_(i+j=m) a_i b_j, m = 1 .. order, over the entries
+    of the lists a and b known when c_m is asked for: residues in
+    [0, mod), at least m in each list.
+
+    At each block start m0, a multiple of B = ``_WINDOW``, one dot product
+    of a_B .. a_(m0-1) against windows sum_(r<B) b_(t+r) 2^(rS) gives in
+    slot r the pairs with B <= i < m0 of degree m0 + r, so each degree adds
+    only its pairs with i < B and with i >= m0.  A slot sums at most
+    ``order`` products of two residues: S = 2 bits(mod - 1) + bits(order + 1)
+    holds it (``_kronecker``'s rule, in bits).  ``win`` is b's window list:
+    win[k] = (win[k-1] >> S) + b_k 2^(S(B-1)) ends at b_k.  Every product
+    that reads b at the same mod and order shares it.
+    """
+    width = 2 * (mod - 1).bit_length() + (order + 1).bit_length()
+    block = 0
+    for m in range(1, order + 1):
+        m0 = m - m % _WINDOW
+        if m == m0:
+            for k in range(len(win), m0):
+                win.append((win[-1] >> width if win else 0) + (b[k] << width * (_WINDOW - 1)))
+            block = sum(map(mul, a[_WINDOW:m0], win[m0 - 1 : _WINDOW - 1 : -1]))
+        lo = max(0, m + 1 - len(b))
+        hi = max(lo, m0)
+        yield (
+            ((block >> width * (m - m0)) & ((1 << width) - 1))
+            + sum(map(mul, a[lo : min(m0, _WINDOW)], b[m - lo :: -1]))
+            + sum(map(mul, a[hi : m + 1], b[m - hi :: -1]))
+        )
 
 
 def _product_scale(a, b):

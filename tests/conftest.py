@@ -6,10 +6,13 @@ from padiclab import (
     CycloTower,
     HondaData,
     PrimeContext,
+    PropertyFailure,
     TateParameter,
     build_points,
+    honda,
     solve_h90,
 )
+from padiclab.core import split_p
 from padiclab.cyclotomic import CycloElement
 from padiclab.honda import default_truncation
 from padiclab.series import TruncatedSeries, _pack, _unpack
@@ -88,6 +91,56 @@ def horner_compose(f, g):
     d, e, ints = acc
     ints += [0] * (order + 1 - len(ints))
     return TruncatedSeries.from_scalars(ctx, _unpack(ctx, d, e, ints[: order + 1]))
+
+
+def iota_by_dot_products(ctx, order):
+    """Test-only oracle: iota's residues mod p^W, W = ``_solve_digits``,
+    from the solve of ``build_iota`` with one plain dot product per degree
+    and online product (squares summed over half their pairs), raising its
+    PropertyFailures.  It reads A and the rows of phi through ``honda``,
+    so a patched ``_averaged_binomials`` or ``_phi_rows`` reaches it too.
+    """
+    p = ctx.p
+    digits = honda._solve_digits(ctx, order)
+    mod = ctx.pk(digits)
+    ja = [j * a % mod for j, a in enumerate(honda._averaged_binomials(ctx, order, digits))]
+    chain = honda._square_and_multiply(p)
+    powers = {1: [1], **{a + b: [1] for a, b in chain}}  # F^c below degree m
+    e = [1]  # exp(pA) through degree m
+    g = [1]  # F(phi) below degree m
+    acc = [0] * (order + 1)
+    rows = honda._phi_rows(p, mod, order)
+    coeffs = [0]
+    for m in range(1, order + 1):
+        v, u = split_p(m, p)
+        s = sum(map(mul, ja[1 : m + 1], reversed(e))) % mod
+        if v and s % ctx.pk(v - 1):
+            raise PropertyFailure(f"exp(pA) has a non-integral coefficient at degree {m}")
+        e.append(s * p // ctx.pk(v) * pow(u, -1, mod) % mod)
+        rest = {1: 0}
+        for a, b in chain:
+            fa = powers[a]
+            if a == b:
+                h = (m - 1) // 2
+                mid = 2 * sum(map(mul, fa[1 : h + 1], fa[m - 1 : m - 1 - h : -1]))
+                if m % 2 == 0:
+                    mid += fa[m // 2] ** 2
+            else:
+                mid = sum(map(mul, fa[1:m], powers[b][m - 1 : 0 : -1]))
+            rest[a + b] = (rest[a] + rest[b] + mid) % mod
+        if m == 1:
+            fm = 1
+        else:
+            rhs = (acc[m] + sum(map(mul, e[1:], reversed(g))) - rest[p]) % mod
+            if rhs % p:
+                raise PropertyFailure(f"iota has a non-integral coefficient at degree {m}")
+            fm = rhs // p * pow(1 - pow(p, m - 1, mod), -1, mod) % mod
+        for c, fc in powers.items():
+            fc.append((c * fm + rest[c]) % mod)
+        g.append((acc[m] + fm * pow(p, m, mod)) % mod)
+        coeffs.append(fm)
+        honda._push_row(acc, m, fm, next(rows, None))
+    return coeffs
 
 
 @pytest.fixture(scope="session")

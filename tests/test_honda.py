@@ -12,8 +12,9 @@ from padiclab import (
     hensel_root,
     honda,
 )
-from padiclab.core import _log_floor, factorial_valuation, split_p, vp
+from padiclab.core import _log_floor, factorial_valuation, iwasawa_log, split_p, vp
 from padiclab.honda import (
+    _defining_sum,
     build_ell,
     build_iota,
     default_truncation,
@@ -22,7 +23,7 @@ from padiclab.honda import (
     log_identity_residual,
 )
 from padiclab.series import TruncatedSeries, frobenius_substitute, log_one_plus_x
-from conftest import from_rationals
+from conftest import from_rationals, iota_by_dot_products
 
 
 def stirling_ell(ctx, order):
@@ -400,6 +401,99 @@ def test_remainders_in_the_solves_name_their_degree(monkeypatch):
         build_ell(ctx, 2)
     with pytest.raises(PropertyFailure, match="degree 2"):
         build_iota(ctx, 40)
+
+
+def _raw_iota(monkeypatch, ctx, order):
+    """build_iota's residues mod p^W, before TruncatedSeries cuts them to
+    wprec."""
+    monkeypatch.setattr(honda, "TruncatedSeries", lambda ctx, denom, e, ints: list(ints))
+    return build_iota(ctx, order)
+
+
+@pytest.mark.parametrize(
+    "p, n, prec, order",
+    [(3, 1, 12, None), (3, 2, 16, None), (5, 1, 12, None), (7, 1, 12, None), (3, 0, 12, 3), (5, 0, 12, 2)],
+)
+def test_build_iota_residues_equal_the_dot_product_oracle(monkeypatch, p, n, prec, order):
+    # the windowed sums are the oracle's integer sums, grouped differently,
+    # so every residue agrees mod p^W, not only mod p^wprec; orders 2 and 3
+    # stay below the first window
+    ctx = PrimeContext(p, prec)
+    order = order or default_truncation(ctx, n)
+    want = iota_by_dot_products(ctx, order)
+    assert len(want) == order + 1
+    assert _raw_iota(monkeypatch, ctx, order) == want
+
+
+def _both_raise(ctx, order):
+    """The PropertyFailure messages of the oracle and of build_iota."""
+    messages = []
+    for solve in (iota_by_dot_products, build_iota):
+        with pytest.raises(PropertyFailure) as err:
+            solve(ctx, order)
+        messages.append(str(err.value))
+    return messages
+
+
+def test_build_iota_raises_what_the_oracle_raises_on_a_non_integral_a(monkeypatch):
+    # A_27 + 3^-4 makes 27 A_27 carry 1/3, so exp(pA) is non-integral at
+    # degree 27, past the first window; both solves stop there
+    binomials = honda._averaged_binomials
+
+    def bumped(ctx, order, digits):
+        a = binomials(ctx, order, digits)
+        a[27] += Fraction(1, 81)
+        return a
+
+    monkeypatch.setattr(honda, "_averaged_binomials", bumped)
+    message = "exp(pA) has a non-integral coefficient at degree 27"
+    assert _both_raise(PrimeContext(3, 12), 40) == [message, message]
+
+
+def test_build_iota_raises_what_the_oracle_raises_on_a_skewed_phi_row(monkeypatch):
+    # (phi^12)_13 + 1 adds the unit F_12 to the sum of degree 13, past the
+    # first window
+    rows = honda._phi_rows
+    skews = []
+
+    def skewed(p, mod, order):
+        for j, (lo, entries) in enumerate(rows(p, mod, order), 1):
+            if j == 12:
+                entries = list(entries)
+                entries[13 - lo] += 1
+                skews.append(lo)
+            yield lo, entries
+
+    monkeypatch.setattr(honda, "_phi_rows", skewed)
+    message = "iota has a non-integral coefficient at degree 13"
+    assert _both_raise(PrimeContext(3, 12), 40) == [message, message]
+    assert len(skews) == 2 and skews[0] <= 13
+
+
+def _defining_sum_by_pow(ctx, x, target):
+    """Test-only oracle: the defining double sum at x, each power
+    (1+x)^(p^k delta) one pow mod p^(T+k) with delta's Teichmuller lift
+    mod p^(T+k)."""
+    p, vx = ctx.p, vp(x, ctx.p)
+    total = iwasawa_log(ctx.scalar(1 + x, target + 8))
+    k = 0
+    while (p - 1) * (vx + k) - k < target:
+        digits = target + k
+        mod = ctx.pk(digits)
+        s = sum(pow(1 + x, ctx.pk(k) * ctx.teichmuller_int(r, digits), mod) - 1 for r in range(1, p))
+        total = total + PadicScalar._make(ctx, -k, s, target)
+        k += 1
+    return total
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_defining_sum_matches_the_direct_powers(p):
+    ctx = PrimeContext(p, 12)
+    target = ctx.wprec + 2
+    for x in (p, p * (1 + p), p * p):
+        got, want = _defining_sum(ctx, x, target), _defining_sum_by_pow(ctx, x, target)
+        assert (got.v, got.unit, got.absprec) == (want.v, want.unit, want.absprec), x
+        assert got.absprec == target
 
 
 def test_log_at_points_measures_the_defining_sum(honda3, ctx3):

@@ -16,7 +16,7 @@ from padiclab import (
 from padiclab import series
 from padiclab.core import PadicScalar, factorial_valuation
 from padiclab.honda import build_ell, build_iota
-from padiclab.series import _compose_ints, _pack, _product_ints, _unpack
+from padiclab.series import _WINDOW, _compose_ints, _online_product, _pack, _product_ints, _unpack
 from padiclab.tate import (
     a_invariants,
     default_grid,
@@ -662,3 +662,81 @@ def test_products_pack_only_the_nonzero_span(monkeypatch):
     _product_ints([mod - 1, 1] + [0] * 16, dense, 60)
     _product_ints([0, 3, 3, 1] + [0] * 40, dense, 60)
     assert calls == [2, len(dense), 3, len(dense)]
+
+
+def _known_dot(a, b, m):
+    """Test-only oracle: sum a_i b_j over i + j = m and the entries the
+    lists hold."""
+    return sum(a[i] * b[m - i] for i in range(len(a)) if 0 <= m - i < len(b))
+
+
+# entries a and b hold when degree m is asked for, in the iota solve's
+# three shapes: both online (F^a F^b), a known in full (j A_j against
+# exp(pA)), b one entry longer (F(phi) against exp(pA))
+ONLINE_SHAPES = {
+    "both-online": (lambda m, order: max(1, m), lambda m, order: max(1, m)),
+    "a-known": (lambda m, order: order + 1, lambda m, order: max(1, m)),
+    "b-longer": (lambda m, order: max(1, m), lambda m, order: m + 1),
+}
+
+
+def _online_against_oracle(shape, a_full, b_full, mod, order, win=None):
+    """The yields of ``_online_product`` over lists grown in ``shape``,
+    each next to the plain dot product over the same entries."""
+    size_a, size_b = ONLINE_SHAPES[shape]
+    a, b = a_full[:1], b_full[:1]
+    sums = _online_product(a, b, [] if win is None else win, mod, order)
+    got, want = [], []
+    for m in range(1, order + 1):
+        a.extend(a_full[len(a) : size_a(m, order)])
+        b.extend(b_full[len(b) : size_b(m, order)])
+        got.append(next(sums))
+        want.append(_known_dot(a, b, m))
+    with pytest.raises(StopIteration):
+        next(sums)
+    return got, want
+
+
+@pytest.mark.parametrize("shape", sorted(ONLINE_SHAPES))
+def test_online_product_matches_the_dot_products(shape):
+    # below the first window, at it, one past it and over many blocks
+    mod = 3**40
+    rng = random.Random(len(shape))
+    for order in (1, 2, _WINDOW - 1, _WINDOW, _WINDOW + 1, 2 * _WINDOW, 2 * _WINDOW + 1, 41, 203):
+        a_full = [rng.randrange(mod) for _ in range(order + 1)]
+        b_full = [rng.randrange(mod) for _ in range(order + 1)]
+        got, want = _online_against_oracle(shape, a_full, b_full, mod, order)
+        assert got == want, (shape, order)
+
+
+def test_online_products_share_one_window_list():
+    # one window list of exp(pA) serves both products that read it, as in
+    # the iota solve: j A_j against exp(pA) below degree m, then F(phi)
+    # against exp(pA) through degree m; each window is built once
+    mod, order = 5**30, 97
+    rng = random.Random(5)
+    ja, g_full, e_full = ([rng.randrange(mod) for _ in range(order + 1)] for _ in range(3))
+    g, e, win = g_full[:1], e_full[:1], []
+    exps = _online_product(ja, e, win, mod, order)
+    lifts = _online_product(g, e, win, mod, order)
+    for m in range(1, order + 1):
+        assert next(exps) == _known_dot(ja, e, m), m
+        e[:] = e_full[: m + 1]
+        g[:] = g_full[: max(1, m)]
+        assert next(lifts) == _known_dot(g, e, m), m
+    assert len(win) == order - order % _WINDOW
+
+
+@pytest.mark.parametrize("shape", sorted(ONLINE_SHAPES))
+def test_online_product_slots_hold_their_widest_sums(shape):
+    # every entry mod - 1 at order 126: 127 < 2^7, so a block sum of 120
+    # pairs needs all bits(order + 1) = 7 of a slot's headroom; over
+    # e = 20..27 the leading bits of p^e vary, so a slot one bit narrower
+    # than S overflows at some e
+    order = 126
+    for p in (3, 5, 7):
+        for e in range(20, 28):
+            mod = p**e
+            full = [mod - 1] * (order + 1)
+            got, want = _online_against_oracle(shape, full, full, mod, order)
+            assert got == want, (p, e)
