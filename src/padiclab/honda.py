@@ -21,7 +21,7 @@ Since (phi^j)_j = p^j, the unknown of degree m stands alone on the left,
 as ell_m (1 - p^(m-1)) and as F_m (p - p^m), and everything else reads
 lower degrees.  iota's online products are `series._online_product`'s
 windowed sums: per B = 4 degrees one dot product against ints of B slots
-of 2 bits(p^W - 1) + bits(M + 1) bits, about M^2/B multiply-adds each.
+of 2 bits(p^W - 1) + bits(M + 1) bits, about M^2/(2B) multiply-adds each.
 
 Loss bound: phi = X^p mod p, so (phi^j)_m is divisible by p except at
 m = pj.  An error at degree j therefore comes back divided by p only at
@@ -257,16 +257,17 @@ def build_iota(ctx: PrimeContext, order: int) -> TruncatedSeries:
     The bracket is read off a square-and-multiply chain from F to F^p
     before F_m is known: (F^c)_m = c F_m + (terms of lower degree).  Every
     online product (j A_j E, each chain step, F(phi) E) is windowed by
-    ``_online_product``, E's windows serving two.  A remainder in either
-    exact division raises PropertyFailure naming the degree.
+    ``_online_product``, E's windows serving two: per B = 4 degrees one
+    dot product on slots of S = 2 bits(p^W - 1) + bits(M + 1) bits, about
+    M^2/(2B) multiply-adds.  A remainder in either exact division raises
+    PropertyFailure naming the degree.
     """
     p = ctx.p
     digits = _solve_digits(ctx, order)
     mod = ctx.pk(digits)
     ja = [j * a % mod for j, a in enumerate(_averaged_binomials(ctx, order, digits))]
     chain = _square_and_multiply(p)
-    # F^c below degree m; of F^p only the bracket is read
-    powers = {c: [1] for c in {1, *(a + b for a, b in chain[:-1])}}
+    powers = {c: [1] for c in {1, *(a + b for a, b in chain[:-1])}}  # F^c below degree m, not F^p
     e, g = [1], [1]  # exp(pA) through degree m, F(phi) below it
     e_win, wins = [], {b: [] for _, b in chain}  # windows of exp(pA) and of each F^b
     exps, lifts = (_online_product(x, e, e_win, mod, order) for x in (ja, g))
@@ -340,8 +341,7 @@ def log_at_points(ell: TruncatedSeries) -> int:
     """The least valuation of ell(x) - ``_defining_sum`` at absprec
     wprec + 2 over x in {p, p(1+p), p^2}: a certificate of ell that reads
     neither A nor phi."""
-    ctx = ell.ctx
-    target = ctx.wprec + 2
+    ctx, target = ell.ctx, ell.ctx.wprec + 2
     return min(
         (ell.eval_scalar(ctx.scalar(x, target)) - _defining_sum(ctx, x, target)).min_valuation()
         for x in (ctx.p, ctx.p * (1 + ctx.p), ctx.p**2)

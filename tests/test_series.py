@@ -680,12 +680,12 @@ ONLINE_SHAPES = {
 }
 
 
-def _online_against_oracle(shape, a_full, b_full, mod, order, win=None):
+def _online_against_oracle(shape, a_full, b_full, mod, order):
     """The yields of ``_online_product`` over lists grown in ``shape``,
     each next to the plain dot product over the same entries."""
     size_a, size_b = ONLINE_SHAPES[shape]
     a, b = a_full[:1], b_full[:1]
-    sums = _online_product(a, b, [] if win is None else win, mod, order)
+    sums = _online_product(a, b, [], mod, order)
     got, want = [], []
     for m in range(1, order + 1):
         a.extend(a_full[len(a) : size_a(m, order)])
