@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 
 from .core import (
     InvalidInputError,
@@ -155,63 +156,59 @@ def _pair_log(log_y: PadicScalar, v: int, w: UnitFunctional) -> PadicScalar:
     return out
 
 
-class GroupRingElement:
-    """An element of Z_p[Gamma_n]; index i stands for gamma^i."""
+class GroupRingElement(PackedVector):
+    """An element sum_i c_i gamma^i of Z_p[Gamma_n], i < p^n, with
+    c_i = ints[i] / p^denom known mod p^(e - denom), held as ``packed`` =
+    (denom, e, ints); ``coeffs`` is a view."""
 
-    __slots__ = ("tower", "n", "coeffs")
+    __slots__ = ("tower", "n")
 
-    def __init__(self, tower: CycloTower, n: int, coeffs):
-        self.tower = tower
-        self.n = n
-        self.coeffs = list(coeffs)
-        if len(self.coeffs) != tower.ctx.p**n:
+    def __init__(self, tower: CycloTower, n: int, denom: int, e: int, ints):
+        if len(ints) != tower.ctx.p**n:
             raise InvalidInputError(
                 f"a level-{n} group-ring element has {tower.ctx.p**n}"
-                f" coefficients, not {len(self.coeffs)}"
+                f" coefficients, not {len(ints)}"
             )
+        self.tower = tower
+        self.n = n
+        super().__init__(tower.ctx, denom, e, ints)
+
+    def _new(self, denom, e, ints):
+        return GroupRingElement(self.tower, self.n, denom, e, ints)
+
+    coeffs = PackedVector.coords
 
     def augmentation(self) -> PadicScalar:
-        acc = self.tower.ctx.zero()
-        for c in self.coeffs:
-            acc = acc + c
-        return acc
+        return self._scalar(sum(self.packed[2]))
 
     def project(self, m: int) -> "GroupRingElement":
         """Push along Gamma_n -> Gamma_m, 0 <= m <= n."""
         if not 0 <= m <= self.n:
             raise InvalidInputError(f"cannot project level {self.n} to level {m}")
-        pm = self.tower.ctx.p**m
-        out = [self.tower.ctx.zero() for _ in range(pm)]
-        for i, c in enumerate(self.coeffs):
-            out[i % pm] = out[i % pm] + c
-        return GroupRingElement(self.tower, m, out)
+        denom, e, ints = self.packed
+        pm = self.ctx.p**m
+        return GroupRingElement(self.tower, m, denom, e, [sum(ints[r::pm]) for r in range(pm)])
 
     def polynomial_derivative_at_zero(self) -> PadicScalar:
         """P'(0) for the canonical polynomial lift: sum_i i c_i."""
-        acc = self.tower.ctx.zero()
-        for i, c in enumerate(self.coeffs):
-            if i:
-                acc = acc + c * i
-        return acc
+        return self._scalar(sum(i * c for i, c in enumerate(self.packed[2])))
 
-    def residual_against(self, other) -> Fraction:
+    def residual_against(self, other) -> int:
         if other.n != self.n:
             raise InvalidInputError(
                 f"cannot compare a level-{self.n} image with a level-{other.n} one"
             )
-        return min(
-            (a - b).min_valuation() for a, b in zip(self.coeffs, other.coeffs)
-        )
+        return (self - other).min_valuation()
 
 
 def coleman_level(w: UnitFunctional, fam: PointFamily, n: int) -> GroupRingElement:
     """sum_sigma (d_n^sigma, w) sigma over Gamma_n."""
     tower = w.tower
-    coeffs = tower.trace_pairings(fam.log_d_conjugates(n), w.density(n))
-    return GroupRingElement(tower, n, coeffs)
+    pairings = tower.trace_pairings(fam.log_d_conjugates(n), w.density(n))
+    return GroupRingElement(tower, n, *pairings.packed)
 
 
-def verify_trivial_zero(col: GroupRingElement) -> Fraction:
+def verify_trivial_zero(col: GroupRingElement) -> int:
     return col.tower.ctx.require(
         col.augmentation().min_valuation(), "augmentation does not vanish"
     )
@@ -219,7 +216,7 @@ def verify_trivial_zero(col: GroupRingElement) -> Fraction:
 
 def verify_level_compatibility(
     w: UnitFunctional, fam: PointFamily, upper: GroupRingElement
-) -> Fraction:
+) -> int:
     """Pushing the level-n image ``upper`` of w to Gamma_(n-1) recovers the
     level-(n-1) map, which is the one image built here."""
     n = upper.n
@@ -230,7 +227,7 @@ def verify_level_compatibility(
     )
 
 
-def verify_convolution(w: UnitFunctional, fam: PointFamily, col: GroupRingElement) -> Fraction:
+def verify_convolution(w: UnitFunctional, fam: PointFamily, col: GroupRingElement) -> int:
     """The level-n image col of w equals the convolution of
     sum log(d^sigma) sigma with sum sigma(E_n) sigma^(-1): each
     coefficient of the product in K_n[Gamma_n], one group-ring product,
@@ -243,8 +240,11 @@ def verify_convolution(w: UnitFunctional, fam: PointFamily, col: GroupRingElemen
     f = tower.field(n)
     # sum sigma(E_n) sigma^(-1) has coefficient B[-i] at gamma^i
     conv = f.group_product(fam.log_d_conjugates(n), [B[-i % pn] for i in range(pn)])
+    # the coefficient c_i of col is the element c_i zeta^0 of K_n
+    denom, e, ints = col.packed
+    pad = [0] * (f.degree - 1)
     return ctx.require(
-        min((c - f.from_scalar(x)).min_valuation() for c, x in zip(conv, col.coeffs)),
+        min((c - CycloElement(f, denom, e, [x, *pad])).min_valuation() for c, x in zip(conv, ints)),
         f"convolution identity fails at level {n}",
     )
 
@@ -293,7 +293,7 @@ def gauss_sum(chi: CharacterData) -> CycloElement:
     return f.root_weighted_sum([f.one()] * len(ks), ks)
 
 
-def verify_gauss_product(chi: CharacterData) -> Fraction:
+def verify_gauss_product(chi: CharacterData) -> int:
     """tau(chi) tau(chi-bar) = p^(n+1) (chi trivial on Delta has chi(-1)=1)."""
     tower = chi.tower
     ctx = tower.ctx
@@ -303,7 +303,7 @@ def verify_gauss_product(chi: CharacterData) -> Fraction:
     return ctx.require((t1 * t2 - expected).min_valuation(), "Gauss product fails")
 
 
-def verify_char_sum(fam: PointFamily, chi: CharacterData) -> Fraction:
+def verify_char_sum(fam: PointFamily, chi: CharacterData) -> int:
     """sum_sigma log(d_n^sigma) chi(sigma) = tau(chi), or 0 for trivial chi."""
     tower = fam.tower
     ctx = tower.ctx
@@ -349,12 +349,12 @@ def derivative_rep(w: UnitFunctional, sol: H90Solution, col: GroupRingElement):
     tower = w.tower
     ctx = tower.ctx
     n = sol.n
-    pn = ctx.p**n
+    # S_i = t_i + alpha v(x_n): alpha v cancels from S_(i+1) - S_i, but
+    # each S_i is known only to the absprec of alpha v
     alpha_v = w.alpha * ctx.scalar(sol.valuation_x)
-    S = [t + alpha_v for t in tower.trace_pairings(sol.log_x_conjugates, w.density(n))]
-    rhs = GroupRingElement(
-        tower, n, [S[(i + 1) % pn] - S[i] for i in range(pn)]
-    )
+    denom, e, t = tower.trace_pairings(sol.log_x_conjugates, w.density(n)).packed
+    rhs = GroupRingElement(tower, n, denom, e, list(map(sub, t[1:] + t[:1], t)))
+    rhs = rhs.reduce_absprec(alpha_v.absprec)
     resid = ctx.require(
         col.residual_against(rhs), f"Abel summation identity fails at level {n}"
     )
@@ -362,7 +362,7 @@ def derivative_rep(w: UnitFunctional, sol: H90Solution, col: GroupRingElement):
     return d_n, {"level": n, "abel_residual": resid, "derivative": d_n}
 
 
-def verify_key2(w: UnitFunctional, q: TateParameter) -> Fraction:
+def verify_key2(w: UnitFunctional, q: TateParameter) -> int:
     """(p, w)_0 = -(log q / ord q) E_0 exactly (the admissibility constraint
     composed with the decomposition of the Tate period)."""
     ctx = w.tower.ctx
@@ -421,7 +421,7 @@ def negative_control(fam: PointFamily, sol: H90Solution, q: TateParameter) -> di
     w.check_tower_compatibility()
     col = coleman_level(w, fam, n)
     ctx.require(
-        min(c.min_valuation() for c in col.coeffs),
+        col.min_valuation(),
         "trace-type image unexpectedly nonzero",
         ctx.solve_floor,
     )

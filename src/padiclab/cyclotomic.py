@@ -13,7 +13,9 @@ Coleman layer takes have kernels of their own: a trace pairing Tr(x w) is
 a dot product with w's trace form (``_trace_form``), a product in the
 group ring K_n[Z/m] is one 2-D ``_kronecker`` product
 (``_group_product``), and zeta^k x moves each coordinate of x to its slot
-before the fold (``_fold``).  Power series are summed at an element by
+before the fold (``_fold``).  Each takes its list of elements at one
+scale, as Galois conjugates share it, and claims once
+(``CycloField._one_scale``).  Power series are summed at an element by
 baby steps and giant steps (``CycloField._evaluate``), about 2 sqrt(M)
 products for M terms; inverses are Newton's iteration, about 2 log2(d A)
 products at absprec A.  The n-th layer k_n of the Z_p-extension is the
@@ -145,47 +147,44 @@ class CycloField:
         if any(x.field.level != self.level for x in xs):
             raise InvalidInputError("level mismatch between cyclotomic elements")
 
-    def _common_scale(self, xs):
-        """(D, ints): the ints of each element of this field in xs over
-        their largest denominator exponent D."""
+    def _one_scale(self, xs):
+        """The packed triple of xs[0], for a nonempty list of elements of
+        this field that share its scale (denominator exponent, absprec), as
+        the Galois conjugates of one element do; a kernel over the list
+        then claims once, at the scale of one term.  A mixed-scale or empty
+        list is refused."""
         self._own(xs)
-        denom = max(x.packed[0] for x in xs)
-        scales = [self.ctx.pk(denom - x.packed[0]) for x in xs]
-        return denom, [[c * q for c in x.packed[2]] for x, q in zip(xs, scales)]
+        scales = {x.packed[:2] for x in xs}
+        if len(scales) != 1:
+            raise InvalidInputError(
+                f"need a nonempty list of K_n elements at one scale;"
+                f" got {len(xs)} at {len(scales)} scales"
+            )
+        return xs[0].packed
 
     def root_weighted_sum(self, xs, ks) -> "CycloElement":
         """sum_i xs[i] zeta^(ks[i]) with no product in K_n: zeta^k x moves
         x's coordinate j to the slot j + k before the fold (``_fold``), so
-        the terms are summed on integers over their common denominator.
-        Each term is claimed as its product with ``zeta_power(k)``, held
-        at wprec, is, and the sum at the least claim, as the loop over
-        those products from zero at wprec claims it."""
-        wprec = self.ctx.wprec
-        denom, scaled = self._common_scale(xs)
-        prec, out = wprec, [0] * self.degree
-        for x, ints, k in zip(xs, scaled, ks):
-            d, e = _product_scale(x.packed, (0, wprec, None))
-            prec = min(prec, e - d)
-            out = list(map(add, out, _fold(self, ints, 1, k)))
-        return CycloElement(self, denom, prec + denom, out)
+        the terms are summed on integers over their one denominator.  The
+        xs share one scale (``_one_scale``), and the sum is claimed as each
+        term's product with ``zeta_power(k)``, held at wprec, is."""
+        d, e = _product_scale(self._one_scale(xs), (0, self.ctx.wprec, None))
+        folds = [_fold(self, x.packed[2], 1, k) for x, k in zip(xs, ks)]
+        return CycloElement(self, d, e, list(map(sum, zip(*folds))))
 
     def group_product(self, xs, ys):
         """The coefficients c_i = sum_(j + k = i mod m) xs[j] ys[k], i < m,
         of (sum_j xs[j] g^j)(sum_k ys[k] g^k) in K_n[Z/m], m = len(xs) =
-        len(ys): one ``_group_product`` over the common denominators of
-        xs and of ys.  c_i is claimed at the least ``_product_scale``
-        precision of its m products, as the sum of those K_n products
-        is."""
+        len(ys): one ``_group_product``.  The xs share one scale and the ys
+        another (``_one_scale``), so every c_i is claimed at the
+        ``_product_scale`` of one product xs[j] ys[k], as the sum of those
+        K_n products is."""
         m = len(xs)
         if len(ys) != m:
             raise InvalidInputError(f"cannot multiply {m} group coefficients by {len(ys)}")
-        (dx, a), (dy, b) = self._common_scale(xs), self._common_scale(ys)
-        out = []
-        for i, c in enumerate(_group_product(self, a, b)):
-            scales = (_product_scale(xs[j].packed, ys[(i - j) % m].packed) for j in range(m))
-            prec = min(e - d for d, e in scales)
-            out.append(CycloElement(self, dx + dy, prec + dx + dy, c))
-        return out
+        d, e = _product_scale(self._one_scale(xs), self._one_scale(ys))
+        a, b = ([x.packed[2] for x in vs] for vs in (xs, ys))
+        return [CycloElement(self, d, e, c) for c in _group_product(self, a, b)]
 
 
 class CycloElement(PackedVector):
@@ -291,9 +290,8 @@ class CycloElement(PackedVector):
         """Absolute trace from K_n: the dot product of the coordinates
         with the trace table Tr(zeta^j), which is the trace form of 1
         (``_trace_form``)."""
-        denom, e, ints = self.packed
-        raw = sum(c * t for c, t in zip(ints, self.field._trace_table) if t)
-        return PadicScalar._make(self.ctx, -denom, raw, e - denom)
+        table = self.field._trace_table
+        return self._scalar(sum(c * t for c, t in zip(self.packed[2], table) if t))
 
     def residue(self) -> int:
         """Image in the residue field F_p (the tower is totally ramified)."""
@@ -342,8 +340,7 @@ class CycloElement(PackedVector):
                 f"element is not rational at precision {self.ctx.identity_floor}",
                 achieved=low[1],
             )
-        denom, e, ints = self.packed
-        return PadicScalar._make(self.ctx, -denom, ints[0], e - denom)
+        return self._scalar(self.packed[2][0])
 
     def __repr__(self):
         nz = [(i, c) for i, c in enumerate(self.coords) if not c.is_zero]
@@ -462,22 +459,18 @@ class CycloTower:
         """Tr_{k_n/Q_p} for Delta-fixed x: absolute trace divided by p-1."""
         return x.trace_to_qp() / (self.ctx.p - 1)
 
-    def trace_pairings(self, xs, w: CycloElement):
-        """Tr_{k_n/Q_p}(x w) for each x in xs, as ``trace_kn_to_qp(x * w)``
-        but with no product in K_n: Tr(x w) = sum_k x_k t[k] for w's trace
-        form t (``_trace_form``), one length-d dot product per x.  It is
-        claimed at the product's ``_product_scale`` (D, e): the dot
-        product times 1/(p-1) mod p^e, reduced mod p^e by
-        ``PadicScalar._make``, is the scalar ``trace_kn_to_qp`` reads
-        off the product reduced mod p^e."""
-        w.field._own(xs)
+    def trace_pairings(self, xs, w: CycloElement) -> PackedVector:
+        """Tr_{k_n/Q_p}(x w) for the xs, as ``trace_kn_to_qp(x * w)`` but
+        with no product in K_n: Tr(x w) = sum_k x_k t[k] for w's trace
+        form t (``_trace_form``), one length-d dot product per x, packed
+        into one vector.  The xs share one scale (``_one_scale``), so the
+        vector is claimed at one product's ``_product_scale`` (D, e): each
+        dot product times 1/(p-1) mod p^e is the scalar ``trace_kn_to_qp``
+        reads off that product reduced mod p^e."""
+        d, e = _product_scale(w.field._one_scale(xs), w.packed)
         t = _trace_form(w.field, w.packed[2])
-        out = []
-        for x in xs:
-            d, e = _product_scale(x.packed, w.packed)
-            raw = sum(map(mul, x.packed[2], t)) * pow(self.ctx.p - 1, -1, self.ctx.pk(e))
-            out.append(PadicScalar._make(self.ctx, -d, raw, e - d))
-        return out
+        inv = pow(self.ctx.p - 1, -1, self.ctx.pk(e))
+        return PackedVector(self.ctx, d, e, [sum(map(mul, x.packed[2], t)) * inv for x in xs])
 
     def norm_kn_to_qp(self, x: CycloElement) -> PadicScalar:
         """N_{k_n/Q_p} for Delta-fixed x: N_{K_n/K_0}(x), which lies in Q_p."""
@@ -521,7 +514,7 @@ class CycloTower:
         basis = self.pi_basis(n)
         denom, e, cs = coeffs.packed
         terms = zip(basis, coeffs.valuations())
-        absprec = min(min(b.absprec + v, int(b.min_valuation()) + e - denom) for b, v in terms)
+        absprec = min(min(b.absprec + v, b.min_valuation() + e - denom) for b, v in terms)
         ints = [sum(map(mul, cs, row)) for row in zip(*(b.packed[2] for b in basis))]
         return CycloElement(self.field(n), denom, absprec + denom, ints)
 

@@ -300,7 +300,7 @@ def log_identity_residual(ell: TruncatedSeries, iota: TruncatedSeries) -> int:
     is log(1 + iota) = ell, differentiated, over the whole order M: one
     product of two solves that share no data, and no division."""
     lhs = (ell.derivative() * (iota + 1)).truncate(ell.order - 1)
-    return int((lhs - iota.derivative()).min_valuation())
+    return (lhs - iota.derivative()).min_valuation()
 
 
 def inverse_integrality(iota: TruncatedSeries) -> int:

@@ -305,8 +305,8 @@ class H90Solution:
     e: int
     u_n: CycloElement
     x_n: CycloElement
-    residual_valuation: Fraction
-    norm_residual: Fraction
+    residual_valuation: int
+    norm_residual: int
     searched: tuple = field(default=())
 
     @cached_property
@@ -401,7 +401,7 @@ def _certified(fam: PointFamily, n: int, e: int, u_n, x_n, searched) -> H90Solut
     norm_res = ctx.require(
         (tower.norm_kn_to_qp(u_n) - 1).min_valuation(), "N(u_n) differs from 1", ctx.solve_floor
     )
-    return H90Solution(tower, n, e, u_n, x_n, Fraction(cert), Fraction(norm_res), searched)
+    return H90Solution(tower, n, e, u_n, x_n, cert, norm_res, searched)
 
 
 def verify_prop2(sol: H90Solution, tower: CycloTower) -> dict:

@@ -12,7 +12,6 @@ import functools
 import json
 import time
 from dataclasses import dataclass, field, asdict
-from fractions import Fraction
 
 from .core import InvalidInputError, PadicError, PrimeContext
 from .cyclotomic import CycloTower
@@ -155,14 +154,6 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def _residual_repr(v):
-    if v is None:
-        return None
-    if isinstance(v, Fraction):
-        return v.numerator if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-    return v
-
-
 class _Session:
     """Lazily built shared objects for one configuration."""
 
@@ -247,7 +238,7 @@ def _check(report, name, anchor, fn, status="pass", detail=""):
             name=name,
             anchor=anchor,
             status=status,
-            residual_valuation=_residual_repr(residual),
+            residual_valuation=residual,
             millis=millis,
             detail=detail,
         )

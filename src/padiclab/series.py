@@ -21,7 +21,6 @@ doubling over composition.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import zip_longest
 from math import comb, gcd, isqrt
 from operator import mul
@@ -259,14 +258,20 @@ class PackedVector:
         """The coordinates as PadicScalars at absprec: a fresh view."""
         return _unpack(self.ctx, *self.packed)
 
+    def _scalar(self, raw: int) -> PadicScalar:
+        """raw / p^denom, known mod p^(e - denom): an int over this
+        vector's scale, as a PadicScalar."""
+        denom, e, _ = self.packed
+        return PadicScalar._make(self.ctx, -denom, raw, e - denom)
+
     def coeff(self, i: int) -> PadicScalar:
         """Coordinate i >= 0 as a PadicScalar; zero at wprec past the end."""
         if i < 0:
             raise InvalidInputError(f"no coordinate {i}: indices start at 0")
-        denom, e, ints = self.packed
+        ints = self.packed[2]
         if i >= len(ints):
             return self.ctx.zero()
-        return PadicScalar._make(self.ctx, -denom, ints[i], e - denom)
+        return self._scalar(ints[i])
 
     @property
     def absprec(self) -> int:
@@ -298,19 +303,19 @@ class PackedVector:
         embedded as ``PadicScalar`` embeds it for the coordinate of least
         valuation, which decides that minimum."""
         denom, e, ints = self.packed
-        mv = int(self.min_valuation())
+        mv = self.min_valuation()
         if not isinstance(s, PadicScalar):
             s = PadicScalar(self.ctx, mv, 1, e - denom)._coerce(s)
         # a zero s has s.v = s.absprec, so a = mv + absprec(s) and ints 0
         a = min(e - denom + s.v, mv + s.absprec)
         return self._new(denom - s.v, a + denom - s.v, [c * s.unit for c in ints])
 
-    def min_valuation(self):
+    def min_valuation(self) -> int:
         """The least coordinate valuation, v(p) = 1, a zero counting as its
         absprec: for a K_n element a cheap lower bound of its valuation."""
         denom, e, ints = self.packed
         g = gcd(*ints)
-        return Fraction(e - denom if g == 0 else vp(g, self.ctx.p) - denom)
+        return e - denom if g == 0 else vp(g, self.ctx.p) - denom
 
     def valuations(self) -> list:
         """The valuation of each coordinate, a zero counting as its absprec."""
@@ -369,7 +374,7 @@ class TruncatedSeries(PackedVector):
 
     def is_integral(self):
         """(all coefficients in Z_p at their precision, worst valuation)."""
-        worst = int(self.min_valuation())
+        worst = self.min_valuation()
         return worst >= 0, worst
 
     def _is_unit(self, i: int) -> bool:

@@ -272,7 +272,7 @@ def _series_residual(a: TruncatedSeries, b: TruncatedSeries):
         raise InvalidInputError(
             f"cannot compare a series of order {a.order} with one of order {b.order}"
         )
-    return int((a - b).min_valuation())
+    return (a - b).min_valuation()
 
 
 def verify_formal_iso(ctx: PrimeContext, q, order: int = 64) -> dict:

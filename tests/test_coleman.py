@@ -280,7 +280,7 @@ def test_to_polynomial_norm_element(tower3, q3):
     from math import comb
 
     ctx = tower3.ctx
-    norm_elt = GroupRingElement(tower3, 1, [ctx.one()] * 3)
+    norm_elt = GroupRingElement(tower3, 1, 0, ctx.wprec, [1] * 3)
     poly = to_polynomial(norm_elt)
     # sum_sigma sigma -> ((1+X)^(p^n) - 1)/X = sum_j C(p^n, j+1) X^j
     for j in range(3):
@@ -292,22 +292,26 @@ def test_group_ring_element_refuses_a_wrong_length(tower3):
     # a raised error, not an assert, so that python -O keeps the check
     ctx = tower3.ctx
     with pytest.raises(InvalidInputError, match="has 3 coefficients, not 2"):
-        GroupRingElement(tower3, 1, [ctx.one(), ctx.zero()])
+        GroupRingElement(tower3, 1, 0, ctx.wprec, [1, 0])
 
 
 def test_polynomial_derivative_is_bounded_by_a_zero_coefficient():
-    # 1 * O(3^5) is a term of sum_i i c_i, so it bounds the claim
+    # 1 + O(3^5) gamma^1 + gamma^2: the element has one absprec, 5, and its
+    # zero coefficient 1 * O(3^5) is a term of sum_i i c_i, so both the
+    # augmentation and the derivative claim it
     ctx = PrimeContext(3, 12)
-    elt = GroupRingElement(CycloTower(ctx, 1), 1, [ctx.one(), ctx.zero(5), ctx.one()])
+    elt = GroupRingElement(CycloTower(ctx, 1), 1, 0, 5, [1, 0, 1])
+    assert elt.coeffs[1].is_zero
     der, aug = elt.polynomial_derivative_at_zero(), elt.augmentation()
     assert aug.absprec == 5
     assert der.absprec == 5
+    assert (aug - 2).is_zero
     assert (der - 2).is_zero
 
 
 def test_to_polynomial_delta_at_identity(tower3):
     ctx = tower3.ctx
-    delta = GroupRingElement(tower3, 1, [ctx.one(), ctx.zero(), ctx.zero()])
+    delta = GroupRingElement(tower3, 1, 0, ctx.wprec, [1, 0, 0])
     poly = to_polynomial(delta)
     assert (poly[0] - 1).is_zero
     assert all(c.is_zero for c in poly[1:])
@@ -319,6 +323,21 @@ def test_abel_identity_even_for_inadmissible_functionals(tower3, q3, fam3, sol3)
     w_bad = UnitFunctional(tower3, w.densities, w.alpha + 1)
     _, rep = derivative_rep(w_bad, sol3, coleman_level(w_bad, fam3, 1))
     assert rep["abel_residual"] >= tower3.ctx.prec - 2
+
+
+def test_abel_sums_are_known_only_to_the_precision_of_alpha(tower3, q3, fam3, sol3):
+    # alpha v(x_1) enters every Abel sum S_i and cancels from S_(i+1) - S_i,
+    # so an alpha known to p^5 caps the right-hand side, and the identity
+    # is not certified past it
+    from padiclab import PropertyFailure
+
+    assert sol3.valuation_x != 0
+    w = UnitFunctional.seeded(tower3, 1, q3, 0)
+    col = coleman_level(w, fam3, 1)
+    assert derivative_rep(w, sol3, col)[1]["abel_residual"] >= tower3.ctx.identity_floor
+    coarse = UnitFunctional(tower3, w.densities, w.alpha.reduce_absprec(5))
+    with pytest.raises(PropertyFailure, match="Abel summation identity fails at level 1"):
+        derivative_rep(coarse, sol3, col)
 
 
 def test_derivative_closed_form(tower3, q3, fam3, sol3):
@@ -636,7 +655,7 @@ def _convolution_residual_by_products(w, fam, col):
 
 def _random_elements(f, rng, count):
     """count elements of K_n over random denominators 0..2 and random
-    absprecs, so the operands of one call sit at different scales."""
+    absprecs, so that separate operands sit at different scales."""
     ctx = f.ctx
     out = []
     for _ in range(count):
@@ -645,6 +664,20 @@ def _random_elements(f, rng, count):
         m = ctx.pk(e)
         out.append(CycloElement(f, denom, e, [rng.randrange(m) for _ in range(f.degree)]))
     return out
+
+
+def _random_conjugates(tower, f, rng):
+    """The Gamma-conjugates of a random element of K_n over a nonzero
+    denominator: a list at one scale, as every list the Coleman layer
+    passes to a kernel is."""
+    ctx = f.ctx
+    denom = 1 + rng.randrange(2)
+    e = rng.randrange(ctx.prec, ctx.wprec) + denom
+    x = CycloElement(f, denom, e, [rng.randrange(ctx.pk(e)) for _ in range(f.degree)])
+    assert x.packed[0] == denom
+    xs = tower.gamma_conjugates(x)
+    assert {y.packed[:2] for y in xs} == {x.packed[:2]}
+    return xs
 
 
 KERNEL_FIELDS = [(3, 1), (3, 2), (5, 1), (7, 1)]
@@ -657,10 +690,9 @@ def test_trace_pairings_match_the_product_loop(p, n):
     tower = CycloTower(PrimeContext(p, 8), n)
     f = tower.field(n)
     rng = random.Random(p * 10 + n)
-    xs = _random_elements(f, rng, 6)
-    assert any(x.packed[0] for x in xs)  # a nonzero denominator is covered
+    xs = _random_conjugates(tower, f, rng)
     for w in _random_elements(f, rng, 3) + [f.zero(), f.from_scalar(Fraction(1, p))]:
-        got = tower.trace_pairings(xs, w)
+        got = tower.trace_pairings(xs, w).coords
         expected = _trace_pairings_by_products(tower, xs, w)
         assert list(map(_scalar_triple, got)) == list(map(_scalar_triple, expected))
 
@@ -691,11 +723,11 @@ def test_trace_form_is_the_trace_of_each_root_multiple(p, n):
 def test_group_product_matches_the_product_loop(p, n):
     from padiclab import CycloTower, PrimeContext
 
-    f = CycloTower(PrimeContext(p, 8), n).field(n)
+    tower = CycloTower(PrimeContext(p, 8), n)
+    f = tower.field(n)
     rng = random.Random(100 + p * 10 + n)
     m = p**n
-    xs, ys = _random_elements(f, rng, m), _random_elements(f, rng, m)
-    assert any(x.packed[0] for x in xs + ys)
+    xs, ys = _random_conjugates(tower, f, rng), _random_conjugates(tower, f, rng)
     got = f.group_product(xs, ys)
     assert [c.packed for c in got] == [c.packed for c in _group_product_by_products(xs, ys)]
     # a zero operand and a one-element group
@@ -710,10 +742,10 @@ def test_group_product_matches_the_product_loop(p, n):
 def test_root_weighted_sum_matches_the_product_loop(p, n):
     from padiclab import CycloTower, PrimeContext
 
-    f = CycloTower(PrimeContext(p, 8), n).field(n)
+    tower = CycloTower(PrimeContext(p, 8), n)
+    f = tower.field(n)
     rng = random.Random(200 + p * 10 + n)
-    xs = _random_elements(f, rng, 5)
-    assert any(x.packed[0] for x in xs)
+    xs = _random_conjugates(tower, f, rng)
     ks = [rng.randrange(3 * f.modulus_order) for _ in xs]
     got = f.root_weighted_sum(xs, ks)
     assert got.packed == _root_weighted_sum_by_products(xs, ks).packed
@@ -753,7 +785,7 @@ def test_coleman_functions_match_their_product_loops(request):
             # the Abel sums S_i pair the conjugates of log x_n the same way
             S = tower.trace_pairings(sol.log_x_conjugates, w.density(n))
             S_loop = _trace_pairings_by_products(tower, sol.log_x_conjugates, w.density(n))
-            assert list(map(_scalar_triple, S)) == list(map(_scalar_triple, S_loop))
+            assert list(map(_scalar_triple, S.coords)) == list(map(_scalar_triple, S_loop))
             assert verify_convolution(w, fam, col) == _convolution_residual_by_products(w, fam, col)
         conj = fam.log_d_conjugates(n)
         for chi in [*primitive_characters(tower, n), CharacterData(tower, n, 0)]:
@@ -772,3 +804,21 @@ def test_packed_kernels_refuse_another_level(tower3n2):
         f2.root_weighted_sum([f1.one()], [1])
     with pytest.raises(InvalidInputError, match="3 group coefficients by 2"):
         f1.group_product([f1.one()] * 3, [f1.one()] * 2)
+
+
+def test_packed_kernels_refuse_an_empty_or_mixed_scale_list(tower3n2):
+    # each kernel claims once, at the scale its list shares; an empty list
+    # has no scale, and two scales would each need their own claim
+    f = tower3n2.field(2)
+    one = f.one()
+    mixed_denominators = [one, f.from_scalar(Fraction(1, 3))]
+    mixed_absprecs = [one, f.one(10)]
+    for xs in ([], mixed_denominators, mixed_absprecs):
+        with pytest.raises(InvalidInputError, match="at one scale"):
+            tower3n2.trace_pairings(xs, one)
+        with pytest.raises(InvalidInputError, match="at one scale"):
+            f.group_product(xs, [one] * len(xs))
+        with pytest.raises(InvalidInputError, match="at one scale"):
+            f.root_weighted_sum(xs, [0] * len(xs))
+    with pytest.raises(InvalidInputError, match="at one scale"):
+        f.group_product([one, one], mixed_absprecs)

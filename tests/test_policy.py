@@ -215,6 +215,5 @@ def test_benchmark_span_targets_resolve(monkeypatch):
     spec.loader.exec_module(spans)
     assert len(spans.TARGETS) > 40
     assert _unresolved(spans.TARGETS) == []
-    assert _unresolved([("x", "padiclab.coleman", "GroupRingElement.scale", "span", None)]) == [
-        ("padiclab.coleman", "GroupRingElement.scale")
-    ]
+    planted = ("x", "padiclab.coleman", "GroupRingElement.no_such_span", "span", None)
+    assert _unresolved([planted]) == [("padiclab.coleman", "GroupRingElement.no_such_span")]

@@ -187,7 +187,8 @@ def bump_density(n, j, k):
 def bump_image(n, i, k):
     """Coefficient i of every level-n Coleman image + p^k, after the
     trace pairings: the convolution and the Abel sums recompute the image
-    their own way, and the trivial zero and the projection read it."""
+    their own way, and the trivial zero and the projection read it.  The
+    image is packed over p^denom, so p^(k + denom) is added to ints[i]."""
 
     def patch(monkeypatch):
         build = coleman.coleman_level
@@ -195,7 +196,10 @@ def bump_image(n, i, k):
         def bumped(w, fam, m):
             col = build(w, fam, m)
             if m == n:
-                col.coeffs[i] = col.coeffs[i] + P**k
+                denom, e, ints = col.packed
+                ints = list(ints)
+                ints[i] += P ** (k + denom)
+                col = coleman.GroupRingElement(col.tower, m, denom, e, ints)
             return col
 
         monkeypatch.setattr(coleman, "coleman_level", bumped)
