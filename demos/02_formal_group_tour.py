@@ -6,7 +6,7 @@ element epsilon with ell(epsilon) = p.
 
 from fractions import Fraction
 
-from padiclab import CycloTower, HondaData, PrimeContext, formal_add
+from padiclab import CycloTower, HondaData, PrimeContext, check_honda, formal_add
 from padiclab.honda import default_truncation, inverse_integrality
 
 ctx = PrimeContext(3, prec=14)
@@ -21,7 +21,7 @@ print("ell_2 + 1 vanishes:", (honda.ell.coeff(2) + 1).min_valuation() >= ctx.pre
 print("ell_3 - 5/6 vanishes:",
       (honda.ell.coeff(3) - ctx.scalar(Fraction(5, 6))).min_valuation() >= ctx.prec)
 
-rep = honda.report
+rep = check_honda(honda.ell)
 print("derivative is a unit power series, min coefficient valuation:",
       rep["deriv_min_valuation"])
 print("(frobenius - p) applied to ell lands in p Z_p[[X]], min valuation:",

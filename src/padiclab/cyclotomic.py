@@ -129,8 +129,10 @@ class CycloField:
         ``_product`` per x whose k has that bit, so the squarings are
         shared: max bit_length(k) - 1 of them in all.  Each product is
         claimed at ``_product_scale``'s precision; the empty product, and
-        every k = 0, is one at absprec."""
+        every k = 0, is one at absprec; a negative k is refused."""
         self._own([x for x, _ in terms])
+        if any(k < 0 for _, k in terms):
+            raise InvalidInputError("power_product needs exponents k >= 0")
         acc = None
         for bit in reversed(range(max((k.bit_length() for _, k in terms), default=0))):
             if acc is not None:
@@ -168,6 +170,8 @@ class CycloField:
         the terms are summed on integers over their one denominator.  The
         xs share one scale (``_one_scale``), and the sum is claimed as each
         term's product with ``zeta_power(k)``, held at wprec, is."""
+        if len(ks) != len(xs):
+            raise InvalidInputError(f"cannot weight {len(xs)} elements by {len(ks)} roots")
         d, e = _product_scale(self._one_scale(xs), (0, self.ctx.wprec, None))
         folds = [_fold(self, x.packed[2], 1, k) for x, k in zip(xs, ks)]
         return CycloElement(self, d, e, list(map(sum, zip(*folds))))

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field, asdict
 
 from .core import InvalidInputError, PadicError, PrimeContext
 from .cyclotomic import CycloTower
-from .honda import HondaData, default_truncation, inverse_integrality, log_at_points, log_identity_residual
+from .honda import HondaData, check_honda, default_truncation, inverse_integrality
+from .honda import log_at_points, log_identity_residual
 from . import coleman as cm
 from . import points as pts
 from . import tate as tt
@@ -155,36 +156,42 @@ class Report:
 
 
 class _Session:
-    """Lazily built shared objects for one configuration."""
+    """The lazily built stages of one run: honda, its check_honda report,
+    points, h90[n] and images[n].  Each is built on first use inside a
+    check, so an error records that check's fail, and is built again by
+    the next check that needs it."""
 
     def __init__(self, cfg: dict):
         self.cfg = cfg
         self.ctx = PrimeContext(cfg["p"], cfg["prec"])
         self.tower = CycloTower(self.ctx, cfg["n_max"], cfg["kappa_gamma"])
         self.q = cm.TateParameter.make(self.ctx, cfg["q_ord"], cfg["q_unit"])
-        self._honda = None
-        self._fam = None
         self._h90 = {}
+        self._images = {}
         self._functionals = {}
 
-    @property
+    @functools.cached_property
     def honda(self) -> HondaData:
-        if self._honda is None:
-            self._honda = HondaData.build(
-                self.ctx, default_truncation(self.ctx, self.cfg["n_max"])
-            )
-        return self._honda
+        return HondaData.build(self.ctx, default_truncation(self.ctx, self.cfg["n_max"]))
 
-    @property
+    @functools.cached_property
+    def honda_report(self) -> dict:
+        return check_honda(self.honda.ell)
+
+    @functools.cached_property
     def fam(self) -> pts.PointFamily:
-        if self._fam is None:
-            self._fam = pts.build_points(self.honda, self.tower, self.cfg["n_max"])
-        return self._fam
+        return pts.build_points(self.honda, self.tower, self.cfg["n_max"])
 
     def h90(self, n: int) -> pts.H90Solution:
         if n not in self._h90:
             self._h90[n] = pts.solve_h90(self.fam, n)
         return self._h90[n]
+
+    def images(self, n: int) -> list:
+        """The Coleman image of each functional at level n."""
+        if n not in self._images:
+            self._images[n] = [cm.coleman_level(w, self.fam, n) for w in self.functionals(n)]
+        return self._images[n]
 
     def functionals(self, n: int):
         if n not in self._functionals:
@@ -251,13 +258,13 @@ def _run_honda(s: _Session, report: Report):
         report,
         "honda.frobenius-property",
         "honda:frobenius",
-        lambda: s.honda.report["frobenius_min_valuation"],
+        lambda: s.honda_report["frobenius_min_valuation"],
     )
     _check(
         report,
         "honda.log-constant-and-derivative",
         "honda:logarithm",
-        lambda: s.honda.report["deriv_min_valuation"],
+        lambda: s.honda_report["deriv_min_valuation"],
     )
     _check(
         report,
@@ -398,12 +405,6 @@ def _run_prop2(s: _Session, report: Report):
 
 
 def _run_coleman(s: _Session, report: Report):
-    # the Coleman image of each functional is built once per level, on
-    # first use inside a check, so that an error records that check's fail
-    @functools.cache
-    def images(n):
-        return [cm.coleman_level(w, s.fam, n) for w in s.functionals(n)]
-
     # each battery is the least residual over its members; an empty
     # battery has no minimum and so reports fail
     for n in range(1, s.cfg["n_max"] + 1):
@@ -412,14 +413,14 @@ def _run_coleman(s: _Session, report: Report):
             report,
             f"coleman.trivial-zero[n={n}]",
             "coleman:trivial-zero",
-            lambda n=n: min(map(cm.verify_trivial_zero, images(n))),
+            lambda n=n: min(map(cm.verify_trivial_zero, s.images(n))),
         )
         _check(
             report,
             f"coleman.convolution[n={n}]",
             "coleman:dual-exponential-convolution",
             lambda n=n, ws=ws: min(
-                cm.verify_convolution(w, s.fam, col) for w, col in zip(ws[:5], images(n))
+                cm.verify_convolution(w, s.fam, col) for w, col in zip(ws[:5], s.images(n))
             ),
         )
 
@@ -430,7 +431,7 @@ def _run_coleman(s: _Session, report: Report):
             broken = cm.UnitFunctional(s.tower, ws[0].densities, ws[0].alpha + 1)
             return min(
                 cm.derivative_rep(w, s.h90(n), col)[1]["abel_residual"]
-                for w, col in [*zip(ws, images(n)), (broken, images(n)[0])]
+                for w, col in [*zip(ws, s.images(n)), (broken, s.images(n)[0])]
             )
 
         _check(report, f"coleman.abel-identity[n={n}]", "derivative:abel", abel)
@@ -455,7 +456,7 @@ def _run_coleman(s: _Session, report: Report):
                 report,
                 f"coleman.level-compatibility[{n}->{n-1}]",
                 "coleman:projection-compatibility",
-                lambda n=n, ws=ws: cm.verify_level_compatibility(ws[0], s.fam, images(n)[0]),
+                lambda n=n, ws=ws: cm.verify_level_compatibility(ws[0], s.fam, s.images(n)[0]),
             )
         _check(
             report,

@@ -806,6 +806,18 @@ def test_packed_kernels_refuse_another_level(tower3n2):
         f1.group_product([f1.one()] * 3, [f1.one()] * 2)
 
 
+def test_kernels_refuse_inputs_they_would_misread():
+    # zipping lists of unequal length drops a term (zeta for [1, 1] against
+    # [1]), and the bits of a negative k read as a positive power (zeta for
+    # zeta^(-1), not zeta^8)
+    f = CycloTower(PrimeContext(3, 8), 1).field(1)
+    with pytest.raises(InvalidInputError, match="2 elements by 1 roots"):
+        f.root_weighted_sum([f.one(), f.one()], [1])
+    for terms in ([(f.zeta(), -1)], [(f.zeta(), 2), (f.zeta(), -1)]):
+        with pytest.raises(InvalidInputError, match="k >= 0"):
+            f.power_product(terms, f.ctx.wprec)
+
+
 def test_packed_kernels_refuse_an_empty_or_mixed_scale_list(tower3n2):
     # each kernel claims once, at the scale its list shares; an empty list
     # has no scale, and two scales would each need their own claim

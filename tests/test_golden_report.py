@@ -15,7 +15,9 @@ multiply and a fold on the packed integers.  (3, 2, 12), (5, 1, 12) and
 ell' (1 + iota) = iota' over the whole order, its one field that moved
 (to wprec, 36).  (3, 2, 12) was re-recorded when the Hilbert-90 solve of
 (gamma - 1) y = v became a closed form; its one field that moved was
-prop2.h90-certificate[n=1] (29 to 30).  The golden (3, 2, 12) run also
+prop2.h90-certificate[n=1] (29 to 30).  (3, 2, 12) with the points and
+prop2 suites only builds ell and the points without certifying ell, as no
+other golden run does.  The golden (3, 2, 12) run also
 bounds the number of K_n products and of PadicScalar
 normalisations, which no report shows."""
 
@@ -29,6 +31,7 @@ GOLDEN = DATA / "report_p3n2_N12_seed0.json"
 GOLDEN_P5 = DATA / "report_p5n1_N12_k11_seed0.json"
 GOLDEN_TATE = DATA / "report_p3n0_N80_tate_mtt_seed0.json"
 GOLDEN_P7 = DATA / "report_p7n1_N12_seed0.json"
+GOLDEN_POINTS = DATA / "report_p3n2_N12_points_prop2_seed0.json"
 
 
 def test_report_matches_golden_bytes():
@@ -54,6 +57,14 @@ def test_report_matches_golden_bytes_p7():
     report = run_suite(SuiteConfig(p=7, n_max=1, prec=12, n_functionals=4))
     assert report.summary()["fail"] == 0
     assert emit_report(report) == GOLDEN_P7.read_bytes()
+
+
+def test_report_matches_golden_bytes_points_prop2():
+    report = run_suite(
+        SuiteConfig(p=3, n_max=2, prec=12, suites=("points", "prop2"), n_functionals=4)
+    )
+    assert report.summary()["fail"] == 0
+    assert emit_report(report) == GOLDEN_POINTS.read_bytes()
 
 
 def test_golden_config_product_count(monkeypatch):

@@ -155,9 +155,58 @@ def test_ell_constant_term_zero(honda3):
 
 def test_check_honda_report(honda3):
     rep = check_honda(honda3.ell)
-    assert rep == honda3.report
     assert rep["deriv_min_valuation"] >= 0
     assert rep["frobenius_min_valuation"] >= 1
+
+
+def _counted_check_honda(monkeypatch, fail):
+    """check_honda, in honda and in the runner, replaced by one that counts
+    its calls and then raises PropertyFailure if ``fail``."""
+    from padiclab import runner
+
+    calls = []
+    check = honda.check_honda
+
+    def counted(ell):
+        calls.append(ell)
+        if fail:
+            raise PropertyFailure("planted check_honda failure")
+        return check(ell)
+
+    monkeypatch.setattr(honda, "check_honda", counted)
+    monkeypatch.setattr(runner, "check_honda", counted)
+    return calls
+
+
+def test_build_does_not_certify_ell(monkeypatch, ctx3):
+    # the honda suite is the one place ell is certified: HondaData.build
+    # succeeds under a failing check_honda, and a run fails exactly the two
+    # checks that read its report
+    from padiclab.runner import SuiteConfig, run_suite
+
+    config = SuiteConfig(p=3, n_max=1, prec=12, n_functionals=4)
+    calls = _counted_check_honda(monkeypatch, fail=False)
+    expected = {c.name: c.status for c in run_suite(config).checks}
+    assert len(calls) == 1
+    calls = _counted_check_honda(monkeypatch, fail=True)
+    honda.HondaData.build(ctx3, 20)
+    assert calls == []
+    got = {c.name: c.status for c in run_suite(config).checks}
+    failed = {"honda.frobenius-property", "honda.log-constant-and-derivative"}
+    assert {name for name, status in got.items() if status == "fail"} == failed
+    assert all(expected[name] == "pass" for name in failed)
+    assert {name: got[name] for name in expected.keys() - failed} == {
+        name: expected[name] for name in expected.keys() - failed
+    }
+
+
+def test_points_run_does_not_certify_ell(monkeypatch):
+    from padiclab.runner import SuiteConfig, run_suite
+
+    calls = _counted_check_honda(monkeypatch, fail=True)
+    report = run_suite(SuiteConfig(p=3, n_max=1, prec=12, suites=("points",)))
+    assert report.summary()["fail"] == 0
+    assert calls == []
 
 
 def test_frobenius_difference_frozen_degree_two(honda3, ctx3):

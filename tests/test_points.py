@@ -49,6 +49,22 @@ def test_points_are_delta_fixed(fam3, tower3):
         assert tower3.is_delta_fixed(fam3.d[n])
 
 
+@pytest.mark.parametrize("p, n", [(3, 1), (3, 2), (5, 1), (7, 1)])
+def test_points_are_delta_fixed_exactly(p, n):
+    # build_points verifies nothing: each d_n is fixed by every Delta
+    # exponent in its packed triple, not only to identity_floor, since its
+    # Delta-product is one exact product over a Galois orbit
+    from padiclab import HondaData, build_points
+    from padiclab.honda import default_truncation
+
+    ctx = PrimeContext(p, 12)
+    tower = CycloTower(ctx, n)
+    fam = build_points(HondaData.build(ctx, default_truncation(ctx, n)), tower, n)
+    for d in fam.d:
+        for a in d.field.delta_exponents():
+            assert d.galois(a).packed == d.packed, (d.field.n, a)
+
+
 def test_raw_product_delta_defect_is_torsion(fam3, tower3):
     # before symmetrisation the point is off by a p-power root of unity;
     # at level 0 the defect is exactly zeta_3

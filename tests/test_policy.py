@@ -178,6 +178,65 @@ def test_scan_finds_a_planted_pack_and_multiply():
     assert _packers(tree) == ["Field._product", "_kronecker"]
 
 
+# the constructions, by module and qualified name, that only construct: the
+# suite checks are the one place their properties are verified
+CONSTRUCTIONS = {
+    "honda.py": {"HondaData.build"},
+    "points.py": {"build_points", "PointFamily.__init__"},
+}
+
+
+def _verifier_calls(tree, qualnames):
+    """(qualified name, callee) for each call to ``check_honda``,
+    ``is_delta_fixed`` or a ``verify_*`` inside the named functions."""
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    defs.update(
+        (f"{cls.name}.{fn.name}", fn)
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef)
+    )
+    return sorted(
+        (name, callee)
+        for name in qualnames
+        for node in ast.walk(defs[name])
+        if isinstance(node, ast.Call)
+        for callee in [getattr(node.func, "id", getattr(node.func, "attr", None))]
+        if callee in ("check_honda", "is_delta_fixed") or str(callee).startswith("verify_")
+    )
+
+
+@pytest.mark.parametrize("module", sorted(CONSTRUCTIONS))
+def test_constructions_verify_nothing(module):
+    tree = ast.parse((SRC / module).read_text())
+    assert _verifier_calls(tree, CONSTRUCTIONS[module]) == []
+
+
+def test_scan_finds_a_planted_verifier_call():
+    tree = ast.parse(
+        "class HondaData:\n"
+        "    @classmethod\n"
+        "    def build(cls, ctx, order):\n"
+        "        ell = build_ell(ctx, order)\n"
+        "        report = check_honda(ell)\n"
+        "        return cls(ctx, ell)\n"
+        "def build_points(honda, tower, n_max):\n"
+        "    fam = PointFamily(honda, tower, n_max)\n"
+        "    assert all(tower.is_delta_fixed(c) for c in fam.c)\n"
+        "    points.verify_norm_tower(fam)\n"
+        "    return fam\n"
+        "def helper(fam):\n"
+        "    return verify_generation(fam, 1)\n"
+    )
+    assert _verifier_calls(tree, {"HondaData.build", "build_points", "helper"}) == [
+        ("HondaData.build", "check_honda"),
+        ("build_points", "is_delta_fixed"),
+        ("build_points", "verify_norm_tower"),
+        ("helper", "verify_generation"),
+    ]
+
+
 def test_require_returns_or_names_the_failure():
     ctx = PrimeContext(5, 12)
     assert ctx.require(10, "identity") == 10
