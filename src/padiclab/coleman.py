@@ -63,7 +63,7 @@ class UnitFunctional:
     def __init__(self, tower: CycloTower, densities, alpha: PadicScalar):
         self.tower = tower
         self.densities = list(densities)
-        self.n = len(densities) - 1
+        self.n = len(self.densities) - 1
         self.alpha = alpha
 
     # -- constructors ----------------------------------------------------------

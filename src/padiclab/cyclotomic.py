@@ -372,7 +372,6 @@ class CycloTower:
         self._pi_powers = {}
         # each level's pi-basis, reduced once
         self._pi_reduction = {}
-        self._log_cache = {}
         self._int_logs = {}
 
     def log_int(self, a: int) -> PadicScalar:
@@ -527,13 +526,10 @@ class CycloTower:
     def log_zeta_minus_one(self, n: int) -> CycloElement:
         """log(zeta - 1) = log((zeta-1)^d / p) / d: the peeled-off part of
         every logarithm on K_n^x (log p = 0 on the Iwasawa branch)."""
-        key = ("log_z1", n)
-        if key not in self._log_cache:
-            f = self.field(n)
-            z1 = f.zeta() - f.one()
-            u0 = (z1**f.degree).scale(Fraction(1, self.ctx.p))
-            self._log_cache[key] = self._log_unit(u0).scale(Fraction(1, f.degree))
-        return self._log_cache[key]
+        f = self.field(n)
+        z1 = f.zeta() - f.one()
+        u0 = (z1**f.degree).scale(Fraction(1, self.ctx.p))
+        return self._log_unit(u0).scale(Fraction(1, f.degree))
 
     def log_element(self, x: CycloElement) -> CycloElement:
         """Iwasawa logarithm on K_n^x: kills torsion, log(p) = 0.

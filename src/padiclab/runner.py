@@ -8,7 +8,6 @@ emission.
 
 from __future__ import annotations
 
-import functools
 import json
 import time
 from dataclasses import dataclass, field, asdict
@@ -156,51 +155,57 @@ class Report:
 
 
 class _Session:
-    """The lazily built stages of one run: honda, its check_honda report,
-    points, h90[n] and images[n].  Each is built on first use inside a
-    check, so an error records that check's fail, and is built again by
-    the next check that needs it."""
+    """The lazily built stages of one run, each built by ``stage`` on
+    first use.  A stage keeps its value, or the error it raised: a
+    failed stage is built once and fails every check that needs it
+    with the same message."""
 
     def __init__(self, cfg: dict):
         self.cfg = cfg
         self.ctx = PrimeContext(cfg["p"], cfg["prec"])
         self.tower = CycloTower(self.ctx, cfg["n_max"], cfg["kappa_gamma"])
         self.q = cm.TateParameter.make(self.ctx, cfg["q_ord"], cfg["q_unit"])
-        self._h90 = {}
-        self._images = {}
-        self._functionals = {}
+        self._stages = {}
 
-    @functools.cached_property
+    def stage(self, key, build, *args):
+        """build(*args), run once per run under key; a failed build re-raises its error."""
+        if key not in self._stages:
+            try:
+                self._stages[key] = build(*args), None
+            except Exception as exc:  # noqa: BLE001 - kept for every reader
+                self._stages[key] = None, exc
+        value, error = self._stages[key]
+        if error is not None:
+            raise error
+        return value
+
+    @property
     def honda(self) -> HondaData:
-        return HondaData.build(self.ctx, default_truncation(self.ctx, self.cfg["n_max"]))
+        return self.stage("honda", HondaData.build, self.ctx, self.cfg["truncation_order"])
 
-    @functools.cached_property
+    @property
     def honda_report(self) -> dict:
-        return check_honda(self.honda.ell)
+        return self.stage("honda_report", check_honda, self.honda.ell)
 
-    @functools.cached_property
+    @property
     def fam(self) -> pts.PointFamily:
-        return pts.build_points(self.honda, self.tower, self.cfg["n_max"])
+        return self.stage("fam", pts.build_points, self.honda, self.tower, self.cfg["n_max"])
 
     def h90(self, n: int) -> pts.H90Solution:
-        if n not in self._h90:
-            self._h90[n] = pts.solve_h90(self.fam, n)
-        return self._h90[n]
+        return self.stage(("h90", n), pts.solve_h90, self.fam, n)
 
     def images(self, n: int) -> list:
         """The Coleman image of each functional at level n."""
-        if n not in self._images:
-            self._images[n] = [cm.coleman_level(w, self.fam, n) for w in self.functionals(n)]
-        return self._images[n]
+        return self.stage(
+            ("images", n), lambda: [cm.coleman_level(w, self.fam, n) for w in self.functionals(n)]
+        )
 
-    def functionals(self, n: int):
-        if n not in self._functionals:
-            base = self.cfg["seed"]
-            self._functionals[n] = [
-                cm.UnitFunctional.seeded(self.tower, n, self.q, base + i)
-                for i in range(self.cfg["n_functionals"])
-            ]
-        return self._functionals[n]
+    def functionals(self, n: int) -> list:
+        seeds = range(self.cfg["seed"], self.cfg["seed"] + self.cfg["n_functionals"])
+        seeded = cm.UnitFunctional.seeded
+        return self.stage(
+            ("functionals", n), lambda: [seeded(self.tower, n, self.q, i) for i in seeds]
+        )
 
 
 def run_suite(config: SuiteConfig) -> Report:
@@ -501,19 +506,15 @@ def _run_tate(s: _Session, report: Report):
     ctx = s.ctx
 
     # the sampling grid, and s_1, s_3, s_5 and the a-invariants of each q,
-    # are built once, on first use inside a check, so that an error
-    # records that check's fail
-    @functools.cache
+    # are stages of the run
     def grid():
-        return tt.default_grid(ctx)
+        return s.stage("tate.grid", tt.default_grid, ctx)
 
-    @functools.cache
     def sums(q):
-        return tt.sk_values(q.value())
+        return s.stage(("tate.sums", q.ord, q.unit), lambda: tt.sk_values(q.value()))
 
-    @functools.cache
     def a_inv(q):
-        return tt.a_invariants(q.value(), sums(q))
+        return s.stage(("tate.a_inv", q.ord, q.unit), lambda: tt.a_invariants(q.value(), sums(q)))
 
     def point(u, q):
         return tt.uniformize_point(u, q, a_inv(q), sums(q)[0])
@@ -578,19 +579,20 @@ def _run_tate(s: _Session, report: Report):
 def _run_mtt(s: _Session, report: Report):
     ctx = s.ctx
 
+    def mtt(q):
+        lratio, kappa = s.cfg["lratio"], s.cfg["kappa_gamma"]
+        return s.stage(("mtt", q.ord, q.unit), tt.mtt_report, ctx, q, lratio, kappa)
+
     def bookkeeping():
-        rep = tt.mtt_report(ctx, s.q, s.cfg["lratio"], s.cfg["kappa_gamma"])
-        return rep["generator_invariance_residual"]
+        return mtt(s.q)["generator_invariance_residual"]
 
     _check(report, "mtt.derivative-bookkeeping", "mtt:derivative", bookkeeping)
 
     def scaling():
         q2 = cm.TateParameter.make(ctx, 2 * s.q.ord, s.q.unit * s.q.unit)
-        r1 = tt.mtt_report(ctx, s.q, s.cfg["lratio"], s.cfg["kappa_gamma"])
-        r2 = tt.mtt_report(ctx, q2, s.cfg["lratio"], s.cfg["kappa_gamma"])
         # q -> q^2 leaves log/ord invariant
         return ctx.require(
-            (r1["ds_prediction"] - r2["ds_prediction"]).min_valuation(),
+            (mtt(s.q)["ds_prediction"] - mtt(q2)["ds_prediction"]).min_valuation(),
             "squaring covariance fails",
         )
 

@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
@@ -12,8 +13,9 @@ from padiclab.runner import (
     emit_report,
     run_suite,
 )
-from padiclab import runner
+from padiclab import honda, points, runner, tate
 from padiclab.cli import main
+from padiclab.series import TruncatedSeries
 
 
 def parse_report(blob: bytes) -> dict:
@@ -303,3 +305,64 @@ def test_a_pass_that_measured_nothing_fails():
         "stub.zero": ("pass", 0, ""),
     }
     assert report.exit_code == 1
+
+
+def test_a_stage_is_built_once_and_keeps_its_error():
+    session = runner._Session(SuiteConfig(**SMALL).resolved())
+    calls = []
+
+    def refuse(x):
+        calls.append(x)
+        raise ValueError(f"stage {x} refused")
+
+    messages = []
+    for _ in range(3):
+        with pytest.raises(ValueError) as info:
+            session.stage("refused", refuse, 7)
+        messages.append(str(info.value))
+    assert calls == [7]
+    assert messages == ["stage 7 refused"] * 3
+
+    def count():
+        calls.append("kept")
+        return len(calls)
+
+    assert [session.stage("kept", count) for _ in range(3)] == [2, 2, 2]
+
+
+def test_a_failed_point_family_is_built_once(monkeypatch):
+    # iota_5 + 1/3 is not integral, so d_n's Delta-product is refused; every
+    # check that needs the points fails with that one error
+    build_iota, init = honda.build_iota, points.PointFamily.__init__
+    inits = []
+
+    def bumped(ctx, order):
+        coeffs = list(build_iota(ctx, order).coeffs)
+        coeffs[5] = coeffs[5] + Fraction(1, 3)
+        return TruncatedSeries.from_scalars(ctx, coeffs)
+
+    def counted(self, *args):
+        inits.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(honda, "build_iota", bumped)
+    monkeypatch.setattr(points.PointFamily, "__init__", counted)
+    report = run_suite(SuiteConfig(p=3, n_max=2, prec=12, n_functionals=4))
+    assert len(inits) == 1
+    summary = report.summary()
+    assert (summary["pass"], summary["fail"]) == (16, 33)
+    details = {c.detail for c in report.checks if c.name.startswith(("points.", "prop2."))}
+    assert len(details) == 1
+
+
+def test_mtt_report_is_built_once_per_q(monkeypatch):
+    mtt_report, qs = tate.mtt_report, []
+
+    def counted(ctx, q, *args):
+        qs.append((q.ord, q.unit))
+        return mtt_report(ctx, q, *args)
+
+    monkeypatch.setattr(tate, "mtt_report", counted)
+    report = run_suite(SuiteConfig(p=3, n_max=0, prec=20, suites=("tate", "mtt")))
+    assert report.exit_code == 0
+    assert qs == [(1, 4), (2, 16)]

@@ -94,6 +94,13 @@ def test_seeded_regeneration_is_bit_identical(tower3, q3):
     assert fingerprint(a) != fingerprint(c)
 
 
+def test_densities_may_come_from_a_generator(tower3, q3):
+    w = UnitFunctional.seeded(tower3, 1, q3, 42)
+    g = UnitFunctional(tower3, (d for d in w.densities), w.alpha)
+    assert g.n == 1
+    assert fingerprint(g) == fingerprint(w)
+
+
 def test_tower_compatibility_enforced(tower3, q3):
     w = UnitFunctional.seeded(tower3, 1, q3, 7)
     assert w.check_tower_compatibility()

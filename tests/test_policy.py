@@ -237,6 +237,64 @@ def test_scan_finds_a_planted_verifier_call():
     ]
 
 
+# a run's lazy stages have one home, _Session.stage, which also keeps a
+# failed stage's error; these decorators would keep only the values
+MEMO_DECORATORS = {"cache", "lru_cache", "cached_property"}
+
+
+def _memo_mechanisms(tree):
+    """(line, name) of each functools import and of each decorator named
+    in MEMO_DECORATORS, called or not."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, a.name) for a in node.names if a.name == "functools"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found.append((node.lineno, "functools"))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                name = getattr(target, "id", getattr(target, "attr", None))
+                if name in MEMO_DECORATORS:
+                    found.append((dec.lineno, name))
+    return sorted(found)
+
+
+def test_runner_stages_have_one_memo():
+    assert _memo_mechanisms(ast.parse((SRC / "runner.py").read_text())) == []
+
+
+def test_scan_finds_a_planted_memo():
+    tree = ast.parse(
+        "import json, functools\n"
+        "from functools import lru_cache as memo\n"
+        "class _Session:\n"
+        "    @functools.cached_property\n"
+        "    def honda(self):\n"
+        "        return 1\n"
+        "    @property\n"
+        "    def fam(self):\n"
+        "        return self.stage('fam', len, ())\n"
+        "def _run_tate(s, report):\n"
+        "    @functools.cache\n"
+        "    def grid():\n"
+        "        return 2\n"
+        "    @memo(maxsize=None)\n"
+        "    def sums(q):\n"
+        "        return 3\n"
+        "    @lru_cache(maxsize=None)\n"
+        "    def a_inv(q):\n"
+        "        return 4\n"
+    )
+    assert _memo_mechanisms(tree) == [
+        (1, "functools"),
+        (2, "functools"),
+        (4, "cached_property"),
+        (11, "cache"),
+        (17, "lru_cache"),
+    ]
+
+
 def test_require_returns_or_names_the_failure():
     ctx = PrimeContext(5, 12)
     assert ctx.require(10, "identity") == 10
